@@ -10,7 +10,7 @@ also occupied interferes and clicks with probability
 ``xi * f_mon * t_ch * mu * (1 - V) / 2``, a pulse with an empty
 predecessor does not interfere and clicks with probability
 ``xi * f_mon * t_ch * mu / 4``.  Dead time is applied per detector by
-the kernel backend and persists across frames.
+``kernels.dead_time_filter`` and persists across frames.
 """
 
 from __future__ import annotations
@@ -453,7 +453,7 @@ def simulate_protocol(
         last_mon = state.last_monitor_click
         clicks = transmit_frame(frame, phys, rng, state)
         report = decode_frame(params, sigma, clicks)
-        a, b = sift_block(block, report)
+        a, b = sift_block(block, report, params.d)
         sift_a.extend(a)
         sift_b.extend(b)
         kept += len(report.entries)

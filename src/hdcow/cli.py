@@ -13,6 +13,7 @@ fixed float formatting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -302,15 +303,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = Config(
-                seed=args.seed,
-                protocol=config.protocol,
-                physical=config.physical,
-                noise=config.noise,
-                sweep=config.sweep,
-                threshold=config.threshold,
-                session=config.session,
-            )
+            config = dataclasses.replace(config, seed=args.seed)
         text = _COMMANDS[args.command](config, args)
     except (InvalidArgumentError, OSError) as exc:
         parser.exit(_USAGE_EXIT, f"error: {exc}\n")

@@ -1,24 +1,10 @@
-"""Backend selection for the dead-time hot loop.
+"""The dead-time kernel.
 
-Prefers the compiled extension, falls back to the pure-Python reference
-when the extension is missing or ``HDCOW_PURE`` is set in the
-environment.  Both backends produce bit-identical results; see
-``benchmarks/bench_kernels.py`` for the speed comparison.
+``dead_time_filter`` is the sequential scan in ``_ref``; ``BACKEND``
+names that implementation ("python") and is recorded with benchmark
+results, which are only compared between runs of the same backend.
 """
 
-import os
-
-from . import _ref
-
-if os.environ.get("HDCOW_PURE"):
-    _impl = _ref
-else:
-    try:
-        from . import _fast as _impl
-    except ImportError:
-        _impl = _ref
-
-BACKEND = _impl.BACKEND
-dead_time_filter = _impl.dead_time_filter
+from ._ref import BACKEND, dead_time_filter
 
 __all__ = ["BACKEND", "dead_time_filter"]

@@ -170,26 +170,47 @@ class DetectionReport:
             raise ProtocolError("duplicate qudit index in detection report")
 
 
-def _unbiased_below(source: ByteSource, bound: int) -> int:
-    """Uniform integer in [0, bound) by 4-byte rejection sampling."""
+def _words(source: ByteSource, count: int) -> np.ndarray:
+    """``count`` big-endian 4-byte words from one call of the source."""
+    data = source(4 * count)
+    if len(data) != 4 * count:
+        raise InvalidArgumentError(
+            f"byte source returned {len(data)} bytes, expected {4 * count}"
+        )
+    return np.frombuffer(data, dtype=">u4").astype(np.int64)
+
+
+def _unbiased_below(source: ByteSource, bounds: np.ndarray) -> np.ndarray:
+    """One uniform integer in [0, b) for each bound b, by 4-byte rejection
+    sampling: a word is kept only below the largest multiple of b that
+    fits in 32 bits, so ``word % b`` is exactly uniform.  All words come
+    from one draw; the rejected positions are redrawn together."""
     span = 1 << 32
-    limit = span - span % bound
-    while True:
-        v = int.from_bytes(source(4), "big")
-        if v < limit:
-            return v % bound
+    limits = span - span % bounds
+    words = _words(source, len(bounds))
+    rejected = np.flatnonzero(words >= limits)
+    while rejected.size:
+        words[rejected] = _words(source, rejected.size)
+        rejected = rejected[words[rejected] >= limits[rejected]]
+    return words % bounds
 
 
 def make_permutation(length: int, source: ByteSource) -> Permutation:
     """Uniformly random permutation of {1..length} via an unbiased
-    shuffle driven by the injected byte source."""
+    Fisher-Yates shuffle driven by the injected byte source.
+
+    The swap partner of position i (from length-1 down to 1) is drawn
+    below i+1; all partners are drawn before the first swap, so the
+    source is called once per permutation plus once per round of
+    rejections.
+    """
     if length < 1:
         raise InvalidArgumentError(f"length={length} must be >= 1")
-    perm = np.arange(1, length + 1)
-    for i in range(length - 1, 0, -1):
-        j = _unbiased_below(source, i + 1)
+    perm = list(range(1, length + 1))
+    partners = _unbiased_below(source, np.arange(length, 1, -1)).tolist()
+    for i, j in zip(range(length - 1, 0, -1), partners):
         perm[i], perm[j] = perm[j], perm[i]
-    return Permutation(perm)
+    return Permutation(np.array(perm))
 
 
 def encode_block(
@@ -223,16 +244,22 @@ def decode_click(params: ProtocolParams, sigma: Permutation, t: int) -> tuple[in
 
 
 def sift_block(
-    alice: KeyBlock, report: DetectionReport
+    alice: KeyBlock, report: DetectionReport, d: int | None = None
 ) -> tuple[list[int], list[int]]:
     """Align the sender's symbols with the receiver's reported symbols
-    for the qudits that arrived, ordered by qudit index."""
+    for the qudits that arrived, ordered by qudit index.
+
+    With ``d`` given, a reported symbol outside {1..d} is rejected; the
+    session and the simulator always pass it.
+    """
     entries = sorted(report.entries)
     indices = [i for i, _ in entries]
     if len(set(indices)) != len(indices):
         raise ProtocolError("duplicate qudit index in detection report")
     if entries and (entries[0][0] < 0 or entries[-1][0] >= len(alice.symbols)):
         raise ProtocolError("reported qudit index outside the block")
+    if d is not None and any(not 1 <= j <= d for _, j in entries):
+        raise ProtocolError(f"reported symbol outside {{1..{d}}}")
     alice_sifted = [int(alice.symbols[i]) for i, _ in entries]
     bob_sifted = [int(j) for _, j in entries]
     return alice_sifted, bob_sifted

@@ -364,17 +364,15 @@ def run_alice(
         sigma = make_permutation(proto.slot_count, perm_source)
         frame = encode_block(proto, block, sigma, settings.physical.mu)
         channel.transmit(block_id, frame)
-        endpoint.send(
-            PermutationReveal(
-                block_id=block_id, indices=tuple(int(v) for v in sigma.map_)
-            )
-        )
+        endpoint.send(PermutationReveal(block_id=block_id, indices=sigma.map_))
 
         report = _expect(endpoint.recv(), DetectionReportMsg, block_id)
         bob_estimate = _expect(endpoint.recv(), EstimateReport, block_id)
         v_hat = bob_estimate.v_hat
 
-        alice_syms, bob_syms = sift_block(block, DetectionReport(report.entries))
+        alice_syms, bob_syms = sift_block(
+            block, DetectionReport(report.entries), proto.d
+        )
         sifted.extend(alice_syms)
         kept_total += len(alice_syms)
         for (i, _j), a_sym, b_sym in zip(report.entries, alice_syms, bob_syms):
@@ -436,7 +434,7 @@ def run_bob(
                     "its quantum transmission was measured"
                 )
             try:
-                sigma = Permutation(np.asarray(message.indices, dtype=np.int64))
+                sigma = Permutation(message.values())
                 if len(sigma) != proto.slot_count:
                     raise InvalidArgumentError("permutation length mismatch")
             except InvalidArgumentError as exc:

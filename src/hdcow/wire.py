@@ -13,15 +13,19 @@ Payloads by tag:
     0x05 ESTIMATE_REPORT    block_id u64, q_hat f64, v_hat f64
     0x06 SESSION_END        empty
 
-Estimate fields not yet known are encoded as NaN.
+Estimate fields not yet known are encoded as NaN.  A reveal's indices
+are held in their wire form from the moment the message is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Union
+
+import numpy as np
 
 from .errors import (
     BadMagicError,
@@ -73,8 +77,32 @@ class BlockAnnounce:
 
 @dataclass(frozen=True)
 class PermutationReveal:
+    """``indices`` are the images sigma(1), ..., sigma(L) as big-endian
+    u32, 4 bytes each.  A ``bytes`` value is taken as that form; any other
+    integer sequence is converted, and values outside u32 are rejected,
+    when the message is built.  Built and decoded reveals compare equal."""
+
     block_id: int
-    indices: tuple
+    indices: bytes
+
+    def __post_init__(self):
+        if isinstance(self.indices, bytes):
+            if len(self.indices) % 4:
+                raise InvalidArgumentError(
+                    f"{len(self.indices)} index bytes is not a whole number of u32"
+                )
+        else:
+            values = np.asarray(self.indices)
+            if values.size:
+                if values.dtype.kind not in "iu":  # floats, or ints too wide for numpy
+                    raise InvalidArgumentError("index values do not fit u32")
+                _check_u(int(values.min()), 32, "index")
+                _check_u(int(values.max()), 32, "index")
+            object.__setattr__(self, "indices", values.astype(">u4").tobytes())
+
+    def values(self) -> np.ndarray:
+        """The indices as an array of integers."""
+        return np.frombuffer(self.indices, dtype=">u4")
 
 
 @dataclass(frozen=True)
@@ -98,7 +126,10 @@ class EstimateReport:
         return same
 
     def __hash__(self):
-        return hash((self.block_id, self.q_hat, self.v_hat))
+        # NaN fields are equal to each other here, so they must hash alike;
+        # hash(nan) differs between NaN objects.
+        fields = (self.q_hat, self.v_hat)
+        return hash((self.block_id, *(None if math.isnan(x) else x for x in fields)))
 
 
 @dataclass(frozen=True)
@@ -122,6 +153,11 @@ def _check_u(value: int, bits: int, what: str) -> int:
     return value
 
 
+def _check_u_all(values, bits: int, what: str) -> None:
+    for value in (min(values), max(values)):
+        _check_u(value, bits, what)
+
+
 def encode_message(message: Message) -> bytes:
     if isinstance(message, SessionStart):
         tag = TAG_SESSION_START
@@ -137,21 +173,20 @@ def encode_message(message: Message) -> bytes:
     elif isinstance(message, PermutationReveal):
         tag = TAG_PERMUTATION_REVEAL
         payload = struct.pack("!Q", _check_u(message.block_id, 64, "block_id"))
-        payload += struct.pack(
-            f"!{len(message.indices)}I",
-            *(_check_u(i, 32, "index") for i in message.indices),
-        )
+        payload += message.indices
     elif isinstance(message, DetectionReportMsg):
         tag = TAG_DETECTION_REPORT
+        count = len(message.entries)
+        if count:
+            qudits, symbols = zip(*message.entries)
+            _check_u_all(qudits, 32, "qudit index")
+            _check_u_all(symbols, 16, "symbol")
         payload = struct.pack(
-            "!QI",
+            "!QI" + "IH" * count,
             _check_u(message.block_id, 64, "block_id"),
-            _check_u(len(message.entries), 32, "count"),
+            _check_u(count, 32, "count"),
+            *itertools.chain.from_iterable(message.entries),
         )
-        for i, j in message.entries:
-            payload += struct.pack(
-                "!IH", _check_u(i, 32, "qudit index"), _check_u(j, 16, "symbol")
-            )
     elif isinstance(message, EstimateReport):
         tag = TAG_ESTIMATE_REPORT
         payload = struct.pack(
@@ -184,9 +219,7 @@ def _decode_payload(tag: int, payload: bytes) -> Message:
                 "PERMUTATION_REVEAL payload must be 8 + 4k bytes"
             )
         block_id = struct.unpack_from("!Q", payload)[0]
-        count = (len(payload) - 8) // 4
-        indices = struct.unpack_from(f"!{count}I", payload, 8)
-        return PermutationReveal(block_id=block_id, indices=indices)
+        return PermutationReveal(block_id=block_id, indices=bytes(payload[8:]))
     if tag == TAG_DETECTION_REPORT:
         if len(payload) < 12:
             raise LengthMismatchError("DETECTION_REPORT payload must be >= 12 bytes")
@@ -195,9 +228,7 @@ def _decode_payload(tag: int, payload: bytes) -> Message:
             raise LengthMismatchError(
                 f"DETECTION_REPORT count={count} disagrees with payload size"
             )
-        entries = tuple(
-            struct.unpack_from("!IH", payload, 12 + 6 * k) for k in range(count)
-        )
+        entries = tuple(struct.iter_unpack("!IH", payload[12:]))
         return DetectionReportMsg(block_id=block_id, entries=entries)
     if tag == TAG_ESTIMATE_REPORT:
         if len(payload) != 24:

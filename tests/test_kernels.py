@@ -1,12 +1,10 @@
 import numpy as np
-import pytest
 
 from hdcow.kernels import BACKEND, dead_time_filter
-from hdcow.kernels import _ref
 
 
 def test_backend_reports_name():
-    assert BACKEND in ("cython", "python")
+    assert BACKEND == "python"
 
 
 def test_empty_input():
@@ -52,19 +50,3 @@ def test_min_gap_invariant_random():
     gaps = np.diff(kept)
     assert (gaps > 1999).all()
 
-
-@pytest.mark.skipif(BACKEND != "cython", reason="compiled backend unavailable")
-def test_backends_bit_identical():
-    try:
-        from hdcow.kernels import _fast
-    except ImportError:  # pragma: no cover
-        pytest.skip("extension missing")
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        cand = np.unique(rng.integers(0, 500_000, size=5000)).astype(np.int64)
-        dead = int(rng.integers(0, 3000))
-        start = int(rng.integers(-100, 100))
-        kept_fast, last_fast = _fast.dead_time_filter(cand, dead, start)
-        kept_ref, last_ref = _ref.dead_time_filter(cand, dead, start)
-        assert last_fast == last_ref
-        assert np.array_equal(kept_fast, kept_ref)

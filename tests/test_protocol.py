@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,46 @@ class TestMakePermutation:
             chi2 = float(((counts[pos] - expected) ** 2 / expected).sum())
             p_value = stats.chi2.sf(chi2, df=length - 1)
             assert p_value > 0.001, f"position {pos}: chi2={chi2}, p={p_value}"
+
+
+class ScriptedSource:
+    """Byte source returning fixed chunks of 4-byte words in order and
+    recording how many bytes each call asked for."""
+
+    def __init__(self, *chunks):
+        self._chunks = [struct.pack(f"!{len(c)}I", *c) for c in chunks]
+        self.requests = []
+
+    def __call__(self, count):
+        self.requests.append(count)
+        return self._chunks.pop(0)
+
+
+class TestRejectionSampling:
+    # For length 6 the swap bounds are 6, 5, 4, 3, 2 in draw order.  A
+    # word is rejected from 2**32 - 2**32 % bound up, which for bounds
+    # 6, 5 and 3 includes 0xFFFFFFFF; bounds 4 and 2 reject nothing.
+    WORDS = [0x12345678, 0x9ABCDEF0, 0x0BADF00D, 0x13579BDF, 0x2468ACE0]
+
+    def test_rejected_words_are_redrawn(self):
+        w = self.WORDS
+        top = 0xFFFFFFFF
+        source = ScriptedSource([top, top, w[2], top, w[4]], [w[0], w[1], w[3]])
+        perm = make_permutation(6, source)
+        assert source.requests == [20, 12]
+        assert sorted(perm.map_) == list(range(1, 7))
+        assert list(perm.map_) == list(make_permutation(6, ScriptedSource(w)).map_)
+
+    def test_rejection_bound_is_exact(self):
+        w = self.WORDS
+        limit = 2**32 - 2**32 % 6  # a multiple of 6
+        # the first redraw is rejected again; limit - 1 is accepted, and
+        # is the same draw below 6 as the word 5
+        source = ScriptedSource([limit, *w[1:]], [0xFFFFFFFF], [limit - 1])
+        perm = make_permutation(6, source)
+        assert source.requests == [20, 4, 4]
+        reference = make_permutation(6, ScriptedSource([5, *w[1:]]))
+        assert list(perm.map_) == list(reference.map_)
 
 
 class TestPermutation:
@@ -136,6 +178,13 @@ class TestSiftBlock:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ProtocolError):
             sift_block(KeyBlock([1, 2]), DetectionReport(((5, 1),)))
+
+    def test_out_of_range_symbol_rejected(self):
+        for entry in ((0, 0), (1, 99)):
+            with pytest.raises(ProtocolError, match="symbol"):
+                sift_block(KeyBlock([1, 2]), DetectionReport((entry,)), d=2)
+        accepted = sift_block(KeyBlock([1, 2]), DetectionReport(((1, 2),)), d=2)
+        assert accepted == ([2], [2])
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,21 @@ class TestDecodeErrors:
             encode_message(SessionStart(d=2**16, n=1, tau_picoseconds=1))
         with pytest.raises(InvalidArgumentError):
             encode_message(BlockAnnounce(block_id=-1))
+        for index in (-1, 2**32):
+            with pytest.raises(InvalidArgumentError):
+                encode_message(PermutationReveal(block_id=0, indices=(1, index)))
+        for entry in ((0, 2**16), (0, -1), (2**32, 1)):
+            with pytest.raises(InvalidArgumentError):
+                encode_message(
+                    DetectionReportMsg(block_id=0, entries=((1, 1), entry))
+                )
+
+    def test_reveal_indices_are_compact(self):
+        built = PermutationReveal(block_id=5, indices=np.array([3, 1, 4, 2]))
+        assert built.indices == struct.pack("!4I", 3, 1, 4, 2)
+        assert built == PermutationReveal(block_id=5, indices=(3, 1, 4, 2))
+        assert decode_message(encode_message(built)) == built
+        assert list(built.values()) == [3, 1, 4, 2]
 
 
 @settings(max_examples=500, deadline=None)
@@ -144,3 +160,11 @@ def test_nan_estimate_round_trips():
     assert math.isnan(decoded.q_hat)
     assert decoded.v_hat == 0.5
     assert decoded == msg
+
+
+def test_nan_estimates_hash_alike():
+    a = EstimateReport(block_id=3, q_hat=float("nan"), v_hat=0.5)
+    b = EstimateReport(block_id=3, q_hat=float("nan"), v_hat=0.5)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
