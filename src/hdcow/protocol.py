@@ -244,21 +244,18 @@ def decode_click(params: ProtocolParams, sigma: Permutation, t: int) -> tuple[in
 
 
 def sift_block(
-    alice: KeyBlock, report: DetectionReport, d: int | None = None
+    alice: KeyBlock, report: DetectionReport, d: int
 ) -> tuple[list[int], list[int]]:
     """Align the sender's symbols with the receiver's reported symbols
-    for the qudits that arrived, ordered by qudit index.
-
-    With ``d`` given, a reported symbol outside {1..d} is rejected; the
-    session and the simulator always pass it.
-    """
+    for the qudits that arrived, ordered by qudit index. A reported
+    symbol outside {1..d} is rejected."""
     entries = sorted(report.entries)
     indices = [i for i, _ in entries]
     if len(set(indices)) != len(indices):
         raise ProtocolError("duplicate qudit index in detection report")
     if entries and (entries[0][0] < 0 or entries[-1][0] >= len(alice.symbols)):
         raise ProtocolError("reported qudit index outside the block")
-    if d is not None and any(not 1 <= j <= d for _, j in entries):
+    if any(not 1 <= j <= d for _, j in entries):
         raise ProtocolError(f"reported symbol outside {{1..{d}}}")
     alice_sifted = [int(alice.symbols[i]) for i, _ in entries]
     bob_sifted = [int(j) for _, j in entries]

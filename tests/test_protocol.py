@@ -159,16 +159,16 @@ class TestDecodeClick:
 
 class TestSiftBlock:
     def test_empty_report(self):
-        assert sift_block(KeyBlock([1, 2]), DetectionReport(())) == ([], [])
+        assert sift_block(KeyBlock([1, 2]), DetectionReport(()), d=2) == ([], [])
 
     def test_noiseless_agreement(self):
         alice, bob = sift_block(
-            KeyBlock([1, 2, 3]), DetectionReport(((0, 1), (2, 3)))
+            KeyBlock([1, 2, 3]), DetectionReport(((0, 1), (2, 3))), d=3
         )
         assert (alice, bob) == ([1, 3], [1, 3])
 
     def test_constructed_mismatch(self):
-        alice, bob = sift_block(KeyBlock([1, 2]), DetectionReport(((1, 1),)))
+        alice, bob = sift_block(KeyBlock([1, 2]), DetectionReport(((1, 1),)), d=2)
         assert (alice, bob) == ([2], [1])
 
     def test_duplicate_index_rejected(self):
@@ -177,7 +177,7 @@ class TestSiftBlock:
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ProtocolError):
-            sift_block(KeyBlock([1, 2]), DetectionReport(((5, 1),)))
+            sift_block(KeyBlock([1, 2]), DetectionReport(((5, 1),)), d=2)
 
     def test_out_of_range_symbol_rejected(self):
         for entry in ((0, 0), (1, 99)):
