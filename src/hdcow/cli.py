@@ -26,10 +26,9 @@ from .errors import HdcowError, InvalidArgumentError, NoThresholdError
 from .rates import detection_rate, qber_threshold, sweep
 from .security import (
     eve_optimal_holevo,
-    holevo_ae,
-    holevo_be,
     holevo_oracle,
     mutual_info_ab,
+    report_at,
     x_interval,
 )
 from .session import SessionSettings, run_session, validate_transcript
@@ -128,15 +127,9 @@ def cmd_threshold(config: Config, args) -> str:
 def cmd_holevo(config: Config, args) -> str:
     d, q, mu, visibility = args.d, args.q, args.mu, args.visibility
     if args.x is not None:
-        x_star = args.x
-        chi_ae = holevo_ae(d, q, mu, x_star)
-        chi_be = holevo_be(d, q, mu, x_star)
-        i_ab = max(mutual_info_ab(d, q) - chi_ae, 0.0)
+        report = report_at(d, q, mu, args.x)
     else:
         report = eve_optimal_holevo(d, q, mu, visibility)
-        x_star, chi_ae, chi_be, i_ab = (
-            report.x_star, report.chi_ae, report.chi_be, report.i_ab,
-        )
     lo, hi = x_interval(mu, visibility)
     payload = {
         "d": d,
@@ -144,18 +137,18 @@ def cmd_holevo(config: Config, args) -> str:
         "mu": mu,
         "visibility": visibility,
         "x_interval": [lo, hi],
-        "x_star": x_star,
-        "chi_ae": chi_ae,
-        "chi_be": chi_be,
+        "x_star": report.x_star,
+        "chi_ae": report.chi_ae,
+        "chi_be": report.chi_be,
         "mutual_info_ab": mutual_info_ab(d, q),
-        "secure_fraction": i_ab,
+        "secure_fraction": report.secure_fraction,
     }
     if args.oracle:
-        oracle_ae, oracle_be = holevo_oracle(d, q, mu, x_star)
+        oracle_ae, oracle_be = holevo_oracle(d, q, mu, report.x_star)
         payload["oracle_chi_ae"] = oracle_ae
         payload["oracle_chi_be"] = oracle_be
         payload["oracle_max_abs_diff"] = max(
-            abs(oracle_ae - chi_ae), abs(oracle_be - chi_be)
+            abs(oracle_ae - report.chi_ae), abs(oracle_be - report.chi_be)
         )
     if args.format == "csv":
         return _rows_to_csv(tuple(payload), [tuple(payload.values())])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .channel import PhysicalParams
 from .errors import InvalidArgumentError, NoThresholdError
-from .security import eve_optimal_holevo, mutual_info_ab
+from .security import eve_optimal_holevo
 
 __all__ = [
     "RatePoint",
@@ -29,11 +29,15 @@ __all__ = [
     "THRESHOLD_CONVENTION",
 ]
 
-# Default convention for quoting error-rate thresholds, chosen because it
-# brackets both reference endpoints (binary ~14.9%, sixteen-level ~4.9%
-# per wrong slot) while keeping thresholds strictly decreasing in the
-# dimension; see README.  The axis is the per-wrong-slot probability,
-# evaluated in the vanishing-occupation limit at monitored visibility 0.9.
+# Default convention for quoting error-rate thresholds.  The axis is the
+# per-wrong-slot error probability, which stays comparable across
+# dimensions (the total qudit error is (d-1) times it).  mu -> 0 is the
+# vanishing-occupation limit: <v0|vmu> -> 1 collapses the adversary's
+# admissible overlap to x = sqrt(V), so the threshold depends on the
+# monitored visibility alone and not on an operating point.  At V = 0.9
+# the binary and sixteen-level thresholds come out at the reference
+# endpoints (~14.9% and ~4.9% per wrong slot), and the thresholds fall
+# strictly with the dimension.
 THRESHOLD_CONVENTION = {"mu": 1e-6, "visibility": 0.90, "axis": "per_slot"}
 
 _THRESHOLD_TOL = 1e-4
@@ -110,9 +114,8 @@ def secure_rate(
     d: int, mu: float, q: float, visibility: float, phys: PhysicalParams
 ) -> RatePoint:
     """Compose the detection rate with the secure fraction."""
-    report = eve_optimal_holevo(d, q, mu, visibility)
+    per_detection = eve_optimal_holevo(d, q, mu, visibility).secure_fraction
     alpha = detection_rate(d, mu, phys.xi_eff, phys.t_dead, phys.tau)
-    per_detection = report.i_ab
     return RatePoint(
         d=d,
         mu=mu,
@@ -150,10 +153,6 @@ def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     )
 
 
-def _secure_fraction_at_total_error(d, e_total, mu, visibility):
-    return eve_optimal_holevo(d, e_total / (d - 1), mu, visibility).i_ab
-
-
 def qber_threshold(d: int, mu: float, visibility: float) -> float:
     """Largest total qudit error rate with a positive secure fraction.
 
@@ -163,18 +162,23 @@ def qber_threshold(d: int, mu: float, visibility: float) -> float:
     """
     if d < 2:
         raise InvalidArgumentError(f"d={d} must be >= 2")
+
+    def keyed(e_total):
+        report = eve_optimal_holevo(d, e_total / (d - 1), mu, visibility)
+        return report.secure_fraction > 0.0
+
     e_hi = 1.0 - 1.0 / d
-    if _secure_fraction_at_total_error(d, 0.0, mu, visibility) <= 0.0:
+    if not keyed(0.0):
         raise NoThresholdError(
             f"no positive secure fraction at zero error for d={d}, mu={mu}, "
             f"visibility={visibility}"
         )
     lo, hi = 0.0, e_hi - 1e-12
-    if _secure_fraction_at_total_error(d, hi, mu, visibility) > 0.0:
+    if keyed(hi):
         return hi
     while hi - lo > _THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
-        if _secure_fraction_at_total_error(d, mid, mu, visibility) > 0.0:
+        if keyed(mid):
             lo = mid
         else:
             hi = mid

@@ -10,6 +10,15 @@ The single remaining degree of freedom is ``x = <v0|pmu>``, constrained
 to the interval where the Gram matrix of (v0, vmu, pmu) stays positive
 semidefinite.
 
+The adversary's optimum is in closed form: ``x* = x_interval(mu, V)[0]``,
+the lower end of that interval.  x enters both Holevo bounds only
+through the correct-outcome block of the average-state entropy,
+``f(s) = h(a((d-1)s+1)) + (d-1)*h(a(1-s))`` with ``s = x**2``,
+``a = (1-(d-1)Q)/d`` and ``h(p) = -p*log2(p)``.  Its derivative
+``f'(s) = a(d-1)*log2((1-s)/((d-1)s+1))`` is <= 0 on [0, 1], so both
+bounds fall as x rises over the (non-negative) interval and peak at its
+lower end.
+
 Two routes compute the adversary's Holevo information:
 
 * closed forms (:func:`holevo_ae`, :func:`holevo_be`) built from the
@@ -37,13 +46,12 @@ __all__ = [
     "holevo_ae",
     "holevo_be",
     "holevo_oracle",
+    "report_at",
     "eve_optimal_holevo",
     "mutual_info_ab",
     "secure_fraction",
 ]
 
-_GRID_POINTS = 10_001
-_REFINE_XTOL = 1e-10
 _PSD_TOL = 1e-12
 
 
@@ -90,12 +98,12 @@ class EveGram:
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """Adversary bounds and the secure fraction at the optimal attack."""
+    """Adversary bounds and the secure fraction at one attack overlap."""
 
     chi_ae: float  # Holevo bound on info about the sender's symbol (bits)
     chi_be: float  # Holevo bound on info about the receiver's outcome (bits)
-    i_ab: float    # secure bits per detected qudit after subtracting the leak
-    x_star: float  # adversary's optimal <v0|pmu>
+    secure_fraction: float  # I_AB - chi_AE clamped at 0, bits per detected qudit
+    x_star: float  # the adversary's <v0|pmu> the bounds were evaluated at
 
 
 def entropy_term(p):
@@ -280,53 +288,34 @@ def holevo_oracle(d: int, q: float, mu: float, x: float) -> tuple[float, float]:
     return chi_ae, chi_be
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section maximizer on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = f(c), f(e)
-    while b - a > xtol:
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = f(e)
-    return 0.5 * (a + b)
+def report_at(d: int, q: float, mu: float, x: float) -> SecurityReport:
+    """Both Holevo bounds and the secure fraction at overlap ``x``.
+
+    The secure fraction subtracts the sender-side bound from the shared
+    information and clamps at zero.  The sender-side bound is the right
+    leak term because reconciliation is direct: the distilled key is the
+    sender's raw string and the receiver corrects toward it.
+    """
+    chi_ae = holevo_ae(d, q, mu, x)
+    return SecurityReport(
+        chi_ae=chi_ae,
+        chi_be=holevo_be(d, q, mu, x),
+        secure_fraction=max(mutual_info_ab(d, q) - chi_ae, 0.0),
+        x_star=x,
+    )
 
 
 def eve_optimal_holevo(d: int, q: float, mu: float, visibility: float) -> SecurityReport:
-    """Maximize the receiver-side Holevo bound over the adversary's free
-    overlap and report both bounds at the optimum.
+    """Both bounds and the secure fraction at the adversary's optimal
+    overlap.
 
-    The maximization scans a dense grid (:data:`_GRID_POINTS` points)
-    over the admissible interval and refines the best cell by
-    golden-section search.  The two bounds differ by an x-independent
-    amount, so the same ``x_star`` maximizes both.
+    The optimum is the lower end of :func:`x_interval`: x enters the
+    bounds only through ``f(s) = h(a((d-1)s+1)) + (d-1)*h(a(1-s))`` with
+    ``s = x**2`` and ``a = (1-(d-1)Q)/d``, and
+    ``f'(s) = a(d-1)*log2((1-s)/((d-1)s+1)) <= 0`` on [0, 1].  The same
+    ``x_star`` therefore maximizes both bounds.
     """
-    _validate_domain(d, q, mu)
-    lo, hi = x_interval(mu, visibility)
-    if not lo <= hi:
-        raise InvalidArgumentError(
-            f"empty admissible interval for mu={mu}, visibility={visibility}"
-        )
-    if hi - lo < _REFINE_XTOL:
-        x_star = 0.5 * (lo + hi)
-    else:
-        xs = np.linspace(lo, hi, _GRID_POINTS)
-        vals = holevo_be(d, q, mu, xs)
-        best = int(np.argmax(vals))
-        a = xs[max(best - 1, 0)]
-        b = xs[min(best + 1, _GRID_POINTS - 1)]
-        x_star = _golden_max(lambda t: holevo_be(d, q, mu, t), a, b, _REFINE_XTOL)
-    chi_ae = holevo_ae(d, q, mu, x_star)
-    chi_be = holevo_be(d, q, mu, x_star)
-    i_ab = max(mutual_info_ab(d, q) - chi_ae, 0.0)
-    return SecurityReport(chi_ae=chi_ae, chi_be=chi_be, i_ab=i_ab, x_star=x_star)
+    return report_at(d, q, mu, x_interval(mu, visibility)[0])
 
 
 def mutual_info_ab(d: int, q: float) -> float:
@@ -344,13 +333,6 @@ def mutual_info_ab(d: int, q: float) -> float:
 
 
 def secure_fraction(d: int, q: float, mu: float, visibility: float) -> float:
-    """Secure bits per detected qudit against the optimal attack.
-
-    Subtracts the sender-side Holevo bound at the adversary's optimum
-    from the shared information and clamps at zero.  The sender-side
-    bound is the right leak term here because reconciliation is direct:
-    the distilled key is the sender's raw string and the receiver
-    corrects toward it.
-    """
-    report = eve_optimal_holevo(d, q, mu, visibility)
-    return report.i_ab
+    """Secure bits per detected qudit against the optimal attack; see
+    :func:`report_at`."""
+    return eve_optimal_holevo(d, q, mu, visibility).secure_fraction

@@ -375,7 +375,10 @@ def run_alice(
         )
         sifted.extend(alice_syms)
         kept_total += len(alice_syms)
-        for (i, _j), a_sym, b_sym in zip(report.entries, alice_syms, bob_syms):
+        # sift_block orders by qudit index, so the entries must be too
+        for (i, _j), a_sym, b_sym in zip(
+            sorted(report.entries), alice_syms, bob_syms
+        ):
             if _is_sampled(block_id, i, settings.sample_every):
                 sampled_mine.append(a_sym)
                 sampled_theirs.append(b_sym)
@@ -502,7 +505,7 @@ def _summary(
     v_for_rate = v_hat if not math.isnan(v_hat) else settings.physical.v_true
     per_detection = eve_optimal_holevo(
         proto.d, q_for_rate, settings.physical.mu, v_for_rate
-    ).i_ab
+    ).secure_fraction
     return SessionSummary(
         role=role,
         d=proto.d,

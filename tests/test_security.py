@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdcow.errors import InvalidArgumentError
 from hdcow.security import (
@@ -167,9 +169,25 @@ class TestEveOptimal:
         brute = float(np.max(holevo_be(d, q, mu, xs)))
         assert report.chi_be == pytest.approx(brute, abs=1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        q_share=st.floats(0.0, 1.0),
+        mu=st.floats(1e-6, 2.0),
+        v=st.floats(0.0, 1.0),
+    )
+    def test_no_admissible_overlap_beats_x_star(self, d, q_share, mu, v):
+        q = q_share / (d - 1)
+        report = eve_optimal_holevo(d, q, mu, v)
+        lo, hi = x_interval(mu, v)
+        assert report.x_star == lo
+        xs = np.linspace(lo, hi, 2001)
+        assert np.max(holevo_be(d, q, mu, xs)) <= report.chi_be + 1e-12
+        assert np.max(holevo_ae(d, q, mu, xs)) <= report.chi_ae + 1e-12
+
     def test_report_secure_fraction_consistent(self):
         report = eve_optimal_holevo(8, 0.004, 0.05, 0.99)
-        assert report.i_ab == pytest.approx(
+        assert report.secure_fraction == pytest.approx(
             mutual_info_ab(8, 0.004) - report.chi_ae, abs=1e-12
         )
 

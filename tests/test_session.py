@@ -1,16 +1,20 @@
 import math
+import socket
+import threading
 
 import numpy as np
 import pytest
 
 from hdcow.channel import PhysicalParams
 from hdcow.errors import ProtocolError
-from hdcow.protocol import ProtocolParams
+from hdcow.protocol import KeyBlock, ProtocolParams
 from hdcow.session import (
     SessionSettings,
     SimulatedChannel,
+    StreamDuplex,
     Transcript,
     pipe_pair,
+    run_alice,
     run_bob,
     run_session,
     validate_transcript,
@@ -18,10 +22,12 @@ from hdcow.session import (
 from hdcow.wire import (
     BlockAnnounce,
     DetectionReportMsg,
+    EstimateReport,
     PermutationReveal,
     SessionEnd,
     SessionStart,
     encode_message,
+    read_message,
 )
 
 
@@ -170,6 +176,59 @@ class TestProtocolViolations:
         )
         with pytest.raises(ProtocolError, match="open block"):
             run_bob(settings, channel, duplex)
+
+
+class TestAliceSampling:
+    def run_with_report(self, entries):
+        settings = SessionSettings(
+            protocol=ProtocolParams(d=2, n=4, tau=2e-9),
+            physical=PhysicalParams.noiseless(),
+            blocks=1,
+            sample_fraction=0.5,
+        )
+        duplex = ScriptedDuplex(
+            [
+                encode_message(DetectionReportMsg(block_id=0, entries=entries)),
+                encode_message(EstimateReport(block_id=0, q_hat=math.nan, v_hat=0.95)),
+            ]
+        )
+        channel = SimulatedChannel(settings.physical, seed=0)
+        summary = run_alice(settings, [KeyBlock([1, 2, 1, 2])], channel, duplex, seed=0)
+        return summary.q_hat
+
+    def test_sampled_qudits_do_not_depend_on_report_order(self):
+        # qudit 0 (sent 1, received 2) is the one sampled at every=2
+        assert self.run_with_report(((0, 2), (3, 2))) == 1.0
+        assert self.run_with_report(((3, 2), (0, 2))) == 1.0
+
+
+class TestStreamDuplex:
+    def test_chunked_message_round_trips(self):
+        message = PermutationReveal(block_id=7, indices=range(1, 257))
+        frame = encode_message(message)
+        left, right = socket.socketpair()
+        with left, right:
+            right.settimeout(5.0)
+            sender = StreamDuplex(left)
+            sender.send(frame[:5])
+            # the rest arrives while the reader is blocked mid-frame
+            late = threading.Timer(0.05, sender.send, args=(frame[5:],))
+            late.start()
+            try:
+                assert read_message(StreamDuplex(right).recv_exact) == message
+            finally:
+                late.join(timeout=5.0)
+            assert not late.is_alive()
+
+    def test_peer_closing_mid_frame_raises(self):
+        frame = encode_message(PermutationReveal(block_id=7, indices=range(1, 65)))
+        left, right = socket.socketpair()
+        with right:
+            right.settimeout(5.0)
+            with left:
+                StreamDuplex(left).send(frame[:-3])
+            with pytest.raises(ProtocolError, match="stream closed mid-frame"):
+                read_message(StreamDuplex(right).recv_exact)
 
 
 class TestTranscriptValidator:
