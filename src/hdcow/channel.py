@@ -199,11 +199,6 @@ class ClickStream:
     frame_start: int  # global index of the frame's first slot
     frame_length: int
 
-    def events(self) -> list[tuple[int, str]]:
-        tagged = [(int(s), "data") for s in self.data_slots]
-        tagged += [(int(s), "monitor") for s in self.monitor_slots]
-        return sorted(tagged)
-
 
 @dataclass
 class MonitorTally:

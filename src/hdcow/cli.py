@@ -13,7 +13,9 @@ fixed float formatting.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -54,10 +56,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _rows_to_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) if isinstance(v, float) else str(v) for v in row]
+                     for row in rows)
+    return buf.getvalue()
 
 
 def _json_text(obj) -> str:
@@ -126,11 +130,16 @@ def cmd_threshold(config: Config, args) -> str:
 
 def cmd_holevo(config: Config, args) -> str:
     d, q, mu, visibility = args.d, args.q, args.mu, args.visibility
+    lo, hi = x_interval(mu, visibility)
     if args.x is not None:
+        if not lo <= args.x <= hi:
+            raise InvalidArgumentError(
+                f"x={args.x} outside the admissible interval [{lo!r}, {hi!r}] "
+                f"for mu={mu}, visibility={visibility}"
+            )
         report = report_at(d, q, mu, args.x)
     else:
         report = eve_optimal_holevo(d, q, mu, visibility)
-    lo, hi = x_interval(mu, visibility)
     payload = {
         "d": d,
         "q": q,

@@ -54,6 +54,10 @@ __all__ = [
 
 _PSD_TOL = 1e-12
 
+# Inputs of these types take the scalar ``math`` path of the closed forms;
+# ``np.float64`` subclasses ``float`` and takes it too.
+_SCALAR_TYPES = (int, float)
+
 
 @dataclass(frozen=True)
 class EveGram:
@@ -109,16 +113,26 @@ class SecurityReport:
 def entropy_term(p):
     """``-p * log2(p)`` with the limit value 0 at ``p = 0``.
 
-    Accepts scalars or arrays.  Every eigenvalue contribution in the
-    closed forms below is this same function.
+    Every eigenvalue contribution in the closed forms below is this same
+    function.  A real scalar (Python ``int`` or ``float``, NumPy float
+    scalars included) is evaluated with :mod:`math` and returns a
+    ``float``; anything else is evaluated elementwise with NumPy and
+    returns an array of the input's shape, or a ``float`` for a 0-d
+    input.  The paths can differ in the last bit, where NumPy's and
+    :mod:`math`'s ``log2`` round differently.
     """
+    if isinstance(p, _SCALAR_TYPES):
+        p = float(p)
+        if p < 0.0:
+            raise InvalidArgumentError("entropy_term requires p >= 0")
+        return -p * math.log2(p) if p > 0.0 else 0.0
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0):
         raise InvalidArgumentError("entropy_term requires p >= 0")
     out = np.zeros_like(arr)
     pos = arr > 0.0
     out[pos] = -arr[pos] * np.log2(arr[pos])
-    if np.isscalar(p) or arr.ndim == 0:
+    if arr.ndim == 0:
         return float(out)
     return out
 
@@ -159,7 +173,8 @@ def _average_state_entropy(d: int, q: float, mu: float, x):
     "correct outcome" block (Gram off-diagonal ``x**2``); the entropy is
     the entropy of the scaled block eigenvalues.
     """
-    x = np.asarray(x, dtype=float)
+    if not isinstance(x, _SCALAR_TYPES):
+        x = np.asarray(x, dtype=float)
     em = math.exp(-mu)
     e_tot = (d - 1) * q
     wrong = d * entropy_term(q / d * ((d - 2) * em + 1.0)) + d * (
@@ -187,7 +202,7 @@ def holevo_ae(d: int, q: float, mu: float, x):
     e_tot = (d - 1) * q
     conditional = (d - 1) * entropy_term(q) + entropy_term(1.0 - e_tot)
     chi = _average_state_entropy(d, q, mu, x) - conditional
-    return _clamp_bits(chi, d, np.isscalar(x))
+    return _clamp_bits(chi, d)
 
 
 def holevo_be(d: int, q: float, mu: float, x):
@@ -209,13 +224,14 @@ def holevo_be(d: int, q: float, mu: float, x):
         + entropy_term(1.0 - e_tot)
     )
     chi = _average_state_entropy(d, q, mu, x) - conditional
-    return _clamp_bits(chi, d, np.isscalar(x))
+    return _clamp_bits(chi, d)
 
 
-def _clamp_bits(chi, d: int, scalar: bool):
+def _clamp_bits(chi, d: int):
     # entropy arithmetic near p in {0, 1} leaves -1e-16-size residue
-    clipped = np.clip(chi, 0.0, math.log2(d))
-    return float(clipped) if scalar or np.ndim(clipped) == 0 else clipped
+    if isinstance(chi, float):
+        return min(max(chi, 0.0), math.log2(d))
+    return np.clip(chi, 0.0, math.log2(d))
 
 
 def _vn_entropy(rho: np.ndarray) -> float:

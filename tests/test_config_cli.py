@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from hdcow.cli import main
 from hdcow.config import default_config, load_config, parse_config
 from hdcow.errors import InvalidArgumentError
+from hdcow.security import holevo_ae, x_interval
 
 
 class TestConfig:
@@ -123,12 +126,41 @@ class TestCli:
         assert per_d[16] == pytest.approx(15 * per_d2[16], rel=1e-9)
 
     def test_holevo_oracle_agreement(self, capsys):
+        # x = 0.8 is admissible at mu = 0.1 only for visibility below about
+        # 0.82; the bounds and the oracle do not depend on the visibility.
         assert main(
             ["holevo", "--d", "3", "--q", "0.02", "--mu", "0.1", "--x", "0.8",
-             "--oracle"]
+             "--visibility", "0.81", "--oracle"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle_max_abs_diff"] < 1e-8
+
+    _HOLEVO_POINT = ["holevo", "--d", "4", "--q", "0.01", "--mu", "0.1",
+                     "--visibility", "0.98"]
+
+    def test_holevo_csv_keeps_interval_in_one_cell(self, capsys):
+        assert main(self._HOLEVO_POINT + ["--format", "csv"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(row) == len(header)
+        cell = row[header.index("x_interval")]
+        lo, hi = (float(v) for v in cell.strip("[]").split(","))
+        assert (lo, hi) == x_interval(0.1, 0.98)
+
+    def test_holevo_x_outside_interval_is_usage_error(self, capsys):
+        lo, hi = x_interval(0.1, 0.98)
+        with pytest.raises(SystemExit) as exc:
+            main(self._HOLEVO_POINT + ["--x", "0.3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert repr(lo) in err and repr(hi) in err
+
+    def test_holevo_x_inside_interval_accepted(self, capsys):
+        lo, hi = x_interval(0.1, 0.98)
+        for x in (lo, 0.5 * (lo + hi), hi):
+            assert main(self._HOLEVO_POINT + ["--x", repr(x)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["x_star"] == x
+            assert payload["chi_ae"] == holevo_ae(4, 0.01, 0.1, x)
 
     def test_simulate_summary(self, capsys, fast_config):
         assert main(["simulate", "--config", fast_config]) == 0

@@ -32,6 +32,28 @@ class TestEntropyTerm:
         out = entropy_term(np.array([0.0, 0.5, 1.0]))
         assert out == pytest.approx([0.0, 0.5, 0.0])
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        p=st.one_of(
+            st.sampled_from([0, 1, 0.0, 1.0, 5e-324, 2.2250738585072014e-308]),
+            st.floats(0.0, 2.2250738585072014e-308),
+            st.floats(0.0, 1.0),
+        )
+    )
+    def test_scalar_path_matches_array_path(self, p):
+        scalar = entropy_term(p)
+        assert type(scalar) is float
+        assert abs(scalar - entropy_term(np.array([p]))[0]) <= 1e-15
+        assert type(entropy_term(np.float64(p))) is float
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.floats(-1e300, -5e-324))
+    def test_negative_rejected_on_both_paths(self, p):
+        with pytest.raises(InvalidArgumentError):
+            entropy_term(p)
+        with pytest.raises(InvalidArgumentError):
+            entropy_term(np.array([0.5, p]))
+
     def test_concave_on_unit_interval(self):
         # second finite difference non-positive at 100 interior points
         h = 1e-5
@@ -121,6 +143,28 @@ class TestClosedForms:
             x = rng.uniform(0, 1)
             for chi in (holevo_ae(d, q, mu, x), holevo_be(d, q, mu, x)):
                 assert 0.0 <= chi <= math.log2(d) + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        q_share=st.floats(0.0, 1.0),
+        mu=st.floats(1e-6, 2.0),
+        v=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_scalar_x_matches_array_x(self, d, q_share, mu, v, t):
+        q = q_share / (d - 1)
+        lo, hi = x_interval(mu, v)
+        xs = np.array([lo, lo + t * (hi - lo), hi])
+        # 1e-15 per bit of capacity: the bounds reach log2(d) <= 6 bits,
+        # where one ulp is 8.9e-16, and the paths differ by up to 2 ulps.
+        tol = 1e-15 * math.log2(d)
+        for bound in (holevo_ae, holevo_be):
+            on_array = bound(d, q, mu, xs)
+            for x, expected in zip(xs.tolist(), on_array):
+                value = bound(d, q, mu, x)
+                assert type(value) is float
+                assert abs(value - expected) <= tol
 
     def test_domain_validation(self):
         with pytest.raises(InvalidArgumentError):
