@@ -4,12 +4,10 @@ Monte Carlo, security bounds, and key-rate analysis."""
 __version__ = "0.1.0"
 
 from .channel import (
-    ChannelEstimates,
     ClickStream,
     PhysicalParams,
     estimate_qber,
     estimate_visibility,
-    simulate_protocol,
     transmit_frame,
 )
 from .protocol import (
@@ -49,7 +47,6 @@ from .security import (
 from .session import SessionSettings, SessionSummary, run_session, validate_transcript
 
 __all__ = [
-    "ChannelEstimates",
     "ClickStream",
     "DetectionReport",
     "EveGram",
@@ -83,7 +80,6 @@ __all__ = [
     "secure_fraction",
     "secure_rate",
     "sift_block",
-    "simulate_protocol",
     "sweep",
     "transmit_frame",
     "validate_transcript",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,26 +25,20 @@ from .errors import InvalidArgumentError, UndefinedEstimateError
 from .kernels import dead_time_filter
 from .protocol import (
     DetectionReport,
-    KeyBlock,
     ProtocolParams,
     PulseFrame,
     Permutation,
     decode_click,
-    encode_block,
-    sift_block,
 )
 
 __all__ = [
     "PhysicalParams",
     "DetectorState",
     "ClickStream",
-    "ChannelEstimates",
     "MonitorTally",
     "transmit_frame",
     "estimate_qber",
     "estimate_visibility",
-    "simulate_protocol",
-    "SimulationResult",
 ]
 
 SOFT_FLUX_GUARD = 0.1
@@ -216,18 +210,6 @@ class MonitorTally:
         self.exp_non += other.exp_non
 
 
-@dataclass
-class ChannelEstimates:
-    q_hat: float
-    q_stderr: float
-    v_hat: float
-    v_stderr: float
-    n_correct: int
-    n_wrong: int
-    n_interfering: int
-    n_noninterfering: int
-
-
 def transmit_frame(
     frame: PulseFrame,
     params: PhysicalParams,
@@ -364,45 +346,6 @@ def estimate_visibility(
     return min(max(v_hat, 0.0), 1.0), stderr
 
 
-@dataclass
-class SimulationResult:
-    """Aggregate outcome of a multi-block channel simulation."""
-
-    blocks: int
-    total_slots: int
-    kept_qudits: int
-    data_clicks: int
-    sifted_alice: np.ndarray
-    sifted_bob: np.ndarray
-    tally: MonitorTally
-    duration: float  # seconds of simulated pulse train
-
-    @property
-    def detected_rate(self) -> float:
-        return self.kept_qudits / self.duration if self.duration > 0 else 0.0
-
-    def estimates(self, d: int) -> ChannelEstimates:
-        q_hat, q_err = estimate_qber(self.sifted_alice, self.sifted_bob, d)
-        try:
-            v_hat, v_err = estimate_visibility(
-                self.tally.n_int, self.tally.exp_int,
-                self.tally.n_non, self.tally.exp_non,
-            )
-        except UndefinedEstimateError:
-            v_hat, v_err = float("nan"), float("nan")
-        wrong = int(np.sum(self.sifted_alice != self.sifted_bob))
-        return ChannelEstimates(
-            q_hat=q_hat,
-            q_stderr=q_err,
-            v_hat=v_hat,
-            v_stderr=v_err,
-            n_correct=len(self.sifted_alice) - wrong,
-            n_wrong=wrong,
-            n_interfering=self.tally.n_int,
-            n_noninterfering=self.tally.n_non,
-        )
-
-
 def decode_frame(
     params: ProtocolParams,
     sigma: Permutation,
@@ -419,51 +362,3 @@ def decode_frame(
         seen[i] = j if i not in seen else None
     entries = tuple(sorted((i, j) for i, j in seen.items() if j is not None))
     return DetectionReport(entries=entries)
-
-
-def simulate_protocol(
-    params: ProtocolParams,
-    phys: PhysicalParams,
-    blocks: int,
-    seed,
-    mu: float | None = None,
-) -> SimulationResult:
-    """Run encode -> channel -> decode -> sift over many blocks with a
-    single contiguous pulse train and persistent detector state."""
-    if blocks < 1:
-        raise InvalidArgumentError("blocks must be >= 1")
-    mu = phys.mu if mu is None else mu
-    rng = np.random.default_rng(seed)
-    state = DetectorState()
-    sift_a: list[int] = []
-    sift_b: list[int] = []
-    tally = MonitorTally()
-    kept = 0
-    n_clicks = 0
-    for _ in range(blocks):
-        block = KeyBlock.random(params, rng)
-        sigma = Permutation(1 + rng.permutation(params.slot_count))
-        frame = encode_block(params, block, sigma, mu)
-        prev_occupied = state.prev_occupied
-        last_mon = state.last_monitor_click
-        clicks = transmit_frame(frame, phys, rng, state)
-        report = decode_frame(params, sigma, clicks)
-        a, b = sift_block(block, report, params.d)
-        sift_a.extend(a)
-        sift_b.extend(b)
-        kept += len(report.entries)
-        n_clicks += len(clicks.data_slots)
-        tally.add(
-            monitor_tally(frame.occupancy, prev_occupied, clicks, phys, last_mon)
-        )
-    total_slots = blocks * params.slot_count
-    return SimulationResult(
-        blocks=blocks,
-        total_slots=total_slots,
-        kept_qudits=kept,
-        data_clicks=n_clicks,
-        sifted_alice=np.asarray(sift_a, dtype=np.int64),
-        sifted_bob=np.asarray(sift_b, dtype=np.int64),
-        tally=tally,
-        duration=total_slots * params.tau,
-    )

@@ -206,7 +206,7 @@ def cmd_simulate(config: Config, args) -> str:
             mismatches / alice.sifted_count if alice.sifted_count else 0.0
         ),
         "model_alpha_per_s": model_alpha,
-        "transcript_messages": len(transcript.entries),
+        "transcript_messages": len(transcript.messages()),
         "transcript_violations": violations,
     }
     return _json_text(payload)

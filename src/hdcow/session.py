@@ -1,5 +1,5 @@
-"""End-to-end protocol sessions: endpoint state machines, in-process
-transport, quantum-channel handle, and transcript validation.
+"""End-to-end protocol sessions: endpoint state machines, their drivers,
+in-process transport, quantum-channel handle, and transcript validation.
 
 Per block the classical exchange is lockstep::
 
@@ -10,19 +10,29 @@ Per block the classical exchange is lockstep::
     B->A  ESTIMATE_REPORT   (visibility side; error field NaN)
     A->B  ESTIMATE_REPORT   (error side; echoes the visibility)
 
-The receiver refuses a reveal for any block it has not announced and
-measured, which is the ordering invariant the transcript validator
-checks offline.  The quantum channel and detectors sit behind a handle
-injected into both endpoints so the same state machines can drive an
-in-process simulation or external hardware.
+Alice and Bob are state machines without I/O: each takes one received
+message and returns what to send, in order.  Alice's output carries her
+block frames between the announce and the reveal; Bob reads a block's
+clicks from the channel handle when its reveal arrives, by which time
+Alice has transmitted.  So no endpoint ever waits for the other:
+``run_session`` drives both in one thread through two in-process byte
+pipes, and ``run_alice``/``run_bob`` drive one over any duplex, such as
+``StreamDuplex`` on a socket.  A fault raises at once, in the thread
+that drives the failing endpoint.
+
+The receiver accepts blocks only in sequence and refuses a reveal for a
+block it has not announced, which is the ordering invariant the
+transcript validator checks offline.  The quantum channel and detectors
+sit behind a handle injected into both endpoints so the same state
+machines can drive an in-process simulation or external hardware.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
-from dataclasses import dataclass, field
+from collections import deque
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +76,6 @@ __all__ = [
     "SessionSummary",
     "Transcript",
     "QueuePipe",
-    "pipe_pair",
     "StreamDuplex",
     "SimulatedChannel",
     "run_alice",
@@ -74,8 +83,6 @@ __all__ = [
     "run_session",
     "validate_transcript",
 ]
-
-_RECV_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -118,44 +125,26 @@ class SessionSummary:
 
 
 class QueuePipe:
-    """One direction of an in-process ordered reliable byte stream."""
+    """One direction of an in-process ordered reliable byte stream.
+
+    Its reader runs in the writer's thread, so bytes that are not there
+    yet will never come: asking for them raises at once.
+    """
 
     def __init__(self):
-        self._chunks: queue.Queue = queue.Queue()
         self._buffer = bytearray()
 
     def send(self, data: bytes) -> None:
-        self._chunks.put(bytes(data))
+        self._buffer.extend(data)
 
     def recv_exact(self, count: int) -> bytes:
-        while len(self._buffer) < count:
-            try:
-                chunk = self._chunks.get(timeout=_RECV_TIMEOUT)
-            except queue.Empty:
-                raise ProtocolError("peer silent: receive timed out") from None
-            self._buffer.extend(chunk)
+        if len(self._buffer) < count:
+            raise ProtocolError(
+                f"read of {count} bytes from a pipe holding {len(self._buffer)}"
+            )
         out = bytes(self._buffer[:count])
         del self._buffer[:count]
         return out
-
-
-class _DuplexEnd:
-    def __init__(self, tx: QueuePipe, rx: QueuePipe):
-        self._tx = tx
-        self._rx = rx
-
-    def send(self, data: bytes) -> None:
-        self._tx.send(data)
-
-    def recv_exact(self, count: int) -> bytes:
-        return self._rx.recv_exact(count)
-
-
-def pipe_pair() -> tuple[_DuplexEnd, _DuplexEnd]:
-    """In-process duplex: returns (alice end, bob end)."""
-    a_to_b = QueuePipe()
-    b_to_a = QueuePipe()
-    return _DuplexEnd(a_to_b, b_to_a), _DuplexEnd(b_to_a, a_to_b)
 
 
 class StreamDuplex:
@@ -178,8 +167,8 @@ class StreamDuplex:
 
 
 class Transcript:
-    """Thread-safe ordered record of classical messages and quantum
-    transmission markers."""
+    """Ordered record of classical messages and quantum transmission
+    markers."""
 
     A_TO_B = "a->b"
     B_TO_A = "b->a"
@@ -187,20 +176,18 @@ class Transcript:
 
     def __init__(self):
         self.entries: list[tuple[str, object]] = []
-        self._lock = threading.Lock()
 
     def record(self, direction: str, item) -> None:
-        with self._lock:
-            self.entries.append((direction, item))
+        self.entries.append((direction, item))
+
+    def messages(self) -> list[Message]:
+        """The classical messages in order, without quantum markers."""
+        return [item for direction, item in self.entries if direction != self.QUANTUM]
 
     def wire_bytes(self) -> bytes:
         """Concatenated encoding of the classical messages, for
         byte-level determinism checks."""
-        out = bytearray()
-        for direction, item in self.entries:
-            if direction != self.QUANTUM:
-                out.extend(encode_message(item))
-        return bytes(out)
+        return b"".join(encode_message(message) for message in self.messages())
 
 
 def validate_transcript(transcript: Transcript) -> list[str]:
@@ -211,8 +198,8 @@ def validate_transcript(transcript: Transcript) -> list[str]:
         return ["empty transcript"]
     if not (entries[0][0] == Transcript.A_TO_B and isinstance(entries[0][1], SessionStart)):
         violations.append("transcript does not open with SESSION_START")
-    classical = [e for e in entries if e[0] != Transcript.QUANTUM]
-    if not isinstance(classical[-1][1], SessionEnd):
+    messages = transcript.messages()
+    if not (messages and isinstance(messages[-1], SessionEnd)):
         violations.append("transcript does not close with SESSION_END")
 
     def positions(pred):
@@ -254,7 +241,8 @@ class SimulatedChannel:
     """In-process quantum channel handle.
 
     The transmitter side pushes pulse frames through the Monte Carlo
-    channel; the receiver side pulls the resulting click record.  The
+    channel; the receiver side pulls the resulting click records in
+    order, and asking for one that was never transmitted raises.  The
     frame occupancy rides along for post-reveal monitor classification,
     which stands in for the disclosure a hardware system would perform
     on estimation blocks.
@@ -269,7 +257,7 @@ class SimulatedChannel:
         self.phys = phys
         self._rng = np.random.default_rng(seed)
         self._state = DetectorState()
-        self._deliveries: queue.Queue = queue.Queue()
+        self._deliveries: deque[_QuantumDelivery] = deque()
         self._transcript = transcript
 
     def transmit(self, block_id: int, frame: PulseFrame) -> None:
@@ -278,7 +266,7 @@ class SimulatedChannel:
         clicks = transmit_frame(frame, self.phys, self._rng, self._state)
         if self._transcript is not None:
             self._transcript.record(Transcript.QUANTUM, block_id)
-        self._deliveries.put(
+        self._deliveries.append(
             _QuantumDelivery(
                 block_id=block_id,
                 clicks=clicks,
@@ -289,12 +277,9 @@ class SimulatedChannel:
         )
 
     def receive(self, block_id: int) -> _QuantumDelivery:
-        try:
-            delivery = self._deliveries.get(timeout=_RECV_TIMEOUT)
-        except queue.Empty:
-            raise ProtocolError(
-                f"no quantum transmission observed for block {block_id}"
-            ) from None
+        if not self._deliveries:
+            raise ProtocolError(f"no quantum transmission observed for block {block_id}")
+        delivery = self._deliveries.popleft()
         if delivery.block_id != block_id:
             raise ProtocolError(
                 f"quantum block {delivery.block_id} does not match announced {block_id}"
@@ -302,20 +287,43 @@ class SimulatedChannel:
         return delivery
 
 
-class _Endpoint:
-    def __init__(self, duplex, transcript: Transcript | None, direction: str):
-        self._duplex = duplex
+@dataclass(frozen=True)
+class _Transmit:
+    """An endpoint's request to send a block's frame down the quantum
+    channel, placed among its outgoing messages."""
+
+    block_id: int
+    frame: PulseFrame
+
+
+class _Link:
+    """An endpoint's side of the classical channel: sends its output,
+    records it in the transcript, and reads the peer's messages."""
+
+    def __init__(self, tx, rx, transcript: Transcript | None, direction: str, channel):
+        self._tx = tx
+        self._rx = rx
         self._transcript = transcript
         self._direction = direction
+        self._channel = channel
 
-    def send(self, message: Message) -> None:
-        if self._transcript is not None:
-            self._transcript.record(self._direction, message)
-        self._duplex.send(encode_message(message))
+    def send(self, items: list) -> int:
+        """Send messages and transmit frames in order; returns the number
+        of messages sent."""
+        sent = 0
+        for item in items:
+            if isinstance(item, _Transmit):
+                self._channel.transmit(item.block_id, item.frame)
+                continue
+            if self._transcript is not None:
+                self._transcript.record(self._direction, item)
+            self._tx.send(encode_message(item))
+            sent += 1
+        return sent
 
     def recv(self) -> Message:
         try:
-            return read_message(self._duplex.recv_exact)
+            return read_message(self._rx.recv_exact)
         except DecodeError as exc:
             raise ProtocolError(f"malformed message: {exc}") from exc
 
@@ -324,161 +332,194 @@ def _is_sampled(block_id: int, qudit: int, every: int) -> bool:
     return (block_id + qudit) % every == 0
 
 
-def run_alice(
-    settings: SessionSettings,
-    block_source,
-    channel: SimulatedChannel,
-    duplex,
-    transcript: Transcript | None = None,
-    seed=None,
-) -> SessionSummary:
-    """Drive the transmitter side of a session.
+class _Alice:
+    """Transmitter state machine.  ``start()`` and ``receive(message)``
+    return the messages to send and the frames to transmit, in order;
+    ``summary`` is set once the session has ended."""
 
-    ``block_source`` yields :class:`KeyBlock` instances; pass ``None``
-    to generate random blocks from ``seed``.
-    """
-    proto = settings.protocol
-    endpoint = _Endpoint(duplex, transcript, Transcript.A_TO_B)
-    rng = np.random.default_rng(seed)
-    perm_source = SeededByteSource(rng.integers(0, 2**63))
-    if block_source is None:
-        block_source = (KeyBlock.random(proto, rng) for _ in range(settings.blocks))
+    role = "alice"
 
-    endpoint.send(
-        SessionStart(
-            d=proto.d, n=proto.n, tau_picoseconds=round(proto.tau * 1e12)
-        )
-    )
-    sifted: list[int] = []
-    sampled_mine: list[int] = []
-    sampled_theirs: list[int] = []
-    q_hat = q_err = float("nan")
-    v_hat = v_err = float("nan")
-    kept_total = 0
+    def __init__(self, settings: SessionSettings, block_source, seed):
+        self._settings = settings
+        proto = settings.protocol
+        rng = np.random.default_rng(seed)
+        self._perm_source = SeededByteSource(rng.integers(0, 2**63))
+        if block_source is None:
+            block_source = (KeyBlock.random(proto, rng) for _ in range(settings.blocks))
+        self._blocks = iter(block_source)
+        self._block_id = 0
+        self._block: KeyBlock | None = None
+        self._report: DetectionReportMsg | None = None
+        self._sifted: list[int] = []
+        self._sampled_mine: list[int] = []
+        self._sampled_theirs: list[int] = []
+        self._q_hat = self._q_err = float("nan")
+        self._v_hat = float("nan")
+        self.summary: SessionSummary | None = None
 
-    blocks_iter = iter(block_source)
-    for block_id in range(settings.blocks):
-        block = next(blocks_iter)
-        block.validate(proto)
-        endpoint.send(BlockAnnounce(block_id=block_id))
-        sigma = make_permutation(proto.slot_count, perm_source)
-        frame = encode_block(proto, block, sigma, settings.physical.mu)
-        channel.transmit(block_id, frame)
-        endpoint.send(PermutationReveal(block_id=block_id, indices=sigma.map_))
+    def start(self) -> list:
+        proto = self._settings.protocol
+        start = SessionStart(d=proto.d, n=proto.n, tau_picoseconds=round(proto.tau * 1e12))
+        return [start, *self._open_block()]
 
-        report = _expect(endpoint.recv(), DetectionReportMsg, block_id)
-        bob_estimate = _expect(endpoint.recv(), EstimateReport, block_id)
-        v_hat = bob_estimate.v_hat
+    def _open_block(self) -> list:
+        proto = self._settings.protocol
+        self._block = next(self._blocks)
+        self._block.validate(proto)
+        sigma = make_permutation(proto.slot_count, self._perm_source)
+        frame = encode_block(proto, self._block, sigma, self._settings.physical.mu)
+        block_id = self._block_id
+        return [
+            BlockAnnounce(block_id=block_id),
+            _Transmit(block_id, frame),
+            PermutationReveal(block_id=block_id, indices=sigma.map_),
+        ]
 
+    def receive(self, message: Message) -> list:
+        block_id = self._block_id
+        if self._report is None:
+            self._report = _expect(message, DetectionReportMsg, block_id)
+            return []
+        self._v_hat = _expect(message, EstimateReport, block_id).v_hat
+        settings = self._settings
         alice_syms, bob_syms = sift_block(
-            block, DetectionReport(report.entries), proto.d
+            self._block, DetectionReport(self._report.entries), settings.protocol.d
         )
-        sifted.extend(alice_syms)
-        kept_total += len(alice_syms)
+        self._sifted.extend(alice_syms)
         # sift_block orders by qudit index, so the entries must be too
-        for (i, _j), a_sym, b_sym in zip(
-            sorted(report.entries), alice_syms, bob_syms
-        ):
+        for (i, _j), a_sym, b_sym in zip(sorted(self._report.entries), alice_syms, bob_syms):
             if _is_sampled(block_id, i, settings.sample_every):
-                sampled_mine.append(a_sym)
-                sampled_theirs.append(b_sym)
-        if sampled_mine:
-            q_hat, q_err = estimate_qber(sampled_mine, sampled_theirs, proto.d)
-        endpoint.send(EstimateReport(block_id=block_id, q_hat=q_hat, v_hat=v_hat))
-    endpoint.send(SessionEnd())
-
-    return _summary(
-        "alice", settings, sifted, q_hat, q_err, v_hat, v_err, kept_total
-    )
-
-
-def run_bob(
-    settings: SessionSettings,
-    channel: SimulatedChannel,
-    duplex,
-    transcript: Transcript | None = None,
-) -> SessionSummary:
-    """Drive the receiver side of a session."""
-    proto = settings.protocol
-    endpoint = _Endpoint(duplex, transcript, Transcript.B_TO_A)
-
-    start = endpoint.recv()
-    if not isinstance(start, SessionStart):
-        raise ProtocolError(f"expected SESSION_START, got {type(start).__name__}")
-    if (start.d, start.n) != (proto.d, proto.n):
-        raise ProtocolError(
-            f"dimension mismatch: peer ({start.d}, {start.n}) vs local "
-            f"({proto.d}, {proto.n})"
+                self._sampled_mine.append(a_sym)
+                self._sampled_theirs.append(b_sym)
+        if self._sampled_mine:
+            self._q_hat, self._q_err = estimate_qber(
+                self._sampled_mine, self._sampled_theirs, settings.protocol.d
+            )
+        out = [EstimateReport(block_id=block_id, q_hat=self._q_hat, v_hat=self._v_hat)]
+        self._report = None
+        self._block_id += 1
+        if self._block_id < settings.blocks:
+            return out + self._open_block()
+        self.summary = _summary(
+            self.role, settings, self._sifted, self._q_hat, self._q_err,
+            self._v_hat, float("nan"),
         )
-    if start.tau_picoseconds != round(proto.tau * 1e12):
-        raise ProtocolError("slot duration mismatch")
+        return out + [SessionEnd()]
 
-    sifted: list[int] = []
-    tally = MonitorTally()
-    pending: _QuantumDelivery | None = None
-    q_hat = q_err = float("nan")
-    v_hat = v_err = float("nan")
-    kept_total = 0
-    finished = False
 
-    while not finished:
-        message = endpoint.recv()
-        if isinstance(message, BlockAnnounce):
-            if pending is not None:
+class _Bob:
+    """Receiver state machine.  ``receive(message)`` returns the messages
+    to send; a reveal pulls its block's clicks from ``channel``.
+    ``summary`` is set once the session has ended."""
+
+    role = "bob"
+
+    def __init__(self, settings: SessionSettings, channel):
+        self._settings = settings
+        self._channel = channel
+        self._started = False
+        self._announced: int | None = None  # block announced, not yet revealed
+        self._reported: int | None = None  # block reported, estimate not yet in
+        self._blocks_done = 0
+        self._sifted: list[int] = []
+        self._tally = MonitorTally()
+        self._q_hat = float("nan")
+        self._v_hat = self._v_err = float("nan")
+        self.summary: SessionSummary | None = None
+
+    def start(self) -> list:
+        return []
+
+    def receive(self, message: Message) -> list:
+        settings = self._settings
+        proto = settings.protocol
+        if not self._started:
+            if not isinstance(message, SessionStart):
+                raise ProtocolError(f"expected SESSION_START, got {type(message).__name__}")
+            if (message.d, message.n) != (proto.d, proto.n):
+                raise ProtocolError(
+                    f"dimension mismatch: peer ({message.d}, {message.n}) vs local "
+                    f"({proto.d}, {proto.n})"
+                )
+            if message.tau_picoseconds != round(proto.tau * 1e12):
+                raise ProtocolError("slot duration mismatch")
+            self._started = True
+        elif isinstance(message, BlockAnnounce):
+            if self._announced is not None:
                 raise ProtocolError(
                     f"block {message.block_id} announced while block "
-                    f"{pending.block_id} is still open"
+                    f"{self._announced} is still open"
                 )
-            pending = channel.receive(message.block_id)
-        elif isinstance(message, PermutationReveal):
-            if pending is None or pending.block_id != message.block_id:
+            if message.block_id != self._blocks_done or self._blocks_done == settings.blocks:
                 raise ProtocolError(
-                    f"permutation for block {message.block_id} revealed before "
-                    "its quantum transmission was measured"
+                    f"block {message.block_id} announced, expected block {self._blocks_done} "
+                    f"of {settings.blocks}"
                 )
-            try:
-                sigma = Permutation(message.values())
-                if len(sigma) != proto.slot_count:
-                    raise InvalidArgumentError("permutation length mismatch")
-            except InvalidArgumentError as exc:
-                raise ProtocolError(f"malformed permutation reveal: {exc}") from exc
-            report = decode_frame(proto, sigma, pending.clicks)
-            sifted.extend(j for _i, j in report.entries)
-            kept_total += len(report.entries)
-            tally.add(
-                monitor_tally(
-                    pending.occupancy,
-                    pending.prev_occupied,
-                    pending.clicks,
-                    settings.physical,
-                    pending.last_monitor_click,
-                )
-            )
-            try:
-                v_hat, v_err = estimate_visibility(
-                    tally.n_int, tally.exp_int, tally.n_non, tally.exp_non
-                )
-            except UndefinedEstimateError:
-                v_hat = v_err = float("nan")
-            endpoint.send(
-                DetectionReportMsg(block_id=message.block_id, entries=report.entries)
-            )
-            endpoint.send(
-                EstimateReport(
-                    block_id=message.block_id, q_hat=float("nan"), v_hat=v_hat
-                )
-            )
-            pending = None
+            self._announced = message.block_id
+        elif isinstance(message, PermutationReveal):
+            return self._measure(message)
         elif isinstance(message, EstimateReport):
-            q_hat = message.q_hat
+            if message.block_id != self._reported:
+                raise ProtocolError(
+                    f"estimate for block {message.block_id}, expected one for block "
+                    f"{self._reported}"
+                )
+            self._reported = None
+            self._q_hat = message.q_hat
         elif isinstance(message, SessionEnd):
-            if pending is not None:
+            if self._announced is not None:
                 raise ProtocolError("session ended with an open block")
-            finished = True
+            if self._blocks_done < settings.blocks:
+                raise ProtocolError(
+                    f"session ended after {self._blocks_done} of {settings.blocks} blocks"
+                )
+            self.summary = _summary(
+                self.role, settings, self._sifted, self._q_hat, float("nan"),
+                self._v_hat, self._v_err,
+            )
         else:
             raise ProtocolError(f"unexpected message {type(message).__name__}")
+        return []
 
-    return _summary("bob", settings, sifted, q_hat, q_err, v_hat, v_err, kept_total)
+    def _measure(self, message: PermutationReveal) -> list:
+        block_id = message.block_id
+        if block_id != self._announced:
+            raise ProtocolError(
+                f"permutation for block {block_id} revealed before it was announced"
+            )
+        proto = self._settings.protocol
+        try:
+            sigma = Permutation(message.values())
+            if len(sigma) != proto.slot_count:
+                raise InvalidArgumentError("permutation length mismatch")
+        except InvalidArgumentError as exc:
+            raise ProtocolError(f"malformed permutation reveal: {exc}") from exc
+        delivery = self._channel.receive(block_id)
+        report = decode_frame(proto, sigma, delivery.clicks)
+        self._sifted.extend(j for _i, j in report.entries)
+        tally = self._tally
+        tally.add(
+            monitor_tally(
+                delivery.occupancy,
+                delivery.prev_occupied,
+                delivery.clicks,
+                self._settings.physical,
+                delivery.last_monitor_click,
+            )
+        )
+        try:
+            self._v_hat, self._v_err = estimate_visibility(
+                tally.n_int, tally.exp_int, tally.n_non, tally.exp_non
+            )
+        except UndefinedEstimateError:
+            self._v_hat = self._v_err = float("nan")
+        self._announced = None
+        self._reported = block_id
+        self._blocks_done += 1
+        return [
+            DetectionReportMsg(block_id=block_id, entries=report.entries),
+            EstimateReport(block_id=block_id, q_hat=float("nan"), v_hat=self._v_hat),
+        ]
 
 
 def _expect(message: Message, expected_type, block_id: int):
@@ -493,13 +534,47 @@ def _expect(message: Message, expected_type, block_id: int):
     return message
 
 
-def _summary(
-    role, settings, sifted, q_hat, q_err, v_hat, v_err, kept_total
+def _drive(endpoint, link: _Link) -> SessionSummary:
+    """Run one endpoint to the end of the session over a blocking link."""
+    link.send(endpoint.start())
+    while endpoint.summary is None:
+        link.send(endpoint.receive(link.recv()))
+    return endpoint.summary
+
+
+def run_alice(
+    settings: SessionSettings,
+    block_source,
+    channel: SimulatedChannel,
+    duplex,
+    transcript: Transcript | None = None,
+    seed=None,
 ) -> SessionSummary:
+    """Drive the transmitter side of a session over ``duplex``.
+
+    ``block_source`` yields :class:`KeyBlock` instances; pass ``None``
+    to generate random blocks from ``seed``.
+    """
+    link = _Link(duplex, duplex, transcript, Transcript.A_TO_B, channel)
+    return _drive(_Alice(settings, block_source, seed), link)
+
+
+def run_bob(
+    settings: SessionSettings,
+    channel: SimulatedChannel,
+    duplex,
+    transcript: Transcript | None = None,
+) -> SessionSummary:
+    """Drive the receiver side of a session over ``duplex``."""
+    link = _Link(duplex, duplex, transcript, Transcript.B_TO_A, channel)
+    return _drive(_Bob(settings, channel), link)
+
+
+def _summary(role, settings, sifted, q_hat, q_err, v_hat, v_err) -> SessionSummary:
     proto = settings.protocol
     total_slots = settings.blocks * proto.slot_count
     duration = total_slots * proto.tau
-    detected_rate = kept_total / duration if duration > 0 else 0.0
+    detected_rate = len(sifted) / duration if duration > 0 else 0.0
     q_for_rate = q_hat if not math.isnan(q_hat) else 0.0
     q_for_rate = min(max(q_for_rate, 0.0), 1.0 / (proto.d - 1))
     v_for_rate = v_hat if not math.isnan(v_hat) else settings.physical.v_true
@@ -523,47 +598,47 @@ def _summary(
     )
 
 
+@contextmanager
+def _aborts(role: str):
+    """Re-raise an endpoint's error as a ProtocolError naming its role."""
+    try:
+        yield
+    except Exception as exc:
+        raise ProtocolError(f"{role} endpoint aborted: {exc}") from exc
+
+
 def run_session(
     settings: SessionSettings, seed=0
 ) -> tuple[SessionSummary, SessionSummary, Transcript]:
-    """Run both endpoints concurrently over an in-process duplex.
+    """Run both endpoints in this thread over two in-process pipes.
 
-    Returns (alice summary, bob summary, transcript); endpoint errors
-    propagate to the caller.
+    Each turn one endpoint sends its output and the other reads and
+    answers it message by message, so the session runs in protocol
+    order with nothing to wait for.  Returns (alice summary, bob
+    summary, transcript); an endpoint's error is raised at once as a
+    :class:`ProtocolError` naming the endpoint, with the error as cause.
     """
-    seq = np.random.SeedSequence(seed)
-    alice_seed, channel_seed = seq.spawn(2)
+    alice_seed, channel_seed = np.random.SeedSequence(seed).spawn(2)
     transcript = Transcript()
     channel = SimulatedChannel(settings.physical, channel_seed, transcript)
-    alice_end, bob_end = pipe_pair()
-    results: dict[str, SessionSummary] = {}
-    errors: dict[str, BaseException] = {}
-
-    def alice_main():
-        try:
-            results["alice"] = run_alice(
-                settings, None, channel, alice_end, transcript, seed=alice_seed
-            )
-        except BaseException as exc:  # surfaced after join
-            errors["alice"] = exc
-
-    def bob_main():
-        try:
-            results["bob"] = run_bob(settings, channel, bob_end, transcript)
-        except BaseException as exc:
-            errors["bob"] = exc
-
-    threads = [
-        threading.Thread(target=alice_main, name="hdcow-alice", daemon=True),
-        threading.Thread(target=bob_main, name="hdcow-bob", daemon=True),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=_RECV_TIMEOUT * 2)
-    if errors:
-        role, exc = next(iter(errors.items()))
-        raise ProtocolError(f"{role} endpoint aborted: {exc}") from exc
-    if len(results) != 2:
+    to_bob, to_alice = QueuePipe(), QueuePipe()
+    alice = _Alice(settings, None, alice_seed)
+    bob = _Bob(settings, channel)
+    links = {
+        alice: _Link(to_bob, to_alice, transcript, Transcript.A_TO_B, channel),
+        bob: _Link(to_alice, to_bob, transcript, Transcript.B_TO_A, channel),
+    }
+    sender, receiver = alice, bob
+    with _aborts(alice.role):
+        outgoing = alice.start()
+    while outgoing:
+        with _aborts(sender.role):
+            sent = links[sender].send(outgoing)
+        outgoing = []
+        with _aborts(receiver.role):
+            for _ in range(sent):
+                outgoing += receiver.receive(links[receiver].recv())
+        sender, receiver = receiver, sender
+    if alice.summary is None or bob.summary is None:
         raise ProtocolError("session did not complete")
-    return results["alice"], results["bob"], transcript
+    return alice.summary, bob.summary, transcript

@@ -9,11 +9,10 @@ from hdcow.channel import (
     PhysicalParams,
     estimate_qber,
     estimate_visibility,
-    simulate_protocol,
     transmit_frame,
 )
 from hdcow.errors import InvalidArgumentError, UndefinedEstimateError
-from hdcow.protocol import ProtocolParams, PulseFrame
+from hdcow.protocol import PulseFrame
 
 
 def quiet_params(**kwargs) -> PhysicalParams:
@@ -143,48 +142,3 @@ class TestEstimateVisibility:
     def test_zero_counts_have_positive_stderr(self):
         _, err = estimate_visibility(0, 1000, 50, 1000)
         assert err > 0.0
-
-
-class TestSimulateProtocol:
-    def test_noiseless_run_has_no_errors(self):
-        proto = ProtocolParams(d=8, n=32, tau=2e-9)
-        result = simulate_protocol(proto, PhysicalParams.noiseless(), blocks=20, seed=1)
-        assert result.kept_qudits == 20 * 32
-        assert np.array_equal(result.sifted_alice, result.sifted_bob)
-        est = result.estimates(8)
-        assert est.q_hat == 0.0
-
-    def test_configured_qslot_recovered(self):
-        proto = ProtocolParams(d=8, n=64, tau=2e-9)
-        phys = quiet_params(
-            mu=0.08, t_ch=1.0, f_mon=0.0, t_dead=0.0, p_dc=0.0
-        ).with_target_qslot(0.004, 8)
-        result = simulate_protocol(proto, phys, blocks=1500, seed=11)
-        est = result.estimates(8)
-        assert len(result.sifted_alice) > 1000
-        assert abs(est.q_hat - 0.004) < 3 * est.q_stderr
-
-    @pytest.mark.filterwarnings("ignore:mu\\*t_ch")
-    def test_visibility_estimator_inverts_generator(self):
-        proto = ProtocolParams(d=2, n=512, tau=2e-9)
-        phys = quiet_params(
-            mu=0.5, t_ch=1.0, xi=0.2, f_mon=0.5, t_dead=0.0,
-            p_dc=0.0, r_ext=0.0, v_true=0.99,
-        )
-        result = simulate_protocol(proto, phys, blocks=1000, seed=4)
-        est = result.estimates(2)
-        assert est.n_interfering > 5
-        assert abs(est.v_hat - 0.99) < 3 * est.v_stderr
-
-    @pytest.mark.filterwarnings("ignore:mu\\*t_ch")
-    def test_error_shrinks_with_sample_size(self):
-        proto = ProtocolParams(d=4, n=64, tau=2e-9)
-        phys = quiet_params(
-            mu=0.3, t_ch=1.0, f_mon=0.0, t_dead=0.0
-        ).with_target_qslot(0.01, 4)
-        small = simulate_protocol(proto, phys, blocks=30, seed=2).estimates(4)
-        large = simulate_protocol(proto, phys, blocks=3000, seed=2).estimates(4)
-        assert abs(small.q_hat - 0.01) < 3 * small.q_stderr
-        assert abs(large.q_hat - 0.01) < 3 * large.q_stderr
-        # binomial stderr shrinks like 1/sqrt(N): 100x samples ~ 10x smaller
-        assert large.q_stderr < small.q_stderr / 5

@@ -167,6 +167,8 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["transcript_violations"] == []
         assert payload["alice"]["sifted_count"] == payload["bob"]["sifted_count"]
+        # five messages per block plus SESSION_START and SESSION_END
+        assert payload["transcript_messages"] == 5 * 5 + 2
 
     def test_out_writes_file(self, tmp_path, fast_config):
         out = tmp_path / "rates.csv"
