@@ -32,7 +32,6 @@ from .rates import (
     sweep,
 )
 from .security import (
-    EveGram,
     SecurityReport,
     entropy_term,
     eve_optimal_holevo,
@@ -49,7 +48,6 @@ from .session import SessionSettings, SessionSummary, run_session, validate_tran
 __all__ = [
     "ClickStream",
     "DetectionReport",
-    "EveGram",
     "KeyBlock",
     "LinearNoise",
     "Permutation",

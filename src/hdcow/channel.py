@@ -191,7 +191,6 @@ class ClickStream:
     data_slots: np.ndarray
     monitor_slots: np.ndarray
     frame_start: int  # global index of the frame's first slot
-    frame_length: int
 
 
 @dataclass
@@ -254,7 +253,6 @@ def transmit_frame(
         data_slots=data_slots,
         monitor_slots=monitor_slots,
         frame_start=base,
-        frame_length=length,
     )
 
 

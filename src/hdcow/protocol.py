@@ -23,7 +23,6 @@ __all__ = [
     "DetectionReport",
     "ByteSource",
     "SeededByteSource",
-    "system_byte_source",
     "make_permutation",
     "encode_block",
     "decode_click",
@@ -35,22 +34,17 @@ ByteSource = Callable[[int], bytes]
 
 
 class SeededByteSource:
-    """Deterministic byte source for simulations.  Not for production
-    use: the permutation secrecy is load-bearing, so real deployments
-    must inject an operating-system entropy source instead."""
+    """Deterministic byte source for simulations.  Session endpoints
+    seed one from the session seed, so a run repeats exactly and the seed
+    gives away every permutation: a seeded session models the protocol
+    but distributes no secret key.  :func:`make_permutation` takes any
+    :data:`ByteSource`, such as ``os.urandom``."""
 
     def __init__(self, seed):
         self._gen = np.random.default_rng(seed)
 
     def __call__(self, count: int) -> bytes:
         return self._gen.bytes(count)
-
-
-def system_byte_source(count: int) -> bytes:
-    """Cryptographically strong byte source (``os.urandom``)."""
-    import os
-
-    return os.urandom(count)
 
 
 @dataclass(frozen=True)
@@ -157,17 +151,11 @@ class PulseFrame:
 
 @dataclass
 class DetectionReport:
-    """Receiver's claim of which qudits arrived and as which symbols.
-
-    At most one entry per qudit index.
-    """
+    """Receiver's claim of which qudits arrived and as which symbols, as
+    ``(qudit index, symbol)`` pairs.  :func:`sift_block` rejects a report
+    that names a qudit twice."""
 
     entries: tuple
-
-    def __post_init__(self):
-        indices = [i for i, _ in self.entries]
-        if len(set(indices)) != len(indices):
-            raise ProtocolError("duplicate qudit index in detection report")
 
 
 def _words(source: ByteSource, count: int) -> np.ndarray:

@@ -39,7 +39,6 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 __all__ = [
-    "EveGram",
     "SecurityReport",
     "entropy_term",
     "x_interval",
@@ -52,52 +51,9 @@ __all__ = [
     "secure_fraction",
 ]
 
-_PSD_TOL = 1e-12
-
 # Inputs of these types take the scalar ``math`` path of the closed forms;
 # ``np.float64`` subclasses ``float`` and takes it too.
 _SCALAR_TYPES = (int, float)
-
-
-@dataclass(frozen=True)
-class EveGram:
-    """Inner products constraining the adversary's slot-level attack.
-
-    g: ``<v0|vmu>``, fixed to ``exp(-mu/2)`` by unitarity.
-    w: ``<vmu|pmu>``, fixed to ``sqrt(V)`` by the visibility monitor.
-    x: ``<v0|pmu>``, the adversary's free parameter.
-
-    ``p0`` is orthogonal to all three vectors and does not appear.
-    """
-
-    g: float
-    w: float
-    x: float
-
-    def __post_init__(self):
-        for name, val in (("g", self.g), ("w", self.w), ("x", self.x)):
-            if not 0.0 <= val <= 1.0:
-                raise InvalidArgumentError(f"{name}={val} outside [0, 1]")
-        if self.gram_determinant() < -_PSD_TOL:
-            raise InvalidArgumentError(
-                f"no vector geometry realizes g={self.g}, w={self.w}, x={self.x}"
-            )
-
-    @classmethod
-    def from_channel(cls, mu: float, visibility: float, x: float) -> "EveGram":
-        if mu <= 0.0:
-            raise InvalidArgumentError(f"mu={mu} must be positive")
-        if not 0.0 <= visibility <= 1.0:
-            raise InvalidArgumentError(f"visibility={visibility} outside [0, 1]")
-        return cls(g=math.exp(-mu / 2.0), w=math.sqrt(visibility), x=x)
-
-    def gram_determinant(self) -> float:
-        """Determinant of the 3x3 Gram matrix of (v0, vmu, pmu).
-
-        Non-negative iff the three unit vectors are realizable.
-        """
-        g, w, x = self.g, self.w, self.x
-        return 1.0 + 2.0 * g * w * x - g * g - w * w - x * x
 
 
 @dataclass(frozen=True)
@@ -156,11 +112,15 @@ def x_interval(mu: float, visibility: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _validate_domain(d: int, q: float, mu: float) -> None:
+def _validate_d_q(d: int, q: float) -> None:
     if not (isinstance(d, (int, np.integer)) and d >= 2):
         raise InvalidArgumentError(f"d={d} must be an integer >= 2")
     if not 0.0 <= q <= 1.0 / (d - 1):
         raise InvalidArgumentError(f"Q={q} outside [0, 1/(d-1)] for d={d}")
+
+
+def _validate_domain(d: int, q: float, mu: float) -> None:
+    _validate_d_q(d, q)
     if mu <= 0.0:
         raise InvalidArgumentError(f"mu={mu} must be positive")
 
@@ -340,10 +300,7 @@ def mutual_info_ab(d: int, q: float) -> float:
     ``log2(d) + (d-1)*Q*log2(Q) + (1-(d-1)Q)*log2(1-(d-1)Q)``, i.e. the
     qudit capacity minus the equivocation of the symmetric error channel.
     """
-    if not (isinstance(d, (int, np.integer)) and d >= 2):
-        raise InvalidArgumentError(f"d={d} must be an integer >= 2")
-    if not 0.0 <= q <= 1.0 / (d - 1):
-        raise InvalidArgumentError(f"Q={q} outside [0, 1/(d-1)] for d={d}")
+    _validate_d_q(d, q)
     e_tot = (d - 1) * q
     return math.log2(d) - (d - 1) * entropy_term(q) - entropy_term(1.0 - e_tot)
 

@@ -365,7 +365,6 @@ class _Alice:
     def _open_block(self) -> list:
         proto = self._settings.protocol
         self._block = next(self._blocks)
-        self._block.validate(proto)
         sigma = make_permutation(proto.slot_count, self._perm_source)
         frame = encode_block(proto, self._block, sigma, self._settings.physical.mu)
         block_id = self._block_id
@@ -380,7 +379,8 @@ class _Alice:
         if self._report is None:
             self._report = _expect(message, DetectionReportMsg, block_id)
             return []
-        self._v_hat = _expect(message, EstimateReport, block_id).v_hat
+        estimate = _expect(message, EstimateReport, block_id)
+        self._v_hat = _peer_estimate(estimate.v_hat, "v_hat", 1.0)
         settings = self._settings
         alice_syms, bob_syms = sift_block(
             self._block, DetectionReport(self._report.entries), settings.protocol.d
@@ -464,8 +464,8 @@ class _Bob:
                     f"estimate for block {message.block_id}, expected one for block "
                     f"{self._reported}"
                 )
+            self._q_hat = _peer_estimate(message.q_hat, "q_hat", 1.0 / (proto.d - 1))
             self._reported = None
-            self._q_hat = message.q_hat
         elif isinstance(message, SessionEnd):
             if self._announced is not None:
                 raise ProtocolError("session ended with an open block")
@@ -534,6 +534,13 @@ def _expect(message: Message, expected_type, block_id: int):
     return message
 
 
+def _peer_estimate(value: float, name: str, upper: float) -> float:
+    """A peer's estimate, which is NaN or lies in [0, upper]."""
+    if not (math.isnan(value) or 0.0 <= value <= upper):
+        raise ProtocolError(f"peer sent {name}={value}, outside [0, {upper}]")
+    return value
+
+
 def _drive(endpoint, link: _Link) -> SessionSummary:
     """Run one endpoint to the end of the session over a blocking link."""
     link.send(endpoint.start())
@@ -576,7 +583,6 @@ def _summary(role, settings, sifted, q_hat, q_err, v_hat, v_err) -> SessionSumma
     duration = total_slots * proto.tau
     detected_rate = len(sifted) / duration if duration > 0 else 0.0
     q_for_rate = q_hat if not math.isnan(q_hat) else 0.0
-    q_for_rate = min(max(q_for_rate, 0.0), 1.0 / (proto.d - 1))
     v_for_rate = v_hat if not math.isnan(v_hat) else settings.physical.v_true
     per_detection = eve_optimal_holevo(
         proto.d, q_for_rate, settings.physical.mu, v_for_rate

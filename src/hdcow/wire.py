@@ -19,6 +19,7 @@ are held in their wire form from the moment the message is built.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import struct
@@ -61,6 +62,14 @@ TAG_PERMUTATION_REVEAL = 0x03
 TAG_DETECTION_REPORT = 0x04
 TAG_ESTIMATE_REPORT = 0x05
 TAG_SESSION_END = 0x06
+
+# Payload sizes of the fixed-layout tags; the other tags vary in length.
+_FIXED_LENGTHS = {
+    TAG_SESSION_START: 14,
+    TAG_BLOCK_ANNOUNCE: 8,
+    TAG_ESTIMATE_REPORT: 24,
+    TAG_SESSION_END: 0,
+}
 
 
 @dataclass(frozen=True)
@@ -204,14 +213,12 @@ def encode_message(message: Message) -> bytes:
 
 
 def _decode_payload(tag: int, payload: bytes) -> Message:
+    """Decode a payload whose tag is known and, for a fixed-size tag,
+    whose length is right; :func:`read_message` checks both."""
     if tag == TAG_SESSION_START:
-        if len(payload) != 14:
-            raise LengthMismatchError("SESSION_START payload must be 14 bytes")
         d, n, tau_ps = struct.unpack("!HIQ", payload)
         return SessionStart(d=d, n=n, tau_picoseconds=tau_ps)
     if tag == TAG_BLOCK_ANNOUNCE:
-        if len(payload) != 8:
-            raise LengthMismatchError("BLOCK_ANNOUNCE payload must be 8 bytes")
         return BlockAnnounce(block_id=struct.unpack("!Q", payload)[0])
     if tag == TAG_PERMUTATION_REVEAL:
         if len(payload) < 8 or (len(payload) - 8) % 4:
@@ -231,43 +238,29 @@ def _decode_payload(tag: int, payload: bytes) -> Message:
         entries = tuple(struct.iter_unpack("!IH", payload[12:]))
         return DetectionReportMsg(block_id=block_id, entries=entries)
     if tag == TAG_ESTIMATE_REPORT:
-        if len(payload) != 24:
-            raise LengthMismatchError("ESTIMATE_REPORT payload must be 24 bytes")
         block_id, q_hat, v_hat = struct.unpack("!Qdd", payload)
         return EstimateReport(block_id=block_id, q_hat=q_hat, v_hat=v_hat)
-    if tag == TAG_SESSION_END:
-        if payload:
-            raise LengthMismatchError("SESSION_END payload must be empty")
-        return SessionEnd()
-    raise UnknownTagError(f"unknown message tag 0x{tag:02x}")
+    return SessionEnd()
 
 
 def decode_message(data: bytes) -> Message:
     """Decode one complete frame; trailing bytes are an error."""
-    if len(data) < _HEADER.size:
-        raise TruncatedError(f"{len(data)} bytes is shorter than a frame header")
-    magic, version, tag, length = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported version {version}")
-    payload = data[_HEADER.size :]
-    if len(payload) < length:
-        raise TruncatedError(
-            f"payload truncated: declared {length}, got {len(payload)}"
-        )
-    if len(payload) > length:
+    stream = io.BytesIO(data)
+    message = read_message(stream.read)
+    if stream.tell() < len(data):
         raise LengthMismatchError(
-            f"declared {length} payload bytes but frame carries {len(payload)}"
+            f"frame carries {len(data) - stream.tell()} bytes past its payload"
         )
-    return _decode_payload(tag, payload)
+    return message
 
 
 def read_message(recv_exact: Callable[[int], bytes]) -> Message:
     """Read one frame off an ordered byte stream.
 
-    ``recv_exact(k)`` must return exactly k bytes or raise; short reads
-    surface as :class:`TruncatedError`.
+    ``recv_exact(k)`` must return k bytes, or fewer only where the
+    stream ends, or raise; short reads surface as
+    :class:`TruncatedError`.  The header is checked before the payload
+    is read, so a bad tag or a wrong fixed length costs no payload read.
     """
     header = recv_exact(_HEADER.size)
     if len(header) < _HEADER.size:
@@ -277,6 +270,13 @@ def read_message(recv_exact: Callable[[int], bytes]) -> Message:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
+    if not TAG_SESSION_START <= tag <= TAG_SESSION_END:
+        raise UnknownTagError(f"unknown message tag 0x{tag:02x}")
+    fixed = _FIXED_LENGTHS.get(tag)
+    if fixed is not None and length != fixed:
+        raise LengthMismatchError(
+            f"tag 0x{tag:02x} payload must be {fixed} bytes, header declares {length}"
+        )
     payload = recv_exact(length) if length else b""
     if len(payload) < length:
         raise TruncatedError("stream closed inside a frame payload")

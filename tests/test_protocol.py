@@ -172,8 +172,8 @@ class TestSiftBlock:
         assert (alice, bob) == ([2], [1])
 
     def test_duplicate_index_rejected(self):
-        with pytest.raises(ProtocolError):
-            DetectionReport(((0, 1), (0, 2)))
+        with pytest.raises(ProtocolError, match="duplicate"):
+            sift_block(KeyBlock([1, 2]), DetectionReport(((0, 1), (0, 2))), d=2)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ProtocolError):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hdcow.errors import InvalidArgumentError
 from hdcow.security import (
-    EveGram,
     entropy_term,
     eve_optimal_holevo,
     holevo_ae,
@@ -101,17 +100,6 @@ class TestXInterval:
             x_interval(0.0, 0.5)
         with pytest.raises(InvalidArgumentError):
             x_interval(0.1, 1.5)
-
-
-class TestEveGram:
-    def test_unitarity_and_visibility_constructor(self):
-        gram = EveGram.from_channel(mu=0.2, visibility=0.99, x=0.9)
-        assert gram.g == pytest.approx(math.exp(-0.1))
-        assert gram.w == pytest.approx(math.sqrt(0.99))
-
-    def test_non_realizable_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            EveGram(g=0.99, w=0.99, x=0.0)
 
 
 class TestClosedForms:

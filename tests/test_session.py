@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import socket
 import threading
@@ -216,6 +217,18 @@ class TestBlockSequence:
         with pytest.raises(ProtocolError, match="after 0 of 3 blocks"):
             scripted_bob([SessionEnd()], blocks=3, transmissions=0)
 
+    @pytest.mark.parametrize("q_hat", [-1.0, 1.0 + 1e-9])
+    def test_out_of_range_error_estimate_aborts(self, q_hat):
+        # 1/(d-1) = 1 at d=2
+        messages = [
+            BlockAnnounce(block_id=0),
+            PermutationReveal(block_id=0, indices=(1, 2, 3, 4)),
+            EstimateReport(block_id=0, q_hat=q_hat, v_hat=math.nan),
+            SessionEnd(),
+        ]
+        with pytest.raises(ProtocolError, match="q_hat"):
+            scripted_bob(messages)
+
 
 class TestAliceSampling:
     def run_with_report(self, entries):
@@ -239,6 +252,26 @@ class TestAliceSampling:
         # qudit 0 (sent 1, received 2) is the one sampled at every=2
         assert self.run_with_report(((0, 2), (3, 2))) == 1.0
         assert self.run_with_report(((3, 2), (0, 2))) == 1.0
+
+
+@pytest.mark.parametrize("v_hat", [-0.5, 1.5])
+def test_alice_rejects_out_of_range_visibility(v_hat):
+    settings = noiseless_settings(d=2, n=2, blocks=2)
+    duplex = ScriptedDuplex(
+        [
+            encode_message(DetectionReportMsg(block_id=0, entries=((0, 1),))),
+            encode_message(EstimateReport(block_id=0, q_hat=math.nan, v_hat=v_hat)),
+        ]
+    )
+    channel = SimulatedChannel(settings.physical, seed=0)
+    with pytest.raises(ProtocolError, match="v_hat"):
+        run_alice(settings, None, channel, duplex, seed=0)
+    # she stops at the estimate, before her reply or the next block
+    sent = io.BytesIO(bytes(duplex.sent))
+    kinds = []
+    while sent.tell() < len(duplex.sent):
+        kinds.append(type(read_message(sent.read)))
+    assert kinds == [SessionStart, BlockAnnounce, PermutationReveal]
 
 
 class TestStreamDuplex:

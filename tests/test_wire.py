@@ -1,3 +1,4 @@
+import io
 import math
 import struct
 
@@ -24,6 +25,7 @@ from hdcow.wire import (
     SessionStart,
     decode_message,
     encode_message,
+    read_message,
 )
 
 
@@ -143,6 +145,30 @@ class TestDecodeErrors:
         assert built == PermutationReveal(block_id=5, indices=(3, 1, 4, 2))
         assert decode_message(encode_message(built)) == built
         assert list(built.values()) == [3, 1, 4, 2]
+
+
+@pytest.mark.parametrize(
+    "tag,length,error",
+    [
+        (0x01, 15, LengthMismatchError),  # SESSION_START is 14 bytes
+        (0x02, 9, LengthMismatchError),  # BLOCK_ANNOUNCE is 8 bytes
+        (0x05, 23, LengthMismatchError),  # ESTIMATE_REPORT is 24 bytes
+        (0x06, 2**32 - 1, LengthMismatchError),  # SESSION_END is empty
+        (0x07, 2**32 - 1, UnknownTagError),
+        (0x00, 8, UnknownTagError),
+    ],
+)
+def test_header_rejected_before_payload_read(tag, length, error):
+    stream = io.BytesIO(b"\x51\x4b\x01" + bytes([tag]) + struct.pack("!I", length))
+    reads = []
+
+    def recv_exact(count):
+        reads.append(count)
+        return stream.read(count)
+
+    with pytest.raises(error):
+        read_message(recv_exact)
+    assert reads == [8]
 
 
 @settings(max_examples=500, deadline=None)
