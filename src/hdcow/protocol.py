@@ -4,6 +4,7 @@ A block carries ``n`` qudits of dimension ``d`` in ``d*n`` time slots.
 Slot indices, qudit symbols, and permutation images follow the 1-based
 convention ``t = sigma(d*i + q_i)`` with ``q_i in {1..d}`` used
 throughout the analysis; only internal array storage is 0-based.
+Each block's permutation ranks random keys from an injected byte source.
 """
 
 from __future__ import annotations
@@ -158,47 +159,28 @@ class DetectionReport:
     entries: tuple
 
 
-def _words(source: ByteSource, count: int) -> np.ndarray:
-    """``count`` big-endian 4-byte words from one call of the source."""
-    data = source(4 * count)
-    if len(data) != 4 * count:
-        raise InvalidArgumentError(
-            f"byte source returned {len(data)} bytes, expected {4 * count}"
-        )
-    return np.frombuffer(data, dtype=">u4").astype(np.int64)
-
-
-def _unbiased_below(source: ByteSource, bounds: np.ndarray) -> np.ndarray:
-    """One uniform integer in [0, b) for each bound b, by 4-byte rejection
-    sampling: a word is kept only below the largest multiple of b that
-    fits in 32 bits, so ``word % b`` is exactly uniform.  All words come
-    from one draw; the rejected positions are redrawn together."""
-    span = 1 << 32
-    limits = span - span % bounds
-    words = _words(source, len(bounds))
-    rejected = np.flatnonzero(words >= limits)
-    while rejected.size:
-        words[rejected] = _words(source, rejected.size)
-        rejected = rejected[words[rejected] >= limits[rejected]]
-    return words % bounds
-
-
 def make_permutation(length: int, source: ByteSource) -> Permutation:
-    """Uniformly random permutation of {1..length} via an unbiased
-    Fisher-Yates shuffle driven by the injected byte source.
+    """Uniformly random permutation of {1..length}: rank one random key
+    per position (Knuth, TAOCP vol. 2, §3.4.2).
 
-    The swap partner of position i (from length-1 down to 1) is drawn
-    below i+1; all partners are drawn before the first swap, so the
-    source is called once per permutation plus once per round of
-    rejections.
+    The keys are little-endian u64, ``8*length`` bytes from one call of
+    the source, so a seed gives the same permutation on every host.
+    Distinct keys are exchangeable, so their ranking is exactly uniform;
+    a draw with a tie (probability at most ``length**2 / 2**65``) is
+    redrawn whole.
     """
     if length < 1:
         raise InvalidArgumentError(f"length={length} must be >= 1")
-    perm = list(range(1, length + 1))
-    partners = _unbiased_below(source, np.arange(length, 1, -1)).tolist()
-    for i, j in zip(range(length - 1, 0, -1), partners):
-        perm[i], perm[j] = perm[j], perm[i]
-    return Permutation(np.array(perm))
+    while True:
+        data = source(8 * length)
+        if len(data) != 8 * length:
+            raise InvalidArgumentError(
+                f"byte source returned {len(data)} bytes, expected {8 * length}"
+            )
+        keys = np.frombuffer(data, dtype="<u8")
+        order = np.argsort(keys)
+        if np.diff(keys[order]).all():  # no two keys are equal
+            return Permutation(order + 1)
 
 
 def encode_block(

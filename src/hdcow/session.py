@@ -95,12 +95,19 @@ class SessionSettings:
     def __post_init__(self):
         if self.blocks < 1:
             raise InvalidArgumentError("blocks must be >= 1")
-        if not 0.0 < self.sample_fraction <= 1.0:
+        f = self.sample_fraction
+        if not 0.0 < f <= 1.0:
             raise InvalidArgumentError("sample_fraction outside (0, 1]")
+        if abs(f * round(1.0 / f) - 1.0) > 1e-9:
+            k = math.floor(1.0 / f)
+            raise InvalidArgumentError(
+                f"sample_fraction={f} is not 1/k for an integer k; "
+                f"the nearest allowed values are 1/{k + 1} and 1/{k}"
+            )
 
     @property
     def sample_every(self) -> int:
-        return max(1, round(1.0 / self.sample_fraction))
+        return round(1.0 / self.sample_fraction)
 
 
 @dataclass
@@ -300,9 +307,10 @@ class _Link:
     """An endpoint's side of the classical channel: sends its output,
     records it in the transcript, and reads the peer's messages."""
 
-    def __init__(self, tx, rx, transcript: Transcript | None, direction: str, channel):
+    def __init__(self, tx, rx, transcript: Transcript | None, direction: str, channel, settings):
         self._tx = tx
         self._rx = rx
+        self._proto = settings.protocol
         self._transcript = transcript
         self._direction = direction
         self._channel = channel
@@ -323,7 +331,7 @@ class _Link:
 
     def recv(self) -> Message:
         try:
-            return read_message(self._rx.recv_exact)
+            return read_message(self._rx.recv_exact, self._proto.d, self._proto.n)
         except DecodeError as exc:
             raise ProtocolError(f"malformed message: {exc}") from exc
 
@@ -562,7 +570,7 @@ def run_alice(
     ``block_source`` yields :class:`KeyBlock` instances; pass ``None``
     to generate random blocks from ``seed``.
     """
-    link = _Link(duplex, duplex, transcript, Transcript.A_TO_B, channel)
+    link = _Link(duplex, duplex, transcript, Transcript.A_TO_B, channel, settings)
     return _drive(_Alice(settings, block_source, seed), link)
 
 
@@ -573,7 +581,7 @@ def run_bob(
     transcript: Transcript | None = None,
 ) -> SessionSummary:
     """Drive the receiver side of a session over ``duplex``."""
-    link = _Link(duplex, duplex, transcript, Transcript.B_TO_A, channel)
+    link = _Link(duplex, duplex, transcript, Transcript.B_TO_A, channel, settings)
     return _drive(_Bob(settings, channel), link)
 
 
@@ -582,11 +590,11 @@ def _summary(role, settings, sifted, q_hat, q_err, v_hat, v_err) -> SessionSumma
     total_slots = settings.blocks * proto.slot_count
     duration = total_slots * proto.tau
     detected_rate = len(sifted) / duration if duration > 0 else 0.0
-    q_for_rate = q_hat if not math.isnan(q_hat) else 0.0
-    v_for_rate = v_hat if not math.isnan(v_hat) else settings.physical.v_true
-    per_detection = eve_optimal_holevo(
-        proto.d, q_for_rate, settings.physical.mu, v_for_rate
-    ).secure_fraction
+    per_detection = 0.0  # an estimate the data leave undefined (NaN) justifies no key
+    if not (math.isnan(q_hat) or math.isnan(v_hat)):
+        per_detection = eve_optimal_holevo(
+            proto.d, q_hat, settings.physical.mu, v_hat
+        ).secure_fraction
     return SessionSummary(
         role=role,
         d=proto.d,
@@ -631,8 +639,8 @@ def run_session(
     alice = _Alice(settings, None, alice_seed)
     bob = _Bob(settings, channel)
     links = {
-        alice: _Link(to_bob, to_alice, transcript, Transcript.A_TO_B, channel),
-        bob: _Link(to_alice, to_bob, transcript, Transcript.B_TO_A, channel),
+        alice: _Link(to_bob, to_alice, transcript, Transcript.A_TO_B, channel, settings),
+        bob: _Link(to_alice, to_bob, transcript, Transcript.B_TO_A, channel, settings),
     }
     sender, receiver = alice, bob
     with _aborts(alice.role):

@@ -254,13 +254,15 @@ def decode_message(data: bytes) -> Message:
     return message
 
 
-def read_message(recv_exact: Callable[[int], bytes]) -> Message:
+def read_message(recv_exact: Callable[[int], bytes], d=None, n=None) -> Message:
     """Read one frame off an ordered byte stream.
 
     ``recv_exact(k)`` must return k bytes, or fewer only where the
     stream ends, or raise; short reads surface as
     :class:`TruncatedError`.  The header is checked before the payload
     is read, so a bad tag or a wrong fixed length costs no payload read.
+    Given the block geometry ``d`` and ``n``, a reveal or report longer
+    than one block can fill is rejected from its header too.
     """
     header = recv_exact(_HEADER.size)
     if len(header) < _HEADER.size:
@@ -277,6 +279,13 @@ def read_message(recv_exact: Callable[[int], bytes]) -> Message:
         raise LengthMismatchError(
             f"tag 0x{tag:02x} payload must be {fixed} bytes, header declares {length}"
         )
+    if d is not None and n is not None:
+        most = {TAG_PERMUTATION_REVEAL: 8 + 4 * d * n, TAG_DETECTION_REPORT: 12 + 6 * n}
+        if length > most.get(tag, length):
+            raise LengthMismatchError(
+                f"tag 0x{tag:02x} payload is at most {most[tag]} bytes for d={d}, "
+                f"n={n}, header declares {length}"
+            )
     payload = recv_exact(length) if length else b""
     if len(payload) < length:
         raise TruncatedError("stream closed inside a frame payload")

@@ -1,4 +1,4 @@
-import struct
+import itertools
 
 import numpy as np
 import pytest
@@ -52,45 +52,56 @@ class TestMakePermutation:
             p_value = stats.chi2.sf(chi2, df=length - 1)
             assert p_value > 0.001, f"position {pos}: chi2={chi2}, p={p_value}"
 
+    def test_joint_distribution_chi_square(self):
+        # all 24 orderings of length 4 equally likely, p > 0.001; a random
+        # cyclic shift would pass the per-position test above, not this one
+        length, samples = 4, 48_000
+        source = SeededByteSource(7)
+        index = {p: k for k, p in enumerate(itertools.permutations(range(1, length + 1)))}
+        counts = np.zeros(len(index), dtype=np.int64)
+        for _ in range(samples):
+            counts[index[tuple(make_permutation(length, source).map_.tolist())]] += 1
+        expected = samples / len(index)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        p_value = stats.chi2.sf(chi2, df=len(index) - 1)
+        assert p_value > 0.001, f"chi2={chi2}, p={p_value}"
+
 
 class ScriptedSource:
-    """Byte source returning fixed chunks of 4-byte words in order and
-    recording how many bytes each call asked for."""
+    """Byte source returning fixed draws of little-endian u64 keys in
+    order and recording how many bytes each call asked for."""
 
-    def __init__(self, *chunks):
-        self._chunks = [struct.pack(f"!{len(c)}I", *c) for c in chunks]
+    def __init__(self, *draws):
+        self._draws = [np.array(keys, dtype="<u8").tobytes() for keys in draws]
         self.requests = []
 
     def __call__(self, count):
         self.requests.append(count)
-        return self._chunks.pop(0)
+        return self._draws.pop(0)
 
 
-class TestRejectionSampling:
-    # For length 6 the swap bounds are 6, 5, 4, 3, 2 in draw order.  A
-    # word is rejected from 2**32 - 2**32 % bound up, which for bounds
-    # 6, 5 and 3 includes 0xFFFFFFFF; bounds 4 and 2 reject nothing.
-    WORDS = [0x12345678, 0x9ABCDEF0, 0x0BADF00D, 0x13579BDF, 0x2468ACE0]
+class TestKeyRanking:
+    def test_tie_free_draw_calls_source_once(self):
+        source = ScriptedSource([30, 10, 2**64 - 1, 0, 20])
+        perm = make_permutation(5, source)
+        assert source.requests == [40]
+        assert list(perm.map_) == [4, 2, 5, 1, 3]
 
-    def test_rejected_words_are_redrawn(self):
-        w = self.WORDS
-        top = 0xFFFFFFFF
-        source = ScriptedSource([top, top, w[2], top, w[4]], [w[0], w[1], w[3]])
-        perm = make_permutation(6, source)
-        assert source.requests == [20, 12]
-        assert sorted(perm.map_) == list(range(1, 7))
-        assert list(perm.map_) == list(make_permutation(6, ScriptedSource(w)).map_)
+    def test_draw_with_a_tie_is_redrawn_whole(self):
+        second = [7, 2**63, 3, 99]
+        source = ScriptedSource([5, 1, 5, 2], second)
+        perm = make_permutation(4, source)
+        assert source.requests == [32, 32]
+        assert list(perm.map_) == list(np.argsort(second) + 1) == [3, 1, 4, 2]
 
-    def test_rejection_bound_is_exact(self):
-        w = self.WORDS
-        limit = 2**32 - 2**32 % 6  # a multiple of 6
-        # the first redraw is rejected again; limit - 1 is accepted, and
-        # is the same draw below 6 as the word 5
-        source = ScriptedSource([limit, *w[1:]], [0xFFFFFFFF], [limit - 1])
-        perm = make_permutation(6, source)
-        assert source.requests == [20, 4, 4]
-        reference = make_permutation(6, ScriptedSource([5, *w[1:]]))
-        assert list(perm.map_) == list(reference.map_)
+    def test_keys_are_little_endian(self):
+        # 01 00 .. 00 is 1 read little-endian and 2**56 read big-endian
+        data = b"\x01" + bytes(7) + bytes(7) + b"\x02"
+        assert list(make_permutation(2, lambda count: data).map_) == [1, 2]
+
+    def test_short_read_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="returned 15 bytes"):
+            make_permutation(2, lambda count: bytes(15))
 
 
 class TestPermutation:

@@ -2,17 +2,18 @@ import hashlib
 import io
 import math
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from hdcow.channel import PhysicalParams
 from hdcow.config import default_config
-from hdcow.errors import ProtocolError
+from hdcow.errors import InvalidArgumentError, ProtocolError
 from hdcow.protocol import KeyBlock, Permutation, ProtocolParams, encode_block
 from hdcow.session import (
     SessionSettings,
@@ -61,6 +62,22 @@ class TestNoiselessSession:
         assert alice.sifted == bob.sifted
         assert alice.sifted_count == 12 * 32
         assert validate_transcript(transcript) == []
+
+    def test_undefined_visibility_gives_no_secure_bits(self):
+        # no monitor tap (f_mon=0), so the data cannot define V; at this
+        # mu, V = 1 would give 1.5 secure bits per detection
+        settings = SessionSettings(
+            protocol=ProtocolParams(d=4, n=16, tau=2e-9),
+            physical=replace(PhysicalParams.noiseless(), mu=0.1),
+            blocks=10,
+        )
+        alice, bob, _ = run_session(settings, seed=3)
+        assert alice.sifted_count > 0
+        assert alice.q_hat == 0.0
+        for summary in (alice, bob):
+            assert math.isnan(summary.v_hat)
+            assert summary.secure_bits_per_detection == 0.0
+            assert summary.secure_bits_per_second == 0.0
 
     def test_transcripts_byte_identical_across_runs(self):
         _, _, t1 = run_session(noiseless_settings(d=4, n=8, blocks=5), seed=42)
@@ -115,6 +132,17 @@ class ScriptedDuplex:
         out = bytes(self._buffer[:count])
         del self._buffer[:count]
         return out
+
+
+@pytest.mark.parametrize("fraction", [0.4, 0.75])
+def test_sample_fraction_must_be_a_unit_fraction(fraction):
+    with pytest.raises(InvalidArgumentError, match="nearest allowed values"):
+        SessionSettings(
+            protocol=ProtocolParams(d=2, n=2, tau=2e-9),
+            physical=PhysicalParams.noiseless(),
+            blocks=1,
+            sample_fraction=fraction,
+        )
 
 
 class TestProtocolViolations:
@@ -192,6 +220,44 @@ def scripted_bob(messages, blocks=1, transmissions=1):
     start = SessionStart(d=2, n=2, tau_picoseconds=2000)
     duplex = ScriptedDuplex([encode_message(m) for m in (start, *messages)])
     return run_bob(settings, channel, duplex)
+
+
+class RecordingDuplex(ScriptedDuplex):
+    def __init__(self, frames):
+        super().__init__(frames)
+        self.reads = []
+
+    def recv_exact(self, count):
+        self.reads.append(count)
+        return super().recv_exact(count)
+
+
+def oversized_header(tag):
+    # declares a payload far beyond any block of the session
+    return b"\x51\x4b\x01" + bytes([tag]) + struct.pack("!I", 2**32 - 1)
+
+
+class TestOversizedPayload:
+    def test_bob_rejects_reveal_from_its_header(self):
+        settings = noiseless_settings(d=2, n=2)
+        duplex = RecordingDuplex(
+            [
+                encode_message(SessionStart(d=2, n=2, tau_picoseconds=2000)),
+                encode_message(BlockAnnounce(block_id=0)),
+                oversized_header(0x03),
+            ]
+        )
+        with pytest.raises(ProtocolError, match="malformed message"):
+            run_bob(settings, SimulatedChannel(settings.physical, seed=0), duplex)
+        assert duplex.reads == [8, 14, 8, 8, 8]
+
+    def test_alice_rejects_report_from_its_header(self):
+        settings = noiseless_settings(d=2, n=2)
+        duplex = RecordingDuplex([oversized_header(0x04)])
+        channel = SimulatedChannel(settings.physical, seed=0)
+        with pytest.raises(ProtocolError, match="malformed message"):
+            run_alice(settings, None, channel, duplex, seed=0)
+        assert duplex.reads == [8]
 
 
 class TestBlockSequence:
@@ -369,8 +435,9 @@ class TestSingleThreadedSession:
 
 
 class TestPinnedTranscripts:
-    """Wire transcripts and sifted strings recorded with the earlier
-    two-thread session, which the single-threaded one must reproduce."""
+    """Wire transcripts and sifted strings of two seeded sessions.  A
+    change to what a seed draws (permutations, key blocks or clicks)
+    moves them; it must re-record them and say which values moved."""
 
     @staticmethod
     def check(settings, seed, digest, entries, sifted):
@@ -385,7 +452,7 @@ class TestPinnedTranscripts:
         self.check(
             noiseless_settings(d=4, n=8, blocks=5),
             42,
-            "57425406c758142b9f0b76c1aa71e0ab1ee85622560c25765770ed59bdf062fa",
+            "a288481abcadf4c2f6db1c6521b66b73c10992ccb9653c62ecd3873357191f91",
             32,
             (3, 4, 1, 4, 2, 2, 3, 4, 4, 1, 4, 4, 3, 4, 4, 1, 1, 2, 1, 3,
              1, 1, 4, 1, 4, 4, 1, 2, 3, 1, 2, 4, 3, 1, 3, 3, 3, 3, 4, 1),
@@ -402,9 +469,9 @@ class TestPinnedTranscripts:
         self.check(
             settings,
             config.seed,
-            "a4decb1ab2de7265ee3861e295f705c8194c29612407ce08be34593f06ba3a0b",
+            "7bee398a9c41ce8eb6ada8b1ec970d212d34f59174d9ac034b08cbce57134ff8",
             602,
-            (7, 3, 7, 8, 8, 8, 8, 1),
+            (4, 2, 7, 5, 8, 8, 4, 3),
         )
 
 

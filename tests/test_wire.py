@@ -73,6 +73,36 @@ messages = st.one_of(
 )
 
 
+@pytest.mark.parametrize(
+    "tag,length",
+    [
+        (0x03, 2**32 - 4),  # PERMUTATION_REVEAL, at most 8 + 4*d*n = 264 bytes
+        (0x03, 268),
+        (0x04, 2**32 - 1),  # DETECTION_REPORT, at most 12 + 6*n = 108 bytes
+        (0x04, 114),
+    ],
+)
+def test_payload_beyond_block_rejected_before_read(tag, length):
+    stream = io.BytesIO(b"\x51\x4b\x01" + bytes([tag]) + struct.pack("!I", length))
+    reads = []
+
+    def recv_exact(count):
+        reads.append(count)
+        return stream.read(count)
+
+    with pytest.raises(LengthMismatchError, match="at most"):
+        read_message(recv_exact, d=4, n=16)
+    assert reads == [8]
+
+
+def test_payloads_filling_a_block_accepted():
+    reveal = PermutationReveal(block_id=1, indices=range(1, 65))
+    report = DetectionReportMsg(block_id=1, entries=tuple((i, 1) for i in range(16)))
+    for message in (reveal, report):
+        stream = io.BytesIO(encode_message(message))
+        assert read_message(stream.read, d=4, n=16) == message
+
+
 @settings(max_examples=500, deadline=None)
 @given(message=messages)
 def test_round_trip(message):
@@ -169,6 +199,36 @@ def test_header_rejected_before_payload_read(tag, length, error):
     with pytest.raises(error):
         read_message(recv_exact)
     assert reads == [8]
+
+
+@pytest.mark.parametrize(
+    "tag,length",
+    [
+        (0x03, 2**32 - 4),  # PERMUTATION_REVEAL, at most 8 + 4*d*n = 264 bytes
+        (0x03, 268),
+        (0x04, 2**32 - 1),  # DETECTION_REPORT, at most 12 + 6*n = 108 bytes
+        (0x04, 114),
+    ],
+)
+def test_payload_beyond_block_rejected_before_read(tag, length):
+    stream = io.BytesIO(b"\x51\x4b\x01" + bytes([tag]) + struct.pack("!I", length))
+    reads = []
+
+    def recv_exact(count):
+        reads.append(count)
+        return stream.read(count)
+
+    with pytest.raises(LengthMismatchError, match="at most"):
+        read_message(recv_exact, d=4, n=16)
+    assert reads == [8]
+
+
+def test_payloads_filling_a_block_accepted():
+    reveal = PermutationReveal(block_id=1, indices=range(1, 65))
+    report = DetectionReportMsg(block_id=1, entries=tuple((i, 1) for i in range(16)))
+    for message in (reveal, report):
+        stream = io.BytesIO(encode_message(message))
+        assert read_message(stream.read, d=4, n=16) == message
 
 
 @settings(max_examples=500, deadline=None)
