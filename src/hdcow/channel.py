@@ -28,7 +28,6 @@ from .protocol import (
     ProtocolParams,
     PulseFrame,
     Permutation,
-    decode_click,
 )
 
 __all__ = [
@@ -349,14 +348,30 @@ def decode_frame(
     sigma: Permutation,
     clicks: ClickStream,
 ) -> DetectionReport:
-    """Decode a frame's data clicks into a detection report, discarding
-    qudits that registered more than one click."""
-    locals_ = clicks.data_slots - clicks.frame_start + 1
-    if len(locals_) == 0:
+    """Decode a frame's data clicks into a detection report.
+
+    A click at local slot ``t`` names qudit ``i`` and symbol ``j`` through
+    ``sigma^{-1}(t) = d*i + j``.  A qudit named by exactly one click is
+    kept; a qudit named by two or more clicks is discarded whole, since
+    the clicks disagree on its symbol.  Entries are ``(i, j)`` pairs of
+    Python ints in increasing ``i``.  A click outside the frame is
+    rejected.
+    """
+    d, length = params.d, params.slot_count
+    if len(sigma) != length:
+        raise InvalidArgumentError(
+            f"permutation length {len(sigma)} != d*n={length}"
+        )
+    offsets = clicks.data_slots - clicks.frame_start  # 0-based local slots
+    if len(offsets) == 0:  # most frames of a long, lossy link
         return DetectionReport(entries=())
-    seen: dict[int, int | None] = {}
-    for t in locals_:
-        i, j = decode_click(params, sigma, int(t))
-        seen[i] = j if i not in seen else None
-    entries = tuple(sorted((i, j) for i, j in seen.items() if j is not None))
-    return DetectionReport(entries=entries)
+    if offsets.min() < 0 or offsets.max() >= length:
+        raise InvalidArgumentError(
+            f"data click outside the frame's slots {clicks.frame_start}.."
+            f"{clicks.frame_start + length - 1}"
+        )
+    qudits, symbols = np.divmod(sigma.inverse_map[offsets] - 1, d)
+    kept, first, counts = np.unique(qudits, return_index=True, return_counts=True)
+    once = counts == 1
+    entries = zip(kept[once].tolist(), (symbols[first[once]] + 1).tolist())
+    return DetectionReport(entries=tuple(entries))

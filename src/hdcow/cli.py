@@ -33,7 +33,7 @@ from .security import (
     report_at,
     x_interval,
 )
-from .session import SessionSettings, run_session, validate_transcript
+from .session import run_session, validate_transcript
 
 log = logging.getLogger("hdcow")
 
@@ -165,12 +165,7 @@ def cmd_holevo(config: Config, args) -> str:
 
 
 def cmd_simulate(config: Config, args) -> str:
-    settings = SessionSettings(
-        protocol=config.session_protocol(),
-        physical=config.physical_params(),
-        blocks=config.session.blocks,
-        sample_fraction=config.session.sample_fraction,
-    )
+    settings = config.session_settings()
     alice, bob, transcript = run_session(settings, seed=config.seed)
     violations = validate_transcript(transcript)
     model_alpha = detection_rate(

@@ -18,6 +18,7 @@ from .channel import PhysicalParams
 from .errors import InvalidArgumentError
 from .protocol import ProtocolParams
 from .rates import LinearNoise, TableNoise, THRESHOLD_CONVENTION
+from .session import SessionSettings
 
 __all__ = ["Config", "load_config", "default_config"]
 
@@ -100,6 +101,15 @@ class Config:
     def session_protocol(self) -> ProtocolParams:
         return ProtocolParams(
             d=self.session.d, n=self.session.n, tau=self.protocol.tau
+        )
+
+    def session_settings(self) -> SessionSettings:
+        """The ``hdcow simulate`` session, checked by ``SessionSettings``."""
+        return SessionSettings(
+            protocol=self.session_protocol(),
+            physical=self.physical_params(),
+            blocks=self.session.blocks,
+            sample_fraction=self.session.sample_fraction,
         )
 
     def noise_model(self):
@@ -197,8 +207,7 @@ def _validate(config: Config) -> None:
             raise InvalidArgumentError(f"protocol.dimensions entry {d!r} must be int >= 2")
     if not config.protocol.dimensions:
         raise InvalidArgumentError("protocol.dimensions must be non-empty")
-    config.session_protocol()
-    config.physical_params()
+    config.session_settings()
     config.mu_grid()
     if config.threshold.axis not in ("per_slot", "total"):
         raise InvalidArgumentError(

@@ -39,13 +39,24 @@ class SeededByteSource:
     seed one from the session seed, so a run repeats exactly and the seed
     gives away every permutation: a seeded session models the protocol
     but distributes no secret key.  :func:`make_permutation` takes any
-    :data:`ByteSource`, such as ``os.urandom``."""
+    :data:`ByteSource`, such as ``os.urandom``.
+
+    The stream is the raw 64-bit output of ``np.random.PCG64(seed)``,
+    each word serialized little-endian.  A call for ``count`` bytes takes
+    ``ceil(count / 8)`` fresh words and returns their first ``count``
+    bytes.  So while every count is a positive multiple of 8, the calls
+    return the same bytes as successive
+    ``np.random.default_rng(seed).bytes(count)``.  Any other count drops
+    the rest of its last word, and the next call starts on a fresh word;
+    ``Generator.bytes`` would instead keep a half-word buffered when
+    ``count % 8`` is 1 to 4.  A count of 0 takes no word."""
 
     def __init__(self, seed):
-        self._gen = np.random.default_rng(seed)
+        self._bits = np.random.PCG64(seed)
 
     def __call__(self, count: int) -> bytes:
-        return self._gen.bytes(count)
+        words = self._bits.random_raw(-(-count // 8))
+        return words.astype("<u8", copy=False).tobytes()[:count]
 
 
 @dataclass(frozen=True)
@@ -96,10 +107,25 @@ class KeyBlock:
         return cls(rng.integers(1, params.d + 1, size=params.n))
 
 
+def _scatter_inverse(map_: np.ndarray) -> np.ndarray:
+    """``inv[t-1] = u`` for every ``map_[u-1] = t``; slots no value maps
+    to stay 0.  ``map_`` must lie in {1..len(map_)}."""
+    inv = np.zeros(len(map_) + 1, dtype=np.int64)
+    inv[map_] = np.arange(1, len(map_) + 1)  # scatter 1-based, drop slot 0
+    return inv[1:]
+
+
 @dataclass
 class Permutation:
     """Bijection on {1..L} stored as the image sequence ``map_``, i.e.
-    ``sigma(u) = map_[u-1]``."""
+    ``sigma(u) = map_[u-1]``.
+
+    The constructor validates ``map_``, as a receiver must do with a
+    reveal off the wire: a range check first, then one scatter that
+    builds the inverse and shows every slot is hit, which for L values
+    in range makes ``map_`` a bijection.  :func:`make_permutation` builds
+    its result from a ranking without these checks, and its inverse is
+    built on the first :meth:`invert` or :attr:`inverse_map`."""
 
     map_: np.ndarray
 
@@ -108,15 +134,28 @@ class Permutation:
         L = len(self.map_)
         if L == 0:
             raise InvalidArgumentError("empty permutation")
-        seen = np.zeros(L, dtype=bool)
         if self.map_.min() < 1 or self.map_.max() > L:
             raise InvalidArgumentError("permutation values outside {1..L}")
-        seen[self.map_ - 1] = True
-        if not seen.all():
+        inv = _scatter_inverse(self.map_)
+        if not inv.all():
             raise InvalidArgumentError("permutation is not a bijection")
-        inv = np.empty(L, dtype=np.int64)
-        inv[self.map_ - 1] = np.arange(1, L + 1)
         self._inverse_map = inv
+
+    @classmethod
+    def _from_ranking(cls, map_: np.ndarray) -> "Permutation":
+        """Wrap an image sequence that is a bijection by construction,
+        such as ``argsort(...) + 1``, without validating it."""
+        perm = object.__new__(cls)
+        perm.map_ = map_
+        perm._inverse_map = None
+        return perm
+
+    @property
+    def inverse_map(self) -> np.ndarray:
+        """Image sequence of ``sigma^{-1}``, built on first use."""
+        if self._inverse_map is None:
+            self._inverse_map = _scatter_inverse(self.map_)
+        return self._inverse_map
 
     def __len__(self) -> int:
         return len(self.map_)
@@ -129,7 +168,7 @@ class Permutation:
     def invert(self, t: int) -> int:
         if not 1 <= t <= len(self.map_):
             raise InvalidArgumentError(f"slot {t} outside {{1..{len(self.map_)}}}")
-        return int(self._inverse_map[t - 1])
+        return int(self.inverse_map[t - 1])
 
     @classmethod
     def identity(cls, length: int) -> "Permutation":
@@ -168,9 +207,22 @@ def make_permutation(length: int, source: ByteSource) -> Permutation:
     Distinct keys are exchangeable, so their ranking is exactly uniform;
     a draw with a tie (probability at most ``length**2 / 2**65``) is
     redrawn whole.
+
+    The ranking sorts plain integers: each key's low
+    ``(length-1).bit_length()`` bits are replaced by its position, and
+    when the remaining high parts are distinct they order the keys as
+    the full keys do, so the sorted low bits are the ``argsort`` of the
+    keys.  A draw whose high parts collide (probability at most
+    ``length**3 / 2**64``) is ranked by ``argsort`` of the full keys.
+    Either ranking is a bijection by construction, so the result is not
+    re-checked and its inverse is not built until it is used: the sender
+    only applies the permutation.
     """
     if length < 1:
         raise InvalidArgumentError(f"length={length} must be >= 1")
+    low_bits = (length - 1).bit_length()
+    shift, low_mask = np.uint64(low_bits), np.uint64((1 << low_bits) - 1)
+    positions = np.arange(length, dtype=np.uint64)
     while True:
         data = source(8 * length)
         if len(data) != 8 * length:
@@ -178,9 +230,18 @@ def make_permutation(length: int, source: ByteSource) -> Permutation:
                 f"byte source returned {len(data)} bytes, expected {8 * length}"
             )
         keys = np.frombuffer(data, dtype="<u8")
+        packed = keys >> shift
+        packed <<= shift
+        packed |= positions
+        packed.sort()
+        ranking = packed & low_mask
+        packed >>= shift  # the high parts, in increasing order
+        if (packed[1:] != packed[:-1]).all():
+            ranking += 1
+            return Permutation._from_ranking(ranking.view(np.int64))
         order = np.argsort(keys)
         if np.diff(keys[order]).all():  # no two keys are equal
-            return Permutation(order + 1)
+            return Permutation._from_ranking(order + 1)
 
 
 def encode_block(

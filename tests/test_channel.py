@@ -3,16 +3,27 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hdcow.channel import (
+    ClickStream,
     DetectorState,
     PhysicalParams,
+    decode_frame,
     estimate_qber,
     estimate_visibility,
     transmit_frame,
 )
 from hdcow.errors import InvalidArgumentError, UndefinedEstimateError
-from hdcow.protocol import PulseFrame
+from hdcow.protocol import (
+    Permutation,
+    ProtocolParams,
+    PulseFrame,
+    SeededByteSource,
+    decode_click,
+    make_permutation,
+)
 
 
 def quiet_params(**kwargs) -> PhysicalParams:
@@ -142,3 +153,55 @@ class TestEstimateVisibility:
     def test_zero_counts_have_positive_stderr(self):
         _, err = estimate_visibility(0, 1000, 50, 1000)
         assert err > 0.0
+
+
+def click_stream(slots, frame_start):
+    """Data clicks at the given 1-based local slots of a frame."""
+    data = frame_start - 1 + np.sort(np.asarray(slots, dtype=np.int64))
+    return ClickStream(data, np.zeros(0, dtype=np.int64), frame_start)
+
+
+def decode_per_click(params, sigma, clicks):
+    """Entries decoded one click at a time, dropping a qudit seen twice."""
+    seen = {}
+    for t in clicks.data_slots - clicks.frame_start + 1:
+        i, j = decode_click(params, sigma, int(t))
+        seen[i] = j if i not in seen else None
+    return tuple(sorted((i, j) for i, j in seen.items() if j is not None))
+
+
+@st.composite
+def clicked_frames(draw):
+    """``(d, n, seed, clicked)``: ``clicked`` maps a qudit to the symbols
+    whose slots clicked; with ``multi`` every clicked qudit has two or more."""
+    d = draw(st.integers(2, 16), label="d")
+    n = draw(st.integers(1, 32), label="n")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    multi = draw(st.booleans(), label="multi")
+    symbols = st.sets(st.integers(1, d), min_size=2 if multi else 1, max_size=d)
+    clicked = draw(st.dictionaries(st.integers(0, n - 1), symbols, max_size=n))
+    return d, n, seed, clicked
+
+
+class TestDecodeFrame:
+    @settings(max_examples=200, deadline=None)
+    @given(frame=clicked_frames(), frame_start=st.integers(1, 10**9))
+    @example(frame=(4, 8, 0, {}), frame_start=1)
+    @example(frame=(4, 8, 1, {0: {1, 2}, 5: {1, 2, 3, 4}}), frame_start=33)
+    def test_matches_per_click_decode(self, frame, frame_start):
+        d, n, seed, clicked = frame
+        params = ProtocolParams(d=d, n=n, tau=2e-9)
+        sigma = make_permutation(d * n, SeededByteSource(seed))
+        slots = [sigma.apply(d * i + j) for i, js in clicked.items() for j in js]
+        clicks = click_stream(slots, frame_start)
+        entries = decode_frame(params, sigma, clicks).entries
+        assert entries == decode_per_click(params, sigma, clicks)
+        assert all(type(x) is int for entry in entries for x in entry)
+        assert {i for i, _ in entries} == {i for i, js in clicked.items() if len(js) == 1}
+
+    @pytest.mark.parametrize("slot", [0, 9])
+    def test_click_outside_frame_rejected(self, slot):
+        params = ProtocolParams(d=2, n=4, tau=2e-9)
+        clicks = click_stream([1, slot], frame_start=100)
+        with pytest.raises(InvalidArgumentError, match="outside the frame"):
+            decode_frame(params, Permutation.identity(8), clicks)

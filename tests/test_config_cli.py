@@ -109,6 +109,17 @@ class TestCli:
             main(["rates", "--config", str(path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "session", [{"sample_fraction": 0.4}, {"blocks": 0}]
+    )
+    def test_bad_session_section_is_usage_error(self, tmp_path, capsys, session):
+        # the session section is checked at load, not only by simulate
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"session": session}))
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--config", str(path)])
+        assert exc.value.code == 2
+
     def test_threshold_monotone_decreasing(self, capsys):
         assert main(["threshold"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")[1:]

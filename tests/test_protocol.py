@@ -67,6 +67,30 @@ class TestMakePermutation:
         assert p_value > 0.001, f"chi2={chi2}, p={p_value}"
 
 
+class TestSeededByteSource:
+    def test_matches_generator_bytes_for_whole_words(self):
+        source, reference = SeededByteSource(2024), np.random.default_rng(2024)
+        for count in (8, 512 * 8, 16, 32768 * 8, 8):
+            assert source(count) == reference.bytes(count)
+
+    def test_stream_is_pinned(self):
+        # the first two raw PCG64 words of seed 2024, little-endian
+        assert SeededByteSource(2024)(16).hex() == "e8cad43d564803add9d0a317a4e2dd36"
+
+    def test_partial_word_drops_its_tail(self):
+        # 4 bytes take one whole word; the next call starts on a fresh
+        # word, where Generator.bytes would go on with the buffered half
+        words = np.random.PCG64(2024).random_raw(3).astype("<u8").tobytes()
+        source = SeededByteSource(2024)
+        assert source(0) == b""  # takes no word
+        assert source(4) == words[:4]
+        assert source(8) == words[8:16]
+        assert source(3) == words[16:19]
+        generator = np.random.default_rng(2024)
+        assert generator.bytes(4) == words[:4]
+        assert generator.bytes(8) == words[4:12]
+
+
 class ScriptedSource:
     """Byte source returning fixed draws of little-endian u64 keys in
     order and recording how many bytes each call asked for."""
@@ -94,6 +118,19 @@ class TestKeyRanking:
         assert source.requests == [32, 32]
         assert list(perm.map_) == list(np.argsort(second) + 1) == [3, 1, 4, 2]
 
+    def test_colliding_high_parts_are_ranked_by_full_keys(self):
+        # length 2 packs the position into bit 0, so 5 and 4 agree above it
+        source = ScriptedSource([5, 4])
+        assert list(make_permutation(2, source).map_) == [2, 1]
+        assert source.requests == [16]
+
+    @settings(max_examples=100, deadline=None)
+    @given(length=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_ranking_is_argsort_of_keys(self, length, seed):
+        keys = np.frombuffer(SeededByteSource(seed)(8 * length), dtype="<u8")
+        perm = make_permutation(length, SeededByteSource(seed))
+        assert np.array_equal(perm.map_, np.argsort(keys) + 1)
+
     def test_keys_are_little_endian(self):
         # 01 00 .. 00 is 1 read little-endian and 2**56 read big-endian
         data = b"\x01" + bytes(7) + bytes(7) + b"\x02"
@@ -109,6 +146,12 @@ class TestPermutation:
         perm = make_permutation(48, SeededByteSource(9))
         for u in range(1, 49):
             assert perm.invert(perm.apply(u)) == u
+
+    def test_ranking_inverse_matches_validated_inverse(self):
+        perm = make_permutation(300, SeededByteSource(11))
+        checked = Permutation(perm.map_.copy())
+        assert np.array_equal(perm.inverse_map, checked.inverse_map)
+        assert np.array_equal(perm.map_[perm.inverse_map - 1], np.arange(1, 301))
 
     def test_rejects_non_bijection(self):
         with pytest.raises(InvalidArgumentError):

@@ -222,6 +222,14 @@ def scripted_bob(messages, blocks=1, transmissions=1):
     return run_bob(settings, channel, duplex)
 
 
+@pytest.mark.parametrize("values", [(0, 2, 3, 4), (1, 2, 3, 5), (1, 1, 3, 4)])
+def test_reveal_out_of_range_or_repeated_aborts(values):
+    # 0 would scatter to the last slot of the inverse if not range-checked first
+    messages = (BlockAnnounce(block_id=0), PermutationReveal(block_id=0, indices=values))
+    with pytest.raises(ProtocolError, match="malformed permutation"):
+        scripted_bob(messages)
+
+
 class RecordingDuplex(ScriptedDuplex):
     def __init__(self, frames):
         super().__init__(frames)
