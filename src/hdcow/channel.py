@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class PhysicalParams:
         number leaking into empty slots).
     f_mon: beamsplitter fraction routed to the monitor line.
     v_true: channel interference visibility the simulation realizes.
+
+    Every field must be finite.
     """
 
     mu: float
@@ -71,6 +73,10 @@ class PhysicalParams:
     v_true: float = 0.99
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise InvalidArgumentError(f"{f.name}={value} must be finite")
         if self.mu < 0.0:
             raise InvalidArgumentError(f"mu={self.mu} must be non-negative")
         if not 0.0 < self.t_ch <= 1.0:

@@ -30,8 +30,9 @@ __all__ = [
     "sift_block",
 ]
 
-# A byte source is any callable returning `count` fresh random bytes.
-ByteSource = Callable[[int], bytes]
+# A byte source is any callable returning a bytes-like object of exactly
+# `count` fresh random bytes, such as ``os.urandom``.
+ByteSource = Callable[[int], "bytes | memoryview"]
 
 
 class SeededByteSource:
@@ -49,14 +50,17 @@ class SeededByteSource:
     ``np.random.default_rng(seed).bytes(count)``.  Any other count drops
     the rest of its last word, and the next call starts on a fresh word;
     ``Generator.bytes`` would instead keep a half-word buffered when
-    ``count % 8`` is 1 to 4.  A count of 0 takes no word."""
+    ``count % 8`` is 1 to 4.  A count of 0 takes no word.
+
+    A call returns a read-only ``memoryview`` of the words, not a copy
+    of them as ``bytes``."""
 
     def __init__(self, seed):
         self._bits = np.random.PCG64(seed)
 
-    def __call__(self, count: int) -> bytes:
-        words = self._bits.random_raw(-(-count // 8))
-        return words.astype("<u8", copy=False).tobytes()[:count]
+    def __call__(self, count: int) -> memoryview:
+        words = self._bits.random_raw(-(-count // 8)).astype("<u8", copy=False)
+        return memoryview(words.view(np.uint8)).toreadonly()[:count]
 
 
 @dataclass(frozen=True)

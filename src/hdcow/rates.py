@@ -11,11 +11,12 @@ and the Monte Carlo describe the same system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .channel import PhysicalParams
 from .errors import InvalidArgumentError, NoThresholdError
-from .security import eve_optimal_holevo
+from .security import eve_optimal_holevo, secure_fractions
 
 __all__ = [
     "RatePoint",
@@ -101,8 +102,10 @@ def detection_rate(
     d: int, mu: float, xi_eff: float, t_dead: float, tau: float
 ) -> float:
     """Detected qudits per second: ``1 / (t_dead + tau*d/(xi_eff*mu))``."""
-    if mu <= 0.0 or xi_eff <= 0.0:
-        raise InvalidArgumentError("mu and xi_eff must be positive")
+    if not (0.0 < mu < math.inf and xi_eff > 0.0):
+        raise InvalidArgumentError(
+            f"mu={mu} and xi_eff={xi_eff} must be finite and positive"
+        )
     if tau <= 0.0 or d < 2 or t_dead < 0.0:
         raise InvalidArgumentError("require tau > 0, d >= 2, t_dead >= 0")
     if xi_eff * mu / d > 1.0:
@@ -115,6 +118,13 @@ def secure_rate(
 ) -> RatePoint:
     """Compose the detection rate with the secure fraction."""
     per_detection = eve_optimal_holevo(d, q, mu, visibility).secure_fraction
+    return _rate_point(d, mu, per_detection, phys)
+
+
+def _rate_point(
+    d: int, mu: float, per_detection: float, phys: PhysicalParams
+) -> RatePoint:
+    """The one place the rate is composed: ``alpha * per_detection``."""
     alpha = detection_rate(d, mu, phys.xi_eff, phys.t_dead, phys.tau)
     return RatePoint(
         d=d,
@@ -128,6 +138,12 @@ def secure_rate(
 def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     """Evaluate the rate on the (d, mu) grid and locate the optimum.
 
+    Each dimension makes one :func:`~hdcow.security.secure_fractions`
+    call over the whole mu grid, so its (Q, V) are read, its (d, Q)
+    terms computed and checked once, and no point builds ``chi_BE``.
+    Every grid point equals ``secure_rate(d, mu, noise.q(d),
+    noise.v(d), phys)``.
+
     ``gain`` is the optimum rate over the best d=2 rate; NaN when the
     grid has no d=2 points.
     """
@@ -137,10 +153,11 @@ def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
         raise InvalidArgumentError("empty sweep grid")
     grid = []
     for d in dimensions:
-        q = noise.q(d)
-        v = noise.v(d)
-        for mu in mu_grid:
-            grid.append(secure_rate(d, mu, q, v, phys))
+        fractions = secure_fractions(d, noise.q(d), noise.v(d), mu_grid)
+        grid.extend(
+            _rate_point(d, mu, per_detection, phys)
+            for mu, per_detection in zip(mu_grid, fractions)
+        )
     optimum = max(grid, key=lambda p: p.bits_per_second)
     d2_points = [p for p in grid if p.d == 2]
     baseline = max(d2_points, key=lambda p: p.bits_per_second) if d2_points else None

@@ -21,8 +21,16 @@ lower end.
 
 Two routes compute the adversary's Holevo information:
 
-* closed forms (:func:`holevo_ae`, :func:`holevo_be`) built from the
-  eigenvalue structure of the conditional states, and
+* closed forms built from the eigenvalue structure of the conditional
+  states.  :func:`holevo_ae` and :func:`holevo_be` evaluate one bound
+  each, on a scalar or an array of overlaps.  The callers that need the
+  secure fraction share one private core, the only place
+  ``I_AB - chi_AE`` is written: it takes ``h(Q)`` and ``h(1-(d-1)Q)``,
+  computed once per (d, Q), and evaluates the average-state entropy once
+  per overlap.  :func:`secure_fractions` runs the core over a list of
+  occupations for one (d, Q); :func:`report_at` runs it at one overlap
+  and is the only place that also builds ``chi_BE``, which no rate
+  caller reads.
 * a brute-force density-matrix oracle (:func:`holevo_oracle`) that embeds
   the slot vectors explicitly, builds the d-fold tensor-product states,
   and diagonalizes.  The oracle is the ground truth the closed forms are
@@ -49,6 +57,7 @@ __all__ = [
     "eve_optimal_holevo",
     "mutual_info_ab",
     "secure_fraction",
+    "secure_fractions",
 ]
 
 # Inputs of these types take the scalar ``math`` path of the closed forms;
@@ -79,12 +88,12 @@ def entropy_term(p):
     """
     if isinstance(p, _SCALAR_TYPES):
         p = float(p)
-        if p < 0.0:
-            raise InvalidArgumentError("entropy_term requires p >= 0")
+        if not p >= 0.0:  # NaN fails this too
+            raise InvalidArgumentError(f"entropy_term requires p >= 0, got {p}")
         return -p * math.log2(p) if p > 0.0 else 0.0
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0.0):
-        raise InvalidArgumentError("entropy_term requires p >= 0")
+    if not np.all(arr >= 0.0):
+        raise InvalidArgumentError("entropy_term requires every p >= 0 (no NaN)")
     out = np.zeros_like(arr)
     pos = arr > 0.0
     out[pos] = -arr[pos] * np.log2(arr[pos])
@@ -100,8 +109,7 @@ def x_interval(mu: float, visibility: float) -> tuple[float, float]:
     downward parabola in x; its roots are ``g*w -/+ sqrt((1-g^2)(1-w^2))``,
     intersected with [0, 1].
     """
-    if mu <= 0.0:
-        raise InvalidArgumentError(f"mu={mu} must be positive")
+    _validate_mu(mu)
     if not 0.0 <= visibility <= 1.0:
         raise InvalidArgumentError(f"visibility={visibility} outside [0, 1]")
     g = math.exp(-mu / 2.0)
@@ -119,10 +127,45 @@ def _validate_d_q(d: int, q: float) -> None:
         raise InvalidArgumentError(f"Q={q} outside [0, 1/(d-1)] for d={d}")
 
 
+def _validate_mu(mu: float) -> None:
+    if not 0.0 < mu < math.inf:  # NaN fails this too
+        raise InvalidArgumentError(f"mu={mu} must be finite and positive")
+
+
 def _validate_domain(d: int, q: float, mu: float) -> None:
     _validate_d_q(d, q)
-    if mu <= 0.0:
-        raise InvalidArgumentError(f"mu={mu} must be positive")
+    _validate_mu(mu)
+
+
+def _dq_terms(d: int, q: float) -> tuple[float, float]:
+    """The secure fraction's two (d, Q)-only terms for a validated (d, Q):
+    the sender-side conditional entropy ``(d-1)*h(Q) + h(1-(d-1)Q)`` and
+    I_AB, both built from one evaluation of ``h(Q)`` and of
+    ``h(1-(d-1)Q)``."""
+    h_wrong = entropy_term(q)
+    h_right = entropy_term(1.0 - (d - 1) * q)
+    return (d - 1) * h_wrong + h_right, math.log2(d) - (d - 1) * h_wrong - h_right
+
+
+def _secure_core(d: int, q: float, mu: float, x, dq_terms: tuple[float, float]):
+    """``(s_bar, chi_ae, max(I_AB - chi_ae, 0))`` at overlap ``x`` for a
+    validated (d, Q, mu), with ``dq_terms`` from :func:`_dq_terms`.  The
+    one place the secure fraction is written; the average-state entropy
+    ``s_bar`` is evaluated once."""
+    conditional, i_ab = dq_terms
+    s_bar = _average_state_entropy(d, q, mu, x)
+    chi_ae = _clamp_bits(s_bar - conditional, d)
+    return s_bar, chi_ae, max(i_ab - chi_ae, 0.0)
+
+
+def _receiver_conditional(d: int, q: float, mu: float) -> float:
+    """Receiver-side conditional entropy: see :func:`holevo_be`."""
+    em = math.exp(-mu)
+    return (
+        entropy_term(q * ((d - 2) * em + 1.0))
+        + (d - 2) * entropy_term(q * (1.0 - em))
+        + entropy_term(1.0 - (d - 1) * q)
+    )
 
 
 def _average_state_entropy(d: int, q: float, mu: float, x):
@@ -159,9 +202,7 @@ def holevo_ae(d: int, q: float, mu: float, x):
     ``x`` may be an array; the result is clamped to [0, log2(d)].
     """
     _validate_domain(d, q, mu)
-    e_tot = (d - 1) * q
-    conditional = (d - 1) * entropy_term(q) + entropy_term(1.0 - e_tot)
-    chi = _average_state_entropy(d, q, mu, x) - conditional
+    chi = _average_state_entropy(d, q, mu, x) - _dq_terms(d, q)[0]
     return _clamp_bits(chi, d)
 
 
@@ -176,14 +217,7 @@ def holevo_be(d: int, q: float, mu: float, x):
     entropy; the bound is correspondingly larger than :func:`holevo_ae`.
     """
     _validate_domain(d, q, mu)
-    em = math.exp(-mu)
-    e_tot = (d - 1) * q
-    conditional = (
-        entropy_term(q * ((d - 2) * em + 1.0))
-        + (d - 2) * entropy_term(q * (1.0 - em))
-        + entropy_term(1.0 - e_tot)
-    )
-    chi = _average_state_entropy(d, q, mu, x) - conditional
+    chi = _average_state_entropy(d, q, mu, x) - _receiver_conditional(d, q, mu)
     return _clamp_bits(chi, d)
 
 
@@ -271,12 +305,19 @@ def report_at(d: int, q: float, mu: float, x: float) -> SecurityReport:
     information and clamps at zero.  The sender-side bound is the right
     leak term because reconciliation is direct: the distilled key is the
     sender's raw string and the receiver corrects toward it.
+
+    The domain is checked once, and the average-state entropy is
+    evaluated once and shared by both bounds.  This is the only place
+    ``chi_be`` is built besides :func:`holevo_be`; every field equals
+    what :func:`holevo_ae`, :func:`holevo_be` and
+    ``max(mutual_info_ab - holevo_ae, 0)`` give.
     """
-    chi_ae = holevo_ae(d, q, mu, x)
+    _validate_domain(d, q, mu)
+    s_bar, chi_ae, fraction = _secure_core(d, q, mu, x, _dq_terms(d, q))
     return SecurityReport(
         chi_ae=chi_ae,
-        chi_be=holevo_be(d, q, mu, x),
-        secure_fraction=max(mutual_info_ab(d, q) - chi_ae, 0.0),
+        chi_be=_clamp_bits(s_bar - _receiver_conditional(d, q, mu), d),
+        secure_fraction=fraction,
         x_star=x,
     )
 
@@ -301,11 +342,28 @@ def mutual_info_ab(d: int, q: float) -> float:
     qudit capacity minus the equivocation of the symmetric error channel.
     """
     _validate_d_q(d, q)
-    e_tot = (d - 1) * q
-    return math.log2(d) - (d - 1) * entropy_term(q) - entropy_term(1.0 - e_tot)
+    return _dq_terms(d, q)[1]
+
+
+def secure_fractions(d: int, q: float, visibility: float, mus) -> list[float]:
+    """Secure bits per detected qudit against the optimal attack at each
+    occupation in ``mus``, for one (d, Q, V).
+
+    (d, Q) is checked and its terms are computed once; each mu is then
+    checked by :func:`x_interval`, and the fraction is evaluated at
+    ``x_interval(mu, visibility)[0]`` with one average-state entropy and
+    no ``chi_BE``.  Each value equals
+    ``eve_optimal_holevo(d, q, mu, visibility).secure_fraction``.
+    """
+    _validate_d_q(d, q)
+    dq_terms = _dq_terms(d, q)
+    return [
+        _secure_core(d, q, mu, x_interval(mu, visibility)[0], dq_terms)[2]
+        for mu in mus
+    ]
 
 
 def secure_fraction(d: int, q: float, mu: float, visibility: float) -> float:
-    """Secure bits per detected qudit against the optimal attack; see
-    :func:`report_at`."""
-    return eve_optimal_holevo(d, q, mu, visibility).secure_fraction
+    """Secure bits per detected qudit against the optimal attack: the
+    one-point case of :func:`secure_fractions`."""
+    return secure_fractions(d, q, visibility, (mu,))[0]

@@ -48,6 +48,15 @@ class TestPhysicalParams:
         with pytest.raises(InvalidArgumentError):
             quiet_params(mu=0.05, f_mon=1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["mu", "t_ch", "xi", "t_dead", "tau", "p_dc", "r_ext", "f_mon", "v_true"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        kwargs = {"mu": 0.05, field: value}
+        with pytest.raises(InvalidArgumentError, match=f"{field}=.*finite"):
+            quiet_params(**kwargs)
+
     def test_target_qslot_round_trip(self):
         base = quiet_params(mu=0.05, t_ch=1.0, p_dc=0.0)
         for d in (2, 8, 32):

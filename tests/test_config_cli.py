@@ -120,6 +120,38 @@ class TestCli:
             main(["threshold", "--config", str(path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["holevo", "--d", "4", "--q", "0.01", "--mu", "nan"],
+            ["holevo", "--d", "4", "--q", "0.01", "--mu", "inf"],
+            ["holevo", "--d", "4", "--q", "0.01", "--mu", "nan", "--x", "0.5"],
+            ["threshold", "--mu", "nan"],
+            ["threshold", "--mu", "inf", "--format", "json"],
+        ],
+    )
+    def test_non_finite_mu_is_usage_error(self, capsys, argv):
+        # refused with the field named, never turned into a key or a crash
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: mu=" in captured.err
+
+    @pytest.mark.parametrize("command", ["simulate", "rates", "threshold"])
+    @pytest.mark.parametrize("physical", ['{"mu": NaN}', '{"t_dead": Infinity}'])
+    def test_non_finite_physical_field_is_usage_error(
+        self, tmp_path, capsys, command, physical
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text('{"physical": %s}' % physical)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        field = physical.split('"')[1]
+        assert f"error: {field}=" in capsys.readouterr().err
+
     def test_threshold_monotone_decreasing(self, capsys):
         assert main(["threshold"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")[1:]

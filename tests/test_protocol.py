@@ -77,6 +77,14 @@ class TestSeededByteSource:
         # the first two raw PCG64 words of seed 2024, little-endian
         assert SeededByteSource(2024)(16).hex() == "e8cad43d564803add9d0a317a4e2dd36"
 
+    def test_returns_read_only_view_of_exact_length(self):
+        # no copy into bytes: a read-only view of the drawn words
+        source = SeededByteSource(2024)
+        for count in (0, 3, 8, 4096):
+            out = source(count)
+            assert isinstance(out, memoryview)
+            assert out.readonly and out.format == "B" and len(out) == count
+
     def test_partial_word_drops_its_tail(self):
         # 4 bytes take one whole word; the next call starts on a fresh
         # word, where Generator.bytes would go on with the buffered half

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdcow.channel import PhysicalParams
+from hdcow.config import Config
 from hdcow.errors import InvalidArgumentError, NoThresholdError
 from hdcow.rates import (
     LinearNoise,
@@ -39,6 +40,9 @@ class TestDetectionRate:
             detection_rate(2, 0.0, 0.2, 4e-6, 2e-9)
         with pytest.raises(InvalidArgumentError):
             detection_rate(2, 0.1, 0.0, 4e-6, 2e-9)
+        for mu in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                detection_rate(2, mu, 0.2, 4e-6, 2e-9)
 
     def test_monotone_in_mu_and_dimension(self):
         mus = np.linspace(0.005, 0.3, 20)
@@ -100,6 +104,38 @@ class TestSweep:
         assert len(result.grid) == 4
         assert result.best_for_dimension(4).bits_per_second > 0
 
+    @staticmethod
+    def per_point(dimensions, mu_grid, noise, phys):
+        return tuple(
+            secure_rate(d, mu, noise.q(d), noise.v(d), phys)
+            for d in dimensions
+            for mu in mu_grid
+        )
+
+    def test_default_grid_equals_per_point_rates(self):
+        # exact equality: the sweep and secure_rate share every formula
+        c = Config()
+        args = (c.protocol.dimensions, c.mu_grid(), c.noise_model(), c.physical_params())
+        assert sweep(*args).grid == self.per_point(*args)
+
+    def test_table_noise_edges_equal_per_point_rates(self):
+        table = TableNoise({
+            2: (0.0, 0.0),
+            3: (0.5, 1.0),
+            4: (1 / 3, 0.5),
+            8: (np.float64(0.01), np.float64(0.97)),
+            16: (0.0, 1.0),
+        })
+        args = ([2, 3, 4, 8, 16], np.linspace(1e-6, 0.5, 13), table,
+                PhysicalParams(mu=0.05))
+        assert sweep(*args).grid == self.per_point(*args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mu_in_grid_rejected(self, bad):
+        phys = PhysicalParams(mu=0.05)
+        with pytest.raises(InvalidArgumentError, match="mu="):
+            sweep([2, 4], [0.05, bad], LinearNoise(0.004, 0.99), phys)
+
     def test_missing_d2_gives_nan_gain(self):
         phys = PhysicalParams(mu=0.05)
         result = sweep([4, 8], [0.05], LinearNoise(0.004, 0.99), phys)
@@ -112,6 +148,11 @@ class TestQberThreshold:
         mu, v = THRESHOLD_CONVENTION["mu"], THRESHOLD_CONVENTION["visibility"]
         per_slot = [qber_threshold(d, mu, v) / (d - 1) for d in (4, 8, 16)]
         assert per_slot[0] > per_slot[1] > per_slot[2]
+
+    def test_non_finite_mu_rejected(self):
+        # a NaN occupation used to give "no threshold" for every d
+        with pytest.raises(InvalidArgumentError, match="mu=nan"):
+            qber_threshold(4, math.nan, 0.9)
 
     def test_no_threshold_when_never_secure(self):
         with pytest.raises(NoThresholdError):

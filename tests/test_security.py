@@ -13,7 +13,9 @@ from hdcow.security import (
     holevo_be,
     holevo_oracle,
     mutual_info_ab,
+    report_at,
     secure_fraction,
+    secure_fractions,
     x_interval,
 )
 
@@ -52,6 +54,15 @@ class TestEntropyTerm:
             entropy_term(p)
         with pytest.raises(InvalidArgumentError):
             entropy_term(np.array([0.5, p]))
+
+    def test_nan_rejected_on_both_paths(self):
+        # an entropy of NaN is not 0
+        with pytest.raises(InvalidArgumentError):
+            entropy_term(math.nan)
+        with pytest.raises(InvalidArgumentError):
+            entropy_term(np.float64("nan"))
+        with pytest.raises(InvalidArgumentError):
+            entropy_term(np.array([0.5, math.nan]))
 
     def test_concave_on_unit_interval(self):
         # second finite difference non-positive at 100 interior points
@@ -100,6 +111,25 @@ class TestXInterval:
             x_interval(0.0, 0.5)
         with pytest.raises(InvalidArgumentError):
             x_interval(0.1, 1.5)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, np.float64("nan")])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda mu: x_interval(mu, 0.9),
+            lambda mu: secure_fraction(4, 0.01, mu, 0.9),
+            lambda mu: secure_fractions(4, 0.01, 0.9, [0.05, mu]),
+            lambda mu: eve_optimal_holevo(4, 0.01, mu, 0.9),
+            lambda mu: report_at(4, 0.01, mu, 0.5),
+            lambda mu: holevo_ae(4, 0.01, mu, 0.5),
+            lambda mu: holevo_be(4, 0.01, mu, 0.5),
+        ],
+        ids=["x_interval", "secure_fraction", "secure_fractions",
+             "eve_optimal_holevo", "report_at", "holevo_ae", "holevo_be"],
+    )
+    def test_non_finite_mu_rejected(self, evaluate, mu):
+        with pytest.raises(InvalidArgumentError, match="mu=.*finite"):
+            evaluate(mu)
 
 
 class TestClosedForms:
@@ -258,3 +288,81 @@ class TestSecureFraction:
             secure_fraction(8, 0.004, mu, 0.99) for mu in np.linspace(0.01, 0.4, 12)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        q_share=st.floats(0.0, 1.0),
+        mu=st.floats(1e-6, 2.0),
+        visibilities=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+    )
+    def test_non_decreasing_in_visibility(self, d, q_share, mu, visibilities):
+        # x* = g*w - sqrt((1-g^2)(1-w^2)) rises with w = sqrt(V), and both
+        # bounds fall as x rises, so a better monitor never costs key
+        q = q_share / (d - 1)
+        values = [secure_fraction(d, q, mu, v) for v in sorted(visibilities)]
+        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+# Edge cases of the (d, Q, mu, V) domain: Q at both ends, V at both ends,
+# d = 2, and NumPy scalars, which take the scalar path as floats do.
+_EDGE_POINTS = [
+    (2, 0.0, 0.05, 0.99),
+    (2, 1.0, 0.05, 0.99),
+    (2, 0.04, 0.1, 0.0),
+    (2, 0.04, 0.1, 1.0),
+    (4, 0.0, 1e-6, 1.0),
+    (4, 1 / 3, 0.3, 0.0),
+    (8, 0.004, 0.05, 0.99),
+    (16, 1 / 15, 2.0, 0.5),
+    (32, 0.0, 0.05, 0.0),
+    (np.int64(8), np.float64(0.004), np.float64(0.05), np.float64(0.99)),
+    (3, np.float64(0.5), np.float64(1e-6), np.float64(1.0)),
+]
+
+
+class TestRoutesAgree:
+    """The shared core and the one-bound functions give bit-identical
+    values: compared with ``==``, never within a tolerance."""
+
+    @staticmethod
+    def check_report(d, q, mu, x):
+        report = report_at(d, q, mu, x)
+        chi_ae = holevo_ae(d, q, mu, x)
+        assert report.chi_ae == chi_ae
+        assert report.chi_be == holevo_be(d, q, mu, x)
+        assert report.secure_fraction == max(mutual_info_ab(d, q) - chi_ae, 0.0)
+        assert report.x_star == x
+
+    @pytest.mark.parametrize("d,q,mu,v", _EDGE_POINTS)
+    def test_report_fields_match_single_bounds(self, d, q, mu, v):
+        lo, hi = x_interval(mu, v)
+        for x in (lo, 0.5 * (lo + hi), hi, 0.0, 1.0):
+            self.check_report(d, q, mu, x)
+
+    @pytest.mark.parametrize("d,q,mu,v", _EDGE_POINTS)
+    def test_fractions_match_optimal_reports(self, d, q, mu, v):
+        mus = [mu, 1e-6, 0.05, 0.3, 2.0]
+        expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus]
+        assert secure_fractions(d, q, v, mus) == expected
+        assert [secure_fraction(d, q, m, v) for m in mus] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        q_share=st.floats(0.0, 1.0),
+        mu=st.floats(1e-9, 5.0),
+        v=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_random_points_agree(self, d, q_share, mu, v, t):
+        q = q_share / (d - 1)
+        lo, hi = x_interval(mu, v)
+        self.check_report(d, q, mu, lo + t * (hi - lo))
+        report = eve_optimal_holevo(d, q, mu, v)
+        self.check_report(d, q, mu, report.x_star)
+        assert secure_fractions(d, q, v, [mu]) == [report.secure_fraction]
+
+    def test_domain_checked_before_any_occupation(self):
+        with pytest.raises(InvalidArgumentError, match="Q="):
+            secure_fractions(4, 0.5, 0.9, [])
