@@ -9,7 +9,9 @@ monitor line fires on the dark port: a pulse whose predecessor slot is
 also occupied interferes and clicks with probability
 ``xi * f_mon * t_ch * mu * (1 - V) / 2``, a pulse with an empty
 predecessor does not interfere and clicks with probability
-``xi * f_mon * t_ch * mu / 4``.  Dead time is applied per detector by
+``xi * f_mon * t_ch * mu / 4``.  Each detector gets the dark-count
+probability once per slot: OR-ed into the slot's light, which at an
+empty monitor slot is none.  Dead time is applied per detector by
 ``kernels.dead_time_filter`` and persists across frames.
 """
 
@@ -222,34 +224,45 @@ def transmit_frame(
 ) -> ClickStream:
     """Simulate one frame through the channel and both detectors.
 
-    Consumes two uniform variates per slot (data, monitor) in a fixed
-    order so identical seeds give identical streams.  If ``state`` is
-    given it is updated in place, chaining dead time, global slot
-    numbering, and pulse-train continuity into the next frame.
+    Draws the frame's uniform variates in one call of ``2*L`` for its
+    ``L`` slots: the first ``L`` decide the data detector, slot by slot,
+    and the next ``L`` the monitor, so identical seeds give identical
+    streams.  Only the frame's pulses click with other probabilities
+    than an empty slot, so each detector is tested once against the
+    empty-slot probability and then at the pulses alone; an empty
+    monitor slot can fire only by a dark count.  If ``state`` is given
+    it is updated in place, chaining dead time, global slot numbering,
+    and pulse-train continuity into the next frame.
     """
     if state is None:
         state = DetectorState()
     occ = frame.occupancy
     length = len(occ)
     base = state.next_slot
+    pulses = np.flatnonzero(occ)
+    u = rng.random(2 * length)
+    u_data, u_mon = u[:length], u[length:]
 
-    u_data = rng.random(length)
-    p_data = np.where(occ, params.p_click_occupied, params.p_click_empty)
-    cand_data = base + np.nonzero(u_data < p_data)[0]
+    hit = u_data < params.p_click_empty
+    hit[pulses] = u_data[pulses] < params.p_click_occupied
     data_slots, state.last_data_click = dead_time_filter(
-        cand_data, params.dead_slots, state.last_data_click
+        base + np.flatnonzero(hit), params.dead_slots, state.last_data_click
     )
 
-    u_mon = rng.random(length)
-    interfering, noninterfering = _classify_slots(occ, state.prev_occupied)
-    p_mon = np.zeros(length)
-    p_mon[interfering] = params.p_monitor_interfering
-    p_mon[noninterfering] = params.p_monitor_noninterfering
+    p_pulse = np.where(
+        _interferes(occ, pulses, state.prev_occupied),
+        params.p_monitor_interfering,
+        params.p_monitor_noninterfering,
+    )
+    pulse_hit = u_mon[pulses] < p_pulse
     if params.p_dc > 0.0:
-        p_mon = 1.0 - (1.0 - p_mon) * (1.0 - params.p_dc)
-    cand_mon = base + np.nonzero(u_mon < p_mon)[0]
+        np.less(u_mon, params.p_dc, out=hit)
+        hit[pulses] = pulse_hit
+        cand_mon = np.flatnonzero(hit)
+    else:
+        cand_mon = pulses[pulse_hit]
     monitor_slots, state.last_monitor_click = dead_time_filter(
-        cand_mon, params.dead_slots, state.last_monitor_click
+        base + cand_mon, params.dead_slots, state.last_monitor_click
     )
 
     state.prev_occupied = bool(occ[-1])
@@ -261,13 +274,14 @@ def transmit_frame(
     )
 
 
-def _classify_slots(occ: np.ndarray, prev_occupied: bool):
-    """Masks of interfering (occupied with occupied predecessor) and
-    non-interfering (occupied with empty predecessor) slots."""
-    prev = np.empty_like(occ)
-    prev[0] = prev_occupied
-    prev[1:] = occ[:-1]
-    return occ & prev, occ & ~prev
+def _interferes(occ: np.ndarray, pulses: np.ndarray, prev_occupied: bool) -> np.ndarray:
+    """For each pulse of ``occ`` at the local slots ``pulses``, whether the
+    slot before it is occupied; before the first slot stands the
+    previous frame's last, ``prev_occupied``."""
+    prev = occ[pulses - 1]
+    if len(pulses) and pulses[0] == 0:
+        prev[0] = prev_occupied
+    return prev
 
 
 def monitor_tally(
@@ -279,28 +293,30 @@ def monitor_tally(
 ) -> MonitorTally:
     """Classify monitor clicks and count live exposures for one frame.
 
-    Exposure slots inside a dead window could never have clicked, so
-    they are excluded; the receiver can reconstruct the dead windows
-    from its own click record.
+    Each pulse is an interfering exposure when the slot before it is
+    occupied and a non-interfering one otherwise; a click on a pulse
+    counts for its class, and a click on an empty slot (a dark count)
+    for neither.  A pulse within ``dead_slots`` slots after a monitor
+    click could never have clicked, so it is no exposure; the clicks
+    are the frame's own and ``last_click_before``, the monitor's last
+    click before the frame.  The receiver can reconstruct these dead
+    windows from its own click record.  One ``searchsorted`` of the
+    pulses among the clicks finds, for every pulse, both the click on
+    it, if any, and the last click before it.
     """
-    interfering, noninterfering = _classify_slots(occ, prev_occupied)
-    live = np.ones(len(occ), dtype=bool)
-    dead = params.dead_slots
-    base = clicks.frame_start
-    spill_end = last_click_before + dead - base + 1  # local count blinded at start
-    if spill_end > 0:
-        live[: min(spill_end, len(occ))] = False
-    for slot in clicks.monitor_slots:
-        lo = slot - base + 1
-        live[lo : lo + dead] = False
-    local = clicks.monitor_slots - base
-    tally = MonitorTally(
-        n_int=int(interfering[local].sum()),
-        exp_int=int((interfering & live).sum()),
-        n_non=int(noninterfering[local].sum()),
-        exp_non=int((noninterfering & live).sum()),
+    pulses = np.flatnonzero(occ)
+    interfering = _interferes(occ, pulses, prev_occupied)
+    marks = np.concatenate(([last_click_before], clicks.monitor_slots)) - clicks.frame_start
+    after = np.searchsorted(marks, pulses)  # marks[after - 1] < pulse <= marks[after]
+    clicked = marks[np.minimum(after, len(marks) - 1)] == pulses
+    live = pulses - marks[after - 1] > params.dead_slots
+    noninterfering = ~interfering
+    return MonitorTally(
+        n_int=int(np.count_nonzero(clicked & interfering)),
+        exp_int=int(np.count_nonzero(live & interfering)),
+        n_non=int(np.count_nonzero(clicked & noninterfering)),
+        exp_non=int(np.count_nonzero(live & noninterfering)),
     )
-    return tally
 
 
 def estimate_qber(alice_sifted, bob_sifted, d: int) -> tuple[float, float]:

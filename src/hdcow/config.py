@@ -12,6 +12,7 @@ rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .channel import PhysicalParams
@@ -213,8 +214,16 @@ def _validate(config: Config) -> None:
         raise InvalidArgumentError(
             f"threshold.axis {config.threshold.axis!r} not in ('per_slot', 'total')"
         )
-    if not 0.0 <= config.noise.q_slot < 1.0:
-        raise InvalidArgumentError("noise.q_slot outside [0, 1)")
+    mu, visibility = config.threshold.mu, config.threshold.visibility
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise InvalidArgumentError(f"threshold.mu={mu} must be finite and > 0")
+    if not 0.0 <= visibility <= 1.0:
+        raise InvalidArgumentError(f"threshold.visibility={visibility} outside [0, 1]")
+    d_max = max(config.protocol.dimensions)
+    if not 0.0 <= config.noise.q_slot < 1.0 / (d_max - 1):
+        raise InvalidArgumentError(
+            f"noise.q_slot={config.noise.q_slot} outside [0, 1/(d-1)) for d={d_max}"
+        )
     config.noise_model()
 
 

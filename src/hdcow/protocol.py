@@ -114,8 +114,10 @@ class KeyBlock:
 def _scatter_inverse(map_: np.ndarray) -> np.ndarray:
     """``inv[t-1] = u`` for every ``map_[u-1] = t``; slots no value maps
     to stay 0.  ``map_`` must lie in {1..len(map_)}."""
-    inv = np.zeros(len(map_) + 1, dtype=np.int64)
-    inv[map_] = np.arange(1, len(map_) + 1)  # scatter 1-based, drop slot 0
+    length = len(map_)
+    inv = np.zeros(length + 1, dtype=np.int64)
+    # scatter 1-based, drop slot 0; the values in the least dtype that holds them
+    inv[map_] = np.arange(1, length + 1, dtype=np.min_scalar_type(length))
     return inv[1:]
 
 
@@ -226,7 +228,6 @@ def make_permutation(length: int, source: ByteSource) -> Permutation:
         raise InvalidArgumentError(f"length={length} must be >= 1")
     low_bits = (length - 1).bit_length()
     shift, low_mask = np.uint64(low_bits), np.uint64((1 << low_bits) - 1)
-    positions = np.arange(length, dtype=np.uint64)
     while True:
         data = source(8 * length)
         if len(data) != 8 * length:
@@ -234,11 +235,11 @@ def make_permutation(length: int, source: ByteSource) -> Permutation:
                 f"byte source returned {len(data)} bytes, expected {8 * length}"
             )
         keys = np.frombuffer(data, dtype="<u8")
-        packed = keys >> shift
-        packed <<= shift
-        packed |= positions
+        ranking = np.arange(length, dtype=np.uint64)  # the positions, at first
+        packed = keys & ~low_mask
+        packed |= ranking
         packed.sort()
-        ranking = packed & low_mask
+        np.bitwise_and(packed, low_mask, out=ranking)
         packed >>= shift  # the high parts, in increasing order
         if (packed[1:] != packed[:-1]).all():
             ranking += 1
@@ -258,8 +259,9 @@ def encode_block(
             f"permutation length {len(sigma)} != d*n={params.slot_count}"
         )
     occupancy = np.zeros(params.slot_count, dtype=bool)
-    raw_slots = params.d * np.arange(params.n) + block.symbols  # 1-based
-    occupancy[sigma.map_[raw_slots - 1] - 1] = True
+    # raw slot d*i + q_i of each qudit, 0-based
+    raw_slots = np.arange(-1, params.slot_count - 1, params.d) + block.symbols
+    occupancy[sigma.map_[raw_slots] - 1] = True
     if int(occupancy.sum()) != params.n:
         raise InvalidArgumentError("occupancy does not have exactly n pulses")
     return PulseFrame(occupancy=occupancy, mu=mu)

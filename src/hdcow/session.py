@@ -135,23 +135,37 @@ class QueuePipe:
     """One direction of an in-process ordered reliable byte stream.
 
     Its reader runs in the writer's thread, so bytes that are not there
-    yet will never come: asking for them raises at once.
+    yet will never come: asking for them raises at once.  The pipe holds
+    what is sent without copying it, and a read within one send returns
+    a read-only view of it, so a message read as it was sent is never
+    copied here.
     """
 
     def __init__(self):
-        self._buffer = bytearray()
+        self._chunks: deque[memoryview] = deque()
+        self._held = 0
 
     def send(self, data: bytes) -> None:
-        self._buffer.extend(data)
+        # bytes(...) copies a mutable buffer but returns bytes as they are
+        self._chunks.append(memoryview(bytes(data)))
+        self._held += len(data)
 
-    def recv_exact(self, count: int) -> bytes:
-        if len(self._buffer) < count:
+    def recv_exact(self, count: int) -> bytes | memoryview:
+        if self._held < count:
             raise ProtocolError(
-                f"read of {count} bytes from a pipe holding {len(self._buffer)}"
+                f"read of {count} bytes from a pipe holding {self._held}"
             )
-        out = bytes(self._buffer[:count])
-        del self._buffer[:count]
-        return out
+        self._held -= count
+        parts = []
+        while count:
+            chunk = self._chunks[0]
+            parts.append(chunk[:count])
+            if len(chunk) > count:
+                self._chunks[0] = chunk[count:]
+                break
+            self._chunks.popleft()
+            count -= len(chunk)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
 class StreamDuplex:

@@ -180,9 +180,12 @@ def encode_message(message: Message) -> bytes:
         tag = TAG_BLOCK_ANNOUNCE
         payload = struct.pack("!Q", _check_u(message.block_id, 64, "block_id"))
     elif isinstance(message, PermutationReveal):
-        tag = TAG_PERMUTATION_REVEAL
-        payload = struct.pack("!Q", _check_u(message.block_id, 64, "block_id"))
-        payload += message.indices
+        # One join, so the index bytes (most of a session's bytes) are
+        # copied once.
+        block_id = struct.pack("!Q", _check_u(message.block_id, 64, "block_id"))
+        length = len(block_id) + len(message.indices)
+        header = _HEADER.pack(MAGIC, VERSION, TAG_PERMUTATION_REVEAL, length)
+        return b"".join((header, block_id, message.indices))
     elif isinstance(message, DetectionReportMsg):
         tag = TAG_DETECTION_REPORT
         count = len(message.entries)
@@ -226,7 +229,8 @@ def _decode_payload(tag: int, payload: bytes) -> Message:
                 "PERMUTATION_REVEAL payload must be 8 + 4k bytes"
             )
         block_id = struct.unpack_from("!Q", payload)[0]
-        return PermutationReveal(block_id=block_id, indices=bytes(payload[8:]))
+        indices = bytes(memoryview(payload)[8:])  # one copy, from any buffer
+        return PermutationReveal(block_id=block_id, indices=indices)
     if tag == TAG_DETECTION_REPORT:
         if len(payload) < 12:
             raise LengthMismatchError("DETECTION_REPORT payload must be >= 12 bytes")

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 from hdcow.channel import (
     ClickStream,
     DetectorState,
+    MonitorTally,
     PhysicalParams,
     decode_frame,
     estimate_qber,
     estimate_visibility,
+    monitor_tally,
     transmit_frame,
 )
 from hdcow.errors import InvalidArgumentError, UndefinedEstimateError
+from hdcow.kernels import dead_time_filter
 from hdcow.protocol import (
     Permutation,
     ProtocolParams,
@@ -123,6 +127,124 @@ class TestTransmitFrame:
         c2 = transmit_frame(f2, params, rng, state)
         assert list(c1.data_slots) == [1]
         assert list(c2.data_slots) == [4]
+
+    def test_dark_counts_applied_once_at_the_monitor(self):
+        # no light reaches the monitor, so every slot clicks at p_dc
+        params = quiet_params(mu=0.05, f_mon=0.0, p_dc=0.1, t_dead=0.0)
+        occ = np.arange(400_000) % 2 == 0
+        frame = PulseFrame(occupancy=occ, mu=0.05)
+        clicks = transmit_frame(frame, params, np.random.default_rng(11))
+        hit = np.zeros(len(occ), dtype=bool)
+        hit[clicks.monitor_slots - clicks.frame_start] = True
+        sigma = math.sqrt(0.1 * 0.9 / 200_000)
+        assert hit[occ].mean() == pytest.approx(0.1, abs=5 * sigma)
+        assert hit[~occ].mean() == pytest.approx(0.1, abs=5 * sigma)
+
+
+def dense_transmit(frame, params, u, state):
+    """The per-slot model with one click probability per slot, the
+    reference for ``transmit_frame``; ``u`` holds the frame's 2*L
+    uniform variates, data detector first.  Every monitor slot gets the
+    dark-count probability once."""
+    occ = frame.occupancy
+    length = len(occ)
+    base = state.next_slot
+    p_data = np.where(occ, params.p_click_occupied, params.p_click_empty)
+    data, state.last_data_click = dead_time_filter(
+        base + np.nonzero(u[:length] < p_data)[0], params.dead_slots, state.last_data_click
+    )
+    prev = np.concatenate(([state.prev_occupied], occ[:-1]))
+    p_mon = np.full(length, params.p_dc)
+    p_mon[occ & prev] = params.p_monitor_interfering
+    p_mon[occ & ~prev] = params.p_monitor_noninterfering
+    monitor, state.last_monitor_click = dead_time_filter(
+        base + np.nonzero(u[length:] < p_mon)[0], params.dead_slots, state.last_monitor_click
+    )
+    state.prev_occupied = bool(occ[-1])
+    state.next_slot = base + length
+    return data, monitor
+
+
+def dense_tally(occ, prev_occupied, clicks, params, last_click_before):
+    """Per-slot masks and one dead window per click, the reference for
+    ``monitor_tally``."""
+    prev = np.concatenate(([prev_occupied], occ[:-1]))
+    interfering, noninterfering = occ & prev, occ & ~prev
+    live = np.ones(len(occ), dtype=bool)
+    dead = params.dead_slots
+    base = clicks.frame_start
+    spill_end = last_click_before + dead - base + 1
+    if spill_end > 0:
+        live[: min(spill_end, len(occ))] = False
+    for slot in clicks.monitor_slots:
+        lo = slot - base + 1
+        live[lo : lo + dead] = False
+    local = clicks.monitor_slots - base
+    return MonitorTally(
+        n_int=int(interfering[local].sum()),
+        exp_int=int((interfering & live).sum()),
+        n_non=int(noninterfering[local].sum()),
+        exp_non=int((noninterfering & live).sum()),
+    )
+
+
+@st.composite
+def channel_runs(draw):
+    """``(params, state, frames, seed)``: a few frames through one
+    detector state, with bright pulses, a busy monitor and dead time."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the weak-pulse guard
+        params = PhysicalParams(
+            mu=draw(st.sampled_from([0.05, 1.0, 50.0]), label="mu"),
+            t_ch=1.0,
+            xi=1.0,
+            t_dead=2e-9 * draw(st.integers(0, 40), label="dead_slots"),
+            tau=2e-9,
+            p_dc=draw(st.sampled_from([0.0, 0.01, 0.3]), label="p_dc"),
+            r_ext=draw(st.sampled_from([0.0, 0.05]), label="r_ext"),
+            f_mon=draw(st.sampled_from([0.0, 0.3, 0.9]), label="f_mon"),
+            v_true=draw(st.sampled_from([0.0, 0.9, 1.0]), label="v_true"),
+        )
+    next_slot = draw(st.integers(1, 10**9), label="next_slot")
+    before = st.one_of(st.just(None), st.integers(1, 60))
+    gaps = [draw(before, label="last_data_gap"), draw(before, label="last_monitor_gap")]
+    last = [-(1 << 62) if gap is None else next_slot - gap for gap in gaps]
+    state = DetectorState(
+        last_data_click=last[0],
+        last_monitor_click=last[1],
+        prev_occupied=draw(st.booleans(), label="prev_occupied"),
+        next_slot=next_slot,
+    )
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    occ_rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(draw(st.integers(1, 3), label="frames")):
+        length = draw(st.integers(1, 400), label="length")
+        density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="density")
+        frames.append(PulseFrame(occupancy=occ_rng.random(length) < density, mu=params.mu))
+    return params, state, frames, seed
+
+
+class TestSlotModelReference:
+    """``transmit_frame`` and ``monitor_tally`` work at the pulses; the
+    dense per-slot formulas above must give the same clicks and tallies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=channel_runs())
+    def test_matches_dense_per_slot_model(self, run):
+        params, state, frames, seed = run
+        ref_state = replace(state)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for frame in frames:
+            prev_occupied, last_mon = state.prev_occupied, state.last_monitor_click
+            clicks = transmit_frame(frame, params, rng, state)
+            u = ref_rng.random(2 * len(frame.occupancy))
+            data, monitor = dense_transmit(frame, params, u, ref_state)
+            np.testing.assert_array_equal(clicks.data_slots, data)
+            np.testing.assert_array_equal(clicks.monitor_slots, monitor)
+            assert state == ref_state
+            args = (frame.occupancy, prev_occupied, clicks, params, last_mon)
+            assert monitor_tally(*args) == dense_tally(*args)
 
 
 class TestEstimateQber:

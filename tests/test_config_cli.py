@@ -120,6 +120,29 @@ class TestCli:
             main(["threshold", "--config", str(path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "rates", "threshold", "optimize"])
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ('{"threshold": {"mu": NaN, "visibility": 7}}', "threshold.mu"),
+            ('{"threshold": {"mu": 0}}', "threshold.mu"),
+            ('{"threshold": {"visibility": 7}}', "threshold.visibility"),
+            # 1/(d-1) for the largest default dimension, d=32
+            ('{"noise": {"q_slot": 0.5}}', "noise.q_slot"),
+            ('{"noise": {"q_slot": 0.0323}}', "noise.q_slot"),
+        ],
+    )
+    def test_bad_threshold_or_noise_section_is_usage_error(
+        self, tmp_path, capsys, command, raw, field
+    ):
+        # checked at load, so a command that does not read the field refuses it too
+        path = tmp_path / "bad.json"
+        path.write_text(raw)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        assert f"error: {field}=" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

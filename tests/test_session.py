@@ -10,12 +10,15 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdcow.channel import PhysicalParams
 from hdcow.config import default_config
 from hdcow.errors import InvalidArgumentError, ProtocolError
 from hdcow.protocol import KeyBlock, Permutation, ProtocolParams, encode_block
 from hdcow.session import (
+    QueuePipe,
     SessionSettings,
     SimulatedChannel,
     StreamDuplex,
@@ -348,6 +351,28 @@ def test_alice_rejects_out_of_range_visibility(v_hat):
     assert kinds == [SessionStart, BlockAnnounce, PermutationReveal]
 
 
+class TestQueuePipe:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sends=st.lists(st.binary(max_size=20), max_size=6),
+        cuts=st.lists(st.integers(0, 30), max_size=10),
+    )
+    def test_reads_return_the_stream_in_order(self, sends, cuts):
+        # reads that split a send, span several or read nothing
+        pipe = QueuePipe()
+        for data in sends:
+            pipe.send(bytearray(data))
+        stream, got = b"".join(sends), b""
+        for cut in cuts:
+            if len(got) + cut > len(stream):
+                with pytest.raises(ProtocolError, match="pipe holding"):
+                    pipe.recv_exact(cut)
+                continue
+            got += bytes(pipe.recv_exact(cut))
+        assert got == stream[: len(got)]
+        assert bytes(pipe.recv_exact(len(stream) - len(got))) == stream[len(got) :]
+
+
 class TestStreamDuplex:
     def test_chunked_message_round_trips(self):
         message = PermutationReveal(block_id=7, indices=range(1, 257))
@@ -481,6 +506,26 @@ class TestPinnedTranscripts:
             602,
             (4, 2, 7, 5, 8, 8, 4, 3),
         )
+
+    def test_wide_geometry(self):
+        # The session_wide benchmark geometry, d=32 and n=1024 over a
+        # back-to-back link: about 110 data clicks per block, a few lost
+        # to the 10-slot dead time, and a few monitor clicks.
+        settings = SessionSettings(
+            protocol=ProtocolParams(d=32, n=1024, tau=2e-9),
+            physical=PhysicalParams(mu=0.1, t_ch=1.0, xi=0.9, t_dead=20e-9),
+            blocks=2,
+        )
+        alice, bob, transcript = run_session(settings, seed=1)
+        assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == (
+            "840e341f71a8280e70ac909c9eb5ff3f611cfcb79cec9196e127d7f879db0b0f"
+        )
+        assert len(transcript.entries) == 14
+        assert alice.sifted_count == bob.sifted_count == 218
+        assert hashlib.sha256(bytes(alice.sifted)).hexdigest() == (
+            "b99ce96d6a47520f9d8dffd5c1d96477f00fcd55a1f9cf762ff5d074bd117172"
+        )
+        assert validate_transcript(transcript) == []
 
 
 class TestSessionEstimates:
