@@ -114,15 +114,12 @@ class Config:
         )
 
     def noise_model(self):
+        table = _noise_table(self.noise.table)  # rows checked for either model
         if self.noise.model == "linear":
             return LinearNoise(
                 q_slot=self.noise.q_slot, visibility=self.physical.visibility
             )
         if self.noise.model == "table":
-            table = {
-                int(row["d"]): (float(row["q"]), float(row["v"]))
-                for row in self.noise.table
-            }
             missing = [d for d in self.protocol.dimensions if d not in table]
             if missing:
                 raise InvalidArgumentError(
@@ -153,6 +150,36 @@ _SECTION_TYPES = {
 _LIST_FIELDS = {"dimensions", "table"}
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _as_float(val, where: str) -> float:
+    """A JSON number as a float; a bool, a string or an integer too large
+    for a float is refused with ``where`` named."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise InvalidArgumentError(f"{where}: expected a number, got {val!r}")
+    try:
+        return float(val)
+    except OverflowError:
+        raise InvalidArgumentError(f"{where}: integer out of float range") from None
+
+
+def _coerce(current, val, where: str):
+    """``val`` checked against the type of the field's default ``current``:
+    an int field takes a JSON integer only, a float field an integer or a
+    float, a string field a string."""
+    if isinstance(current, str):
+        if not isinstance(val, str):
+            raise InvalidArgumentError(f"{where}: expected a string, got {val!r}")
+        return val
+    if isinstance(current, int):
+        if not _is_int(val):
+            raise InvalidArgumentError(f"{where}: expected an integer, got {val!r}")
+        return val
+    return _as_float(val, where)
+
+
 def _build_section(cls, raw: dict, path: str):
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"{path}: expected an object")
@@ -171,12 +198,36 @@ def _build_section(cls, raw: dict, path: str):
                 raise InvalidArgumentError(f"{path}.{name}: expected a list")
             values[name] = tuple(val)
         else:
-            current = getattr(defaults, name)
-            if isinstance(current, bool) or not isinstance(val, (int, float, str)):
-                if not isinstance(val, type(current)):
-                    raise InvalidArgumentError(f"{path}.{name}: bad type")
-            values[name] = type(current)(val) if not isinstance(val, str) else val
+            values[name] = _coerce(getattr(defaults, name), val, f"{path}.{name}")
     return cls(**values)
+
+
+def _noise_table(rows) -> dict:
+    """``{d: (q, v)}`` from the ``noise.table`` rows.  Each row must be an
+    object with exactly the keys d (an integer >= 2), q (in [0, 1/(d-1)])
+    and v (in [0, 1]), and no d may repeat; a bad row is named by its
+    index."""
+    table = {}
+    for i, row in enumerate(rows):
+        where = f"noise.table[{i}]"
+        if not isinstance(row, dict):
+            raise InvalidArgumentError(f"{where}: expected an object, got {row!r}")
+        if set(row) != {"d", "q", "v"}:
+            raise InvalidArgumentError(
+                f"{where}: keys {sorted(row)}, expected exactly ['d', 'q', 'v']"
+            )
+        d = row["d"]
+        if not (_is_int(d) and d >= 2):
+            raise InvalidArgumentError(f"{where}.d: expected an integer >= 2, got {d!r}")
+        if d in table:
+            raise InvalidArgumentError(f"{where}: d={d} repeats an earlier row")
+        q, v = _as_float(row["q"], f"{where}.q"), _as_float(row["v"], f"{where}.v")
+        if not 0.0 <= q <= 1.0 / (d - 1):
+            raise InvalidArgumentError(f"{where}.q={q} outside [0, 1/(d-1)] for d={d}")
+        if not 0.0 <= v <= 1.0:
+            raise InvalidArgumentError(f"{where}.v={v} outside [0, 1]")
+        table[d] = (q, v)
+    return table
 
 
 def default_config() -> Config:
@@ -195,17 +246,20 @@ def parse_config(raw: dict) -> Config:
         if key in raw
     }
     seed = raw.get("seed", Config().seed)
-    if not isinstance(seed, int):
-        raise InvalidArgumentError("config.seed must be an integer")
+    if not _is_int(seed):
+        raise InvalidArgumentError(f"config.seed must be an integer, got {seed!r}")
     config = Config(seed=seed, **sections)
     _validate(config)
     return config
 
 
 def _validate(config: Config) -> None:
-    for d in config.protocol.dimensions:
-        if not (isinstance(d, int) and d >= 2):
-            raise InvalidArgumentError(f"protocol.dimensions entry {d!r} must be int >= 2")
+    for section in ("protocol", "threshold"):
+        for d in getattr(config, section).dimensions:
+            if not (_is_int(d) and d >= 2):
+                raise InvalidArgumentError(
+                    f"{section}.dimensions entry {d!r} must be int >= 2"
+                )
     if not config.protocol.dimensions:
         raise InvalidArgumentError("protocol.dimensions must be non-empty")
     config.session_settings()
@@ -234,6 +288,6 @@ def load_config(path: str | None) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
             raise InvalidArgumentError(f"{path}: not valid JSON ({exc})") from exc
     return parse_config(raw)

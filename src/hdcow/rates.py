@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .channel import PhysicalParams
 from .errors import InvalidArgumentError, NoThresholdError
@@ -98,66 +101,71 @@ class TableNoise:
         return self.table[d][1]
 
 
-def detection_rate(
-    d: int, mu: float, xi_eff: float, t_dead: float, tau: float
-) -> float:
-    """Detected qudits per second: ``1 / (t_dead + tau*d/(xi_eff*mu))``."""
-    if not (0.0 < mu < math.inf and xi_eff > 0.0):
+def detection_rate(d: int, mu, xi_eff: float, t_dead: float, tau: float):
+    """Detected qudits per second: ``1 / (t_dead + tau*d/(xi_eff*mu))``.
+
+    ``mu`` is a float, or an ndarray that gives an array of rates.  Every
+    mu is checked before any rate is computed.  The formula is the same
+    ``+ * /`` expression on both, which NumPy rounds as Python does, so
+    each element equals the float result bit for bit.
+    """
+    mus = mu.tolist() if isinstance(mu, np.ndarray) else [mu]
+    for m in mus:
+        if not (0.0 < m < math.inf and xi_eff > 0.0):
+            raise InvalidArgumentError(
+                f"mu={m} and xi_eff={xi_eff} must be finite and positive"
+            )
+    if not (tau > 0.0 and d >= 2 and t_dead >= 0.0):  # NaN fails this too
         raise InvalidArgumentError(
-            f"mu={mu} and xi_eff={xi_eff} must be finite and positive"
+            f"require tau > 0, d >= 2, t_dead >= 0 (tau={tau}, d={d}, t_dead={t_dead})"
         )
-    if tau <= 0.0 or d < 2 or t_dead < 0.0:
-        raise InvalidArgumentError("require tau > 0, d >= 2, t_dead >= 0")
-    if xi_eff * mu / d > 1.0:
-        raise InvalidArgumentError("per-slot click probability exceeds 1")
+    # xi_eff*mu/d rounds monotonically in mu, so the largest mu decides
+    if mus and xi_eff * max(mus) / d > 1.0:
+        raise InvalidArgumentError(
+            f"per-slot click probability exceeds 1 at mu={max(mus)}, d={d}"
+        )
     return 1.0 / (t_dead + tau * d / (xi_eff * mu))
 
 
 def secure_rate(
     d: int, mu: float, q: float, visibility: float, phys: PhysicalParams
 ) -> RatePoint:
-    """Compose the detection rate with the secure fraction."""
+    """The detection rate composed with the secure fraction at one point:
+    the scalar reference each :func:`sweep` point equals.  Neither factor
+    can be negative, so the product needs no clamp."""
     per_detection = eve_optimal_holevo(d, q, mu, visibility).secure_fraction
-    return _rate_point(d, mu, per_detection, phys)
-
-
-def _rate_point(
-    d: int, mu: float, per_detection: float, phys: PhysicalParams
-) -> RatePoint:
-    """The one place the rate is composed: ``alpha * per_detection``."""
     alpha = detection_rate(d, mu, phys.xi_eff, phys.t_dead, phys.tau)
-    return RatePoint(
-        d=d,
-        mu=mu,
-        bits_per_detection=per_detection,
-        alpha=alpha,
-        bits_per_second=max(alpha * per_detection, 0.0),
-    )
+    return RatePoint(d, mu, per_detection, alpha, alpha * per_detection)
 
 
 def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     """Evaluate the rate on the (d, mu) grid and locate the optimum.
 
     Each dimension makes one :func:`~hdcow.security.secure_fractions`
-    call over the whole mu grid, so its (Q, V) are read, its (d, Q)
-    terms computed and checked once, and no point builds ``chi_BE``.
-    Every grid point equals ``secure_rate(d, mu, noise.q(d),
-    noise.v(d), phys)``.
+    call and one :func:`detection_rate` call over the array of mu, so
+    its (Q, V) are read, its (d, Q) terms computed and every input
+    checked once, before any of its points is built, and no point builds
+    ``chi_BE``.  Both calls run the scalar path's code on arrays (see
+    :mod:`hdcow.security`), so every grid point equals
+    ``secure_rate(d, mu, noise.q(d), noise.v(d), phys)`` bit for bit.
 
     ``gain`` is the optimum rate over the best d=2 rate; NaN when the
     grid has no d=2 points.
     """
     dimensions = list(dimensions)
-    mu_grid = list(mu_grid)
-    if not dimensions or not mu_grid:
+    mus = np.array(list(mu_grid), dtype=float)
+    if not dimensions or not mus.size:
         raise InvalidArgumentError("empty sweep grid")
+    mu_values = mus.tolist()
     grid = []
     for d in dimensions:
-        fractions = secure_fractions(d, noise.q(d), noise.v(d), mu_grid)
-        grid.extend(
-            _rate_point(d, mu, per_detection, phys)
-            for mu, per_detection in zip(mu_grid, fractions)
-        )
+        fractions = secure_fractions(d, noise.q(d), noise.v(d), mus)
+        alpha = detection_rate(d, mus, phys.xi_eff, phys.t_dead, phys.tau)
+        bits_per_second = alpha * np.array(fractions)
+        grid.extend(map(
+            RatePoint, repeat(d), mu_values, fractions, alpha.tolist(),
+            bits_per_second.tolist(),
+        ))
     optimum = max(grid, key=lambda p: p.bits_per_second)
     d2_points = [p for p in grid if p.d == 2]
     baseline = max(d2_points, key=lambda p: p.bits_per_second) if d2_points else None

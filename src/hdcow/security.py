@@ -27,10 +27,23 @@ Two routes compute the adversary's Holevo information:
   secure fraction share one private core, the only place
   ``I_AB - chi_AE`` is written: it takes ``h(Q)`` and ``h(1-(d-1)Q)``,
   computed once per (d, Q), and evaluates the average-state entropy once
-  per overlap.  :func:`secure_fractions` runs the core over a list of
-  occupations for one (d, Q); :func:`report_at` runs it at one overlap
-  and is the only place that also builds ``chi_BE``, which no rate
-  caller reads.
+  per overlap.  :func:`secure_fractions` runs the core once over an
+  array of occupations for one (d, Q, V); :func:`report_at` runs it at
+  one overlap and is the only place that also builds ``chi_BE``, which
+  no rate caller reads.
+
+  The core, the average-state entropy, the optimal overlap (the lower
+  end of :func:`x_interval`) and the clamps are each written once and
+  serve a float and an ndarray alike.  On an array, ``+ - * /`` run in
+  NumPy, which rounds them as IEEE 754 does and as Python does, so the
+  same expression in the same order gives the same bits.  ``log2``,
+  ``exp`` and ``sqrt`` go through one private helper that applies the
+  :mod:`math` function to each element, because NumPy's ``log2`` and
+  ``exp`` can round differently in the last bit.  An array evaluation
+  therefore equals the scalar one at every element, compared with
+  ``==``.  Scalar callers (:func:`report_at`, :func:`eve_optimal_holevo`,
+  :func:`secure_fraction`) take the plain :mod:`math` path and return
+  ``float``.
 * a brute-force density-matrix oracle (:func:`holevo_oracle`) that embeds
   the slot vectors explicitly, builds the d-fold tensor-product states,
   and diagonalizes.  The oracle is the ground truth the closed forms are
@@ -75,31 +88,66 @@ class SecurityReport:
     x_star: float  # the adversary's <v0|pmu> the bounds were evaluated at
 
 
+def _each(fn, x):
+    """``fn``, a function of one float built on :mod:`math`, of a float,
+    or of each element of an ndarray (returned as an array of the same
+    shape).
+
+    NumPy's ``log2`` and ``exp`` can round differently from :mod:`math`'s
+    in the last bit, so every transcendental step of the closed forms
+    goes through here and an array gives the scalar path's bits.
+    ``sqrt`` does too: NumPy's rounds exactly, but calling it added about
+    0.2 MB of resident code pages to a rates sweep.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
+    return fn(x)
+
+
+def _entropy(p: float) -> float:
+    return -p * math.log2(p) if p > 0.0 else 0.0
+
+
 def entropy_term(p):
     """``-p * log2(p)`` with the limit value 0 at ``p = 0``.
 
     Every eigenvalue contribution in the closed forms below is this same
     function.  A real scalar (Python ``int`` or ``float``, NumPy float
-    scalars included) is evaluated with :mod:`math` and returns a
-    ``float``; anything else is evaluated elementwise with NumPy and
-    returns an array of the input's shape, or a ``float`` for a 0-d
-    input.  The paths can differ in the last bit, where NumPy's and
-    :mod:`math`'s ``log2`` round differently.
+    scalars included) returns a ``float``; anything else returns an
+    array of the input's shape, or a ``float`` for a 0-d input.  Both
+    paths evaluate each element with the same :mod:`math` expression, so
+    they agree bit for bit.
     """
     if isinstance(p, _SCALAR_TYPES):
         p = float(p)
         if not p >= 0.0:  # NaN fails this too
             raise InvalidArgumentError(f"entropy_term requires p >= 0, got {p}")
-        return -p * math.log2(p) if p > 0.0 else 0.0
+        return _entropy(p)
     arr = np.asarray(p, dtype=float)
-    if not np.all(arr >= 0.0):
+    values = arr.ravel().tolist()
+    # min() alone can step over a NaN
+    if values and not (min(values) >= 0.0 and not any(map(math.isnan, values))):
         raise InvalidArgumentError("entropy_term requires every p >= 0 (no NaN)")
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    out[pos] = -arr[pos] * np.log2(arr[pos])
-    if arr.ndim == 0:
+    out = _each(_entropy, arr)
+    if out.ndim == 0:
         return float(out)
     return out
+
+
+def _clip(value, lo: float, hi: float):
+    """``value`` clamped to [lo, hi]: a float, or an ndarray elementwise."""
+    if isinstance(value, np.ndarray):
+        return np.clip(value, lo, hi)
+    return lo if lo > value else (hi if hi < value else value)
+
+
+def _x_ends(mu, visibility: float):
+    """Both ends of :func:`x_interval` for a validated (mu, V), with ``mu``
+    a float or an ndarray.  The lower end is the adversary's optimum."""
+    g = _each(math.exp, mu / -2.0)
+    w = math.sqrt(visibility)
+    half_width = _each(math.sqrt, _clip((1.0 - g * g) * (1.0 - w * w), 0.0, 1.0))
+    return _clip(g * w - half_width, 0.0, 1.0), _clip(g * w + half_width, 0.0, 1.0)
 
 
 def x_interval(mu: float, visibility: float) -> tuple[float, float]:
@@ -110,14 +158,13 @@ def x_interval(mu: float, visibility: float) -> tuple[float, float]:
     intersected with [0, 1].
     """
     _validate_mu(mu)
+    _validate_visibility(visibility)
+    return _x_ends(mu, visibility)
+
+
+def _validate_visibility(visibility: float) -> None:
     if not 0.0 <= visibility <= 1.0:
         raise InvalidArgumentError(f"visibility={visibility} outside [0, 1]")
-    g = math.exp(-mu / 2.0)
-    w = math.sqrt(visibility)
-    half_width = math.sqrt(max(0.0, (1.0 - g * g) * (1.0 - w * w)))
-    lo = max(0.0, g * w - half_width)
-    hi = min(1.0, g * w + half_width)
-    return lo, hi
 
 
 def _validate_d_q(d: int, q: float) -> None:
@@ -147,15 +194,17 @@ def _dq_terms(d: int, q: float) -> tuple[float, float]:
     return (d - 1) * h_wrong + h_right, math.log2(d) - (d - 1) * h_wrong - h_right
 
 
-def _secure_core(d: int, q: float, mu: float, x, dq_terms: tuple[float, float]):
-    """``(s_bar, chi_ae, max(I_AB - chi_ae, 0))`` at overlap ``x`` for a
-    validated (d, Q, mu), with ``dq_terms`` from :func:`_dq_terms`.  The
-    one place the secure fraction is written; the average-state entropy
-    ``s_bar`` is evaluated once."""
+def _secure_core(d: int, q: float, mu, x, dq_terms: tuple[float, float]):
+    """``(s_bar, chi_ae, I_AB - chi_ae)`` at overlap ``x`` for a validated
+    (d, Q, mu), with ``dq_terms`` from :func:`_dq_terms`; ``chi_ae`` and
+    the secure fraction are clamped to [0, log2(d)].  ``mu`` and ``x``
+    may be floats or ndarrays of one shape.  The one place the secure
+    fraction is written; the average-state entropy ``s_bar`` is
+    evaluated once."""
     conditional, i_ab = dq_terms
     s_bar = _average_state_entropy(d, q, mu, x)
     chi_ae = _clamp_bits(s_bar - conditional, d)
-    return s_bar, chi_ae, max(i_ab - chi_ae, 0.0)
+    return s_bar, chi_ae, _clamp_bits(i_ab - chi_ae, d)
 
 
 def _receiver_conditional(d: int, q: float, mu: float) -> float:
@@ -168,17 +217,19 @@ def _receiver_conditional(d: int, q: float, mu: float) -> float:
     )
 
 
-def _average_state_entropy(d: int, q: float, mu: float, x):
+def _average_state_entropy(d: int, q: float, mu, x):
     """Entropy of the adversary's ensemble-average state.
 
     The average state block-diagonalizes into d identical "wrong outcome"
     blocks (one per p0 position, Gram off-diagonal ``exp(-mu)``) and one
     "correct outcome" block (Gram off-diagonal ``x**2``); the entropy is
-    the entropy of the scaled block eigenvalues.
+    the entropy of the scaled block eigenvalues.  ``mu`` is a float or
+    an ndarray; ``x`` a float or anything array-like.
     """
     if not isinstance(x, _SCALAR_TYPES):
         x = np.asarray(x, dtype=float)
-    em = math.exp(-mu)
+    # -1.0 * mu is -mu bit for bit and spares paging in NumPy's negation
+    em = _each(math.exp, -1.0 * mu)
     e_tot = (d - 1) * q
     wrong = d * entropy_term(q / d * ((d - 2) * em + 1.0)) + d * (
         d - 2
@@ -223,9 +274,7 @@ def holevo_be(d: int, q: float, mu: float, x):
 
 def _clamp_bits(chi, d: int):
     # entropy arithmetic near p in {0, 1} leaves -1e-16-size residue
-    if isinstance(chi, float):
-        return min(max(chi, 0.0), math.log2(d))
-    return np.clip(chi, 0.0, math.log2(d))
+    return _clip(chi, 0.0, math.log2(d))
 
 
 def _vn_entropy(rho: np.ndarray) -> float:
@@ -349,21 +398,25 @@ def secure_fractions(d: int, q: float, visibility: float, mus) -> list[float]:
     """Secure bits per detected qudit against the optimal attack at each
     occupation in ``mus``, for one (d, Q, V).
 
-    (d, Q) is checked and its terms are computed once; each mu is then
-    checked by :func:`x_interval`, and the fraction is evaluated at
-    ``x_interval(mu, visibility)[0]`` with one average-state entropy and
-    no ``chi_BE``.  Each value equals
-    ``eve_optimal_holevo(d, q, mu, visibility).secure_fraction``.
+    (d, Q), every mu and V are checked before anything is evaluated.
+    The fractions are then evaluated once over the array of mu, at the
+    lower end of :func:`x_interval`, with one average-state entropy and
+    no ``chi_BE``.  The array path runs the scalar path's code (see the
+    module docstring), so each value equals
+    ``eve_optimal_holevo(d, q, mu, visibility).secure_fraction`` bit for
+    bit.
     """
     _validate_d_q(d, q)
-    dq_terms = _dq_terms(d, q)
-    return [
-        _secure_core(d, q, mu, x_interval(mu, visibility)[0], dq_terms)[2]
-        for mu in mus
-    ]
+    mus = np.asarray(mus, dtype=float)
+    for mu in mus.tolist():
+        _validate_mu(mu)
+    _validate_visibility(visibility)
+    x_star = _x_ends(mus, visibility)[0]
+    return _secure_core(d, q, mus, x_star, _dq_terms(d, q))[2].tolist()
 
 
 def secure_fraction(d: int, q: float, mu: float, visibility: float) -> float:
-    """Secure bits per detected qudit against the optimal attack: the
-    one-point case of :func:`secure_fractions`."""
-    return secure_fractions(d, q, visibility, (mu,))[0]
+    """Secure bits per detected qudit against the optimal attack at one
+    occupation, on the scalar path."""
+    _validate_d_q(d, q)
+    return _secure_core(d, q, mu, x_interval(mu, visibility)[0], _dq_terms(d, q))[2]

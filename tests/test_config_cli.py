@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -142,6 +143,100 @@ class TestCli:
             main([command, "--config", str(path)])
         assert exc.value.code == 2
         assert f"error: {field}=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rates", "simulate"])
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            # a float, a bool or a string is never truncated or coerced
+            ({"sweep": {"mu_steps": 2.5}}, "sweep.mu_steps"),
+            ({"sweep": {"mu_steps": 120.0}}, "sweep.mu_steps"),
+            ({"session": {"blocks": 2.7}}, "session.blocks"),
+            ({"session": {"blocks": True}}, "session.blocks"),
+            ({"session": {"d": "8"}}, "session.d"),
+            ({"physical": {"mu": "0.1"}}, "physical.mu"),
+            ({"physical": {"mu": True}}, "physical.mu"),
+            ({"physical": {"t_dead": None}}, "physical.t_dead"),
+            ({"sweep": {"mu_steps": "7"}}, "sweep.mu_steps"),
+            ({"threshold": {"axis": 3}}, "threshold.axis"),
+            ({"noise": {"model": ["table"]}}, "noise.model"),
+            ({"physical": {"xi": 10**400}}, "physical.xi"),
+            ({"seed": True}, "config.seed"),
+            ({"threshold": {"dimensions": ["x"]}}, "threshold.dimensions"),
+        ],
+    )
+    def test_wrong_type_is_usage_error(self, tmp_path, capsys, command, raw, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {field}" in captured.err
+
+    def test_integer_accepted_for_float_field(self, tmp_path, capsys):
+        # a JSON integer is a number: t_dead 0 reads as 0.0
+        outputs = []
+        for t_dead in ("0", "0.0"):
+            path = tmp_path / f"t_dead_{t_dead}.json"
+            path.write_text('{"physical": {"t_dead": %s}, "sweep": {"mu_steps": 5}}' % t_dead)
+            assert main(["rates", "--config", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    _TABLE_DIMS = {"protocol": {"dimensions": [2, 4]}}
+
+    @pytest.mark.parametrize("command", ["rates", "simulate"])
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ([{"d": 2, "q": 0.01, "v": 0.9}, 4], "noise.table[1]: expected an object"),
+            ([{"d": 2, "q": 0.01, "v": 0.9}, {"d": 4, "q": 0.01}],
+             "noise.table[1]: keys"),
+            ([{"q": 0.01, "v": 0.9}, {"d": 4, "q": 0.01, "v": 0.9}],
+             "noise.table[0]: keys"),
+            ([{"d": 2, "q": 0.01, "v": 0.9, "visibility": 0.9},
+              {"d": 4, "q": 0.01, "v": 0.9}], "noise.table[0]: keys"),
+            ([{"d": 2, "q": 0.01, "v": 0.9}, {"d": 4, "q": 0.01, "v": 0.9},
+              {"d": 2, "q": 0.02, "v": 0.8}], "noise.table[2]: d=2 repeats"),
+            ([{"d": 2.0, "q": 0.01, "v": 0.9}, {"d": 4, "q": 0.01, "v": 0.9}],
+             "noise.table[0].d"),
+            ([{"d": 2, "q": "0.01", "v": 0.9}, {"d": 4, "q": 0.01, "v": 0.9}],
+             "noise.table[0].q"),
+            ([{"d": 2, "q": 0.01, "v": 0.9}, {"d": 4, "q": 0.5, "v": 0.9}],
+             "noise.table[1].q="),
+            ([{"d": 2, "q": 0.01, "v": 1.5}, {"d": 4, "q": 0.01, "v": 0.9}],
+             "noise.table[0].v="),
+        ],
+    )
+    def test_malformed_table_row_is_usage_error(
+        self, tmp_path, capsys, command, rows, where
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {**self._TABLE_DIMS, "noise": {"model": "table", "table": rows}}
+        ))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {where}" in captured.err
+
+    # sha256 of the default tables, recorded before the rate sweep ran on
+    # arrays.  Both print 12 significant digits, so a last-bit difference
+    # of a platform's libm does not reach them.
+    _DEFAULT_TABLE_SHA256 = {
+        "rates": "e2ea57210efa5a2cf7ddba0768a5f371a4c99c32cb2ad0699f50cc5fa627caf1",
+        "threshold": "25395cca1feca5715d3f0bdaa7c68f0ed720249cad0ee3fa7d0603361edc4a24",
+    }
+
+    @pytest.mark.parametrize("command", sorted(_DEFAULT_TABLE_SHA256))
+    def test_default_table_pinned(self, capsys, command):
+        assert main([command]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self._DEFAULT_TABLE_SHA256[command]
 
     @pytest.mark.parametrize(
         "argv",

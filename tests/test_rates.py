@@ -43,6 +43,29 @@ class TestDetectionRate:
         for mu in (math.nan, math.inf):
             with pytest.raises(InvalidArgumentError):
                 detection_rate(2, mu, 0.2, 4e-6, 2e-9)
+        # a NaN dead time or slot width used to give a NaN rate
+        with pytest.raises(InvalidArgumentError, match="t_dead=nan"):
+            detection_rate(2, 0.1, 0.2, math.nan, 2e-9)
+        with pytest.raises(InvalidArgumentError, match="tau=nan"):
+            detection_rate(2, 0.1, 0.2, 4e-6, math.nan)
+
+    def test_array_equals_scalar(self):
+        mus = np.linspace(1e-9, 0.4, 301)
+        for d, t_dead in ((2, 4e-6), (8, 0.0), (32, 20e-9)):
+            alphas = detection_rate(d, mus, 0.2, t_dead, 2e-9)
+            assert alphas.tolist() == [
+                detection_rate(d, m, 0.2, t_dead, 2e-9) for m in mus.tolist()
+            ]
+
+    @pytest.mark.parametrize("at", [0, 3, 4])
+    def test_array_checks_every_mu(self, at):
+        mus = np.array([0.01, 0.02, 0.03, 0.04, 0.05])
+        for bad, message in ((math.nan, "mu=nan"), (0.0, "mu=0.0"),
+                             (25.0, "click probability exceeds 1 at mu=25.0")):
+            mus_bad = mus.copy()
+            mus_bad[at] = bad
+            with pytest.raises(InvalidArgumentError, match=message):
+                detection_rate(2, mus_bad, 0.2, 4e-6, 2e-9)
 
     def test_monotone_in_mu_and_dimension(self):
         mus = np.linspace(0.005, 0.3, 20)
@@ -135,6 +158,16 @@ class TestSweep:
         phys = PhysicalParams(mu=0.05)
         with pytest.raises(InvalidArgumentError, match="mu="):
             sweep([2, 4], [0.05, bad], LinearNoise(0.004, 0.99), phys)
+
+    @pytest.mark.parametrize("at", [0, 60, 119])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mu_anywhere_in_default_grid_rejected(self, bad, at):
+        c = Config()
+        mu_grid = c.mu_grid()
+        assert len(mu_grid) == 120
+        mu_grid[at] = bad
+        with pytest.raises(InvalidArgumentError, match=f"mu={bad}"):
+            sweep(c.protocol.dimensions, mu_grid, c.noise_model(), c.physical_params())
 
     def test_missing_d2_gives_nan_gain(self):
         phys = PhysicalParams(mu=0.05)

@@ -44,8 +44,15 @@ class TestEntropyTerm:
     def test_scalar_path_matches_array_path(self, p):
         scalar = entropy_term(p)
         assert type(scalar) is float
-        assert abs(scalar - entropy_term(np.array([p]))[0]) <= 1e-15
+        # both paths take log2 from math, so they agree bit for bit
+        assert entropy_term(np.array([p]))[0] == scalar
         assert type(entropy_term(np.float64(p))) is float
+
+    def test_array_path_equals_scalar_path_on_many_values(self):
+        # NumPy's own log2 differs from math's in the last bit for about
+        # one value in 10^4 here, which a few hundred examples rarely hit
+        p = np.random.default_rng(5).random(100_000)
+        assert entropy_term(p).tolist() == [entropy_term(v) for v in p.tolist()]
 
     @settings(max_examples=100, deadline=None)
     @given(p=st.floats(-1e300, -5e-324))
@@ -119,13 +126,15 @@ class TestXInterval:
             lambda mu: x_interval(mu, 0.9),
             lambda mu: secure_fraction(4, 0.01, mu, 0.9),
             lambda mu: secure_fractions(4, 0.01, 0.9, [0.05, mu]),
+            lambda mu: secure_fractions(4, 0.01, 0.9, [mu] + [0.05] * 11),
+            lambda mu: secure_fractions(4, 0.01, 0.9, [0.05] * 6 + [mu] + [0.05] * 5),
             lambda mu: eve_optimal_holevo(4, 0.01, mu, 0.9),
             lambda mu: report_at(4, 0.01, mu, 0.5),
             lambda mu: holevo_ae(4, 0.01, mu, 0.5),
             lambda mu: holevo_be(4, 0.01, mu, 0.5),
         ],
         ids=["x_interval", "secure_fraction", "secure_fractions",
-             "eve_optimal_holevo", "report_at", "holevo_ae", "holevo_be"],
+             "secure_fractions_first", "secure_fractions_middle", "eve_optimal_holevo", "report_at", "holevo_ae", "holevo_be"],
     )
     def test_non_finite_mu_rejected(self, evaluate, mu):
         with pytest.raises(InvalidArgumentError, match="mu=.*finite"):
@@ -174,15 +183,12 @@ class TestClosedForms:
         q = q_share / (d - 1)
         lo, hi = x_interval(mu, v)
         xs = np.array([lo, lo + t * (hi - lo), hi])
-        # 1e-15 per bit of capacity: the bounds reach log2(d) <= 6 bits,
-        # where one ulp is 8.9e-16, and the paths differ by up to 2 ulps.
-        tol = 1e-15 * math.log2(d)
         for bound in (holevo_ae, holevo_be):
             on_array = bound(d, q, mu, xs)
-            for x, expected in zip(xs.tolist(), on_array):
+            for x, expected in zip(xs.tolist(), on_array.tolist()):
                 value = bound(d, q, mu, x)
                 assert type(value) is float
-                assert abs(value - expected) <= tol
+                assert value == expected
 
     def test_domain_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -362,6 +368,28 @@ class TestRoutesAgree:
         report = eve_optimal_holevo(d, q, mu, v)
         self.check_report(d, q, mu, report.x_star)
         assert secure_fractions(d, q, v, [mu]) == [report.secure_fraction]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        q_share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        v=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        # 1-40 occupations drawn from a smaller pool, so values repeat
+        mus=st.lists(st.floats(1e-9, 5.0), min_size=1, max_size=20).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+        ),
+    )
+    def test_fractions_over_array_equal_scalar_reports(self, d, q_share, v, mus):
+        q = q_share / (d - 1)
+        expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus]
+        assert secure_fractions(d, q, v, mus) == expected
+        assert secure_fractions(d, q, v, np.array(mus)) == expected
+
+    @pytest.mark.parametrize("d,q,v", [(2, 0.04, 0.9), (8, 0.004, 0.99), (32, 0.001, 0.5)])
+    def test_fractions_on_dense_grid_equal_scalar_reports(self, d, q, v):
+        mus = np.linspace(1e-6, 5.0, 4001)
+        expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus.tolist()]
+        assert secure_fractions(d, q, v, mus) == expected
 
     def test_domain_checked_before_any_occupation(self):
         with pytest.raises(InvalidArgumentError, match="Q="):
