@@ -224,9 +224,9 @@ class TestCli:
         assert captured.out == ""
         assert f"error: {where}" in captured.err
 
-    # sha256 of the default tables, recorded before the rate sweep ran on
-    # arrays.  Both print 12 significant digits, so a last-bit difference
-    # of a platform's libm does not reach them.
+    # sha256 of the default tables.  Both print 12 significant digits, so
+    # a last-bit difference of a platform's libm does not reach them; a
+    # changed digest means the model's output changed.
     _DEFAULT_TABLE_SHA256 = {
         "rates": "e2ea57210efa5a2cf7ddba0768a5f371a4c99c32cb2ad0699f50cc5fa627caf1",
         "threshold": "25395cca1feca5715d3f0bdaa7c68f0ed720249cad0ee3fa7d0603361edc4a24",
