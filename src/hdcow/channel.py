@@ -18,8 +18,10 @@ empty monitor slot is none.  Dead time is applied per detector by
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +63,9 @@ class PhysicalParams:
     f_mon: beamsplitter fraction routed to the monitor line.
     v_true: channel interference visibility the simulation realizes.
 
-    Every field must be finite.
+    Every field must be finite.  The fields are frozen, so each derived
+    value (``xi_eff``, ``dead_slots`` and the four click probabilities)
+    is computed once per instance, on first use.
     """
 
     mu: float
@@ -104,30 +108,30 @@ class PhysicalParams:
                 stacklevel=2,
             )
 
-    @property
+    @cached_property
     def xi_eff(self) -> float:
         """Efficiency seen by the data line: detector efficiency times
         channel transmittance times the non-monitored fraction."""
         return self.xi * self.t_ch * (1.0 - self.f_mon)
 
-    @property
+    @cached_property
     def dead_slots(self) -> int:
         """Slots blinded after a click: ceil(t_dead / tau)."""
         if self.t_dead == 0.0:
             return 0
         return int(math.ceil(self.t_dead / self.tau - 1e-12))
 
-    @property
+    @cached_property
     def p_click_occupied(self) -> float:
         light = 1.0 - math.exp(-self.xi_eff * self.mu)
         return 1.0 - (1.0 - light) * (1.0 - self.p_dc)
 
-    @property
+    @cached_property
     def p_click_empty(self) -> float:
         light = 1.0 - math.exp(-self.xi_eff * self.mu * self.r_ext)
         return 1.0 - (1.0 - light) * (1.0 - self.p_dc)
 
-    @property
+    @cached_property
     def p_monitor_interfering(self) -> float:
         light = min(
             self.xi * self.f_mon * self.t_ch * self.mu * (1.0 - self.v_true) / 2.0,
@@ -135,7 +139,7 @@ class PhysicalParams:
         )
         return 1.0 - (1.0 - light) * (1.0 - self.p_dc)
 
-    @property
+    @cached_property
     def p_monitor_noninterfering(self) -> float:
         light = min(self.xi * self.f_mon * self.t_ch * self.mu / 4.0, 1.0)
         return 1.0 - (1.0 - light) * (1.0 - self.p_dc)
@@ -228,9 +232,12 @@ def transmit_frame(
     ``L`` slots: the first ``L`` decide the data detector, slot by slot,
     and the next ``L`` the monitor, so identical seeds give identical
     streams.  Only the frame's pulses click with other probabilities
-    than an empty slot, so each detector is tested once against the
-    empty-slot probability and then at the pulses alone; an empty
-    monitor slot can fire only by a dark count.  If ``state`` is given
+    than an empty slot, so the pulses are found once and both detectors
+    are tested at them alone.  The data detector is tested once more
+    against the empty-slot probability; an empty monitor slot can fire
+    only by a dark count, so the monitor's every slot is tested only
+    when ``p_dc`` > 0.  Each detector's candidate clicks then pass its
+    dead-time filter, the data detector's first.  If ``state`` is given
     it is updated in place, chaining dead time, global slot numbering,
     and pulse-train continuity into the next frame.
     """
@@ -239,14 +246,17 @@ def transmit_frame(
     occ = frame.occupancy
     length = len(occ)
     base = state.next_slot
-    pulses = np.flatnonzero(occ)
+    dead = params.dead_slots
+    pulses = occ.nonzero()[0]
     u = rng.random(2 * length)
     u_data, u_mon = u[:length], u[length:]
 
     hit = u_data < params.p_click_empty
     hit[pulses] = u_data[pulses] < params.p_click_occupied
+    cand_data = hit.nonzero()[0]
+    cand_data += base
     data_slots, state.last_data_click = dead_time_filter(
-        base + np.flatnonzero(hit), params.dead_slots, state.last_data_click
+        cand_data, dead, state.last_data_click
     )
 
     p_pulse = np.where(
@@ -258,11 +268,12 @@ def transmit_frame(
     if params.p_dc > 0.0:
         np.less(u_mon, params.p_dc, out=hit)
         hit[pulses] = pulse_hit
-        cand_mon = np.flatnonzero(hit)
+        cand_mon = hit.nonzero()[0]
     else:
         cand_mon = pulses[pulse_hit]
+    cand_mon += base
     monitor_slots, state.last_monitor_click = dead_time_filter(
-        base + cand_mon, params.dead_slots, state.last_monitor_click
+        cand_mon, dead, state.last_monitor_click
     )
 
     state.prev_occupied = bool(occ[-1])
@@ -279,7 +290,7 @@ def _interferes(occ: np.ndarray, pulses: np.ndarray, prev_occupied: bool) -> np.
     slot before it is occupied; before the first slot stands the
     previous frame's last, ``prev_occupied``."""
     prev = occ[pulses - 1]
-    if len(pulses) and pulses[0] == 0:
+    if len(pulses) and not pulses[0]:
         prev[0] = prev_occupied
     return prev
 
@@ -296,26 +307,39 @@ def monitor_tally(
     Each pulse is an interfering exposure when the slot before it is
     occupied and a non-interfering one otherwise; a click on a pulse
     counts for its class, and a click on an empty slot (a dark count)
-    for neither.  A pulse within ``dead_slots`` slots after a monitor
-    click could never have clicked, so it is no exposure; the clicks
-    are the frame's own and ``last_click_before``, the monitor's last
-    click before the frame.  The receiver can reconstruct these dead
-    windows from its own click record.  One ``searchsorted`` of the
-    pulses among the clicks finds, for every pulse, both the click on
-    it, if any, and the last click before it.
+    or outside the frame for neither.  A pulse within ``dead_slots``
+    slots after a monitor click could never have clicked, so it is no
+    exposure; the clicks are the frame's own and ``last_click_before``,
+    the monitor's last click before the frame.  The receiver can
+    reconstruct these dead windows from its own click record.
+
+    The exposures take one pass over the pulses: two ``searchsorted``
+    of the pulses among the clicks count, for every pulse, the clicks
+    before it and those before its dead window, and a pulse is live
+    when the two counts agree.  The live pulses that are not
+    interfering are the non-interfering exposures.  The clicks are few,
+    so each is classified where it falls.
     """
-    pulses = np.flatnonzero(occ)
+    pulses = occ.nonzero()[0]
     interfering = _interferes(occ, pulses, prev_occupied)
-    marks = np.concatenate(([last_click_before], clicks.monitor_slots)) - clicks.frame_start
-    after = np.searchsorted(marks, pulses)  # marks[after - 1] < pulse <= marks[after]
-    clicked = marks[np.minimum(after, len(marks) - 1)] == pulses
-    live = pulses - marks[after - 1] > params.dead_slots
-    noninterfering = ~interfering
+    start = clicks.frame_start
+    marks = np.empty(len(clicks.monitor_slots) + 1, dtype=np.int64)  # local slots
+    marks[0] = last_click_before - start
+    local = marks[1:]
+    np.subtract(clicks.monitor_slots, start, out=local)
+    live = marks.searchsorted(pulses - params.dead_slots) == marks.searchsorted(pulses)
+    exposures = int(np.count_nonzero(live))
+    exp_int = int(np.count_nonzero(live & interfering))
+    n_int = n_non = 0
+    length = len(occ)
+    for slot in local.tolist():
+        if 0 <= slot < length and occ[slot]:
+            if occ[slot - 1] if slot else prev_occupied:
+                n_int += 1
+            else:
+                n_non += 1
     return MonitorTally(
-        n_int=int(np.count_nonzero(clicked & interfering)),
-        exp_int=int(np.count_nonzero(live & interfering)),
-        n_non=int(np.count_nonzero(clicked & noninterfering)),
-        exp_non=int(np.count_nonzero(live & noninterfering)),
+        n_int=n_int, exp_int=exp_int, n_non=n_non, exp_non=exposures - exp_int
     )
 
 
@@ -323,17 +347,19 @@ def estimate_qber(alice_sifted, bob_sifted, d: int) -> tuple[float, float]:
     """Per-wrong-slot error estimate from aligned sifted strings.
 
     Returns ``(q_hat, stderr)`` with ``q_hat = e/(d-1)`` for total
-    mismatch fraction e and a binomial standard error.
+    mismatch fraction e and a binomial standard error.  The strings are
+    short, so the mismatches are counted pair by pair, without arrays;
+    the count over the length is the same double as the mean of a
+    mismatch mask, which NumPy sums exactly and divides once.
     """
-    a = np.asarray(alice_sifted)
-    b = np.asarray(bob_sifted)
-    if len(a) != len(b):
+    count = len(alice_sifted)
+    if count != len(bob_sifted):
         raise InvalidArgumentError("sifted sequences differ in length")
-    if len(a) == 0:
+    if count == 0:
         raise UndefinedEstimateError("cannot estimate error rate from zero qudits")
-    e = float(np.mean(a != b))
+    e = float(sum(map(operator.ne, alice_sifted, bob_sifted))) / count
     q_hat = e / (d - 1)
-    stderr = math.sqrt(e * (1.0 - e) / len(a)) / (d - 1)
+    stderr = math.sqrt(e * (1.0 - e) / count) / (d - 1)
     return q_hat, stderr
 
 
@@ -384,10 +410,10 @@ def decode_frame(
         raise InvalidArgumentError(
             f"permutation length {len(sigma)} != d*n={length}"
         )
-    offsets = clicks.data_slots - clicks.frame_start  # 0-based local slots
-    if len(offsets) == 0:  # most frames of a long, lossy link
+    if not len(clicks.data_slots):  # most frames of a long, lossy link
         return DetectionReport(entries=())
-    if offsets.min() < 0 or offsets.max() >= length:
+    offsets = clicks.data_slots - clicks.frame_start  # 0-based local slots
+    if np.minimum.reduce(offsets) < 0 or np.maximum.reduce(offsets) >= length:
         raise InvalidArgumentError(
             f"data click outside the frame's slots {clicks.frame_start}.."
             f"{clicks.frame_start + length - 1}"

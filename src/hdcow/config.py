@@ -129,9 +129,17 @@ class Config:
         raise InvalidArgumentError(f"unknown noise model {self.noise.model!r}")
 
     def mu_grid(self) -> list[float]:
+        """``mu_steps`` evenly spaced values from ``mu_min`` to ``mu_max``;
+        both ends must be finite, with ``0 < mu_min <= mu_max``."""
         s = self.sweep
-        if s.mu_steps < 1 or not 0.0 < s.mu_min <= s.mu_max:
-            raise InvalidArgumentError("invalid sweep grid")
+        if s.mu_steps < 1:
+            raise InvalidArgumentError(f"sweep.mu_steps={s.mu_steps} must be >= 1")
+        if not (math.isfinite(s.mu_min) and s.mu_min > 0.0):
+            raise InvalidArgumentError(f"sweep.mu_min={s.mu_min} must be finite and > 0")
+        if not (math.isfinite(s.mu_max) and s.mu_max >= s.mu_min):
+            raise InvalidArgumentError(
+                f"sweep.mu_max={s.mu_max} must be finite and >= sweep.mu_min={s.mu_min}"
+            )
         if s.mu_steps == 1:
             return [s.mu_min]
         step = (s.mu_max - s.mu_min) / (s.mu_steps - 1)

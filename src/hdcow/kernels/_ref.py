@@ -23,8 +23,8 @@ def dead_time_filter(candidates, dead_slots, last_click=-(1 << 62)):
     """
     kept = []
     last = last_click
-    for c in candidates:
+    for c in candidates.tolist():
         if c - last > dead_slots:
             kept.append(c)
             last = c
-    return np.asarray(kept, dtype=np.int64), int(last)
+    return np.array(kept, dtype=np.int64), int(last)

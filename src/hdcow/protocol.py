@@ -10,6 +10,7 @@ Each block's permutation ranks random keys from an injected byte source.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,7 +67,8 @@ class SeededByteSource:
 @dataclass(frozen=True)
 class ProtocolParams:
     """Block geometry: ``d`` slots per qudit, ``n`` qudits per block,
-    ``tau`` seconds per slot."""
+    ``tau`` seconds per slot.  The fields are frozen, so ``slot_count``
+    is computed once per instance."""
 
     d: int
     n: int
@@ -80,7 +82,7 @@ class ProtocolParams:
         if not self.tau > 0.0:
             raise InvalidArgumentError(f"tau={self.tau} must be positive")
 
-    @property
+    @cached_property
     def slot_count(self) -> int:
         return self.d * self.n
 
@@ -102,7 +104,7 @@ class KeyBlock:
                 f"block length {len(self.symbols)} != n={params.n}"
             )
         if len(self.symbols) and (
-            self.symbols.min() < 1 or self.symbols.max() > params.d
+            np.minimum.reduce(self.symbols) < 1 or np.maximum.reduce(self.symbols) > params.d
         ):
             raise InvalidArgumentError("symbols outside {1..d}")
 
@@ -136,14 +138,14 @@ class Permutation:
     map_: np.ndarray
 
     def __post_init__(self):
-        self.map_ = np.asarray(self.map_, dtype=np.int64)
-        L = len(self.map_)
+        map_ = self.map_ = np.asarray(self.map_, dtype=np.int64)
+        L = len(map_)
         if L == 0:
             raise InvalidArgumentError("empty permutation")
-        if self.map_.min() < 1 or self.map_.max() > L:
+        if np.minimum.reduce(map_) < 1 or np.maximum.reduce(map_) > L:
             raise InvalidArgumentError("permutation values outside {1..L}")
-        inv = _scatter_inverse(self.map_)
-        if not inv.all():
+        inv = _scatter_inverse(map_)
+        if np.count_nonzero(inv) != L:
             raise InvalidArgumentError("permutation is not a bijection")
         self._inverse_map = inv
 
@@ -215,18 +217,20 @@ def make_permutation(length: int, source: ByteSource) -> Permutation:
     redrawn whole.
 
     The ranking sorts plain integers: each key's low
-    ``(length-1).bit_length()`` bits are replaced by its position, and
-    when the remaining high parts are distinct they order the keys as
-    the full keys do, so the sorted low bits are the ``argsort`` of the
-    keys.  A draw whose high parts collide (probability at most
-    ``length**3 / 2**64``) is ranked by ``argsort`` of the full keys.
+    ``length.bit_length()`` bits are replaced by its 1-based position,
+    and when the remaining high parts are distinct they order the keys
+    as the full keys do, so the sorted low bits are the ``argsort`` of
+    the keys, plus one.  A draw whose high parts collide (probability at
+    most ``length**3 / 2**64``) is ranked by ``argsort`` of the full
+    keys.  Both rankings are that of the keys, so the width of the low
+    part changes no result.
     Either ranking is a bijection by construction, so the result is not
     re-checked and its inverse is not built until it is used: the sender
     only applies the permutation.
     """
     if length < 1:
         raise InvalidArgumentError(f"length={length} must be >= 1")
-    low_bits = (length - 1).bit_length()
+    low_bits = length.bit_length()
     shift, low_mask = np.uint64(low_bits), np.uint64((1 << low_bits) - 1)
     while True:
         data = source(8 * length)
@@ -235,14 +239,13 @@ def make_permutation(length: int, source: ByteSource) -> Permutation:
                 f"byte source returned {len(data)} bytes, expected {8 * length}"
             )
         keys = np.frombuffer(data, dtype="<u8")
-        ranking = np.arange(length, dtype=np.uint64)  # the positions, at first
+        ranking = np.arange(1, length + 1, dtype=np.uint64)  # the positions, at first
         packed = keys & ~low_mask
         packed |= ranking
         packed.sort()
         np.bitwise_and(packed, low_mask, out=ranking)
         packed >>= shift  # the high parts, in increasing order
-        if (packed[1:] != packed[:-1]).all():
-            ranking += 1
+        if not np.count_nonzero(packed[1:] == packed[:-1]):
             return Permutation._from_ranking(ranking.view(np.int64))
         order = np.argsort(keys)
         if np.diff(keys[order]).all():  # no two keys are equal
@@ -258,11 +261,12 @@ def encode_block(
         raise InvalidArgumentError(
             f"permutation length {len(sigma)} != d*n={params.slot_count}"
         )
-    occupancy = np.zeros(params.slot_count, dtype=bool)
+    occupancy = np.zeros(params.slot_count + 1, dtype=bool)
     # raw slot d*i + q_i of each qudit, 0-based
     raw_slots = np.arange(-1, params.slot_count - 1, params.d) + block.symbols
-    occupancy[sigma.map_[raw_slots] - 1] = True
-    if int(occupancy.sum()) != params.n:
+    occupancy[sigma.map_[raw_slots]] = True  # sigma's images are 1-based
+    occupancy = occupancy[1:]
+    if np.count_nonzero(occupancy) != params.n:
         raise InvalidArgumentError("occupancy does not have exactly n pulses")
     return PulseFrame(occupancy=occupancy, mu=mu)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +137,8 @@ class QueuePipe:
     yet will never come: asking for them raises at once.  The pipe holds
     what is sent without copying it, and a read within one send returns
     a read-only view of it, so a message read as it was sent is never
-    copied here.
+    copied here; a read of exactly the rest of a send, such as a payload
+    after its header, hands over the held view itself.
     """
 
     def __init__(self):
@@ -156,16 +156,23 @@ class QueuePipe:
                 f"read of {count} bytes from a pipe holding {self._held}"
             )
         self._held -= count
-        parts = []
+        chunks = self._chunks
+        if chunks and len(chunks[0]) >= count:  # within the first send
+            chunk = chunks[0]
+            if len(chunk) == count:
+                return chunks.popleft()
+            chunks[0] = chunk[count:]
+            return chunk[:count]
+        parts = []  # the read spans sends
         while count:
-            chunk = self._chunks[0]
+            chunk = chunks[0]
             parts.append(chunk[:count])
             if len(chunk) > count:
-                self._chunks[0] = chunk[count:]
+                chunks[0] = chunk[count:]
                 break
-            self._chunks.popleft()
+            chunks.popleft()
             count -= len(chunk)
-        return parts[0] if len(parts) == 1 else b"".join(parts)
+        return b"".join(parts)
 
 
 class StreamDuplex:
@@ -177,14 +184,18 @@ class StreamDuplex:
     def send(self, data: bytes) -> None:
         self._sock.sendall(data)
 
-    def recv_exact(self, count: int) -> bytes:
-        out = bytearray()
-        while len(out) < count:
-            chunk = self._sock.recv(count - len(out))
-            if not chunk:
-                raise ProtocolError("stream closed mid-frame")
-            out.extend(chunk)
-        return bytes(out)
+    def recv_exact(self, count: int) -> bytearray:
+        """Read exactly ``count`` bytes into one new buffer, which is
+        returned without a further copy."""
+        out = bytearray(count)
+        with memoryview(out) as view:
+            got = 0
+            while got < count:
+                size = self._sock.recv_into(view[got:])
+                if not size:
+                    raise ProtocolError("stream closed mid-frame")
+                got += size
+        return out
 
 
 class Transcript:
@@ -350,10 +361,6 @@ class _Link:
             raise ProtocolError(f"malformed message: {exc}") from exc
 
 
-def _is_sampled(block_id: int, qudit: int, every: int) -> bool:
-    return (block_id + qudit) % every == 0
-
-
 class _Alice:
     """Transmitter state machine.  ``start()`` and ``receive(message)``
     return the messages to send and the frames to transmit, in order;
@@ -363,6 +370,7 @@ class _Alice:
 
     def __init__(self, settings: SessionSettings, block_source, seed):
         self._settings = settings
+        self._every = settings.sample_every  # qudit i of block b is sampled when every | b + i
         proto = settings.protocol
         rng = np.random.default_rng(seed)
         self._perm_source = SeededByteSource(rng.integers(0, 2**63))
@@ -385,15 +393,21 @@ class _Alice:
         return [start, *self._open_block()]
 
     def _open_block(self) -> list:
-        proto = self._settings.protocol
-        self._block = next(self._blocks)
-        sigma = make_permutation(proto.slot_count, self._perm_source)
-        frame = encode_block(proto, self._block, sigma, self._settings.physical.mu)
+        settings = self._settings
+        proto = settings.protocol
         block_id = self._block_id
+        try:
+            self._block = next(self._blocks)
+        except StopIteration:
+            raise ProtocolError(
+                f"block source ended after {block_id} of {settings.blocks} blocks"
+            ) from None
+        sigma = make_permutation(proto.slot_count, self._perm_source)
+        frame = encode_block(proto, self._block, sigma, settings.physical.mu)
         return [
             BlockAnnounce(block_id=block_id),
             _Transmit(block_id, frame),
-            PermutationReveal(block_id=block_id, indices=sigma.map_),
+            PermutationReveal.of_bijection(block_id, sigma.map_),
         ]
 
     def receive(self, message: Message) -> list:
@@ -404,15 +418,18 @@ class _Alice:
         estimate = _expect(message, EstimateReport, block_id)
         self._v_hat = _peer_estimate(estimate.v_hat, "v_hat", 1.0)
         settings = self._settings
-        alice_syms, bob_syms = sift_block(
-            self._block, DetectionReport(self._report.entries), settings.protocol.d
+        entries = self._report.entries
+        alice_syms, _ = sift_block(
+            self._block, DetectionReport(entries), settings.protocol.d
         )
         self._sifted.extend(alice_syms)
-        # sift_block orders by qudit index, so the entries must be too
-        for (i, _j), a_sym, b_sym in zip(sorted(self._report.entries), alice_syms, bob_syms):
-            if _is_sampled(block_id, i, settings.sample_every):
-                self._sampled_mine.append(a_sym)
-                self._sampled_theirs.append(b_sym)
+        # The entries passed sift_block's checks.  The estimate counts
+        # mismatches, so the sampled pairs may stay in the report's order.
+        every, symbols = self._every, self._block.symbols
+        for i, j in entries:
+            if (block_id + i) % every == 0:
+                self._sampled_mine.append(int(symbols[i]))
+                self._sampled_theirs.append(j)
         if self._sampled_mine:
             self._q_hat, self._q_err = estimate_qber(
                 self._sampled_mine, self._sampled_theirs, settings.protocol.d
@@ -626,15 +643,6 @@ def _summary(role, settings, sifted, q_hat, q_err, v_hat, v_err) -> SessionSumma
     )
 
 
-@contextmanager
-def _aborts(role: str):
-    """Re-raise an endpoint's error as a ProtocolError naming its role."""
-    try:
-        yield
-    except Exception as exc:
-        raise ProtocolError(f"{role} endpoint aborted: {exc}") from exc
-
-
 def run_session(
     settings: SessionSettings, seed=0
 ) -> tuple[SessionSummary, SessionSummary, Transcript]:
@@ -657,16 +665,19 @@ def run_session(
         bob: _Link(to_alice, to_bob, transcript, Transcript.B_TO_A, channel, settings),
     }
     sender, receiver = alice, bob
-    with _aborts(alice.role):
+    role = alice.role  # the endpoint at work, named if it fails
+    try:
         outgoing = alice.start()
-    while outgoing:
-        with _aborts(sender.role):
+        while outgoing:
+            role = sender.role
             sent = links[sender].send(outgoing)
-        outgoing = []
-        with _aborts(receiver.role):
+            outgoing = []
+            role = receiver.role
             for _ in range(sent):
                 outgoing += receiver.receive(links[receiver].recv())
-        sender, receiver = receiver, sender
+            sender, receiver = receiver, sender
+    except Exception as exc:
+        raise ProtocolError(f"{role} endpoint aborted: {exc}") from exc
     if alice.summary is None or bob.summary is None:
         raise ProtocolError("session did not complete")
     return alice.summary, bob.summary, transcript

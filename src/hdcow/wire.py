@@ -55,6 +55,21 @@ __all__ = [
 MAGIC = b"\x51\x4b"
 VERSION = 0x01
 _HEADER = struct.Struct("!2sBBI")
+_U64 = struct.Struct("!Q")
+_START = struct.Struct("!HIQ")
+_ESTIMATE = struct.Struct("!Qdd")
+_REPORT_HEAD = struct.Struct("!QI")
+
+
+def _framed(payload: struct.Struct) -> struct.Struct:
+    """A payload layout with the header in front, so that a whole frame
+    is packed in one call."""
+    return struct.Struct(_HEADER.format + payload.format[1:])
+
+
+_START_FRAME = _framed(_START)
+_ANNOUNCE_FRAME = _framed(_U64)
+_ESTIMATE_FRAME = _framed(_ESTIMATE)
 
 TAG_SESSION_START = 0x01
 TAG_BLOCK_ANNOUNCE = 0x02
@@ -65,9 +80,9 @@ TAG_SESSION_END = 0x06
 
 # Payload sizes of the fixed-layout tags; the other tags vary in length.
 _FIXED_LENGTHS = {
-    TAG_SESSION_START: 14,
-    TAG_BLOCK_ANNOUNCE: 8,
-    TAG_ESTIMATE_REPORT: 24,
+    TAG_SESSION_START: _START.size,
+    TAG_BLOCK_ANNOUNCE: _U64.size,
+    TAG_ESTIMATE_REPORT: _ESTIMATE.size,
     TAG_SESSION_END: 0,
 }
 
@@ -105,9 +120,17 @@ class PermutationReveal:
             if values.size:
                 if values.dtype.kind not in "iu":  # floats, or ints too wide for numpy
                     raise InvalidArgumentError("index values do not fit u32")
-                _check_u(int(values.min()), 32, "index")
-                _check_u(int(values.max()), 32, "index")
+                _check_u(int(np.minimum.reduce(values, axis=None)), 32, "index")
+                _check_u(int(np.maximum.reduce(values, axis=None)), 32, "index")
             object.__setattr__(self, "indices", values.astype(">u4").tobytes())
+
+    @classmethod
+    def of_bijection(cls, block_id: int, map_: np.ndarray) -> "PermutationReveal":
+        """The reveal of a bijection on {1..L} given as its integer image
+        sequence, such as a permutation drawn by ``make_permutation``.
+        Its values are at most L, so L alone is checked against u32."""
+        _check_u(len(map_), 32, "index")
+        return cls(block_id, map_.astype(">u4").tobytes())
 
     def values(self) -> np.ndarray:
         """The indices as an array of integers."""
@@ -168,82 +191,78 @@ def _check_u_all(values, bits: int, what: str) -> None:
 
 
 def encode_message(message: Message) -> bytes:
-    if isinstance(message, SessionStart):
-        tag = TAG_SESSION_START
-        payload = struct.pack(
-            "!HIQ",
-            _check_u(message.d, 16, "d"),
-            _check_u(message.n, 32, "n"),
-            _check_u(message.tau_picoseconds, 64, "tau_picoseconds"),
+    """One frame.  A fixed-layout message is packed with its header in
+    one call; a reveal's index bytes, most of a session's bytes, are
+    copied once."""
+    if isinstance(message, EstimateReport):
+        return _ESTIMATE_FRAME.pack(
+            MAGIC, VERSION, TAG_ESTIMATE_REPORT, _ESTIMATE.size,
+            _check_u(message.block_id, 64, "block_id"), message.q_hat, message.v_hat,
         )
-    elif isinstance(message, BlockAnnounce):
-        tag = TAG_BLOCK_ANNOUNCE
-        payload = struct.pack("!Q", _check_u(message.block_id, 64, "block_id"))
-    elif isinstance(message, PermutationReveal):
-        # One join, so the index bytes (most of a session's bytes) are
-        # copied once.
-        block_id = struct.pack("!Q", _check_u(message.block_id, 64, "block_id"))
+    if isinstance(message, BlockAnnounce):
+        return _ANNOUNCE_FRAME.pack(
+            MAGIC, VERSION, TAG_BLOCK_ANNOUNCE, _U64.size,
+            _check_u(message.block_id, 64, "block_id"),
+        )
+    if isinstance(message, PermutationReveal):
+        block_id = _U64.pack(_check_u(message.block_id, 64, "block_id"))
         length = len(block_id) + len(message.indices)
         header = _HEADER.pack(MAGIC, VERSION, TAG_PERMUTATION_REVEAL, length)
         return b"".join((header, block_id, message.indices))
-    elif isinstance(message, DetectionReportMsg):
-        tag = TAG_DETECTION_REPORT
+    if isinstance(message, DetectionReportMsg):
         count = len(message.entries)
         if count:
             qudits, symbols = zip(*message.entries)
             _check_u_all(qudits, 32, "qudit index")
             _check_u_all(symbols, 16, "symbol")
-        payload = struct.pack(
-            "!QI" + "IH" * count,
+        return struct.pack(
+            _HEADER.format + "QI" + "IH" * count,
+            MAGIC, VERSION, TAG_DETECTION_REPORT, _REPORT_HEAD.size + 6 * count,
             _check_u(message.block_id, 64, "block_id"),
             _check_u(count, 32, "count"),
             *itertools.chain.from_iterable(message.entries),
         )
-    elif isinstance(message, EstimateReport):
-        tag = TAG_ESTIMATE_REPORT
-        payload = struct.pack(
-            "!Qdd",
-            _check_u(message.block_id, 64, "block_id"),
-            message.q_hat,
-            message.v_hat,
+    if isinstance(message, SessionStart):
+        return _START_FRAME.pack(
+            MAGIC, VERSION, TAG_SESSION_START, _START.size,
+            _check_u(message.d, 16, "d"),
+            _check_u(message.n, 32, "n"),
+            _check_u(message.tau_picoseconds, 64, "tau_picoseconds"),
         )
-    elif isinstance(message, SessionEnd):
-        tag = TAG_SESSION_END
-        payload = b""
-    else:
-        raise InvalidArgumentError(f"not a wire message: {message!r}")
-    return _HEADER.pack(MAGIC, VERSION, tag, len(payload)) + payload
+    if isinstance(message, SessionEnd):
+        return _HEADER.pack(MAGIC, VERSION, TAG_SESSION_END, 0)
+    raise InvalidArgumentError(f"not a wire message: {message!r}")
 
 
 def _decode_payload(tag: int, payload: bytes) -> Message:
     """Decode a payload whose tag is known and, for a fixed-size tag,
     whose length is right; :func:`read_message` checks both."""
-    if tag == TAG_SESSION_START:
-        d, n, tau_ps = struct.unpack("!HIQ", payload)
-        return SessionStart(d=d, n=n, tau_picoseconds=tau_ps)
+    if tag == TAG_ESTIMATE_REPORT:
+        block_id, q_hat, v_hat = _ESTIMATE.unpack(payload)
+        return EstimateReport(block_id=block_id, q_hat=q_hat, v_hat=v_hat)
     if tag == TAG_BLOCK_ANNOUNCE:
-        return BlockAnnounce(block_id=struct.unpack("!Q", payload)[0])
+        return BlockAnnounce(block_id=_U64.unpack(payload)[0])
     if tag == TAG_PERMUTATION_REVEAL:
         if len(payload) < 8 or (len(payload) - 8) % 4:
             raise LengthMismatchError(
                 "PERMUTATION_REVEAL payload must be 8 + 4k bytes"
             )
-        block_id = struct.unpack_from("!Q", payload)[0]
+        block_id = _U64.unpack_from(payload)[0]
         indices = bytes(memoryview(payload)[8:])  # one copy, from any buffer
         return PermutationReveal(block_id=block_id, indices=indices)
     if tag == TAG_DETECTION_REPORT:
         if len(payload) < 12:
             raise LengthMismatchError("DETECTION_REPORT payload must be >= 12 bytes")
-        block_id, count = struct.unpack_from("!QI", payload)
+        block_id, count = _REPORT_HEAD.unpack_from(payload)
         if len(payload) != 12 + 6 * count:
             raise LengthMismatchError(
                 f"DETECTION_REPORT count={count} disagrees with payload size"
             )
         entries = tuple(struct.iter_unpack("!IH", payload[12:]))
         return DetectionReportMsg(block_id=block_id, entries=entries)
-    if tag == TAG_ESTIMATE_REPORT:
-        block_id, q_hat, v_hat = struct.unpack("!Qdd", payload)
-        return EstimateReport(block_id=block_id, q_hat=q_hat, v_hat=v_hat)
+    if tag == TAG_SESSION_START:
+        d, n, tau_ps = _START.unpack(payload)
+        return SessionStart(d=d, n=n, tau_picoseconds=tau_ps)
     return SessionEnd()
 
 
@@ -279,15 +298,16 @@ def read_message(recv_exact: Callable[[int], bytes], d=None, n=None) -> Message:
     if not TAG_SESSION_START <= tag <= TAG_SESSION_END:
         raise UnknownTagError(f"unknown message tag 0x{tag:02x}")
     fixed = _FIXED_LENGTHS.get(tag)
-    if fixed is not None and length != fixed:
-        raise LengthMismatchError(
-            f"tag 0x{tag:02x} payload must be {fixed} bytes, header declares {length}"
-        )
-    if d is not None and n is not None:
-        most = {TAG_PERMUTATION_REVEAL: 8 + 4 * d * n, TAG_DETECTION_REPORT: 12 + 6 * n}
-        if length > most.get(tag, length):
+    if fixed is not None:
+        if length != fixed:
             raise LengthMismatchError(
-                f"tag 0x{tag:02x} payload is at most {most[tag]} bytes for d={d}, "
+                f"tag 0x{tag:02x} payload must be {fixed} bytes, header declares {length}"
+            )
+    elif d is not None and n is not None:  # a reveal or a report
+        most = 8 + 4 * d * n if tag == TAG_PERMUTATION_REVEAL else 12 + 6 * n
+        if length > most:
+            raise LengthMismatchError(
+                f"tag 0x{tag:02x} payload is at most {most} bytes for d={d}, "
                 f"n={n}, header declares {length}"
             )
     payload = recv_exact(length) if length else b""

@@ -247,7 +247,45 @@ class TestSlotModelReference:
             assert monitor_tally(*args) == dense_tally(*args)
 
 
+class TestMonitorTallyClicks:
+    @pytest.mark.parametrize("prev_occupied", [False, True])
+    def test_only_clicks_on_the_frames_pulses_count(self, prev_occupied):
+        # pulses at local slots 0, 2, 3; the first interferes when the
+        # previous frame ended occupied, and clicks before or past the
+        # frame count for neither class
+        occ = np.array([True, False, True, True])
+        clicks = ClickStream(
+            np.zeros(0, dtype=np.int64), np.array([99, 100, 104]), frame_start=100
+        )
+        tally = monitor_tally(occ, prev_occupied, clicks, PhysicalParams.noiseless(), 99)
+        if prev_occupied:
+            assert tally == MonitorTally(n_int=1, exp_int=2, n_non=0, exp_non=1)
+        else:
+            assert tally == MonitorTally(n_int=0, exp_int=1, n_non=1, exp_non=2)
+
+
 class TestEstimateQber:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        length=st.integers(1, 3000),
+        d=st.integers(2, 32),
+        mismatch=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        as_arrays=st.booleans(),
+    )
+    def test_matches_mean_of_mismatch_mask(self, length, d, mismatch, seed, as_arrays):
+        # the mismatch fraction as NumPy's mean of a bool mask, bit for bit
+        rng = np.random.default_rng(seed)
+        alice = rng.integers(1, d + 1, size=length)
+        bob = np.where(rng.random(length) < mismatch, alice % d + 1, alice)
+        e = float(np.mean(alice != bob))
+        expected = (e / (d - 1), math.sqrt(e * (1.0 - e) / length) / (d - 1))
+        if not as_arrays:
+            alice, bob = alice.tolist(), bob.tolist()
+        got = estimate_qber(alice, bob, d)
+        assert got == expected
+        assert all(type(x) is float for x in got)
+
     def test_identical_sequences(self):
         q, err = estimate_qber([1, 2, 3], [1, 2, 3], d=4)
         assert q == 0.0 and err == 0.0

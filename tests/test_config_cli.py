@@ -131,6 +131,12 @@ class TestCli:
             # 1/(d-1) for the largest default dimension, d=32
             ('{"noise": {"q_slot": 0.5}}', "noise.q_slot"),
             ('{"noise": {"q_slot": 0.0323}}', "noise.q_slot"),
+            # a sweep end that is not finite, or ends in the wrong order
+            ('{"sweep": {"mu_max": Infinity}}', "sweep.mu_max"),
+            ('{"sweep": {"mu_min": NaN}}', "sweep.mu_min"),
+            ('{"sweep": {"mu_min": 0}}', "sweep.mu_min"),
+            ('{"sweep": {"mu_min": 0.3, "mu_max": 0.1}}', "sweep.mu_max"),
+            ('{"sweep": {"mu_steps": 0}}', "sweep.mu_steps"),
         ],
     )
     def test_bad_threshold_or_noise_section_is_usage_error(

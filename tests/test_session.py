@@ -331,6 +331,19 @@ class TestAliceSampling:
         assert self.run_with_report(((3, 2), (0, 2))) == 1.0
 
 
+def test_short_block_source_names_the_block():
+    settings = noiseless_settings(d=2, n=2, blocks=2)
+    duplex = ScriptedDuplex(
+        [
+            encode_message(DetectionReportMsg(block_id=0, entries=((0, 1),))),
+            encode_message(EstimateReport(block_id=0, q_hat=math.nan, v_hat=math.nan)),
+        ]
+    )
+    channel = SimulatedChannel(settings.physical, seed=0)
+    with pytest.raises(ProtocolError, match="block source ended after 1 of 2 blocks"):
+        run_alice(settings, [KeyBlock([1, 2])], channel, duplex, seed=0)
+
+
 @pytest.mark.parametrize("v_hat", [-0.5, 1.5])
 def test_alice_rejects_out_of_range_visibility(v_hat):
     settings = noiseless_settings(d=2, n=2, blocks=2)
@@ -480,6 +493,15 @@ class TestPinnedTranscripts:
         assert alice.sifted == sifted
         assert bob.sifted == sifted
         assert validate_transcript(transcript) == []
+        return alice, bob
+
+    @staticmethod
+    def check_stderrs(alice, bob, q_stderr, v_stderr):
+        # Neither error bar is on the wire, so the digests do not cover them.
+        np.testing.assert_equal(
+            (alice.q_stderr, alice.v_stderr, bob.q_stderr, bob.v_stderr),
+            (q_stderr, math.nan, math.nan, v_stderr),
+        )
 
     def test_noiseless_session(self):
         self.check(
@@ -499,13 +521,14 @@ class TestPinnedTranscripts:
             blocks=config.session.blocks,
             sample_fraction=config.session.sample_fraction,
         )
-        self.check(
+        alice, bob = self.check(
             settings,
             config.seed,
             "7bee398a9c41ce8eb6ada8b1ec970d212d34f59174d9ac034b08cbce57134ff8",
             602,
             (4, 2, 7, 5, 8, 8, 4, 3),
         )
+        self.check_stderrs(alice, bob, 0.0, math.nan)
 
     def test_wide_geometry(self):
         # The session_wide benchmark geometry, d=32 and n=1024 over a
@@ -526,6 +549,7 @@ class TestPinnedTranscripts:
             "b99ce96d6a47520f9d8dffd5c1d96477f00fcd55a1f9cf762ff5d074bd117172"
         )
         assert validate_transcript(transcript) == []
+        self.check_stderrs(alice, bob, 0.0009654450359556678, 2.4924812030075185)
 
 
 class TestSessionEstimates:
