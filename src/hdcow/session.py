@@ -1,14 +1,20 @@
 """End-to-end protocol sessions: endpoint state machines, their drivers,
 in-process transport, quantum-channel handle, and transcript validation.
 
-Per block the classical exchange is lockstep::
+The classical exchange is lockstep::
 
-    A->B  BLOCK_ANNOUNCE
-    (quantum transmission of the block's pulse frame)
-    A->B  PERMUTATION_REVEAL
-    B->A  DETECTION_REPORT
-    B->A  ESTIMATE_REPORT   (visibility side; error field NaN)
-    A->B  ESTIMATE_REPORT   (error side; echoes the visibility)
+    A->B  SESSION_START
+    per block:
+        A->B  BLOCK_ANNOUNCE
+        (quantum transmission of the block's pulse frame)
+        A->B  PERMUTATION_REVEAL
+        B->A  DETECTION_REPORT
+    after the last block's report, once per session:
+    B->A  ESTIMATE_REPORT   (V from the whole monitor tally; error field NaN)
+    A->B  ESTIMATE_REPORT   (Q from all sampled pairs; echoes V)
+    A->B  SESSION_END
+
+Both estimates carry the last block's id.
 
 Alice and Bob are state machines without I/O: each takes one received
 message and returns what to send, in order.  Alice's output carries her
@@ -379,12 +385,9 @@ class _Alice:
         self._blocks = iter(block_source)
         self._block_id = 0
         self._block: KeyBlock | None = None
-        self._report: DetectionReportMsg | None = None
         self._sifted: list[int] = []
         self._sampled_mine: list[int] = []
         self._sampled_theirs: list[int] = []
-        self._q_hat = self._q_err = float("nan")
-        self._v_hat = float("nan")
         self.summary: SessionSummary | None = None
 
     def start(self) -> list:
@@ -411,17 +414,12 @@ class _Alice:
         ]
 
     def receive(self, message: Message) -> list:
-        block_id = self._block_id
-        if self._report is None:
-            self._report = _expect(message, DetectionReportMsg, block_id)
-            return []
-        estimate = _expect(message, EstimateReport, block_id)
-        self._v_hat = _peer_estimate(estimate.v_hat, "v_hat", 1.0)
         settings = self._settings
-        entries = self._report.entries
-        alice_syms, _ = sift_block(
-            self._block, DetectionReport(entries), settings.protocol.d
-        )
+        block_id = self._block_id
+        if block_id == settings.blocks:
+            return self._finish(_expect(message, EstimateReport, block_id - 1))
+        entries = _expect(message, DetectionReportMsg, block_id).entries
+        alice_syms, _ = sift_block(self._block, DetectionReport(entries), settings.protocol.d)
         self._sifted.extend(alice_syms)
         # The entries passed sift_block's checks.  The estimate counts
         # mismatches, so the sampled pairs may stay in the report's order.
@@ -430,20 +428,21 @@ class _Alice:
             if (block_id + i) % every == 0:
                 self._sampled_mine.append(int(symbols[i]))
                 self._sampled_theirs.append(j)
-        if self._sampled_mine:
-            self._q_hat, self._q_err = estimate_qber(
-                self._sampled_mine, self._sampled_theirs, settings.protocol.d
-            )
-        out = [EstimateReport(block_id=block_id, q_hat=self._q_hat, v_hat=self._v_hat)]
-        self._report = None
         self._block_id += 1
-        if self._block_id < settings.blocks:
-            return out + self._open_block()
+        return self._open_block() if self._block_id < settings.blocks else []
+
+    def _finish(self, estimate: EstimateReport) -> list:
+        """Answer Bob's estimate with Q over all sampled pairs; end the session."""
+        v_hat = _peer_estimate(estimate.v_hat, "v_hat", 1.0)
+        q_hat = q_err = float("nan")
+        if self._sampled_mine:
+            q_hat, q_err = estimate_qber(
+                self._sampled_mine, self._sampled_theirs, self._settings.protocol.d
+            )
         self.summary = _summary(
-            self.role, settings, self._sifted, self._q_hat, self._q_err,
-            self._v_hat, float("nan"),
+            self.role, self._settings, self._sifted, q_hat, q_err, v_hat, float("nan")
         )
-        return out + [SessionEnd()]
+        return [EstimateReport(block_id=estimate.block_id, q_hat=q_hat, v_hat=v_hat), SessionEnd()]
 
 
 class _Bob:
@@ -458,11 +457,10 @@ class _Bob:
         self._channel = channel
         self._started = False
         self._announced: int | None = None  # block announced, not yet revealed
-        self._reported: int | None = None  # block reported, estimate not yet in
         self._blocks_done = 0
         self._sifted: list[int] = []
         self._tally = MonitorTally()
-        self._q_hat = float("nan")
+        self._q_hat: float | None = None  # None until Alice's estimate is in
         self._v_hat = self._v_err = float("nan")
         self.summary: SessionSummary | None = None
 
@@ -498,13 +496,14 @@ class _Bob:
         elif isinstance(message, PermutationReveal):
             return self._measure(message)
         elif isinstance(message, EstimateReport):
-            if message.block_id != self._reported:
-                raise ProtocolError(
-                    f"estimate for block {message.block_id}, expected one for block "
-                    f"{self._reported}"
-                )
+            last = settings.blocks - 1
+            if self._blocks_done < settings.blocks:
+                raise ProtocolError(f"estimate before the reveal of the last block {last}")
+            if self._q_hat is not None:
+                raise ProtocolError("second estimate in one session")
+            if message.block_id != last:
+                raise ProtocolError(f"estimate for block {message.block_id}, expected {last}")
             self._q_hat = _peer_estimate(message.q_hat, "q_hat", 1.0 / (proto.d - 1))
-            self._reported = None
         elif isinstance(message, SessionEnd):
             if self._announced is not None:
                 raise ProtocolError("session ended with an open block")
@@ -512,6 +511,8 @@ class _Bob:
                 raise ProtocolError(
                     f"session ended after {self._blocks_done} of {settings.blocks} blocks"
                 )
+            if self._q_hat is None:
+                raise ProtocolError("session ended before its error estimate")
             self.summary = _summary(
                 self.role, settings, self._sifted, self._q_hat, float("nan"),
                 self._v_hat, self._v_err,
@@ -546,19 +547,18 @@ class _Bob:
                 delivery.last_monitor_click,
             )
         )
+        self._announced = None
+        self._blocks_done += 1
+        out = [DetectionReportMsg(block_id=block_id, entries=report.entries)]
+        if self._blocks_done < self._settings.blocks:
+            return out
         try:
             self._v_hat, self._v_err = estimate_visibility(
                 tally.n_int, tally.exp_int, tally.n_non, tally.exp_non
             )
         except UndefinedEstimateError:
-            self._v_hat = self._v_err = float("nan")
-        self._announced = None
-        self._reported = block_id
-        self._blocks_done += 1
-        return [
-            DetectionReportMsg(block_id=block_id, entries=report.entries),
-            EstimateReport(block_id=block_id, q_hat=float("nan"), v_hat=self._v_hat),
-        ]
+            pass  # the data leave V undefined; it stays NaN
+        return out + [EstimateReport(block_id=block_id, q_hat=float("nan"), v_hat=self._v_hat)]
 
 
 def _expect(message: Message, expected_type, block_id: int):
@@ -619,8 +619,7 @@ def run_bob(
 def _summary(role, settings, sifted, q_hat, q_err, v_hat, v_err) -> SessionSummary:
     proto = settings.protocol
     total_slots = settings.blocks * proto.slot_count
-    duration = total_slots * proto.tau
-    detected_rate = len(sifted) / duration if duration > 0 else 0.0
+    detected_rate = len(sifted) / (total_slots * proto.tau)
     per_detection = 0.0  # an estimate the data leave undefined (NaN) justifies no key
     if not (math.isnan(q_hat) or math.isnan(v_hat)):
         per_detection = eve_optimal_holevo(

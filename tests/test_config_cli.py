@@ -334,8 +334,9 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["transcript_violations"] == []
         assert payload["alice"]["sifted_count"] == payload["bob"]["sifted_count"]
-        # five messages per block plus SESSION_START and SESSION_END
-        assert payload["transcript_messages"] == 5 * 5 + 2
+        # SESSION_START, three messages per block, the session's two
+        # estimates and SESSION_END
+        assert payload["transcript_messages"] == 3 * 5 + 4
 
     def test_out_writes_file(self, tmp_path, fast_config):
         out = tmp_path / "rates.csv"

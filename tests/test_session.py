@@ -82,6 +82,19 @@ class TestNoiselessSession:
             assert summary.secure_bits_per_detection == 0.0
             assert summary.secure_bits_per_second == 0.0
 
+    def test_estimates_are_exchanged_once_per_session(self):
+        _, _, transcript = run_session(noiseless_settings(blocks=2), seed=1)
+        a, b = Transcript.A_TO_B, Transcript.B_TO_A
+        block = [(a, BlockAnnounce), (a, PermutationReveal), (b, DetectionReportMsg)]
+        sent = [(direction, type(item)) for direction, item in transcript.entries
+                if direction != Transcript.QUANTUM]
+        assert sent == [
+            (a, SessionStart), *block, *block,
+            (b, EstimateReport), (a, EstimateReport), (a, SessionEnd),
+        ]
+        estimates = [m for m in transcript.messages() if isinstance(m, EstimateReport)]
+        assert [m.block_id for m in estimates] == [1, 1]
+
     def test_transcripts_byte_identical_across_runs(self):
         _, _, t1 = run_session(noiseless_settings(d=4, n=8, blocks=5), seed=42)
         _, _, t2 = run_session(noiseless_settings(d=4, n=8, blocks=5), seed=42)
@@ -306,6 +319,27 @@ class TestBlockSequence:
         with pytest.raises(ProtocolError, match="q_hat"):
             scripted_bob(messages)
 
+    @pytest.mark.parametrize(
+        "blocks, tail, cause",
+        [
+            # at the end of block 0 of 2 no estimate is due yet
+            (2, [EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan)],
+             "estimate before the reveal of the last block 1"),
+            (1, [EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan)] * 2,
+             "second estimate"),
+            (1, [SessionEnd()], "session ended before its error estimate"),
+        ],
+    )
+    def test_estimate_out_of_turn_aborts(self, blocks, tail, cause):
+        messages = [
+            BlockAnnounce(block_id=0),
+            PermutationReveal(block_id=0, indices=(1, 2, 3, 4)),
+            *tail,
+            SessionEnd(),
+        ]
+        with pytest.raises(ProtocolError, match=cause):
+            scripted_bob(messages, blocks=blocks)
+
 
 class TestAliceSampling:
     def run_with_report(self, entries):
@@ -333,12 +367,7 @@ class TestAliceSampling:
 
 def test_short_block_source_names_the_block():
     settings = noiseless_settings(d=2, n=2, blocks=2)
-    duplex = ScriptedDuplex(
-        [
-            encode_message(DetectionReportMsg(block_id=0, entries=((0, 1),))),
-            encode_message(EstimateReport(block_id=0, q_hat=math.nan, v_hat=math.nan)),
-        ]
-    )
+    duplex = ScriptedDuplex([encode_message(DetectionReportMsg(block_id=0, entries=((0, 1),)))])
     channel = SimulatedChannel(settings.physical, seed=0)
     with pytest.raises(ProtocolError, match="block source ended after 1 of 2 blocks"):
         run_alice(settings, [KeyBlock([1, 2])], channel, duplex, seed=0)
@@ -346,7 +375,8 @@ def test_short_block_source_names_the_block():
 
 @pytest.mark.parametrize("v_hat", [-0.5, 1.5])
 def test_alice_rejects_out_of_range_visibility(v_hat):
-    settings = noiseless_settings(d=2, n=2, blocks=2)
+    # one block, so Bob's estimate is the session's
+    settings = noiseless_settings(d=2, n=2, blocks=1)
     duplex = ScriptedDuplex(
         [
             encode_message(DetectionReportMsg(block_id=0, entries=((0, 1),))),
@@ -356,7 +386,7 @@ def test_alice_rejects_out_of_range_visibility(v_hat):
     channel = SimulatedChannel(settings.physical, seed=0)
     with pytest.raises(ProtocolError, match="v_hat"):
         run_alice(settings, None, channel, duplex, seed=0)
-    # she stops at the estimate, before her reply or the next block
+    # she stops at the estimate, before her reply and SESSION_END
     sent = io.BytesIO(bytes(duplex.sent))
     kinds = []
     while sent.tell() < len(duplex.sent):
@@ -507,8 +537,8 @@ class TestPinnedTranscripts:
         self.check(
             noiseless_settings(d=4, n=8, blocks=5),
             42,
-            "a288481abcadf4c2f6db1c6521b66b73c10992ccb9653c62ecd3873357191f91",
-            32,
+            "8323ea630df76d614b02d122273fbfc6d44bb327f395a255e5013cea8aed452a",
+            24,
             (3, 4, 1, 4, 2, 2, 3, 4, 4, 1, 4, 4, 3, 4, 4, 1, 1, 2, 1, 3,
              1, 1, 4, 1, 4, 4, 1, 2, 3, 1, 2, 4, 3, 1, 3, 3, 3, 3, 4, 1),
         )
@@ -524,8 +554,8 @@ class TestPinnedTranscripts:
         alice, bob = self.check(
             settings,
             config.seed,
-            "7bee398a9c41ce8eb6ada8b1ec970d212d34f59174d9ac034b08cbce57134ff8",
-            602,
+            "152001c1255bb11dee784e2763da89b23ed828806729f3ac57bccc92e040dcb4",
+            404,
             (4, 2, 7, 5, 8, 8, 4, 3),
         )
         self.check_stderrs(alice, bob, 0.0, math.nan)
@@ -541,9 +571,9 @@ class TestPinnedTranscripts:
         )
         alice, bob, transcript = run_session(settings, seed=1)
         assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == (
-            "840e341f71a8280e70ac909c9eb5ff3f611cfcb79cec9196e127d7f879db0b0f"
+            "58a8532df6d8c9be687d769520a5080b694195697c84abbe99ae58debd33001f"
         )
-        assert len(transcript.entries) == 14
+        assert len(transcript.entries) == 12
         assert alice.sifted_count == bob.sifted_count == 218
         assert hashlib.sha256(bytes(alice.sifted)).hexdigest() == (
             "b99ce96d6a47520f9d8dffd5c1d96477f00fcd55a1f9cf762ff5d074bd117172"
