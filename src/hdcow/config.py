@@ -263,10 +263,16 @@ def parse_config(raw: dict) -> Config:
 
 def _validate(config: Config) -> None:
     for section in ("protocol", "threshold"):
-        for d in getattr(config, section).dimensions:
+        dimensions = getattr(config, section).dimensions
+        for i, d in enumerate(dimensions):
             if not (_is_int(d) and d >= 2):
                 raise InvalidArgumentError(
                     f"{section}.dimensions entry {d!r} must be int >= 2"
+                )
+            if d in dimensions[:i]:
+                raise InvalidArgumentError(
+                    f"{section}.dimensions={list(dimensions)}: entry {i} (d={d}) "
+                    f"repeats an earlier entry"
                 )
     if not config.protocol.dimensions:
         raise InvalidArgumentError("protocol.dimensions must be non-empty")

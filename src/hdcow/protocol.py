@@ -115,11 +115,12 @@ class KeyBlock:
 
 def _scatter_inverse(map_: np.ndarray) -> np.ndarray:
     """``inv[t-1] = u`` for every ``map_[u-1] = t``; slots no value maps
-    to stay 0.  ``map_`` must lie in {1..len(map_)}."""
+    to stay 0.  ``map_`` must lie in {1..len(map_)}.  The inverse is int32,
+    half the bytes of int64, unless ``len(map_)`` reaches 2**31."""
     length = len(map_)
-    inv = np.zeros(length + 1, dtype=np.int64)
-    # scatter 1-based, drop slot 0; the values in the least dtype that holds them
-    inv[map_] = np.arange(1, length + 1, dtype=np.min_scalar_type(length))
+    dtype = np.int32 if length < 2**31 else np.int64
+    inv = np.zeros(length + 1, dtype=dtype)
+    inv[map_] = np.arange(1, length + 1, dtype=dtype)  # 1-based; slot 0 is dropped
     return inv[1:]
 
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .channel import PhysicalParams
 from .errors import InvalidArgumentError, NoThresholdError
-from .security import eve_optimal_holevo, secure_fractions
+from .security import _check_grid, _fraction_grid, eve_optimal_holevo
 
 __all__ = [
     "RatePoint",
@@ -56,6 +55,19 @@ class RatePoint:
     bits_per_detection: float
     alpha: float
     bits_per_second: float
+
+    @classmethod
+    def _from_values(cls, d, mu, bits_per_detection, alpha, bits_per_second):
+        """The point with these fields, built without the generated
+        ``__init__``'s ``object.__setattr__`` per field.  The fields go
+        into the instance dict in declaration order, so the point
+        compares, hashes, prints and pickles as the constructor's does."""
+        point = object.__new__(cls)
+        point.__dict__.update(
+            d=d, mu=mu, bits_per_detection=bits_per_detection, alpha=alpha,
+            bits_per_second=bits_per_second,
+        )
+        return point
 
 
 @dataclass(frozen=True)
@@ -105,25 +117,52 @@ def detection_rate(d: int, mu, xi_eff: float, t_dead: float, tau: float):
     """Detected qudits per second: ``1 / (t_dead + tau*d/(xi_eff*mu))``.
 
     ``mu`` is a float, or an ndarray that gives an array of rates.  Every
-    mu is checked before any rate is computed.  The formula is the same
+    mu is checked before any rate is computed; d must be an integer (not
+    a bool), and the smallest mu must leave the mean wait
+    ``tau*d/(xi_eff*mu)`` finite.  The formula is the same
     ``+ * /`` expression on both, which NumPy rounds as Python does, so
     each element equals the float result bit for bit.
     """
     mus = mu.tolist() if isinstance(mu, np.ndarray) else [mu]
+    _check_detection([d], mus, xi_eff, t_dead, tau)
+    return _detection_formula(d, mu, xi_eff, t_dead, tau)
+
+
+def _check_detection(dimensions, mus: list, xi_eff, t_dead, tau) -> None:
+    """Refuse what :func:`detection_rate` cannot take: each mu of the
+    list ``mus``, then each d, with the largest and the smallest mu."""
     for m in mus:
         if not (0.0 < m < math.inf and xi_eff > 0.0):
             raise InvalidArgumentError(
                 f"mu={m} and xi_eff={xi_eff} must be finite and positive"
             )
-    if not (tau > 0.0 and d >= 2 and t_dead >= 0.0):  # NaN fails this too
-        raise InvalidArgumentError(
-            f"require tau > 0, d >= 2, t_dead >= 0 (tau={tau}, d={d}, t_dead={t_dead})"
-        )
-    # xi_eff*mu/d rounds monotonically in mu, so the largest mu decides
-    if mus and xi_eff * max(mus) / d > 1.0:
-        raise InvalidArgumentError(
-            f"per-slot click probability exceeds 1 at mu={max(mus)}, d={d}"
-        )
+    mu_min, mu_max = min(mus, default=None), max(mus, default=None)
+    for d in dimensions:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            raise InvalidArgumentError(f"d={d!r} must be an integer >= 2")
+        if not (0.0 < tau < math.inf and d >= 2 and t_dead >= 0.0):  # NaN fails too
+            raise InvalidArgumentError(
+                f"require finite tau > 0, d >= 2, t_dead >= 0 "
+                f"(tau={tau}, d={d}, t_dead={t_dead})"
+            )
+        if not mus:
+            continue
+        # xi_eff*mu/d rounds monotonically in mu, so the largest mu decides
+        if xi_eff * mu_max / d > 1.0:
+            raise InvalidArgumentError(
+                f"per-slot click probability exceeds 1 at mu={mu_max}, d={d}"
+            )
+        # and the smallest decides whether the mean wait is a number
+        if not (xi_eff * mu_min > 0.0 and tau * d / (xi_eff * mu_min) < math.inf):
+            raise InvalidArgumentError(
+                f"mu={mu_min} too small at d={d}: the mean wait "
+                f"tau*d/(xi_eff*mu) between clicks is not finite"
+            )
+
+
+def _detection_formula(d, mu, xi_eff: float, t_dead: float, tau: float):
+    """The detection rate for checked inputs; ``d`` a number or a float
+    column, ``mu`` a number or a row."""
     return 1.0 / (t_dead + tau * d / (xi_eff * mu))
 
 
@@ -141,12 +180,14 @@ def secure_rate(
 def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     """Evaluate the rate on the (d, mu) grid and locate the optimum.
 
-    Each dimension makes one :func:`~hdcow.security.secure_fractions`
-    call and one :func:`detection_rate` call over the array of mu, so
-    its (Q, V) are read, its (d, Q) terms computed and every input
-    checked once, before any of its points is built, and no point builds
-    ``chi_BE``.  Both calls run the scalar path's code on arrays (see
-    :mod:`hdcow.security`), so every grid point equals
+    Each dimension's (Q, V) is read once, and every input is checked
+    before anything is evaluated: each (d, Q), the mu grid (one
+    dimension) and each V as :func:`~hdcow.security.secure_fractions`
+    checks them, then each d as :func:`detection_rate` does.  The
+    secure fractions are then one evaluation over the whole grid, one
+    row per d (see :mod:`hdcow.security`), with no ``chi_BE``; the
+    detection rates are one array expression over the same grid.  Both
+    run the scalar path's code on arrays, so every grid point equals
     ``secure_rate(d, mu, noise.q(d), noise.v(d), phys)`` bit for bit.
 
     ``gain`` is the optimum rate over the best d=2 rate; NaN when the
@@ -156,17 +197,24 @@ def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     mus = np.array(list(mu_grid), dtype=float)
     if not dimensions or not mus.size:
         raise InvalidArgumentError("empty sweep grid")
+    qs = [noise.q(d) for d in dimensions]
+    visibilities = [noise.v(d) for d in dimensions]
+    _check_grid(dimensions, qs, visibilities, mus)
     mu_values = mus.tolist()
-    grid = []
-    for d in dimensions:
-        fractions = secure_fractions(d, noise.q(d), noise.v(d), mus)
-        alpha = detection_rate(d, mus, phys.xi_eff, phys.t_dead, phys.tau)
-        bits_per_second = alpha * np.array(fractions)
-        grid.extend(map(
-            RatePoint, repeat(d), mu_values, fractions, alpha.tolist(),
-            bits_per_second.tolist(),
-        ))
-    optimum = max(grid, key=lambda p: p.bits_per_second)
+    _check_detection(dimensions, mu_values, phys.xi_eff, phys.t_dead, phys.tau)
+    fractions = _fraction_grid(dimensions, qs, visibilities, mus)
+    d_column = np.array(dimensions, dtype=float).reshape(-1, 1)
+    alpha = _detection_formula(d_column, mus, phys.xi_eff, phys.t_dead, phys.tau)
+    rates = (alpha * fractions).ravel().tolist()
+    grid = list(map(
+        RatePoint._from_values,
+        [d for d in dimensions for _ in mu_values],
+        mu_values * len(dimensions),
+        fractions.ravel().tolist(),
+        alpha.ravel().tolist(),
+        rates,
+    ))
+    optimum = grid[rates.index(max(rates))]  # the first of equally good points
     d2_points = [p for p in grid if p.d == 2]
     baseline = max(d2_points, key=lambda p: p.bits_per_second) if d2_points else None
     if baseline is not None and baseline.bits_per_second > 0.0:

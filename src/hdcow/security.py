@@ -27,23 +27,30 @@ Two routes compute the adversary's Holevo information:
   secure fraction share one private core, the only place
   ``I_AB - chi_AE`` is written: it takes ``h(Q)`` and ``h(1-(d-1)Q)``,
   computed once per (d, Q), and evaluates the average-state entropy once
-  per overlap.  :func:`secure_fractions` runs the core once over an
-  array of occupations for one (d, Q, V); :func:`report_at` runs it at
-  one overlap and is the only place that also builds ``chi_BE``, which
-  no rate caller reads.
+  per overlap.  :func:`report_at` runs it at one overlap and is the only
+  place that also builds ``chi_BE``, which no rate caller reads.  The
+  grid evaluation runs it once over a whole grid of rows (d, Q, V) by
+  columns mu, with d and Q as float columns: ``exp(-mu)`` and
+  ``exp(-mu/2)`` are computed once per grid and the optimal overlap once
+  per distinct V.  :func:`hdcow.rates.sweep` evaluates its whole
+  (d, mu) grid this way, and :func:`secure_fractions` is its one-row
+  case.
 
-  The core, the average-state entropy, the optimal overlap (the lower
-  end of :func:`x_interval`) and the clamps are each written once and
-  serve a float and an ndarray alike.  On an array, ``+ - * /`` run in
-  NumPy, which rounds them as IEEE 754 does and as Python does, so the
-  same expression in the same order gives the same bits.  ``log2``,
-  ``exp`` and ``sqrt`` go through one private helper that applies the
-  :mod:`math` function to each element, because NumPy's ``log2`` and
-  ``exp`` can round differently in the last bit.  An array evaluation
-  therefore equals the scalar one at every element, compared with
-  ``==``.  Scalar callers (:func:`report_at`, :func:`eve_optimal_holevo`,
-  :func:`secure_fraction`) take the plain :mod:`math` path and return
-  ``float``.
+  The core, the average-state entropy, the (d, Q) terms, the optimal
+  overlap (the lower end of :func:`x_interval`) and the clamps are each
+  written once and serve a number and an ndarray alike.  On an array,
+  ``+ - * /`` run in NumPy, which rounds them as IEEE 754 does and as
+  Python does, so the same expression in the same order gives the same
+  bits.  ``exp``, ``sqrt`` and ``log2 d`` go through one private helper
+  that applies the :mod:`math` function to each element, because
+  NumPy's ``log2`` and ``exp`` can round differently in the last bit.
+  The entropy of an array takes ``math.log2`` of every element (1 in
+  place of 0) and forms ``(0.0 - p) * log2(p)`` in NumPy, which equals
+  the scalar ``-p*log2(p)`` bit for bit, signed zeros included.  An
+  array evaluation therefore equals the scalar one at every element,
+  ``repr`` for ``repr``.  Scalar callers (:func:`report_at`,
+  :func:`eve_optimal_holevo`, :func:`secure_fraction`) take the plain
+  :mod:`math` path and return ``float``.
 * a brute-force density-matrix oracle (:func:`holevo_oracle`) that embeds
   the slot vectors explicitly, builds the d-fold tensor-product states,
   and diagonalizes.  The oracle is the ground truth the closed forms are
@@ -123,15 +130,30 @@ def entropy_term(p):
         if not p >= 0.0:  # NaN fails this too
             raise InvalidArgumentError(f"entropy_term requires p >= 0, got {p}")
         return _entropy(p)
-    arr = np.asarray(p, dtype=float)
-    values = arr.ravel().tolist()
-    # min() alone can step over a NaN
-    if values and not (min(values) >= 0.0 and not any(map(math.isnan, values))):
-        raise InvalidArgumentError("entropy_term requires every p >= 0 (no NaN)")
-    out = _each(_entropy, arr)
+    out = _entropies(np.asarray(p, dtype=float))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _entropies(arr: np.ndarray) -> np.ndarray:
+    """:func:`entropy_term` of each element of a float array, with no
+    Python frame per element.
+
+    ``log2(1) = 0`` stands in for ``log2(0)``, and ``(0.0 - p) * log2(p)``
+    equals the scalar ``-p * log2(p)`` bit for bit: +0.0 at ``p = 0`` and
+    -0.0 at ``p = 1``, as the scalar path gives.  A negative p makes
+    ``math.log2`` raise, and a NaN p gives a NaN logarithm, which the sum
+    of the logarithms carries (no other term can make it NaN).
+    """
+    try:
+        logs = list(map(math.log2, [v or 1.0 for v in arr.ravel().tolist()]))
+        total = sum(logs)
+    except ValueError:  # a negative p
+        total = math.nan
+    if math.isnan(total):
+        raise InvalidArgumentError("entropy_term requires every p >= 0 (no NaN)")
+    return (0.0 - arr) * np.array(logs).reshape(arr.shape)
 
 
 def _clip(value, lo: float, hi: float):
@@ -141,10 +163,10 @@ def _clip(value, lo: float, hi: float):
     return lo if lo > value else (hi if hi < value else value)
 
 
-def _x_ends(mu, visibility: float):
-    """Both ends of :func:`x_interval` for a validated (mu, V), with ``mu``
-    a float or an ndarray.  The lower end is the adversary's optimum."""
-    g = _each(math.exp, mu / -2.0)
+def _x_ends(g, visibility: float):
+    """Both ends of :func:`x_interval` for a validated V, from
+    ``g = exp(-mu/2)``, a float or an ndarray.  The lower end is the
+    adversary's optimum."""
     w = math.sqrt(visibility)
     half_width = _each(math.sqrt, _clip((1.0 - g * g) * (1.0 - w * w), 0.0, 1.0))
     return _clip(g * w - half_width, 0.0, 1.0), _clip(g * w + half_width, 0.0, 1.0)
@@ -159,7 +181,7 @@ def x_interval(mu: float, visibility: float) -> tuple[float, float]:
     """
     _validate_mu(mu)
     _validate_visibility(visibility)
-    return _x_ends(mu, visibility)
+    return _x_ends(math.exp(mu / -2.0), visibility)
 
 
 def _validate_visibility(visibility: float) -> None:
@@ -184,32 +206,36 @@ def _validate_domain(d: int, q: float, mu: float) -> None:
     _validate_mu(mu)
 
 
-def _dq_terms(d: int, q: float) -> tuple[float, float]:
-    """The secure fraction's two (d, Q)-only terms for a validated (d, Q):
-    the sender-side conditional entropy ``(d-1)*h(Q) + h(1-(d-1)Q)`` and
+def _dq_terms(d, q):
+    """The secure fraction's (d, Q)-only terms for a validated (d, Q):
+    the sender-side conditional entropy ``(d-1)*h(Q) + h(1-(d-1)Q)``,
     I_AB, both built from one evaluation of ``h(Q)`` and of
-    ``h(1-(d-1)Q)``."""
+    ``h(1-(d-1)Q)``, and ``log2(d)``, the clamps' upper end.  ``d`` and
+    ``q`` are numbers, or float columns of one shape, one row per
+    (d, Q)."""
+    log2_d = _each(math.log2, d)
     h_wrong = entropy_term(q)
     h_right = entropy_term(1.0 - (d - 1) * q)
-    return (d - 1) * h_wrong + h_right, math.log2(d) - (d - 1) * h_wrong - h_right
+    return (d - 1) * h_wrong + h_right, log2_d - (d - 1) * h_wrong - h_right, log2_d
 
 
-def _secure_core(d: int, q: float, mu, x, dq_terms: tuple[float, float]):
+def _secure_core(d, q, em, x, dq_terms):
     """``(s_bar, chi_ae, I_AB - chi_ae)`` at overlap ``x`` for a validated
-    (d, Q, mu), with ``dq_terms`` from :func:`_dq_terms`; ``chi_ae`` and
-    the secure fraction are clamped to [0, log2(d)].  ``mu`` and ``x``
-    may be floats or ndarrays of one shape.  The one place the secure
-    fraction is written; the average-state entropy ``s_bar`` is
-    evaluated once."""
-    conditional, i_ab = dq_terms
-    s_bar = _average_state_entropy(d, q, mu, x)
-    chi_ae = _clamp_bits(s_bar - conditional, d)
-    return s_bar, chi_ae, _clamp_bits(i_ab - chi_ae, d)
+    (d, Q, mu), with ``em = exp(-mu)`` and ``dq_terms`` from
+    :func:`_dq_terms`; ``chi_ae`` and the secure fraction are clamped to
+    [0, log2(d)].  Each argument is a number or an ndarray, and they
+    broadcast: ``d`` and ``q`` as one column of rows, ``em`` as a row of
+    mu, ``x`` as a row or a grid.  The one place the secure fraction is
+    written; the average-state entropy ``s_bar`` is evaluated once."""
+    conditional, i_ab, log2_d = dq_terms
+    s_bar = _average_state_entropy(d, q, em, x)
+    chi_ae = _clamp_bits(s_bar - conditional, log2_d)
+    return s_bar, chi_ae, _clamp_bits(i_ab - chi_ae, log2_d)
 
 
-def _receiver_conditional(d: int, q: float, mu: float) -> float:
-    """Receiver-side conditional entropy: see :func:`holevo_be`."""
-    em = math.exp(-mu)
+def _receiver_conditional(d: int, q: float, em: float) -> float:
+    """Receiver-side conditional entropy, with ``em = exp(-mu)``: see
+    :func:`holevo_be`."""
     return (
         entropy_term(q * ((d - 2) * em + 1.0))
         + (d - 2) * entropy_term(q * (1.0 - em))
@@ -217,19 +243,18 @@ def _receiver_conditional(d: int, q: float, mu: float) -> float:
     )
 
 
-def _average_state_entropy(d: int, q: float, mu, x):
+def _average_state_entropy(d, q, em, x):
     """Entropy of the adversary's ensemble-average state.
 
     The average state block-diagonalizes into d identical "wrong outcome"
-    blocks (one per p0 position, Gram off-diagonal ``exp(-mu)``) and one
-    "correct outcome" block (Gram off-diagonal ``x**2``); the entropy is
-    the entropy of the scaled block eigenvalues.  ``mu`` is a float or
-    an ndarray; ``x`` a float or anything array-like.
+    blocks (one per p0 position, Gram off-diagonal ``em = exp(-mu)``) and
+    one "correct outcome" block (Gram off-diagonal ``x**2``); the entropy
+    is the entropy of the scaled block eigenvalues.  ``d``, ``q`` and
+    ``em`` are numbers or ndarrays that broadcast (see
+    :func:`_secure_core`); ``x`` a float or anything array-like.
     """
     if not isinstance(x, _SCALAR_TYPES):
         x = np.asarray(x, dtype=float)
-    # -1.0 * mu is -mu bit for bit and spares paging in NumPy's negation
-    em = _each(math.exp, -1.0 * mu)
     e_tot = (d - 1) * q
     wrong = d * entropy_term(q / d * ((d - 2) * em + 1.0)) + d * (
         d - 2
@@ -253,8 +278,9 @@ def holevo_ae(d: int, q: float, mu: float, x):
     ``x`` may be an array; the result is clamped to [0, log2(d)].
     """
     _validate_domain(d, q, mu)
-    chi = _average_state_entropy(d, q, mu, x) - _dq_terms(d, q)[0]
-    return _clamp_bits(chi, d)
+    conditional, _, log2_d = _dq_terms(d, q)
+    chi = _average_state_entropy(d, q, math.exp(-mu), x) - conditional
+    return _clamp_bits(chi, log2_d)
 
 
 def holevo_be(d: int, q: float, mu: float, x):
@@ -268,13 +294,14 @@ def holevo_be(d: int, q: float, mu: float, x):
     entropy; the bound is correspondingly larger than :func:`holevo_ae`.
     """
     _validate_domain(d, q, mu)
-    chi = _average_state_entropy(d, q, mu, x) - _receiver_conditional(d, q, mu)
-    return _clamp_bits(chi, d)
+    em = math.exp(-mu)
+    chi = _average_state_entropy(d, q, em, x) - _receiver_conditional(d, q, em)
+    return _clamp_bits(chi, math.log2(d))
 
 
-def _clamp_bits(chi, d: int):
+def _clamp_bits(chi, log2_d):
     # entropy arithmetic near p in {0, 1} leaves -1e-16-size residue
-    return _clip(chi, 0.0, math.log2(d))
+    return _clip(chi, 0.0, log2_d)
 
 
 def _vn_entropy(rho: np.ndarray) -> float:
@@ -362,10 +389,11 @@ def report_at(d: int, q: float, mu: float, x: float) -> SecurityReport:
     ``max(mutual_info_ab - holevo_ae, 0)`` give.
     """
     _validate_domain(d, q, mu)
-    s_bar, chi_ae, fraction = _secure_core(d, q, mu, x, _dq_terms(d, q))
+    em, dq_terms = math.exp(-mu), _dq_terms(d, q)
+    s_bar, chi_ae, fraction = _secure_core(d, q, em, x, dq_terms)
     return SecurityReport(
         chi_ae=chi_ae,
-        chi_be=_clamp_bits(s_bar - _receiver_conditional(d, q, mu), d),
+        chi_be=_clamp_bits(s_bar - _receiver_conditional(d, q, em), dq_terms[2]),
         secure_fraction=fraction,
         x_star=x,
     )
@@ -394,29 +422,66 @@ def mutual_info_ab(d: int, q: float) -> float:
     return _dq_terms(d, q)[1]
 
 
+def _check_grid(dimensions, qs, visibilities, mus: np.ndarray) -> None:
+    """Refuse a (d, Q, V) row or a mu that :func:`_fraction_grid` cannot
+    take: every (d, Q), then ``mus`` (one dimension, each mu finite and
+    positive), then every V."""
+    for d, q in zip(dimensions, qs):
+        _validate_d_q(d, q)
+    if mus.ndim != 1:
+        raise InvalidArgumentError(
+            f"mus must be a 1-D sequence, got an array of shape {mus.shape}"
+        )
+    for mu in mus.tolist():
+        _validate_mu(mu)
+    for visibility in visibilities:
+        _validate_visibility(visibility)
+
+
+def _fraction_grid(dimensions, qs, visibilities, mus: np.ndarray) -> np.ndarray:
+    """Secure fractions for rows checked by :func:`_check_grid`, as an
+    array of one row per (d, Q, V) and one column per mu.
+
+    One evaluation of :func:`_secure_core` serves the whole grid, with d
+    and Q as float columns.  ``exp(-mu)`` and ``exp(-mu/2)`` are
+    computed once, and the optimal overlap once per distinct V.  Every
+    element equals ``secure_fraction(d, q, mu, v)`` bit for bit while
+    ``d*(d-2)`` stays below 2**53, that is for any d below 9e7, where d
+    as a float gives the integer arithmetic's values.
+    """
+    d = np.array(dimensions, dtype=float).reshape(-1, 1)
+    q = np.array(qs, dtype=float).reshape(-1, 1)
+    g = _each(math.exp, mus / -2.0)
+    x_by_visibility = {}
+    for visibility in visibilities:
+        if visibility not in x_by_visibility:
+            x_by_visibility[visibility] = _x_ends(g, visibility)[0]
+    x_star = np.array([x_by_visibility[v] for v in visibilities])
+    # -1.0 * mus is -mus bit for bit and spares paging in NumPy's negation
+    em = _each(math.exp, -1.0 * mus)
+    return _secure_core(d, q, em, x_star, _dq_terms(d, q))[2]
+
+
 def secure_fractions(d: int, q: float, visibility: float, mus) -> list[float]:
     """Secure bits per detected qudit against the optimal attack at each
-    occupation in ``mus``, for one (d, Q, V).
+    occupation in ``mus``, a 1-D sequence, for one (d, Q, V).
 
     (d, Q), every mu and V are checked before anything is evaluated.
-    The fractions are then evaluated once over the array of mu, at the
+    The fractions are then the one-row case of the grid evaluation that
+    :func:`hdcow.rates.sweep` runs (see the module docstring): at the
     lower end of :func:`x_interval`, with one average-state entropy and
-    no ``chi_BE``.  The array path runs the scalar path's code (see the
-    module docstring), so each value equals
+    no ``chi_BE``.  Each value equals
     ``eve_optimal_holevo(d, q, mu, visibility).secure_fraction`` bit for
     bit.
     """
-    _validate_d_q(d, q)
     mus = np.asarray(mus, dtype=float)
-    for mu in mus.tolist():
-        _validate_mu(mu)
-    _validate_visibility(visibility)
-    x_star = _x_ends(mus, visibility)[0]
-    return _secure_core(d, q, mus, x_star, _dq_terms(d, q))[2].tolist()
+    _check_grid([d], [q], [visibility], mus)
+    return _fraction_grid([d], [q], [visibility], mus)[0].tolist()
 
 
 def secure_fraction(d: int, q: float, mu: float, visibility: float) -> float:
     """Secure bits per detected qudit against the optimal attack at one
     occupation, on the scalar path."""
     _validate_d_q(d, q)
-    return _secure_core(d, q, mu, x_interval(mu, visibility)[0], _dq_terms(d, q))[2]
+    x_star = x_interval(mu, visibility)[0]
+    return _secure_core(d, q, math.exp(-mu), x_star, _dq_terms(d, q))[2]

@@ -137,6 +137,9 @@ class TestCli:
             ('{"sweep": {"mu_min": 0}}', "sweep.mu_min"),
             ('{"sweep": {"mu_min": 0.3, "mu_max": 0.1}}', "sweep.mu_max"),
             ('{"sweep": {"mu_steps": 0}}', "sweep.mu_steps"),
+            # a repeated dimension: rates printed its block twice
+            ('{"protocol": {"dimensions": [4, 2, 2]}}', "protocol.dimensions"),
+            ('{"threshold": {"dimensions": [4, 4]}}', "threshold.dimensions"),
         ],
     )
     def test_bad_threshold_or_noise_section_is_usage_error(

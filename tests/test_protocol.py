@@ -161,13 +161,15 @@ class TestPermutation:
         assert np.array_equal(perm.inverse_map, checked.inverse_map)
         assert np.array_equal(perm.map_[perm.inverse_map - 1], np.arange(1, 301))
 
-    # the inverse is scattered from values in the least dtype that holds L
+    # lengths at the edges of the narrower dtypes; the inverse is int32
+    # below 2**31 slots
     @pytest.mark.parametrize("length", [1, 255, 256, 65535, 65536, 65537])
     def test_inverse_at_scatter_dtype_boundaries(self, length):
         perm = make_permutation(length, SeededByteSource(11))
         checked = Permutation(perm.map_.copy())
         assert np.array_equal(checked.inverse_map, np.argsort(perm.map_) + 1)
         assert np.array_equal(perm.inverse_map, checked.inverse_map)
+        assert perm.inverse_map.dtype == checked.inverse_map.dtype == np.int32
 
     def test_rejects_non_bijection(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,13 +1,18 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdcow.channel import PhysicalParams
 from hdcow.config import Config
 from hdcow.errors import InvalidArgumentError, NoThresholdError
 from hdcow.rates import (
     LinearNoise,
+    RatePoint,
     TableNoise,
     detection_rate,
     qber_threshold,
@@ -48,6 +53,8 @@ class TestDetectionRate:
             detection_rate(2, 0.1, 0.2, math.nan, 2e-9)
         with pytest.raises(InvalidArgumentError, match="tau=nan"):
             detection_rate(2, 0.1, 0.2, 4e-6, math.nan)
+        with pytest.raises(InvalidArgumentError, match="tau=inf"):
+            detection_rate(2, 0.1, 0.2, 4e-6, math.inf)
 
     def test_array_equals_scalar(self):
         mus = np.linspace(1e-9, 0.4, 301)
@@ -66,6 +73,26 @@ class TestDetectionRate:
             mus_bad[at] = bad
             with pytest.raises(InvalidArgumentError, match=message):
                 detection_rate(2, mus_bad, 0.2, 4e-6, 2e-9)
+
+    @pytest.mark.parametrize("d", [2.5, 4.0, True, "4"])
+    def test_non_integer_dimension_rejected(self, d):
+        # d=2.5 used to give 800000.0000000001
+        with pytest.raises(InvalidArgumentError, match=f"d={d!r} must be an integer"):
+            detection_rate(d, 0.1, 0.1, 1e-6, 1e-9)
+
+    @pytest.mark.parametrize("d, mu", [(2, 5e-324), (64, 1e-315)])
+    def test_mean_wait_must_be_finite(self, d, mu):
+        # mu = 5e-324 used to raise ZeroDivisionError, and an array of
+        # such mu to give rates of 0 with a divide-by-zero warning
+        message = f"mu={mu} too small at d={d}:"
+        for mus in (mu, np.array([0.1, mu])):
+            with pytest.raises(InvalidArgumentError, match=message):
+                detection_rate(d, mus, 0.2, 4e-6, 2e-9)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert detection_rate(np.int64(4), 0.1, 0.1, 1e-6, 1e-9) == detection_rate(
+            4, 0.1, 0.1, 1e-6, 1e-9
+        )
 
     def test_monotone_in_mu_and_dimension(self):
         mus = np.linspace(0.005, 0.3, 20)
@@ -101,6 +128,58 @@ class TestSecureRate:
         assert pt.bits_per_second == pytest.approx(135597.873972, rel=1e-9)
 
 
+@st.composite
+def _table_sweeps(draw):
+    """1-6 dimensions in any order, each with its own (Q, V), Q at
+    either end of [0, 1/(d-1)] or inside it, V at 0, 1, a value
+    shared by other dimensions or anywhere, and 1-40 occupations."""
+    dimensions = draw(st.lists(st.integers(2, 64), min_size=1, max_size=6, unique=True))
+    shared_v = draw(st.floats(0.0, 1.0))
+    table = {}
+    for d in dimensions:
+        q_max = 1.0 / (d - 1)
+        q = draw(st.one_of(st.sampled_from([0.0, q_max]), st.floats(0.0, q_max)))
+        v = draw(st.one_of(st.sampled_from([0.0, 1.0, shared_v]), st.floats(0.0, 1.0)))
+        table[d] = (q, v)
+    mus = draw(st.lists(
+        st.one_of(st.sampled_from([5e-324, 1e-300, 1e-17, 1e-6]), st.floats(1e-9, 5.0)),
+        min_size=1, max_size=40,
+    ))
+    t_dead = draw(st.sampled_from([0.0, 4e-6]))
+    return dimensions, mus, TableNoise(table), PhysicalParams(mu=0.05, t_dead=t_dead)
+
+
+_TABLE = {2: (0.004, 0.99), 4: (0.003, 0.985), 8: (0.002, 0.98)}
+
+
+def _grid_with_mu(at, bad):
+    mus = Config().mu_grid()
+    mus[at] = bad
+    return mus
+
+
+# Single faults in a sweep over d = 4, 2, 8, each with the message that
+# secure_fractions or detection_rate gives for the faulty d alone.
+_SINGLE_FAULTS = [
+    ({**_TABLE, 8: (0.2, 0.98)}, None, None,
+     "Q=0.2 outside [0, 1/(d-1)] for d=8"),
+    ({**_TABLE, 4: (0.003, 1.5)}, None, None,
+     "visibility=1.5 outside [0, 1]"),
+    ({**_TABLE, 4: (0.003, math.nan)}, None, None,
+     "visibility=nan outside [0, 1]"),
+    *[
+        (_TABLE, _grid_with_mu(at, bad), None, f"mu={bad} must be finite and positive")
+        for at in (0, 60, 119)
+        for bad in (math.nan, 0.0, -0.1, math.inf)
+    ],
+    # xi_eff = 1: only d=2, the second dimension, clicks in more
+    # than every slot at mu = 3
+    (_TABLE, [0.5, 1.0, 3.0, 2.0],
+     PhysicalParams(mu=0.05, t_ch=1.0, xi=1.0, f_mon=0.0),
+     "per-slot click probability exceeds 1 at mu=3.0, d=2"),
+]
+
+
 class TestSweep:
     def test_single_point_grid(self):
         phys = PhysicalParams(mu=0.05)
@@ -129,17 +208,38 @@ class TestSweep:
 
     @staticmethod
     def per_point(dimensions, mu_grid, noise, phys):
+        # each point's mu is the grid's value as a float
         return tuple(
             secure_rate(d, mu, noise.q(d), noise.v(d), phys)
             for d in dimensions
-            for mu in mu_grid
+            for mu in np.asarray(mu_grid, dtype=float).tolist()
         )
 
+    @classmethod
+    def assert_grid_is_per_point(cls, *args):
+        # exact equality: the sweep and secure_rate share every formula.
+        # repr also tells -0.0 from 0.0 and shows the type of d
+        grid, expected = sweep(*args).grid, cls.per_point(*args)
+        assert grid == expected
+        assert repr(grid) == repr(expected)
+
     def test_default_grid_equals_per_point_rates(self):
-        # exact equality: the sweep and secure_rate share every formula
         c = Config()
-        args = (c.protocol.dimensions, c.mu_grid(), c.noise_model(), c.physical_params())
-        assert sweep(*args).grid == self.per_point(*args)
+        self.assert_grid_is_per_point(
+            c.protocol.dimensions, c.mu_grid(), c.noise_model(), c.physical_params()
+        )
+
+    def test_points_behave_as_constructed_points(self):
+        c = Config()
+        grid = sweep([2, 8], c.mu_grid()[:5], c.noise_model(), c.physical_params()).grid
+        for point in grid:
+            built = RatePoint(*dataclasses.astuple(point))
+            assert point == built and hash(point) == hash(built)
+            assert repr(point) == repr(built)
+            assert pickle.dumps(point) == pickle.dumps(built)
+            assert pickle.loads(pickle.dumps(point)) == built
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                point.mu = 0.1
 
     def test_table_noise_edges_equal_per_point_rates(self):
         table = TableNoise({
@@ -149,9 +249,30 @@ class TestSweep:
             8: (np.float64(0.01), np.float64(0.97)),
             16: (0.0, 1.0),
         })
-        args = ([2, 3, 4, 8, 16], np.linspace(1e-6, 0.5, 13), table,
-                PhysicalParams(mu=0.05))
-        assert sweep(*args).grid == self.per_point(*args)
+        self.assert_grid_is_per_point(
+            [2, 3, 4, 8, 16], np.linspace(1e-6, 0.5, 13), table, PhysicalParams(mu=0.05)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_table_sweeps())
+    def test_table_noise_grid_equals_per_point_rates(self, case):
+        # the smallest occupations are refused, by both routes alike
+        def outcome(evaluate):
+            try:
+                return repr(evaluate())
+            except InvalidArgumentError as exc:
+                return f"refused: {exc}"
+
+        expected = outcome(lambda: self.per_point(*case))
+        assert outcome(lambda: sweep(*case).grid) == expected
+
+    @pytest.mark.parametrize("table, mus, phys, message", _SINGLE_FAULTS)
+    def test_single_fault_raises_as_before(self, table, mus, phys, message):
+        c = Config()
+        with pytest.raises(InvalidArgumentError) as exc:
+            sweep([4, 2, 8], mus or c.mu_grid(), TableNoise(table),
+                  phys or c.physical_params())
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_mu_in_grid_rejected(self, bad):

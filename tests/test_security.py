@@ -36,7 +36,7 @@ class TestEntropyTerm:
     @settings(max_examples=500, deadline=None)
     @given(
         p=st.one_of(
-            st.sampled_from([0, 1, 0.0, 1.0, 5e-324, 2.2250738585072014e-308]),
+            st.sampled_from([0, 1, 0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308]),
             st.floats(0.0, 2.2250738585072014e-308),
             st.floats(0.0, 1.0),
         )
@@ -44,15 +44,19 @@ class TestEntropyTerm:
     def test_scalar_path_matches_array_path(self, p):
         scalar = entropy_term(p)
         assert type(scalar) is float
-        # both paths take log2 from math, so they agree bit for bit
-        assert entropy_term(np.array([p]))[0] == scalar
+        # both paths take log2 from math, so they agree bit for bit; repr
+        # also tells -0.0 (at p = 1) from 0.0
+        assert repr(entropy_term(np.array([p])).tolist()) == repr([scalar])
         assert type(entropy_term(np.float64(p))) is float
 
     def test_array_path_equals_scalar_path_on_many_values(self):
         # NumPy's own log2 differs from math's in the last bit for about
         # one value in 10^4 here, which a few hundred examples rarely hit
         p = np.random.default_rng(5).random(100_000)
-        assert entropy_term(p).tolist() == [entropy_term(v) for v in p.tolist()]
+        p[:3] = (0.0, 1.0, 0.5)
+        expected = [entropy_term(v) for v in p.tolist()]
+        assert repr(entropy_term(p).tolist()) == repr(expected)
+        assert repr(entropy_term(p.reshape(100, 1000)).ravel().tolist()) == repr(expected)
 
     @settings(max_examples=100, deadline=None)
     @given(p=st.floats(-1e300, -5e-324))
@@ -382,8 +386,8 @@ class TestRoutesAgree:
     def test_fractions_over_array_equal_scalar_reports(self, d, q_share, v, mus):
         q = q_share / (d - 1)
         expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus]
-        assert secure_fractions(d, q, v, mus) == expected
-        assert secure_fractions(d, q, v, np.array(mus)) == expected
+        assert repr(secure_fractions(d, q, v, mus)) == repr(expected)
+        assert repr(secure_fractions(d, q, v, np.array(mus))) == repr(expected)
 
     @pytest.mark.parametrize("d,q,v", [(2, 0.04, 0.9), (8, 0.004, 0.99), (32, 0.001, 0.5)])
     def test_fractions_on_dense_grid_equal_scalar_reports(self, d, q, v):
@@ -394,3 +398,15 @@ class TestRoutesAgree:
     def test_domain_checked_before_any_occupation(self):
         with pytest.raises(InvalidArgumentError, match="Q="):
             secure_fractions(4, 0.5, 0.9, [])
+
+    @pytest.mark.parametrize(
+        "mus, shape",
+        [(0.05, "()"), ([[0.05, 0.1]], "(1, 2)"), (np.full((2, 2), 0.05), "(2, 2)")],
+    )
+    def test_fractions_need_a_one_dimensional_sequence(self, mus, shape):
+        # a scalar or a 2-D grid used to end in a bare TypeError
+        with pytest.raises(InvalidArgumentError) as exc:
+            secure_fractions(4, 0.01, 0.9, mus)
+        assert str(exc.value) == (
+            f"mus must be a 1-D sequence, got an array of shape {shape}"
+        )
