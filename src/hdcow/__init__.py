@@ -41,7 +41,6 @@ from .security import (
     mutual_info_ab,
     report_at,
     secure_fraction,
-    secure_fractions,
     x_interval,
 )
 from .session import SessionSettings, SessionSummary, run_session, validate_transcript
@@ -77,7 +76,6 @@ __all__ = [
     "report_at",
     "run_session",
     "secure_fraction",
-    "secure_fractions",
     "secure_rate",
     "sift_block",
     "sweep",

@@ -197,11 +197,19 @@ class DetectorState:
 
 @dataclass
 class ClickStream:
-    """Time-ordered detector events for one frame, as global slot indices."""
+    """Time-ordered detector events for one frame, as global slot indices.
+
+    ``prev_occupied`` and ``last_monitor_click`` are the detector state
+    the frame started from: whether the slot before its first was
+    occupied, and the monitor's last click before the frame.  Their
+    defaults are :class:`DetectorState`'s, a fresh line.
+    """
 
     data_slots: np.ndarray
     monitor_slots: np.ndarray
     frame_start: int  # global index of the frame's first slot
+    prev_occupied: bool = False
+    last_monitor_click: int = -(1 << 62)
 
 
 @dataclass
@@ -246,6 +254,7 @@ def transmit_frame(
     occ = frame.occupancy
     length = len(occ)
     base = state.next_slot
+    prev_occupied, last_monitor_click = state.prev_occupied, state.last_monitor_click
     dead = params.dead_slots
     pulses = occ.nonzero()[0]
     u = rng.random(2 * length)
@@ -260,7 +269,7 @@ def transmit_frame(
     )
 
     p_pulse = np.where(
-        _interferes(occ, pulses, state.prev_occupied),
+        _interferes(occ, pulses, prev_occupied),
         params.p_monitor_interfering,
         params.p_monitor_noninterfering,
     )
@@ -273,7 +282,7 @@ def transmit_frame(
         cand_mon = pulses[pulse_hit]
     cand_mon += base
     monitor_slots, state.last_monitor_click = dead_time_filter(
-        cand_mon, dead, state.last_monitor_click
+        cand_mon, dead, last_monitor_click
     )
 
     state.prev_occupied = bool(occ[-1])
@@ -282,6 +291,8 @@ def transmit_frame(
         data_slots=data_slots,
         monitor_slots=monitor_slots,
         frame_start=base,
+        prev_occupied=prev_occupied,
+        last_monitor_click=last_monitor_click,
     )
 
 
@@ -296,21 +307,18 @@ def _interferes(occ: np.ndarray, pulses: np.ndarray, prev_occupied: bool) -> np.
 
 
 def monitor_tally(
-    occ: np.ndarray,
-    prev_occupied: bool,
-    clicks: ClickStream,
-    params: PhysicalParams,
-    last_click_before: int,
+    occ: np.ndarray, clicks: ClickStream, params: PhysicalParams
 ) -> MonitorTally:
     """Classify monitor clicks and count live exposures for one frame.
 
     Each pulse is an interfering exposure when the slot before it is
-    occupied and a non-interfering one otherwise; a click on a pulse
-    counts for its class, and a click on an empty slot (a dark count)
-    or outside the frame for neither.  A pulse within ``dead_slots``
-    slots after a monitor click could never have clicked, so it is no
-    exposure; the clicks are the frame's own and ``last_click_before``,
-    the monitor's last click before the frame.  The receiver can
+    occupied and a non-interfering one otherwise; before the first slot
+    stands ``clicks.prev_occupied``.  A click on a pulse counts for its
+    class, and a click on an empty slot (a dark count) or outside the
+    frame for neither.  A pulse within ``dead_slots`` slots after a
+    monitor click could never have clicked, so it is no exposure; the
+    clicks are the frame's own and ``clicks.last_monitor_click``, the
+    monitor's last click before the frame.  The receiver can
     reconstruct these dead windows from its own click record.
 
     The exposures take one pass over the pulses: two ``searchsorted``
@@ -320,11 +328,12 @@ def monitor_tally(
     interfering are the non-interfering exposures.  The clicks are few,
     so each is classified where it falls.
     """
+    prev_occupied = clicks.prev_occupied
     pulses = occ.nonzero()[0]
     interfering = _interferes(occ, pulses, prev_occupied)
     start = clicks.frame_start
     marks = np.empty(len(clicks.monitor_slots) + 1, dtype=np.int64)  # local slots
-    marks[0] = last_click_before - start
+    marks[0] = clicks.last_monitor_click - start
     local = marks[1:]
     np.subtract(clicks.monitor_slots, start, out=local)
     live = marks.searchsorted(pulses - params.dead_slots) == marks.searchsorted(pulses)

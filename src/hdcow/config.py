@@ -29,7 +29,6 @@ REFERENCE_T_CH = 10 ** (-0.8)  # 40 km at 0.2 dB/km
 @dataclass(frozen=True)
 class ProtocolSection:
     dimensions: tuple = (2, 4, 8, 16, 32)
-    n: int = 64
     tau: float = 2e-9
 
 
@@ -85,10 +84,10 @@ class Config:
     threshold: ThresholdSection = field(default_factory=ThresholdSection)
     session: SessionSection = field(default_factory=SessionSection)
 
-    def physical_params(self, mu: float | None = None) -> PhysicalParams:
+    def physical_params(self) -> PhysicalParams:
         p = self.physical
         return PhysicalParams(
-            mu=p.mu if mu is None else mu,
+            mu=p.mu,
             t_ch=p.t_ch,
             xi=p.xi,
             t_dead=p.t_dead,

@@ -180,21 +180,22 @@ def secure_rate(
 def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     """Evaluate the rate on the (d, mu) grid and locate the optimum.
 
-    Each dimension's (Q, V) is read once, and every input is checked
-    before anything is evaluated: each (d, Q), the mu grid (one
-    dimension) and each V as :func:`~hdcow.security.secure_fractions`
-    checks them, then each d as :func:`detection_rate` does.  The
-    secure fractions are then one evaluation over the whole grid, one
-    row per d (see :mod:`hdcow.security`), with no ``chi_BE``; the
-    detection rates are one array expression over the same grid.  Both
-    run the scalar path's code on arrays, so every grid point equals
+    ``mu_grid`` is a 1-D sequence.  Each dimension's (Q, V) is read
+    once, and every input is checked before anything is evaluated: each
+    (d, Q), then the mu grid (its shape, then each mu as
+    :func:`secure_rate` checks it), then each V, then each d as
+    :func:`detection_rate` does.  The secure fractions are then one
+    evaluation over the whole grid, one row per d (see
+    :mod:`hdcow.security`), with no ``chi_BE``; the detection rates are
+    one array expression over the same grid.  Both run the scalar path's
+    code on arrays, so every grid point equals
     ``secure_rate(d, mu, noise.q(d), noise.v(d), phys)`` bit for bit.
 
     ``gain`` is the optimum rate over the best d=2 rate; NaN when the
     grid has no d=2 points.
     """
     dimensions = list(dimensions)
-    mus = np.array(list(mu_grid), dtype=float)
+    mus = np.asarray(mu_grid, dtype=float)
     if not dimensions or not mus.size:
         raise InvalidArgumentError("empty sweep grid")
     qs = [noise.q(d) for d in dimensions]

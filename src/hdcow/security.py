@@ -23,34 +23,22 @@ Two routes compute the adversary's Holevo information:
 
 * closed forms built from the eigenvalue structure of the conditional
   states.  :func:`holevo_ae` and :func:`holevo_be` evaluate one bound
-  each, on a scalar or an array of overlaps.  The callers that need the
-  secure fraction share one private core, the only place
-  ``I_AB - chi_AE`` is written: it takes ``h(Q)`` and ``h(1-(d-1)Q)``,
-  computed once per (d, Q), and evaluates the average-state entropy once
-  per overlap.  :func:`report_at` runs it at one overlap and is the only
-  place that also builds ``chi_BE``, which no rate caller reads.  The
-  grid evaluation runs it once over a whole grid of rows (d, Q, V) by
-  columns mu, with d and Q as float columns: ``exp(-mu)`` and
-  ``exp(-mu/2)`` are computed once per grid and the optimal overlap once
-  per distinct V.  :func:`hdcow.rates.sweep` evaluates its whole
-  (d, mu) grid this way, and :func:`secure_fractions` is its one-row
-  case.
+  each, on a scalar or an array of overlaps.  Every secure fraction
+  comes from one private core, the only place ``I_AB - chi_AE`` is
+  written.  :func:`report_at` runs it at one overlap and is the only
+  place that also builds ``chi_BE``, which no rate caller reads.
+  :func:`hdcow.rates.sweep` runs it once over its whole (d, mu) grid,
+  with d and Q as float columns and mu as a row.
 
-  The core, the average-state entropy, the (d, Q) terms, the optimal
-  overlap (the lower end of :func:`x_interval`) and the clamps are each
-  written once and serve a number and an ndarray alike.  On an array,
-  ``+ - * /`` run in NumPy, which rounds them as IEEE 754 does and as
-  Python does, so the same expression in the same order gives the same
-  bits.  ``exp``, ``sqrt`` and ``log2 d`` go through one private helper
-  that applies the :mod:`math` function to each element, because
-  NumPy's ``log2`` and ``exp`` can round differently in the last bit.
-  The entropy of an array takes ``math.log2`` of every element (1 in
-  place of 0) and forms ``(0.0 - p) * log2(p)`` in NumPy, which equals
-  the scalar ``-p*log2(p)`` bit for bit, signed zeros included.  An
-  array evaluation therefore equals the scalar one at every element,
-  ``repr`` for ``repr``.  Scalar callers (:func:`report_at`,
-  :func:`eve_optimal_holevo`, :func:`secure_fraction`) take the plain
-  :mod:`math` path and return ``float``.
+  The core and its parts serve a number and an ndarray alike.  On an
+  array, ``+ - * /`` run in NumPy, which rounds them as Python does, and
+  ``exp``, ``sqrt`` and ``log2`` go through one private helper that
+  applies the :mod:`math` function to each element, because NumPy's can
+  round differently in the last bit.  A grid point therefore equals the
+  scalar evaluation ``repr`` for ``repr``.  Scalar callers
+  (:func:`report_at`, :func:`eve_optimal_holevo`,
+  :func:`secure_fraction`) take the plain :mod:`math` path and return
+  ``float``.
 * a brute-force density-matrix oracle (:func:`holevo_oracle`) that embeds
   the slot vectors explicitly, builds the d-fold tensor-product states,
   and diagonalizes.  The oracle is the ground truth the closed forms are
@@ -77,7 +65,6 @@ __all__ = [
     "eve_optimal_holevo",
     "mutual_info_ab",
     "secure_fraction",
-    "secure_fractions",
 ]
 
 # Inputs of these types take the scalar ``math`` path of the closed forms;
@@ -460,23 +447,6 @@ def _fraction_grid(dimensions, qs, visibilities, mus: np.ndarray) -> np.ndarray:
     # -1.0 * mus is -mus bit for bit and spares paging in NumPy's negation
     em = _each(math.exp, -1.0 * mus)
     return _secure_core(d, q, em, x_star, _dq_terms(d, q))[2]
-
-
-def secure_fractions(d: int, q: float, visibility: float, mus) -> list[float]:
-    """Secure bits per detected qudit against the optimal attack at each
-    occupation in ``mus``, a 1-D sequence, for one (d, Q, V).
-
-    (d, Q), every mu and V are checked before anything is evaluated.
-    The fractions are then the one-row case of the grid evaluation that
-    :func:`hdcow.rates.sweep` runs (see the module docstring): at the
-    lower end of :func:`x_interval`, with one average-state entropy and
-    no ``chi_BE``.  Each value equals
-    ``eve_optimal_holevo(d, q, mu, visibility).secure_fraction`` bit for
-    bit.
-    """
-    mus = np.asarray(mus, dtype=float)
-    _check_grid([d], [q], [visibility], mus)
-    return _fraction_grid([d], [q], [visibility], mus)[0].tolist()
 
 
 def secure_fraction(d: int, q: float, mu: float, visibility: float) -> float:

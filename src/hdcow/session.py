@@ -28,9 +28,17 @@ that drives the failing endpoint.
 
 The receiver accepts blocks only in sequence and refuses a reveal for a
 block it has not announced, which is the ordering invariant the
-transcript validator checks offline.  The quantum channel and detectors
-sit behind a handle injected into both endpoints so the same state
-machines can drive an in-process simulation or external hardware.
+transcript validator checks offline.  An endpoint's link is the one
+writer of its transcript: it records each message it sends, each frame
+it passes to the channel (a quantum marker), and each message it reads,
+under the peer's direction.  ``run_session`` records on Alice's side.
+
+The quantum channel and detectors sit behind a handle injected into
+both endpoints, so the same state machines can drive an in-process
+simulation or external hardware.  The handle has two calls:
+``transmit(block_id, frame)`` on Alice's side, and
+``receive(block_id) -> (occupancy, clicks)`` on Bob's, which returns
+the frame's occupancy and its :class:`~hdcow.channel.ClickStream`.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    ClickStream,
     DetectorState,
     MonitorTally,
     PhysicalParams,
@@ -229,7 +238,9 @@ class Transcript:
 
 
 def validate_transcript(transcript: Transcript) -> list[str]:
-    """Check the ordering invariant; returns a list of violations."""
+    """Check the ordering invariant of a transcript recorded on Alice's
+    side; returns a list of violations.  Bob's own record holds no
+    quantum markers, so every block of it is flagged."""
     violations = []
     entries = transcript.entries
     if not entries:
@@ -266,63 +277,36 @@ def validate_transcript(transcript: Transcript) -> list[str]:
     return violations
 
 
-@dataclass
-class _QuantumDelivery:
-    block_id: int
-    clicks: object
-    occupancy: np.ndarray
-    prev_occupied: bool
-    last_monitor_click: int
-
-
 class SimulatedChannel:
     """In-process quantum channel handle.
 
     The transmitter side pushes pulse frames through the Monte Carlo
-    channel; the receiver side pulls the resulting click records in
-    order, and asking for one that was never transmitted raises.  The
-    frame occupancy rides along for post-reveal monitor classification,
-    which stands in for the disclosure a hardware system would perform
-    on estimation blocks.
+    channel; the receiver side pulls each frame's occupancy and click
+    record in order, and asking for one that was never transmitted
+    raises.  The occupancy rides along for post-reveal monitor
+    classification, which stands in for the disclosure a hardware system
+    would perform on estimation blocks.
     """
 
-    def __init__(
-        self,
-        phys: PhysicalParams,
-        seed,
-        transcript: Transcript | None = None,
-    ):
+    def __init__(self, phys: PhysicalParams, seed):
         self.phys = phys
         self._rng = np.random.default_rng(seed)
         self._state = DetectorState()
-        self._deliveries: deque[_QuantumDelivery] = deque()
-        self._transcript = transcript
+        self._deliveries: deque[tuple] = deque()  # (block_id, occupancy, clicks)
 
     def transmit(self, block_id: int, frame: PulseFrame) -> None:
-        prev_occupied = self._state.prev_occupied
-        last_mon = self._state.last_monitor_click
         clicks = transmit_frame(frame, self.phys, self._rng, self._state)
-        if self._transcript is not None:
-            self._transcript.record(Transcript.QUANTUM, block_id)
-        self._deliveries.append(
-            _QuantumDelivery(
-                block_id=block_id,
-                clicks=clicks,
-                occupancy=frame.occupancy,
-                prev_occupied=prev_occupied,
-                last_monitor_click=last_mon,
-            )
-        )
+        self._deliveries.append((block_id, frame.occupancy, clicks))
 
-    def receive(self, block_id: int) -> _QuantumDelivery:
+    def receive(self, block_id: int) -> tuple[np.ndarray, ClickStream]:
         if not self._deliveries:
             raise ProtocolError(f"no quantum transmission observed for block {block_id}")
-        delivery = self._deliveries.popleft()
-        if delivery.block_id != block_id:
+        sent_id, occupancy, clicks = self._deliveries.popleft()
+        if sent_id != block_id:
             raise ProtocolError(
-                f"quantum block {delivery.block_id} does not match announced {block_id}"
+                f"quantum block {sent_id} does not match announced {block_id}"
             )
-        return delivery
+        return occupancy, clicks
 
 
 @dataclass(frozen=True)
@@ -336,7 +320,8 @@ class _Transmit:
 
 class _Link:
     """An endpoint's side of the classical channel: sends its output,
-    records it in the transcript, and reads the peer's messages."""
+    reads the peer's messages, and records both, with each frame passed
+    to the channel, in the transcript."""
 
     def __init__(self, tx, rx, transcript: Transcript | None, direction: str, channel, settings):
         self._tx = tx
@@ -344,27 +329,36 @@ class _Link:
         self._proto = settings.protocol
         self._transcript = transcript
         self._direction = direction
+        self._peer_direction = (
+            Transcript.B_TO_A if direction == Transcript.A_TO_B else Transcript.A_TO_B
+        )
         self._channel = channel
 
     def send(self, items: list) -> int:
         """Send messages and transmit frames in order; returns the number
         of messages sent."""
         sent = 0
+        transcript = self._transcript
         for item in items:
             if isinstance(item, _Transmit):
                 self._channel.transmit(item.block_id, item.frame)
+                if transcript is not None:
+                    transcript.record(Transcript.QUANTUM, item.block_id)
                 continue
-            if self._transcript is not None:
-                self._transcript.record(self._direction, item)
+            if transcript is not None:
+                transcript.record(self._direction, item)
             self._tx.send(encode_message(item))
             sent += 1
         return sent
 
     def recv(self) -> Message:
         try:
-            return read_message(self._rx.recv_exact, self._proto.d, self._proto.n)
+            message = read_message(self._rx.recv_exact, self._proto.d, self._proto.n)
         except DecodeError as exc:
             raise ProtocolError(f"malformed message: {exc}") from exc
+        if self._transcript is not None:
+            self._transcript.record(self._peer_direction, message)
+        return message
 
 
 class _Alice:
@@ -534,19 +528,11 @@ class _Bob:
                 raise InvalidArgumentError("permutation length mismatch")
         except InvalidArgumentError as exc:
             raise ProtocolError(f"malformed permutation reveal: {exc}") from exc
-        delivery = self._channel.receive(block_id)
-        report = decode_frame(proto, sigma, delivery.clicks)
+        occupancy, clicks = self._channel.receive(block_id)
+        report = decode_frame(proto, sigma, clicks)
         self._sifted.extend(j for _i, j in report.entries)
         tally = self._tally
-        tally.add(
-            monitor_tally(
-                delivery.occupancy,
-                delivery.prev_occupied,
-                delivery.clicks,
-                self._settings.physical,
-                delivery.last_monitor_click,
-            )
-        )
+        tally.add(monitor_tally(occupancy, clicks, self._settings.physical))
         self._announced = None
         self._blocks_done += 1
         out = [DetectionReportMsg(block_id=block_id, entries=report.entries)]
@@ -599,7 +585,9 @@ def run_alice(
     """Drive the transmitter side of a session over ``duplex``.
 
     ``block_source`` yields :class:`KeyBlock` instances; pass ``None``
-    to generate random blocks from ``seed``.
+    to generate random blocks from ``seed``.  A ``transcript`` records
+    the whole session: Alice's messages and frames, and Bob's messages
+    as she reads them.
     """
     link = _Link(duplex, duplex, transcript, Transcript.A_TO_B, channel, settings)
     return _drive(_Alice(settings, block_source, seed), link)
@@ -611,7 +599,9 @@ def run_bob(
     duplex,
     transcript: Transcript | None = None,
 ) -> SessionSummary:
-    """Drive the receiver side of a session over ``duplex``."""
+    """Drive the receiver side of a session over ``duplex``.  A
+    ``transcript`` records the messages Bob sends and reads; he passes no
+    frame to the channel, so it holds no quantum marker."""
     link = _Link(duplex, duplex, transcript, Transcript.B_TO_A, channel, settings)
     return _drive(_Bob(settings, channel), link)
 
@@ -650,18 +640,20 @@ def run_session(
     Each turn one endpoint sends its output and the other reads and
     answers it message by message, so the session runs in protocol
     order with nothing to wait for.  Returns (alice summary, bob
-    summary, transcript); an endpoint's error is raised at once as a
-    :class:`ProtocolError` naming the endpoint, with the error as cause.
+    summary, transcript), the transcript recorded on Alice's side as
+    :func:`run_alice` records it.  An endpoint's error is raised at once
+    as a :class:`ProtocolError` naming the endpoint, with the error as
+    cause.
     """
     alice_seed, channel_seed = np.random.SeedSequence(seed).spawn(2)
     transcript = Transcript()
-    channel = SimulatedChannel(settings.physical, channel_seed, transcript)
+    channel = SimulatedChannel(settings.physical, channel_seed)
     to_bob, to_alice = QueuePipe(), QueuePipe()
     alice = _Alice(settings, None, alice_seed)
     bob = _Bob(settings, channel)
     links = {
         alice: _Link(to_bob, to_alice, transcript, Transcript.A_TO_B, channel, settings),
-        bob: _Link(to_alice, to_bob, transcript, Transcript.B_TO_A, channel, settings),
+        bob: _Link(to_alice, to_bob, None, Transcript.B_TO_A, channel, settings),
     }
     sender, receiver = alice, bob
     role = alice.role  # the endpoint at work, named if it fails

@@ -238,13 +238,16 @@ class TestSlotModelReference:
         for frame in frames:
             prev_occupied, last_mon = state.prev_occupied, state.last_monitor_click
             clicks = transmit_frame(frame, params, rng, state)
+            # the click record carries the state the frame started from
+            assert (clicks.prev_occupied, clicks.last_monitor_click) == (prev_occupied, last_mon)
             u = ref_rng.random(2 * len(frame.occupancy))
             data, monitor = dense_transmit(frame, params, u, ref_state)
             np.testing.assert_array_equal(clicks.data_slots, data)
             np.testing.assert_array_equal(clicks.monitor_slots, monitor)
             assert state == ref_state
-            args = (frame.occupancy, prev_occupied, clicks, params, last_mon)
-            assert monitor_tally(*args) == dense_tally(*args)
+            assert monitor_tally(frame.occupancy, clicks, params) == dense_tally(
+                frame.occupancy, prev_occupied, clicks, params, last_mon
+            )
 
 
 class TestMonitorTallyClicks:
@@ -255,9 +258,10 @@ class TestMonitorTallyClicks:
         # frame count for neither class
         occ = np.array([True, False, True, True])
         clicks = ClickStream(
-            np.zeros(0, dtype=np.int64), np.array([99, 100, 104]), frame_start=100
+            np.zeros(0, dtype=np.int64), np.array([99, 100, 104]), frame_start=100,
+            prev_occupied=prev_occupied, last_monitor_click=99,
         )
-        tally = monitor_tally(occ, prev_occupied, clicks, PhysicalParams.noiseless(), 99)
+        tally = monitor_tally(occ, clicks, PhysicalParams.noiseless())
         if prev_occupied:
             assert tally == MonitorTally(n_int=1, exp_int=2, n_non=0, exp_non=1)
         else:

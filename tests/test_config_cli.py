@@ -121,6 +121,16 @@ class TestCli:
             main(["threshold", "--config", str(path)])
         assert exc.value.code == 2
 
+    def test_protocol_n_is_an_unknown_key(self, tmp_path, capsys):
+        # the session's qudit count is session.n; protocol.n was never read,
+        # so simulate ran at n=64 whatever it said
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"protocol": {"n": 4096}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(path)])
+        assert exc.value.code == 2
+        assert "error: protocol: unknown keys ['n']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "rates", "threshold", "optimize"])
     @pytest.mark.parametrize(
         "raw, field",

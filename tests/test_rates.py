@@ -20,6 +20,7 @@ from hdcow.rates import (
     sweep,
     THRESHOLD_CONVENTION,
 )
+from hdcow.security import eve_optimal_holevo
 
 
 class TestDetectionRate:
@@ -159,7 +160,7 @@ def _grid_with_mu(at, bad):
 
 
 # Single faults in a sweep over d = 4, 2, 8, each with the message that
-# secure_fractions or detection_rate gives for the faulty d alone.
+# secure_rate or detection_rate gives for the faulty d alone.
 _SINGLE_FAULTS = [
     ({**_TABLE, 8: (0.2, 0.98)}, None, None,
      "Q=0.2 outside [0, 1/(d-1)] for d=8"),
@@ -295,6 +296,77 @@ class TestSweep:
         result = sweep([4, 8], [0.05], LinearNoise(0.004, 0.99), phys)
         assert result.baseline_d2 is None
         assert math.isnan(result.gain)
+
+
+# (d, Q, mu, V) at the ends of each input's range, as Python and NumPy scalars
+_EDGE_POINTS = [
+    (2, 0.0, 0.05, 0.99),
+    (2, 1.0, 0.05, 0.99),
+    (2, 0.04, 0.1, 0.0),
+    (2, 0.04, 0.1, 1.0),
+    (4, 0.0, 1e-6, 1.0),
+    (4, 1 / 3, 0.3, 0.0),
+    (8, 0.004, 0.05, 0.99),
+    (16, 1 / 15, 2.0, 0.5),
+    (32, 0.0, 0.05, 0.0),
+    (np.int64(8), np.float64(0.004), np.float64(0.05), np.float64(0.99)),
+    (3, np.float64(0.5), np.float64(1e-6), np.float64(1.0)),
+]
+
+
+def _sweep_fractions(d, q, v, mus):
+    """The secure fractions of a one-dimension sweep at (Q, V)."""
+    grid = sweep([d], mus, TableNoise({d: (q, v)}), PhysicalParams(mu=0.05)).grid
+    return [point.bits_per_detection for point in grid]
+
+
+class TestSweepFractions:
+    """Each secure fraction of a sweep equals the optimal-attack report at
+    its point: compared with ``==`` or ``repr``, never within a tolerance."""
+
+    @pytest.mark.parametrize("d,q,mu,v", _EDGE_POINTS)
+    def test_edge_points_equal_optimal_reports(self, d, q, mu, v):
+        mus = [mu, 1e-6, 0.05, 0.3, 2.0]
+        expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus]
+        assert _sweep_fractions(d, q, v, mus) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        q_share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        v=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        # 1-40 occupations drawn from a smaller pool, so values repeat
+        mus=st.lists(st.floats(1e-9, 5.0), min_size=1, max_size=20).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+        ),
+    )
+    def test_repeated_occupations_equal_optimal_reports(self, d, q_share, v, mus):
+        q = q_share / (d - 1)
+        expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus]
+        assert repr(_sweep_fractions(d, q, v, mus)) == repr(expected)
+        assert repr(_sweep_fractions(d, q, v, np.array(mus))) == repr(expected)
+
+    @pytest.mark.parametrize("d,q,v", [(2, 0.04, 0.9), (8, 0.004, 0.99), (32, 0.001, 0.5)])
+    def test_dense_grid_equals_optimal_reports(self, d, q, v):
+        mus = np.linspace(1e-6, 5.0, 4001)
+        expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus.tolist()]
+        assert _sweep_fractions(d, q, v, mus) == expected
+
+    def test_domain_checked_before_any_occupation(self):
+        with pytest.raises(InvalidArgumentError, match="Q="):
+            _sweep_fractions(4, 0.5, 0.9, [math.nan])
+
+    @pytest.mark.parametrize(
+        "mus, shape",
+        [(0.05, "()"), ([[0.05, 0.1]], "(1, 2)"), (np.full((2, 2), 0.05), "(2, 2)")],
+    )
+    def test_grid_must_be_one_dimensional(self, mus, shape):
+        # a scalar grid used to end in a bare TypeError
+        with pytest.raises(InvalidArgumentError) as exc:
+            sweep([2, 4], mus, LinearNoise(0.004, 0.99), PhysicalParams(mu=0.05))
+        assert str(exc.value) == (
+            f"mus must be a 1-D sequence, got an array of shape {shape}"
+        )
 
 
 class TestQberThreshold:

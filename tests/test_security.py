@@ -15,7 +15,6 @@ from hdcow.security import (
     mutual_info_ab,
     report_at,
     secure_fraction,
-    secure_fractions,
     x_interval,
 )
 
@@ -129,16 +128,13 @@ class TestXInterval:
         [
             lambda mu: x_interval(mu, 0.9),
             lambda mu: secure_fraction(4, 0.01, mu, 0.9),
-            lambda mu: secure_fractions(4, 0.01, 0.9, [0.05, mu]),
-            lambda mu: secure_fractions(4, 0.01, 0.9, [mu] + [0.05] * 11),
-            lambda mu: secure_fractions(4, 0.01, 0.9, [0.05] * 6 + [mu] + [0.05] * 5),
             lambda mu: eve_optimal_holevo(4, 0.01, mu, 0.9),
             lambda mu: report_at(4, 0.01, mu, 0.5),
             lambda mu: holevo_ae(4, 0.01, mu, 0.5),
             lambda mu: holevo_be(4, 0.01, mu, 0.5),
         ],
-        ids=["x_interval", "secure_fraction", "secure_fractions",
-             "secure_fractions_first", "secure_fractions_middle", "eve_optimal_holevo", "report_at", "holevo_ae", "holevo_be"],
+        ids=["x_interval", "secure_fraction", "eve_optimal_holevo", "report_at", "holevo_ae",
+             "holevo_be"],
     )
     def test_non_finite_mu_rejected(self, evaluate, mu):
         with pytest.raises(InvalidArgumentError, match="mu=.*finite"):
@@ -354,7 +350,6 @@ class TestRoutesAgree:
     def test_fractions_match_optimal_reports(self, d, q, mu, v):
         mus = [mu, 1e-6, 0.05, 0.3, 2.0]
         expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus]
-        assert secure_fractions(d, q, v, mus) == expected
         assert [secure_fraction(d, q, m, v) for m in mus] == expected
 
     @settings(max_examples=300, deadline=None)
@@ -371,42 +366,3 @@ class TestRoutesAgree:
         self.check_report(d, q, mu, lo + t * (hi - lo))
         report = eve_optimal_holevo(d, q, mu, v)
         self.check_report(d, q, mu, report.x_star)
-        assert secure_fractions(d, q, v, [mu]) == [report.secure_fraction]
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        d=st.integers(2, 64),
-        q_share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-        v=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-        # 1-40 occupations drawn from a smaller pool, so values repeat
-        mus=st.lists(st.floats(1e-9, 5.0), min_size=1, max_size=20).flatmap(
-            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
-        ),
-    )
-    def test_fractions_over_array_equal_scalar_reports(self, d, q_share, v, mus):
-        q = q_share / (d - 1)
-        expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus]
-        assert repr(secure_fractions(d, q, v, mus)) == repr(expected)
-        assert repr(secure_fractions(d, q, v, np.array(mus))) == repr(expected)
-
-    @pytest.mark.parametrize("d,q,v", [(2, 0.04, 0.9), (8, 0.004, 0.99), (32, 0.001, 0.5)])
-    def test_fractions_on_dense_grid_equal_scalar_reports(self, d, q, v):
-        mus = np.linspace(1e-6, 5.0, 4001)
-        expected = [eve_optimal_holevo(d, q, m, v).secure_fraction for m in mus.tolist()]
-        assert secure_fractions(d, q, v, mus) == expected
-
-    def test_domain_checked_before_any_occupation(self):
-        with pytest.raises(InvalidArgumentError, match="Q="):
-            secure_fractions(4, 0.5, 0.9, [])
-
-    @pytest.mark.parametrize(
-        "mus, shape",
-        [(0.05, "()"), ([[0.05, 0.1]], "(1, 2)"), (np.full((2, 2), 0.05), "(2, 2)")],
-    )
-    def test_fractions_need_a_one_dimensional_sequence(self, mus, shape):
-        # a scalar or a 2-D grid used to end in a bare TypeError
-        with pytest.raises(InvalidArgumentError) as exc:
-            secure_fractions(4, 0.01, 0.9, mus)
-        assert str(exc.value) == (
-            f"mus must be a 1-D sequence, got an array of shape {shape}"
-        )

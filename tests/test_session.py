@@ -497,17 +497,32 @@ class TestSingleThreadedSession:
         )
         alice_seed, channel_seed = np.random.SeedSequence(7).spawn(2)
         channel = SimulatedChannel(phys, channel_seed)
+        transcript, bob_transcript = Transcript(), Transcript()
         left, right = socket.socketpair()
         with left, right, ThreadPoolExecutor(max_workers=1) as pool:
             left.settimeout(10.0)
             right.settimeout(10.0)
-            bob_run = pool.submit(run_bob, settings, channel, StreamDuplex(right))
-            alice = run_alice(settings, None, channel, StreamDuplex(left), seed=alice_seed)
+            bob_run = pool.submit(
+                run_bob, settings, channel, StreamDuplex(right), bob_transcript
+            )
+            alice = run_alice(
+                settings, None, channel, StreamDuplex(left), transcript, seed=alice_seed
+            )
             bob = bob_run.result(timeout=10.0)
-        ref_alice, ref_bob, _ = run_session(settings, seed=7)
+        ref_alice, ref_bob, ref_transcript = run_session(settings, seed=7)
         assert alice.sifted_count > 0
         np.testing.assert_equal(asdict(alice), asdict(ref_alice))
         np.testing.assert_equal(asdict(bob), asdict(ref_bob))
+        # Alice's own record is the whole session's
+        assert validate_transcript(transcript) == []
+        assert [e[0] for e in transcript.entries] == [e[0] for e in ref_transcript.entries]
+        assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == (
+            hashlib.sha256(ref_transcript.wire_bytes()).hexdigest()
+        )
+        # Bob's holds the same messages and no quantum marker
+        assert bob_transcript.entries == [
+            e for e in transcript.entries if e[0] != Transcript.QUANTUM
+        ]
 
 
 class TestPinnedTranscripts:
