@@ -99,18 +99,27 @@ class KeyBlock:
             raise InvalidArgumentError("symbols must be a flat sequence")
 
     def validate(self, params: ProtocolParams) -> None:
-        if len(self.symbols) != params.n:
-            raise InvalidArgumentError(
-                f"block length {len(self.symbols)} != n={params.n}"
-            )
-        if len(self.symbols) and (
-            np.minimum.reduce(self.symbols) < 1 or np.maximum.reduce(self.symbols) > params.d
-        ):
-            raise InvalidArgumentError("symbols outside {1..d}")
+        _check_symbols(self.symbols, params)
 
     @classmethod
-    def random(cls, params: ProtocolParams, rng: np.random.Generator) -> "KeyBlock":
-        return cls(rng.integers(1, params.d + 1, size=params.n))
+    def random(cls, params: ProtocolParams, rng: np.random.Generator, count: int | None = None):
+        """A block of symbols drawn uniformly from {1..d}.  With ``count``,
+        the symbols of ``count`` blocks from one draw, as the rows of a
+        ``(count, n)`` array: row k equals the k-th of ``count`` successive
+        draws without ``count``, and ``rng`` is left in the same state."""
+        if count is None:
+            return cls(rng.integers(1, params.d + 1, size=params.n))
+        return rng.integers(1, params.d + 1, size=(count, params.n))
+
+
+def _check_symbols(symbols: np.ndarray, params: ProtocolParams) -> None:
+    """Check one block's symbols, or a batch's with one block per row."""
+    if symbols.shape[-1] != params.n:
+        raise InvalidArgumentError(f"block length {symbols.shape[-1]} != n={params.n}")
+    if symbols.size and (
+        np.minimum.reduce(symbols, axis=None) < 1 or np.maximum.reduce(symbols, axis=None) > params.d
+    ):
+        raise InvalidArgumentError("symbols outside {1..d}")
 
 
 def _scatter_inverse(map_: np.ndarray) -> np.ndarray:
@@ -207,22 +216,34 @@ class DetectionReport:
     entries: tuple
 
 
-def make_permutation(length: int, source: ByteSource) -> Permutation:
+def make_permutation(length: int, source: ByteSource, count: int | None = None):
     """Uniformly random permutation of {1..length}: rank one random key
-    per position (Knuth, TAOCP vol. 2, §3.4.2).
+    per position (Knuth, TAOCP vol. 2, §3.4.2).  With ``count``, that
+    many permutations, as the rows of a ``(count, length)`` int64 array
+    of image sequences.
 
-    The keys are little-endian u64, ``8*length`` bytes from one call of
-    the source, so a seed gives the same permutation on every host.
+    The keys are little-endian u64, an ``8*length``-byte chunk per
+    permutation, so a seed gives the same permutation on every host.
     Distinct keys are exchangeable, so their ranking is exactly uniform;
-    a draw with a tie (probability at most ``length**2 / 2**65``) is
-    redrawn whole.
+    a chunk with a tie (probability at most ``length**2 / 2**65``) is
+    skipped and the next one is used.
+
+    A batch of ``count`` takes its chunks from one call for
+    ``8*length*count`` bytes and ranks them with one sort along the rows.
+    Row k takes the k-th chunk with no tie, exactly as the k-th of
+    ``count`` successive single calls would: each tied chunk is skipped,
+    and one more chunk per skipped one is drawn at the end.  So from a
+    source whose bytes do not depend on how they are split into calls,
+    such as :class:`SeededByteSource` for multiples of 8, a batch returns
+    the same permutations as successive single calls and consumes the
+    same bytes.
 
     The ranking sorts plain integers: each key's low
     ``length.bit_length()`` bits are replaced by its 1-based position,
     and when the remaining high parts are distinct they order the keys
     as the full keys do, so the sorted low bits are the ``argsort`` of
-    the keys, plus one.  A draw whose high parts collide (probability at
-    most ``length**3 / 2**64``) is ranked by ``argsort`` of the full
+    the keys, plus one.  A chunk whose high parts collide (probability
+    at most ``length**3 / 2**64``) is ranked by ``argsort`` of its full
     keys.  Both rankings are that of the keys, so the width of the low
     part changes no result.
     Either ranking is a bijection by construction, so the result is not
@@ -231,45 +252,81 @@ def make_permutation(length: int, source: ByteSource) -> Permutation:
     """
     if length < 1:
         raise InvalidArgumentError(f"length={length} must be >= 1")
+    rows = 1 if count is None else count
+    if rows < 1:
+        raise InvalidArgumentError(f"count={count} must be >= 1")
     low_bits = length.bit_length()
     shift, low_mask = np.uint64(low_bits), np.uint64((1 << low_bits) - 1)
-    while True:
-        data = source(8 * length)
-        if len(data) != 8 * length:
+    parts, ranked = [], 0
+    while ranked < rows:
+        wanted = rows - ranked
+        data = source(8 * length * wanted)
+        if len(data) != 8 * length * wanted:
             raise InvalidArgumentError(
-                f"byte source returned {len(data)} bytes, expected {8 * length}"
+                f"byte source returned {len(data)} bytes, expected {8 * length * wanted}"
             )
-        keys = np.frombuffer(data, dtype="<u8")
-        ranking = np.arange(1, length + 1, dtype=np.uint64)  # the positions, at first
+        keys = np.frombuffer(data, dtype="<u8").reshape(wanted, length)
+        positions = np.arange(1, length + 1, dtype=np.uint64)
         packed = keys & ~low_mask
-        packed |= ranking
+        packed |= positions
         packed.sort()
-        np.bitwise_and(packed, low_mask, out=ranking)
-        packed >>= shift  # the high parts, in increasing order
-        if not np.count_nonzero(packed[1:] == packed[:-1]):
-            return Permutation._from_ranking(ranking.view(np.int64))
-        order = np.argsort(keys)
-        if np.diff(keys[order]).all():  # no two keys are equal
-            return Permutation._from_ranking(order + 1)
+        # One row is ranked in the positions' own buffer: large frames come
+        # one to a batch, and a frame-sized allocation is saved.
+        ranking = np.bitwise_and(
+            packed, low_mask, out=positions[None] if wanted == 1 else None
+        ).view(np.int64)
+        packed >>= shift  # the high parts, in increasing order along each row
+        # The mask is rebuilt on a collision, not kept: a frame-sized mask
+        # held to the end of the call slowed large frames measurably.
+        if np.count_nonzero(packed[:, 1:] == packed[:, :-1]):
+            collided = (packed[:, 1:] == packed[:, :-1]).any(axis=1)
+            kept = []
+            for row, row_keys, collides in zip(ranking, keys, collided):
+                if not collides:
+                    kept.append(row)
+                    continue
+                order = np.argsort(row_keys)
+                if np.diff(row_keys[order]).all():  # no two keys are equal
+                    kept.append(order + 1)
+            ranking = np.array(kept, dtype=np.int64).reshape(len(kept), length)
+        parts.append(ranking)
+        ranked += len(ranking)
+    maps = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return Permutation._from_ranking(maps[0]) if count is None else maps
 
 
-def encode_block(
-    params: ProtocolParams, block: KeyBlock, sigma: Permutation, mu: float
-) -> PulseFrame:
-    """Place one pulse per qudit at slot ``sigma(d*i + q_i)``."""
-    block.validate(params)
-    if len(sigma) != params.slot_count:
+def encode_block(params: ProtocolParams, block, sigma, mu: float):
+    """Place one pulse per qudit at slot ``sigma(d*i + q_i)``.
+
+    ``block`` and ``sigma`` are a :class:`KeyBlock` and a
+    :class:`Permutation`, and the result is one :class:`PulseFrame`.  Or
+    they are a batch, one block per row: an ``(m, n)`` symbol array and
+    an ``(m, d*n)`` array of image sequences, such as
+    :func:`make_permutation` draws with ``count``; the result is a list
+    of m frames, placed by one scatter.  A batch's rows must be
+    bijections on {1..d*n}; only the pulse count is checked again.
+    """
+    single = isinstance(block, KeyBlock)
+    symbols, maps = (block.symbols[None], sigma.map_[None]) if single else (block, sigma)
+    _check_symbols(symbols, params)
+    count, length = len(symbols), params.slot_count
+    if maps.shape != (count, length):
         raise InvalidArgumentError(
-            f"permutation length {len(sigma)} != d*n={params.slot_count}"
+            f"permutations of shape {maps.shape} for {count} blocks of d*n={length} slots"
         )
-    occupancy = np.zeros(params.slot_count + 1, dtype=bool)
-    # raw slot d*i + q_i of each qudit, 0-based
-    raw_slots = np.arange(-1, params.slot_count - 1, params.d) + block.symbols
-    occupancy[sigma.map_[raw_slots]] = True  # sigma's images are 1-based
-    occupancy = occupancy[1:]
-    if np.count_nonzero(occupancy) != params.n:
-        raise InvalidArgumentError("occupancy does not have exactly n pulses")
-    return PulseFrame(occupancy=occupancy, mu=mu)
+    occupancy = np.zeros((count, length + 1), dtype=bool)
+    # raw slot d*i + q_i of each qudit, 0-based and counted from the
+    # batch's first slot, so that it indexes the flattened images
+    raw_slots = np.arange(-1, count * length - 1, params.d).reshape(count, params.n) + symbols
+    slots = maps.take(raw_slots)  # sigma's images are 1-based
+    if count > 1:  # each row's start in the flattened occupancy; the first's is 0
+        slots += np.arange(0, count * (length + 1), length + 1)[:, None]
+    occupancy.reshape(-1)[slots] = True
+    occupancy = occupancy[:, 1:]  # column 0 is dropped
+    if np.count_nonzero(occupancy) != count * params.n:
+        raise InvalidArgumentError("occupancy does not have exactly n pulses per block")
+    frames = [PulseFrame(occupancy=row, mu=mu) for row in occupancy]
+    return frames[0] if single else frames
 
 
 def decode_click(params: ProtocolParams, sigma: Permutation, t: int) -> tuple[int, int]:

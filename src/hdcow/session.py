@@ -33,6 +33,12 @@ writer of its transcript: it records each message it sends, each frame
 it passes to the channel (a quantum marker), and each message it reads,
 under the peer's direction.  ``run_session`` records on Alice's side.
 
+Alice prepares her blocks ahead, in batches of as many whole blocks as
+fit in ``_BATCH_SLOTS`` slots and at least one: one key draw, one
+permutation draw and sort, one encode and one reveal conversion per
+batch.  Each block gets the keys, permutation and frame it would get
+alone, so batch boundaries change no message, frame or key.
+
 The quantum channel and detectors sit behind a handle injected into
 both endpoints, so the same state machines can drive an in-process
 simulation or external hardware.  The handle has two calls:
@@ -43,8 +49,9 @@ the frame's occupancy and its :class:`~hdcow.channel.ClickStream`.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +104,13 @@ __all__ = [
     "run_session",
     "validate_transcript",
 ]
+
+# Alice's batch holds as many whole blocks as fit in this many slots, and
+# at least one.  It bounds a batch's temporaries (the keys, their packed
+# and ranked copies, the occupancy and the reveal bytes, about 34 bytes a
+# slot) at about half a megabyte, so peak memory does not grow with the
+# frame: a frame of 2**14 slots or more is prepared alone.
+_BATCH_SLOTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -237,10 +251,38 @@ class Transcript:
         return b"".join(encode_message(message) for message in self.messages())
 
 
+# The direction each message is recorded in: its sender's.  Each
+# endpoint also sends one ESTIMATE_REPORT.
+_SENT_AS = {
+    SessionStart: Transcript.A_TO_B,
+    BlockAnnounce: Transcript.A_TO_B,
+    PermutationReveal: Transcript.A_TO_B,
+    DetectionReportMsg: Transcript.B_TO_A,
+    SessionEnd: Transcript.A_TO_B,
+}
+
+# A block's entries in protocol order, with the violation each pair of
+# neighbours makes when recorded the other way round.
+_BLOCK_STAGES = ("announcement", "quantum transmission", "permutation reveal", "detection report")
+_STAGE_OF = {
+    BlockAnnounce: "announcement",
+    PermutationReveal: "permutation reveal",
+    DetectionReportMsg: "detection report",
+}
+_OUT_OF_ORDER = (
+    "transmission precedes announcement",
+    "permutation revealed before transmission",
+    "detection report precedes reveal",
+)
+
+
 def validate_transcript(transcript: Transcript) -> list[str]:
-    """Check the ordering invariant of a transcript recorded on Alice's
-    side; returns a list of violations.  Bob's own record holds no
-    quantum markers, so every block of it is flagged."""
+    """Check a transcript recorded on Alice's side; returns a list of
+    violations.  Every message must be recorded in its sender's
+    direction, with one ESTIMATE_REPORT in each, and every block that
+    appears must have its announcement, quantum marker, reveal and
+    detection report, once each and in that order.  Bob's own record holds no quantum
+    markers, so every block of it is flagged."""
     violations = []
     entries = transcript.entries
     if not entries:
@@ -251,29 +293,36 @@ def validate_transcript(transcript: Transcript) -> list[str]:
     if not (messages and isinstance(messages[-1], SessionEnd)):
         violations.append("transcript does not close with SESSION_END")
 
-    def positions(pred):
-        return {getattr(item, "block_id"): k for k, (_, item) in enumerate(entries) if pred(item)}
+    stages: defaultdict[int, dict] = defaultdict(dict)  # block id -> {stage: entry index}
+    estimates = Counter()
+    for k, (direction, item) in enumerate(entries):
+        if direction == Transcript.QUANTUM:
+            block_id, stage = item, "quantum transmission"
+        else:
+            kind = type(item)
+            if kind is EstimateReport:
+                estimates[direction] += 1
+            elif direction != _SENT_AS.get(kind):
+                violations.append(f"entry {k}: {kind.__name__} recorded as {direction}")
+            if kind not in _STAGE_OF:
+                continue
+            block_id, stage = item.block_id, _STAGE_OF[kind]
+        if stage in stages[block_id]:
+            violations.append(f"block {block_id}: {stage} recorded twice")
+        stages[block_id][stage] = k
+    if estimates != Counter({Transcript.A_TO_B: 1, Transcript.B_TO_A: 1}):
+        violations.append(
+            f"ESTIMATE_REPORT recorded {dict(estimates)} times, expected once each way"
+        )
 
-    announced = positions(lambda m: isinstance(m, BlockAnnounce))
-    revealed = positions(lambda m: isinstance(m, PermutationReveal))
-    reported = positions(lambda m: isinstance(m, DetectionReportMsg))
-    quantum = {item: k for k, (tag, item) in enumerate(entries) if tag == Transcript.QUANTUM}
-
-    for block_id, k_reveal in revealed.items():
-        k_q = quantum.get(block_id)
-        if k_q is None:
-            violations.append(f"block {block_id}: revealed without quantum transmission")
-            continue
-        if not k_q < k_reveal:
-            violations.append(f"block {block_id}: permutation revealed before transmission")
-        k_rep = reported.get(block_id)
-        if k_rep is None:
-            violations.append(f"block {block_id}: no detection report")
-        elif not k_reveal < k_rep:
-            violations.append(f"block {block_id}: detection report precedes reveal")
-        k_ann = announced.get(block_id)
-        if k_ann is None or not k_ann < k_q:
-            violations.append(f"block {block_id}: transmission precedes announcement")
+    for block_id in sorted(stages):
+        at = stages[block_id]
+        violations.extend(
+            f"block {block_id}: no {stage}" for stage in _BLOCK_STAGES if stage not in at
+        )
+        for earlier, later, out_of_order in zip(_BLOCK_STAGES, _BLOCK_STAGES[1:], _OUT_OF_ORDER):
+            if earlier in at and later in at and not at[earlier] < at[later]:
+                violations.append(f"block {block_id}: {out_of_order}")
     return violations
 
 
@@ -364,19 +413,27 @@ class _Link:
 class _Alice:
     """Transmitter state machine.  ``start()`` and ``receive(message)``
     return the messages to send and the frames to transmit, in order;
-    ``summary`` is set once the session has ended."""
+    ``summary`` is set once the session has ended.
+
+    She prepares her blocks ahead in batches (see ``_BATCH_SLOTS``): the
+    generated keys of a batch come from one draw, its permutations from
+    one byte-source call and one sort, its frames from one scatter and
+    its reveals from one conversion.  The draws equal those of one block
+    at a time, so batch boundaries change no message, frame or key.
+    Supplied blocks are taken from ``block_source`` up to a batch at a
+    time and checked when their batch is prepared; a source that runs
+    dry fails when the first missing block is opened."""
 
     role = "alice"
 
     def __init__(self, settings: SessionSettings, block_source, seed):
         self._settings = settings
         self._every = settings.sample_every  # qudit i of block b is sampled when every | b + i
-        proto = settings.protocol
-        rng = np.random.default_rng(seed)
-        self._perm_source = SeededByteSource(rng.integers(0, 2**63))
-        if block_source is None:
-            block_source = (KeyBlock.random(proto, rng) for _ in range(settings.blocks))
-        self._blocks = iter(block_source)
+        self._rng = np.random.default_rng(seed)
+        self._perm_source = SeededByteSource(self._rng.integers(0, 2**63))
+        self._supplied = None if block_source is None else iter(block_source)
+        self._batch_blocks = max(1, _BATCH_SLOTS // settings.protocol.slot_count)
+        self._prepared: deque[tuple] = deque()  # (block, frame, reveal) of the next blocks
         self._block_id = 0
         self._block: KeyBlock | None = None
         self._sifted: list[int] = []
@@ -390,22 +447,40 @@ class _Alice:
         return [start, *self._open_block()]
 
     def _open_block(self) -> list:
+        block_id = self._block_id
+        if not self._prepared:
+            self._prepare_batch()
+        if not self._prepared:
+            raise ProtocolError(
+                f"block source ended after {block_id} of {self._settings.blocks} blocks"
+            )
+        self._block, frame, reveal = self._prepared.popleft()
+        return [BlockAnnounce(block_id=block_id), _Transmit(block_id, frame), reveal]
+
+    def _prepare_batch(self) -> None:
+        """Prepare the blocks from the current one on, up to a batch; none
+        if the supplied blocks have run out."""
         settings = self._settings
         proto = settings.protocol
-        block_id = self._block_id
-        try:
-            self._block = next(self._blocks)
-        except StopIteration:
-            raise ProtocolError(
-                f"block source ended after {block_id} of {settings.blocks} blocks"
-            ) from None
-        sigma = make_permutation(proto.slot_count, self._perm_source)
-        frame = encode_block(proto, self._block, sigma, settings.physical.mu)
-        return [
-            BlockAnnounce(block_id=block_id),
-            _Transmit(block_id, frame),
-            PermutationReveal.of_bijection(block_id, sigma.map_),
-        ]
+        first = self._block_id
+        count = min(self._batch_blocks, settings.blocks - first)
+        if self._supplied is None:
+            symbols = KeyBlock.random(proto, self._rng, count)
+            blocks = [KeyBlock(row) for row in symbols]
+        else:
+            blocks = list(itertools.islice(self._supplied, count))
+            if not blocks:
+                return
+            for block_id, block in enumerate(blocks, first):
+                try:
+                    block.validate(proto)
+                except InvalidArgumentError as exc:
+                    raise ProtocolError(f"supplied block {block_id}: {exc}") from exc
+            symbols = np.array([block.symbols for block in blocks])
+        maps = make_permutation(proto.slot_count, self._perm_source, len(blocks))
+        frames = encode_block(proto, symbols, maps, settings.physical.mu)
+        reveals = PermutationReveal.of_bijections(first, maps)
+        self._prepared.extend(zip(blocks, frames, reveals))
 
     def receive(self, message: Message) -> list:
         settings = self._settings

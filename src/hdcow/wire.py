@@ -125,12 +125,15 @@ class PermutationReveal:
             object.__setattr__(self, "indices", values.astype(">u4").tobytes())
 
     @classmethod
-    def of_bijection(cls, block_id: int, map_: np.ndarray) -> "PermutationReveal":
-        """The reveal of a bijection on {1..L} given as its integer image
-        sequence, such as a permutation drawn by ``make_permutation``.
-        Its values are at most L, so L alone is checked against u32."""
-        _check_u(len(map_), 32, "index")
-        return cls(block_id, map_.astype(">u4").tobytes())
+    def of_bijections(cls, first_block_id: int, maps: np.ndarray) -> list["PermutationReveal"]:
+        """The reveals of consecutive blocks from ``first_block_id`` on,
+        given their bijections on {1..L} as the rows of an integer array
+        of image sequences, such as ``make_permutation`` draws with
+        ``count``.  The values are at most L, so L alone is checked
+        against u32, and every row is put in wire form by one conversion."""
+        _check_u(maps.shape[1], 32, "index")
+        rows = maps.astype(">u4")
+        return [cls(block_id, row.tobytes()) for block_id, row in enumerate(rows, first_block_id)]
 
     def values(self) -> np.ndarray:
         """The indices as an array of integers."""

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -149,6 +149,80 @@ class TestKeyRanking:
             make_permutation(2, lambda count: bytes(15))
 
 
+def _chunks(*draws):
+    """Little-endian u64 keys of several draws, as one draw."""
+    return [key for keys in draws for key in keys]
+
+
+class TestBatchedDraws:
+    # Tie-free chunks of 4 keys whose high parts (above the 3 low bits)
+    # are distinct, so each is ranked by the packed sort.
+    PLAIN = ([56, 48, 40, 64], [800, 16, 2**63, 4000], [30, 10, 2**64 - 1, 0],
+             [72, 2**64 - 9, 320, 1600], [8, 24, 16, 32])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        n=st.integers(1, 1100),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=3, n=7, count=33, seed=0)
+    @example(d=64, n=1099, count=40, seed=1)
+    def test_batched_keys_equal_successive_draws(self, d, n, count, seed):
+        # A session draws a batch's keys at once.  That this is the
+        # stream of one block at a time rests on numpy's bounded-integer
+        # sampling, so it is pinned here at every numpy version tested.
+        params = ProtocolParams(d=d, n=n, tau=2e-9)
+        batch_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = KeyBlock.random(params, batch_rng, count)
+        singles = [KeyBlock.random(params, single_rng).symbols for _ in range(count)]
+        assert batch.shape == (count, n)
+        assert np.array_equal(batch, singles)
+        assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        length=st.integers(1, 600),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_successive_calls(self, length, count, seed):
+        batch = make_permutation(length, SeededByteSource(seed), count)
+        source = SeededByteSource(seed)
+        singles = [make_permutation(length, source).map_ for _ in range(count)]
+        assert batch.shape == (count, length) and batch.dtype == np.int64
+        assert np.array_equal(batch, singles)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "special, skipped",
+        [
+            ([5, 1, 5, 2], True),  # a full-key tie: the chunk is skipped
+            ([9, 8, 100, 2**63], False),  # 9 and 8 agree above the low 3 bits
+        ],
+    )
+    def test_tie_inside_a_batch_matches_single_draws(self, k, special, skipped):
+        chunks = list(self.PLAIN)
+        chunks[k] = special
+        count = k + 2
+        used = count + skipped  # chunks the draws consume
+        first, rest = _chunks(*chunks[:count]), chunks[count:used]
+        batch_source = ScriptedSource(first, *rest)
+        batch = make_permutation(4, batch_source, count)
+        single_source = ScriptedSource(*chunks[:used])
+        singles = [make_permutation(4, single_source).map_ for _ in range(count)]
+        assert np.array_equal(batch, singles)
+        assert batch_source.requests == [32 * count] + [32] * skipped
+        assert sum(batch_source.requests) == sum(single_source.requests) == 32 * used
+        if not skipped:
+            assert list(batch[k]) == [2, 1, 3, 4]  # argsort of the full keys
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="count=0"):
+            make_permutation(4, SeededByteSource(0), 0)
+
+
 class TestPermutation:
     def test_round_trip_is_identity(self):
         perm = make_permutation(48, SeededByteSource(9))
@@ -200,6 +274,27 @@ class TestEncodeBlock:
             params, KeyBlock([1, 2]), Permutation(np.array([3, 4, 1, 2])), mu=0.1
         )
         assert list(frame.occupancy.astype(int)) == [0, 1, 1, 0]
+
+    def test_batch_matches_per_qudit_placement(self):
+        params = ProtocolParams(d=3, n=5, tau=2e-9)
+        symbols = KeyBlock.random(params, np.random.default_rng(4), 6)
+        maps = make_permutation(15, SeededByteSource(4), 6)
+        frames = encode_block(params, symbols, maps, mu=0.1)
+        assert len(frames) == 6
+        for row, images, frame in zip(symbols, maps, frames):
+            expected = np.zeros(15, dtype=bool)
+            for i, q in enumerate(row):
+                expected[images[3 * i + q - 1] - 1] = True
+            assert np.array_equal(frame.occupancy, expected)
+            assert frame.mu == 0.1
+
+    def test_batch_shape_mismatch_rejected(self):
+        params = ProtocolParams(d=2, n=2, tau=2e-9)
+        symbols = np.array([[1, 2], [2, 1]])
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            encode_block(params, symbols, np.array([[1, 2, 3, 4]]), mu=0.1)
+        with pytest.raises(InvalidArgumentError, match="symbols outside"):
+            encode_block(params, symbols + 1, np.array([[1, 2, 3, 4]] * 2), mu=0.1)
 
     def test_length_mismatch_rejected(self):
         params = ProtocolParams(d=2, n=2, tau=2e-9)

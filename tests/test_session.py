@@ -18,6 +18,7 @@ from hdcow.config import default_config
 from hdcow.errors import InvalidArgumentError, ProtocolError
 from hdcow.protocol import KeyBlock, Permutation, ProtocolParams, encode_block
 from hdcow.session import (
+    _BATCH_SLOTS,
     QueuePipe,
     SessionSettings,
     SimulatedChannel,
@@ -373,6 +374,61 @@ def test_short_block_source_names_the_block():
         run_alice(settings, [KeyBlock([1, 2])], channel, duplex, seed=0)
 
 
+def sent_messages(duplex):
+    sent = io.BytesIO(bytes(duplex.sent))
+    messages = []
+    while sent.tell() < len(duplex.sent):
+        messages.append(read_message(sent.read))
+    return messages
+
+
+class TestSuppliedBlocksAcrossBatches:
+    """d=8, n=64: 512-slot frames, so Alice prepares 32 blocks a batch."""
+
+    settings = noiseless_settings(d=8, n=64, blocks=40)
+    per_batch = _BATCH_SLOTS // 512
+
+    def refusal(self, blocks, reported):
+        """Run Alice on ``blocks`` with empty reports for the first
+        ``reported`` blocks; returns her error and the blocks she announced."""
+        duplex = ScriptedDuplex(
+            [
+                encode_message(DetectionReportMsg(block_id=b, entries=()))
+                for b in range(reported)
+            ]
+        )
+        channel = SimulatedChannel(self.settings.physical, seed=0)
+        with pytest.raises(ProtocolError) as info:
+            run_alice(self.settings, blocks, channel, duplex, seed=0)
+        announced = [m.block_id for m in sent_messages(duplex) if isinstance(m, BlockAnnounce)]
+        return str(info.value), announced
+
+    @staticmethod
+    def valid_blocks(count):
+        rng = np.random.default_rng(3)
+        return [KeyBlock(rng.integers(1, 9, size=64)) for _ in range(count)]
+
+    @pytest.mark.parametrize("index", [1, 31, 33])
+    @pytest.mark.parametrize(
+        "bad, cause",
+        [(KeyBlock([1] * 63), "block length 63 != n=64"), (KeyBlock([9] + [1] * 63), "outside")],
+    )
+    def test_invalid_block_refused_when_its_batch_is_prepared(self, index, bad, cause):
+        assert self.per_batch == 32
+        blocks = self.valid_blocks(40)
+        blocks[index] = bad
+        batch_start = index - index % self.per_batch
+        error, announced = self.refusal(blocks, batch_start)
+        assert error.startswith(f"supplied block {index}: ") and cause in error
+        assert announced == list(range(batch_start))  # none of the refused batch
+
+    @pytest.mark.parametrize("supplied", [1, 32, 33])
+    def test_source_running_dry_fails_at_the_missing_block(self, supplied):
+        error, announced = self.refusal(self.valid_blocks(supplied), supplied)
+        assert error == f"block source ended after {supplied} of 40 blocks"
+        assert announced == list(range(supplied))
+
+
 @pytest.mark.parametrize("v_hat", [-0.5, 1.5])
 def test_alice_rejects_out_of_range_visibility(v_hat):
     # one block, so Bob's estimate is the session's
@@ -387,10 +443,7 @@ def test_alice_rejects_out_of_range_visibility(v_hat):
     with pytest.raises(ProtocolError, match="v_hat"):
         run_alice(settings, None, channel, duplex, seed=0)
     # she stops at the estimate, before her reply and SESSION_END
-    sent = io.BytesIO(bytes(duplex.sent))
-    kinds = []
-    while sent.tell() < len(duplex.sent):
-        kinds.append(type(read_message(sent.read)))
+    kinds = [type(m) for m in sent_messages(duplex)]
     assert kinds == [SessionStart, BlockAnnounce, PermutationReveal]
 
 
@@ -467,6 +520,40 @@ class TestTranscriptValidator:
         t.record(Transcript.A_TO_B, SessionEnd())
         violations = validate_transcript(t)
         assert any("precedes reveal" in v for v in violations)
+
+    def test_flags_misdirected_report_and_unfinished_block(self):
+        t = Transcript()
+        t.record(Transcript.A_TO_B, SessionStart(d=2, n=2, tau_picoseconds=2000))
+        t.record(Transcript.A_TO_B, BlockAnnounce(block_id=0))
+        t.record(Transcript.QUANTUM, 0)
+        t.record(Transcript.A_TO_B, PermutationReveal(block_id=0, indices=(1, 2, 3, 4)))
+        t.record(Transcript.A_TO_B, DetectionReportMsg(block_id=0, entries=()))
+        t.record(Transcript.A_TO_B, BlockAnnounce(block_id=1))
+        t.record(Transcript.QUANTUM, 1)
+        t.record(Transcript.A_TO_B, SessionEnd())
+        violations = validate_transcript(t)
+        assert "entry 4: DetectionReportMsg recorded as a->b" in violations
+        assert "block 1: no permutation reveal" in violations
+        assert "block 1: no detection report" in violations
+        assert any("ESTIMATE_REPORT" in v for v in violations)
+        assert not any(v.startswith("block 0") for v in violations)
+
+    def test_flags_edits_of_a_real_session(self):
+        _, _, transcript = run_session(noiseless_settings(blocks=3), seed=1)
+        entries = transcript.entries
+        # Bob's estimate recorded in Alice's direction
+        estimate = (Transcript.B_TO_A, entries[-3][1])
+        assert isinstance(estimate[1], EstimateReport) and entries[-3] == estimate
+        entries[-3] = (Transcript.A_TO_B, estimate[1])
+        # block 2's quantum marker dropped
+        entries.remove((Transcript.QUANTUM, 2))
+        # block 0's reveal recorded again before SESSION_END
+        assert isinstance(entries[3][1], PermutationReveal)
+        entries.insert(-1, entries[3])
+        violations = validate_transcript(transcript)
+        assert any("ESTIMATE_REPORT recorded" in v for v in violations)
+        assert "block 2: no quantum transmission" in violations
+        assert "block 0: permutation reveal recorded twice" in violations
 
     def test_accepts_recorded_real_session(self):
         _, _, transcript = run_session(noiseless_settings(blocks=3), seed=1)
