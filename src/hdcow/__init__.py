@@ -12,10 +12,8 @@ from .channel import (
 )
 from .protocol import (
     DetectionReport,
-    KeyBlock,
     Permutation,
     ProtocolParams,
-    PulseFrame,
     decode_click,
     encode_block,
     make_permutation,
@@ -48,12 +46,10 @@ from .session import SessionSettings, SessionSummary, run_session, validate_tran
 __all__ = [
     "ClickStream",
     "DetectionReport",
-    "KeyBlock",
     "LinearNoise",
     "Permutation",
     "PhysicalParams",
     "ProtocolParams",
-    "PulseFrame",
     "RatePoint",
     "SecurityReport",
     "SessionSettings",

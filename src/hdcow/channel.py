@@ -27,12 +27,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedEstimateError
 from .kernels import dead_time_filter
-from .protocol import (
-    DetectionReport,
-    ProtocolParams,
-    PulseFrame,
-    Permutation,
-)
+from .protocol import DetectionReport, Permutation, ProtocolParams
 
 __all__ = [
     "PhysicalParams",
@@ -229,12 +224,15 @@ class MonitorTally:
 
 
 def transmit_frame(
-    frame: PulseFrame,
+    occ: np.ndarray,
     params: PhysicalParams,
     rng: np.random.Generator,
     state: DetectorState | None = None,
 ) -> ClickStream:
-    """Simulate one frame through the channel and both detectors.
+    """Simulate one frame through the channel and both detectors.  The
+    frame is its bool occupancy ``occ``, one entry per slot, such as a
+    row of :func:`~hdcow.protocol.encode_block`'s result; each pulse has
+    the mean photon number ``params.mu``.
 
     Draws the frame's uniform variates in one call of ``2*L`` for its
     ``L`` slots: the first ``L`` decide the data detector, slot by slot,
@@ -251,7 +249,6 @@ def transmit_frame(
     """
     if state is None:
         state = DetectorState()
-    occ = frame.occupancy
     length = len(occ)
     base = state.next_slot
     prev_occupied, last_monitor_click = state.prev_occupied, state.last_monitor_click

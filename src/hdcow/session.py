@@ -36,13 +36,15 @@ under the peer's direction.  ``run_session`` records on Alice's side.
 Alice prepares her blocks ahead, in batches of as many whole blocks as
 fit in ``_BATCH_SLOTS`` slots and at least one: one key draw, one
 permutation draw and sort, one encode and one reveal conversion per
-batch.  Each block gets the keys, permutation and frame it would get
-alone, so batch boundaries change no message, frame or key.
+batch, each on an array with one block per row.  Each block gets the
+keys, permutation and frame it would get alone, so batch boundaries
+change no message, frame or key.
 
 The quantum channel and detectors sit behind a handle injected into
 both endpoints, so the same state machines can drive an in-process
 simulation or external hardware.  The handle has two calls:
-``transmit(block_id, frame)`` on Alice's side, and
+``transmit(block_id, occupancy)`` on Alice's side, which sends the frame
+given as its bool occupancy row, and
 ``receive(block_id) -> (occupancy, clicks)`` on Bob's, which returns
 the frame's occupancy and its :class:`~hdcow.channel.ClickStream`.
 """
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +72,10 @@ from .channel import (
 from .errors import DecodeError, InvalidArgumentError, ProtocolError, UndefinedEstimateError
 from .protocol import (
     DetectionReport,
-    KeyBlock,
     Permutation,
     ProtocolParams,
-    PulseFrame,
     SeededByteSource,
+    _check_symbols,
     encode_block,
     make_permutation,
     sift_block,
@@ -278,42 +279,53 @@ _OUT_OF_ORDER = (
 
 def validate_transcript(transcript: Transcript) -> list[str]:
     """Check a transcript recorded on Alice's side; returns a list of
-    violations.  Every message must be recorded in its sender's
-    direction, with one ESTIMATE_REPORT in each, and every block that
-    appears must have its announcement, quantum marker, reveal and
-    detection report, once each and in that order.  Bob's own record holds no quantum
-    markers, so every block of it is flagged."""
+    violations.  SESSION_START must be the first entry and SESSION_END
+    the last, once each, and every message must be recorded in its
+    sender's direction.  Every block that appears must have its
+    announcement, quantum marker, reveal and detection report, once each
+    and in that order.  After the last detection report come Bob's
+    ESTIMATE_REPORT and then Alice's, one each way.  Bob's own record
+    holds no quantum markers, so every block of it is flagged."""
     violations = []
     entries = transcript.entries
     if not entries:
         return ["empty transcript"]
     if not (entries[0][0] == Transcript.A_TO_B and isinstance(entries[0][1], SessionStart)):
         violations.append("transcript does not open with SESSION_START")
-    messages = transcript.messages()
-    if not (messages and isinstance(messages[-1], SessionEnd)):
+    if not isinstance(entries[-1][1], SessionEnd):
         violations.append("transcript does not close with SESSION_END")
 
     stages: defaultdict[int, dict] = defaultdict(dict)  # block id -> {stage: entry index}
-    estimates = Counter()
+    estimates: defaultdict[str, list] = defaultdict(list)  # direction -> entry indices
     for k, (direction, item) in enumerate(entries):
         if direction == Transcript.QUANTUM:
             block_id, stage = item, "quantum transmission"
         else:
             kind = type(item)
             if kind is EstimateReport:
-                estimates[direction] += 1
+                estimates[direction].append(k)
             elif direction != _SENT_AS.get(kind):
                 violations.append(f"entry {k}: {kind.__name__} recorded as {direction}")
+            if kind is SessionStart and k:
+                violations.append(f"entry {k}: SESSION_START after the start")
+            if kind is SessionEnd and k != len(entries) - 1:
+                violations.append(f"entry {k}: SESSION_END before the end")
             if kind not in _STAGE_OF:
                 continue
             block_id, stage = item.block_id, _STAGE_OF[kind]
         if stage in stages[block_id]:
             violations.append(f"block {block_id}: {stage} recorded twice")
         stages[block_id][stage] = k
-    if estimates != Counter({Transcript.A_TO_B: 1, Transcript.B_TO_A: 1}):
-        violations.append(
-            f"ESTIMATE_REPORT recorded {dict(estimates)} times, expected once each way"
-        )
+
+    counts = {direction: len(at) for direction, at in estimates.items()}
+    if counts != {Transcript.A_TO_B: 1, Transcript.B_TO_A: 1}:
+        violations.append(f"ESTIMATE_REPORT recorded {counts} times, expected once each way")
+    elif estimates[Transcript.A_TO_B][0] < estimates[Transcript.B_TO_A][0]:
+        violations.append("Alice's ESTIMATE_REPORT precedes Bob's")
+    last_report = max((at.get("detection report", -1) for at in stages.values()), default=-1)
+    for k in sorted(itertools.chain(*estimates.values())):
+        if k < last_report:
+            violations.append(f"entry {k}: ESTIMATE_REPORT precedes the last detection report")
 
     for block_id in sorted(stages):
         at = stages[block_id]
@@ -329,10 +341,10 @@ def validate_transcript(transcript: Transcript) -> list[str]:
 class SimulatedChannel:
     """In-process quantum channel handle.
 
-    The transmitter side pushes pulse frames through the Monte Carlo
-    channel; the receiver side pulls each frame's occupancy and click
-    record in order, and asking for one that was never transmitted
-    raises.  The occupancy rides along for post-reveal monitor
+    The transmitter side pushes frames, each a bool occupancy row,
+    through the Monte Carlo channel; the receiver side pulls each frame's
+    occupancy and click record in order, and asking for one that was
+    never transmitted raises.  The occupancy rides along for post-reveal monitor
     classification, which stands in for the disclosure a hardware system
     would perform on estimation blocks.
     """
@@ -343,9 +355,9 @@ class SimulatedChannel:
         self._state = DetectorState()
         self._deliveries: deque[tuple] = deque()  # (block_id, occupancy, clicks)
 
-    def transmit(self, block_id: int, frame: PulseFrame) -> None:
-        clicks = transmit_frame(frame, self.phys, self._rng, self._state)
-        self._deliveries.append((block_id, frame.occupancy, clicks))
+    def transmit(self, block_id: int, occupancy: np.ndarray) -> None:
+        clicks = transmit_frame(occupancy, self.phys, self._rng, self._state)
+        self._deliveries.append((block_id, occupancy, clicks))
 
     def receive(self, block_id: int) -> tuple[np.ndarray, ClickStream]:
         if not self._deliveries:
@@ -364,7 +376,7 @@ class _Transmit:
     channel, placed among its outgoing messages."""
 
     block_id: int
-    frame: PulseFrame
+    occupancy: np.ndarray
 
 
 class _Link:
@@ -390,7 +402,7 @@ class _Link:
         transcript = self._transcript
         for item in items:
             if isinstance(item, _Transmit):
-                self._channel.transmit(item.block_id, item.frame)
+                self._channel.transmit(item.block_id, item.occupancy)
                 if transcript is not None:
                     transcript.record(Transcript.QUANTUM, item.block_id)
                 continue
@@ -415,12 +427,14 @@ class _Alice:
     return the messages to send and the frames to transmit, in order;
     ``summary`` is set once the session has ended.
 
-    She prepares her blocks ahead in batches (see ``_BATCH_SLOTS``): the
-    generated keys of a batch come from one draw, its permutations from
-    one byte-source call and one sort, its frames from one scatter and
-    its reveals from one conversion.  The draws equal those of one block
-    at a time, so batch boundaries change no message, frame or key.
-    Supplied blocks are taken from ``block_source`` up to a batch at a
+    She prepares her blocks ahead in batches (see ``_BATCH_SLOTS``), as
+    arrays with one block per row: the generated keys of a batch come
+    from one draw, its permutations from one byte-source call and one
+    sort, its frames from one scatter and its reveals from one
+    conversion.  The draws equal those of one block at a time, so batch
+    boundaries change no message, frame or key.  A block is then its row
+    of symbols, its occupancy row and its reveal.  Supplied blocks are
+    symbol sequences, taken from ``block_source`` up to a batch at a
     time and checked when their batch is prepared; a source that runs
     dry fails when the first missing block is opened."""
 
@@ -433,9 +447,9 @@ class _Alice:
         self._perm_source = SeededByteSource(self._rng.integers(0, 2**63))
         self._supplied = None if block_source is None else iter(block_source)
         self._batch_blocks = max(1, _BATCH_SLOTS // settings.protocol.slot_count)
-        self._prepared: deque[tuple] = deque()  # (block, frame, reveal) of the next blocks
+        self._prepared: deque[tuple] = deque()  # (symbols, occupancy, reveal) of the next blocks
         self._block_id = 0
-        self._block: KeyBlock | None = None
+        self._symbols: np.ndarray | None = None  # the open block's
         self._sifted: list[int] = []
         self._sampled_mine: list[int] = []
         self._sampled_theirs: list[int] = []
@@ -454,8 +468,8 @@ class _Alice:
             raise ProtocolError(
                 f"block source ended after {block_id} of {self._settings.blocks} blocks"
             )
-        self._block, frame, reveal = self._prepared.popleft()
-        return [BlockAnnounce(block_id=block_id), _Transmit(block_id, frame), reveal]
+        self._symbols, occupancy, reveal = self._prepared.popleft()
+        return [BlockAnnounce(block_id=block_id), _Transmit(block_id, occupancy), reveal]
 
     def _prepare_batch(self) -> None:
         """Prepare the blocks from the current one on, up to a batch; none
@@ -465,22 +479,26 @@ class _Alice:
         first = self._block_id
         count = min(self._batch_blocks, settings.blocks - first)
         if self._supplied is None:
-            symbols = KeyBlock.random(proto, self._rng, count)
-            blocks = [KeyBlock(row) for row in symbols]
+            symbols = self._rng.integers(1, proto.d + 1, size=(count, proto.n))
         else:
-            blocks = list(itertools.islice(self._supplied, count))
+            blocks = [
+                np.asarray(block, dtype=np.int64)
+                for block in itertools.islice(self._supplied, count)
+            ]
             if not blocks:
                 return
             for block_id, block in enumerate(blocks, first):
                 try:
-                    block.validate(proto)
+                    if block.ndim != 1:
+                        raise InvalidArgumentError("symbols must be a flat sequence")
+                    _check_symbols(block, proto)
                 except InvalidArgumentError as exc:
                     raise ProtocolError(f"supplied block {block_id}: {exc}") from exc
-            symbols = np.array([block.symbols for block in blocks])
-        maps = make_permutation(proto.slot_count, self._perm_source, len(blocks))
-        frames = encode_block(proto, symbols, maps, settings.physical.mu)
+            symbols = np.array(blocks)
+        maps = make_permutation(proto.slot_count, self._perm_source, len(symbols))
+        occupancy = encode_block(proto, symbols, maps)
         reveals = PermutationReveal.of_bijections(first, maps)
-        self._prepared.extend(zip(blocks, frames, reveals))
+        self._prepared.extend(zip(symbols, occupancy, reveals))
 
     def receive(self, message: Message) -> list:
         settings = self._settings
@@ -488,11 +506,12 @@ class _Alice:
         if block_id == settings.blocks:
             return self._finish(_expect(message, EstimateReport, block_id - 1))
         entries = _expect(message, DetectionReportMsg, block_id).entries
-        alice_syms, _ = sift_block(self._block, DetectionReport(entries), settings.protocol.d)
+        symbols = self._symbols
+        alice_syms, _ = sift_block(symbols, DetectionReport(entries), settings.protocol.d)
         self._sifted.extend(alice_syms)
         # The entries passed sift_block's checks.  The estimate counts
         # mismatches, so the sampled pairs may stay in the report's order.
-        every, symbols = self._every, self._block.symbols
+        every = self._every
         for i, j in entries:
             if (block_id + i) % every == 0:
                 self._sampled_mine.append(int(symbols[i]))
@@ -659,8 +678,9 @@ def run_alice(
 ) -> SessionSummary:
     """Drive the transmitter side of a session over ``duplex``.
 
-    ``block_source`` yields :class:`KeyBlock` instances; pass ``None``
-    to generate random blocks from ``seed``.  A ``transcript`` records
+    ``block_source`` yields each block's ``n`` symbols in {1..d}, as a
+    flat sequence of integers; pass ``None`` to generate random blocks
+    from ``seed``.  A ``transcript`` records
     the whole session: Alice's messages and frames, and Bob's messages
     as she reads them.
     """

@@ -128,9 +128,9 @@ class PermutationReveal:
     def of_bijections(cls, first_block_id: int, maps: np.ndarray) -> list["PermutationReveal"]:
         """The reveals of consecutive blocks from ``first_block_id`` on,
         given their bijections on {1..L} as the rows of an integer array
-        of image sequences, such as ``make_permutation`` draws with
-        ``count``.  The values are at most L, so L alone is checked
-        against u32, and every row is put in wire form by one conversion."""
+        of image sequences, such as ``make_permutation`` draws.  The
+        values are at most L, so L alone is checked against u32, and every
+        row is put in wire form by one conversion."""
         _check_u(maps.shape[1], 32, "index")
         rows = maps.astype(">u4")
         return [cls(block_id, row.tobytes()) for block_id, row in enumerate(rows, first_block_id)]

@@ -23,7 +23,6 @@ from hdcow.kernels import dead_time_filter
 from hdcow.protocol import (
     Permutation,
     ProtocolParams,
-    PulseFrame,
     SeededByteSource,
     decode_click,
     make_permutation,
@@ -73,8 +72,7 @@ class TestTransmitFrame:
         params = quiet_params(
             mu=0.05, t_ch=1.0, p_dc=0.0, r_ext=0.0, f_mon=0.0, t_dead=0.0
         )
-        frame = PulseFrame(occupancy=np.zeros(4096, dtype=bool), mu=0.05)
-        clicks = transmit_frame(frame, params, np.random.default_rng(0))
+        clicks = transmit_frame(np.zeros(4096, dtype=bool), params, np.random.default_rng(0))
         assert len(clicks.data_slots) == 0
         assert len(clicks.monitor_slots) == 0
 
@@ -84,8 +82,7 @@ class TestTransmitFrame:
             mu=0.05, xi=0.2, t_ch=1.0, f_mon=0.0, r_ext=0.0, p_dc=0.0, t_dead=0.0
         )
         n = 1_000_000
-        frame = PulseFrame(occupancy=np.ones(n, dtype=bool), mu=0.05)
-        clicks = transmit_frame(frame, params, np.random.default_rng(7))
+        clicks = transmit_frame(np.ones(n, dtype=bool), params, np.random.default_rng(7))
         p_expected = 1.0 - math.exp(-0.01)
         sigma = math.sqrt(p_expected * (1 - p_expected) / n)
         assert len(clicks.data_slots) / n == pytest.approx(p_expected, abs=3 * sigma)
@@ -94,9 +91,8 @@ class TestTransmitFrame:
         params = quiet_params(mu=0.05)
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         occ = np.random.default_rng(1).random(8192) < 0.25
-        frame = PulseFrame(occupancy=occ, mu=0.05)
-        ca = transmit_frame(frame, params, rng_a)
-        cb = transmit_frame(frame, params, rng_b)
+        ca = transmit_frame(occ, params, rng_a)
+        cb = transmit_frame(occ, params, rng_b)
         assert np.array_equal(ca.data_slots, cb.data_slots)
         assert np.array_equal(ca.monitor_slots, cb.monitor_slots)
 
@@ -109,8 +105,7 @@ class TestTransmitFrame:
         rng = np.random.default_rng(3)
         all_clicks = []
         for _ in range(4):
-            frame = PulseFrame(occupancy=occ[:50_000], mu=0.05)
-            cs = transmit_frame(frame, params, rng, state)
+            cs = transmit_frame(occ[:50_000], params, rng, state)
             all_clicks.append(cs.data_slots)
         slots = np.concatenate(all_clicks)
         assert (np.diff(slots) > dead).all()
@@ -121,10 +116,8 @@ class TestTransmitFrame:
         params = PhysicalParams.noiseless()
         state = DetectorState()
         rng = np.random.default_rng(0)
-        f1 = PulseFrame(occupancy=np.array([True, False]), mu=50.0)
-        f2 = PulseFrame(occupancy=np.array([False, True]), mu=50.0)
-        c1 = transmit_frame(f1, params, rng, state)
-        c2 = transmit_frame(f2, params, rng, state)
+        c1 = transmit_frame(np.array([True, False]), params, rng, state)
+        c2 = transmit_frame(np.array([False, True]), params, rng, state)
         assert list(c1.data_slots) == [1]
         assert list(c2.data_slots) == [4]
 
@@ -132,8 +125,7 @@ class TestTransmitFrame:
         # no light reaches the monitor, so every slot clicks at p_dc
         params = quiet_params(mu=0.05, f_mon=0.0, p_dc=0.1, t_dead=0.0)
         occ = np.arange(400_000) % 2 == 0
-        frame = PulseFrame(occupancy=occ, mu=0.05)
-        clicks = transmit_frame(frame, params, np.random.default_rng(11))
+        clicks = transmit_frame(occ, params, np.random.default_rng(11))
         hit = np.zeros(len(occ), dtype=bool)
         hit[clicks.monitor_slots - clicks.frame_start] = True
         sigma = math.sqrt(0.1 * 0.9 / 200_000)
@@ -141,12 +133,11 @@ class TestTransmitFrame:
         assert hit[~occ].mean() == pytest.approx(0.1, abs=5 * sigma)
 
 
-def dense_transmit(frame, params, u, state):
+def dense_transmit(occ, params, u, state):
     """The per-slot model with one click probability per slot, the
     reference for ``transmit_frame``; ``u`` holds the frame's 2*L
     uniform variates, data detector first.  Every monitor slot gets the
     dark-count probability once."""
-    occ = frame.occupancy
     length = len(occ)
     base = state.next_slot
     p_data = np.where(occ, params.p_click_occupied, params.p_click_empty)
@@ -221,7 +212,7 @@ def channel_runs(draw):
     for _ in range(draw(st.integers(1, 3), label="frames")):
         length = draw(st.integers(1, 400), label="length")
         density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="density")
-        frames.append(PulseFrame(occupancy=occ_rng.random(length) < density, mu=params.mu))
+        frames.append(occ_rng.random(length) < density)
     return params, state, frames, seed
 
 
@@ -235,18 +226,18 @@ class TestSlotModelReference:
         params, state, frames, seed = run
         ref_state = replace(state)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for frame in frames:
+        for occ in frames:
             prev_occupied, last_mon = state.prev_occupied, state.last_monitor_click
-            clicks = transmit_frame(frame, params, rng, state)
+            clicks = transmit_frame(occ, params, rng, state)
             # the click record carries the state the frame started from
             assert (clicks.prev_occupied, clicks.last_monitor_click) == (prev_occupied, last_mon)
-            u = ref_rng.random(2 * len(frame.occupancy))
-            data, monitor = dense_transmit(frame, params, u, ref_state)
+            u = ref_rng.random(2 * len(occ))
+            data, monitor = dense_transmit(occ, params, u, ref_state)
             np.testing.assert_array_equal(clicks.data_slots, data)
             np.testing.assert_array_equal(clicks.monitor_slots, monitor)
             assert state == ref_state
-            assert monitor_tally(frame.occupancy, clicks, params) == dense_tally(
-                frame.occupancy, prev_occupied, clicks, params, last_mon
+            assert monitor_tally(occ, clicks, params) == dense_tally(
+                occ, prev_occupied, clicks, params, last_mon
             )
 
 
@@ -364,8 +355,9 @@ class TestDecodeFrame:
     def test_matches_per_click_decode(self, frame, frame_start):
         d, n, seed, clicked = frame
         params = ProtocolParams(d=d, n=n, tau=2e-9)
-        sigma = make_permutation(d * n, SeededByteSource(seed))
-        slots = [sigma.apply(d * i + j) for i, js in clicked.items() for j in js]
+        (map_,) = make_permutation(d * n, SeededByteSource(seed))
+        sigma = Permutation(map_)
+        slots = [map_[d * i + j - 1] for i, js in clicked.items() for j in js]
         clicks = click_stream(slots, frame_start)
         entries = decode_frame(params, sigma, clicks).entries
         assert entries == decode_per_click(params, sigma, clicks)
@@ -377,4 +369,4 @@ class TestDecodeFrame:
         params = ProtocolParams(d=2, n=4, tau=2e-9)
         clicks = click_stream([1, slot], frame_start=100)
         with pytest.raises(InvalidArgumentError, match="outside the frame"):
-            decode_frame(params, Permutation.identity(8), clicks)
+            decode_frame(params, Permutation(np.arange(1, 9)), clicks)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hdcow.channel import PhysicalParams
 from hdcow.config import default_config
 from hdcow.errors import InvalidArgumentError, ProtocolError
-from hdcow.protocol import KeyBlock, Permutation, ProtocolParams, encode_block
+from hdcow.protocol import ProtocolParams
 from hdcow.session import (
     _BATCH_SLOTS,
     QueuePipe,
@@ -39,6 +39,10 @@ from hdcow.wire import (
     encode_message,
     read_message,
 )
+
+
+# The frame of block symbols (1, 2) under the identity permutation, d=2 and n=2.
+FRAME_12 = np.array([True, False, False, True])
 
 
 def noiseless_settings(d=4, n=16, blocks=1):
@@ -190,10 +194,7 @@ class TestProtocolViolations:
         settings = noiseless_settings(d=2, n=2)
         channel = SimulatedChannel(settings.physical, seed=0)
         # announce, transmit, then reveal a non-bijection
-        frame = encode_block(
-            settings.protocol, KeyBlock([1, 2]), Permutation.identity(4), mu=50.0
-        )
-        channel.transmit(0, frame)
+        channel.transmit(0, FRAME_12)
         duplex = ScriptedDuplex(
             [
                 encode_message(SessionStart(d=2, n=2, tau_picoseconds=2000)),
@@ -209,10 +210,7 @@ class TestProtocolViolations:
     def test_end_with_open_block_aborts(self):
         settings = noiseless_settings(d=2, n=2)
         channel = SimulatedChannel(settings.physical, seed=0)
-        frame = encode_block(
-            settings.protocol, KeyBlock([1, 2]), Permutation.identity(4), mu=50.0
-        )
-        channel.transmit(0, frame)
+        channel.transmit(0, FRAME_12)
         duplex = ScriptedDuplex(
             [
                 encode_message(SessionStart(d=2, n=2, tau_picoseconds=2000)),
@@ -229,11 +227,8 @@ def scripted_bob(messages, blocks=1, transmissions=1):
     one block-0 frame have gone down the channel."""
     settings = noiseless_settings(d=2, n=2, blocks=blocks)
     channel = SimulatedChannel(settings.physical, seed=0)
-    frame = encode_block(
-        settings.protocol, KeyBlock([1, 2]), Permutation.identity(4), mu=50.0
-    )
     for _ in range(transmissions):
-        channel.transmit(0, frame)
+        channel.transmit(0, FRAME_12)
     start = SessionStart(d=2, n=2, tau_picoseconds=2000)
     duplex = ScriptedDuplex([encode_message(m) for m in (start, *messages)])
     return run_bob(settings, channel, duplex)
@@ -357,7 +352,7 @@ class TestAliceSampling:
             ]
         )
         channel = SimulatedChannel(settings.physical, seed=0)
-        summary = run_alice(settings, [KeyBlock([1, 2, 1, 2])], channel, duplex, seed=0)
+        summary = run_alice(settings, [[1, 2, 1, 2]], channel, duplex, seed=0)
         return summary.q_hat
 
     def test_sampled_qudits_do_not_depend_on_report_order(self):
@@ -371,7 +366,7 @@ def test_short_block_source_names_the_block():
     duplex = ScriptedDuplex([encode_message(DetectionReportMsg(block_id=0, entries=((0, 1),)))])
     channel = SimulatedChannel(settings.physical, seed=0)
     with pytest.raises(ProtocolError, match="block source ended after 1 of 2 blocks"):
-        run_alice(settings, [KeyBlock([1, 2])], channel, duplex, seed=0)
+        run_alice(settings, [[1, 2]], channel, duplex, seed=0)
 
 
 def sent_messages(duplex):
@@ -406,12 +401,16 @@ class TestSuppliedBlocksAcrossBatches:
     @staticmethod
     def valid_blocks(count):
         rng = np.random.default_rng(3)
-        return [KeyBlock(rng.integers(1, 9, size=64)) for _ in range(count)]
+        return [rng.integers(1, 9, size=64) for _ in range(count)]
 
     @pytest.mark.parametrize("index", [1, 31, 33])
     @pytest.mark.parametrize(
         "bad, cause",
-        [(KeyBlock([1] * 63), "block length 63 != n=64"), (KeyBlock([9] + [1] * 63), "outside")],
+        [
+            ([1] * 63, "block length 63 != n=64"),
+            ([9] + [1] * 63, "outside"),
+            ([[1] * 64] * 2, "symbols must be a flat sequence"),
+        ],
     )
     def test_invalid_block_refused_when_its_batch_is_prepared(self, index, bad, cause):
         assert self.per_batch == 32
@@ -498,6 +497,22 @@ class TestStreamDuplex:
                 read_message(StreamDuplex(right).recv_exact)
 
 
+def swap_estimates(entries):
+    entries[-3], entries[-2] = entries[-2], entries[-3]
+
+
+def bob_estimate_after_start(entries):
+    entries.insert(1, entries.pop(-3))
+
+
+def second_start(entries):
+    entries.insert(len(entries) // 2, entries[0])
+
+
+def early_end(entries):
+    entries.insert(len(entries) // 2, entries[-1])
+
+
 class TestTranscriptValidator:
     def test_flags_reveal_before_quantum(self):
         t = Transcript()
@@ -554,6 +569,29 @@ class TestTranscriptValidator:
         assert any("ESTIMATE_REPORT recorded" in v for v in violations)
         assert "block 2: no quantum transmission" in violations
         assert "block 0: permutation reveal recorded twice" in violations
+
+    @pytest.mark.parametrize(
+        "edit, violation",
+        [
+            (swap_estimates, "Alice's ESTIMATE_REPORT precedes Bob's"),
+            (
+                bob_estimate_after_start,
+                "entry 1: ESTIMATE_REPORT precedes the last detection report",
+            ),
+            (second_start, "entry 8: SESSION_START after the start"),
+            (early_end, "entry 8: SESSION_END before the end"),
+        ],
+    )
+    def test_flags_misplaced_session_messages(self, edit, violation):
+        _, _, transcript = run_session(noiseless_settings(d=4, n=8, blocks=3), seed=1)
+        entries = transcript.entries
+        assert len(entries) == 16
+        assert [type(item) for _, item in entries[-3:]] == [
+            EstimateReport, EstimateReport, SessionEnd
+        ]
+        assert validate_transcript(transcript) == []
+        edit(entries)
+        assert validate_transcript(transcript) == [violation]
 
     def test_accepts_recorded_real_session(self):
         _, _, transcript = run_session(noiseless_settings(blocks=3), seed=1)
