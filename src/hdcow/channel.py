@@ -13,6 +13,14 @@ predecessor does not interfere and clicks with probability
 probability once per slot: OR-ed into the slot's light, which at an
 empty monitor slot is none.  Dead time is applied per detector by
 ``kernels.dead_time_filter`` and persists across frames.
+
+On a long lossy link almost every frame is quiet: no pulse's monitor
+uniform lies below either monitor click probability, the data detector
+has a candidate in few frames, and the monitor's dead window has closed
+before the frame starts.  Such a frame skips the work that no click
+needs (the monitor's interference classification, the dead-time scan
+and the tally's dead-window search), on the same draws, so every click
+and tally equals what the full work gives.
 """
 
 from __future__ import annotations
@@ -242,10 +250,16 @@ def transmit_frame(
     are tested at them alone.  The data detector is tested once more
     against the empty-slot probability; an empty monitor slot can fire
     only by a dark count, so the monitor's every slot is tested only
-    when ``p_dc`` > 0.  Each detector's candidate clicks then pass its
-    dead-time filter, the data detector's first.  If ``state`` is given
-    it is updated in place, chaining dead time, global slot numbering,
-    and pulse-train continuity into the next frame.
+    when ``p_dc`` > 0.  Without dark counts the pulses are first tested
+    against the larger of the two monitor probabilities, and only those
+    below it are classified for interference and tested against their
+    class's probability.  A pulse below its class's probability is below
+    the larger one, so the clicks are the same; in most frames of a long
+    link no pulse is below it and none is classified.  Each detector's
+    candidate clicks then pass its dead-time filter, the data detector's
+    first.  If ``state`` is given it is updated in place, chaining dead
+    time, global slot numbering, and pulse-train continuity into the
+    next frame.
     """
     if state is None:
         state = DetectorState()
@@ -265,18 +279,19 @@ def transmit_frame(
         cand_data, dead, state.last_data_click
     )
 
-    p_pulse = np.where(
-        _interferes(occ, pulses, prev_occupied),
-        params.p_monitor_interfering,
-        params.p_monitor_noninterfering,
-    )
-    pulse_hit = u_mon[pulses] < p_pulse
+    p_int, p_non = params.p_monitor_interfering, params.p_monitor_noninterfering
     if params.p_dc > 0.0:
         np.less(u_mon, params.p_dc, out=hit)
-        hit[pulses] = pulse_hit
+        hit[pulses] = u_mon[pulses] < np.where(
+            _interferes(occ, pulses, prev_occupied), p_int, p_non
+        )
         cand_mon = hit.nonzero()[0]
     else:
-        cand_mon = pulses[pulse_hit]
+        cand_mon = pulses[u_mon[pulses] < max(p_int, p_non)]
+        if len(cand_mon):  # most frames of a long, lossy link have none
+            cand_mon = cand_mon[u_mon[cand_mon] < np.where(
+                _interferes(occ, cand_mon, prev_occupied), p_int, p_non
+            )]
     cand_mon += base
     monitor_slots, state.last_monitor_click = dead_time_filter(
         cand_mon, dead, last_monitor_click
@@ -294,9 +309,9 @@ def transmit_frame(
 
 
 def _interferes(occ: np.ndarray, pulses: np.ndarray, prev_occupied: bool) -> np.ndarray:
-    """For each pulse of ``occ`` at the local slots ``pulses``, whether the
-    slot before it is occupied; before the first slot stands the
-    previous frame's last, ``prev_occupied``."""
+    """For each pulse of ``occ`` at the sorted local slots ``pulses``, all
+    of its pulses or some, whether the slot before it is occupied; before
+    the first slot stands the previous frame's last, ``prev_occupied``."""
     prev = occ[pulses - 1]
     if len(pulses) and not pulses[0]:
         prev[0] = prev_occupied
@@ -324,11 +339,20 @@ def monitor_tally(
     when the two counts agree.  The live pulses that are not
     interfering are the non-interfering exposures.  The clicks are few,
     so each is classified where it falls.
+
+    A frame with no monitor click of its own that starts after the dead
+    window of the monitor's last click (``last_monitor_click +
+    dead_slots < frame_start``) has no dead pulse and no click to
+    classify: every pulse is live, as both counts would show, so the
+    tally is the pulse counts alone, with no search.
     """
     prev_occupied = clicks.prev_occupied
     pulses = occ.nonzero()[0]
     interfering = _interferes(occ, pulses, prev_occupied)
     start = clicks.frame_start
+    if not len(clicks.monitor_slots) and clicks.last_monitor_click + params.dead_slots < start:
+        exp_int = int(np.count_nonzero(interfering))  # every pulse is live
+        return MonitorTally(exp_int=exp_int, exp_non=len(pulses) - exp_int)
     marks = np.empty(len(clicks.monitor_slots) + 1, dtype=np.int64)  # local slots
     marks[0] = clicks.last_monitor_click - start
     local = marks[1:]

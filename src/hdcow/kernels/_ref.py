@@ -19,8 +19,13 @@ def dead_time_filter(candidates, dead_slots, last_click=-(1 << 62)):
     last_click: slot of the most recent accepted click before this batch
         (carries detector state across frames).
 
-    Returns ``(kept, last_click)`` with kept as an int64 array.
+    Returns ``(kept, last_click)`` with kept as an int64 array.  With no
+    candidates, as in most frames of a long link, both come back at once:
+    an empty array and ``last_click`` as given, which the scan would also
+    return.
     """
+    if not len(candidates):
+        return np.empty(0, dtype=np.int64), int(last_click)
     kept = []
     last = last_click
     for c in candidates.tolist():

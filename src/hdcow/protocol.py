@@ -106,10 +106,12 @@ class Permutation:
     i.e. ``sigma(u) = map_[u-1]``, with its inverse ``inverse_map``.
 
     The constructor validates ``map_``, as a receiver must do with a
-    reveal off the wire: a range check first, then one scatter that
-    builds the inverse and shows every slot is hit, which for L values
-    in range makes ``map_`` a bijection.  The inverse is int32, half the
-    bytes of int64, unless L reaches 2**31."""
+    reveal off the wire: a check that no value is below 1, then one
+    scatter that builds the inverse and shows every slot is hit, which
+    for L values in range makes ``map_`` a bijection.  A value above L
+    fails the scatter's own bounds check, so it needs no pass of its
+    own.  The inverse is int32, half the bytes of int64, unless L
+    reaches 2**31."""
 
     map_: np.ndarray
     inverse_map: np.ndarray = field(init=False, repr=False, compare=False)
@@ -119,11 +121,14 @@ class Permutation:
         L = len(map_)
         if L == 0:
             raise InvalidArgumentError("empty permutation")
-        if np.minimum.reduce(map_) < 1 or np.maximum.reduce(map_) > L:
+        if np.minimum.reduce(map_) < 1:  # a negative index would wrap
             raise InvalidArgumentError("permutation values outside {1..L}")
         dtype = np.int32 if L < 2**31 else np.int64
         inv = np.zeros(L + 1, dtype=dtype)
-        inv[map_] = np.arange(1, L + 1, dtype=dtype)  # 1-based; slot 0 is dropped
+        try:
+            inv[map_] = np.arange(1, L + 1, dtype=dtype)  # 1-based; slot 0 is dropped
+        except IndexError:  # a value above L
+            raise InvalidArgumentError("permutation values outside {1..L}") from None
         self.inverse_map = inv[1:]
         if np.count_nonzero(self.inverse_map) != L:
             raise InvalidArgumentError("permutation is not a bijection")

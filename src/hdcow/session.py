@@ -281,11 +281,12 @@ def validate_transcript(transcript: Transcript) -> list[str]:
     """Check a transcript recorded on Alice's side; returns a list of
     violations.  SESSION_START must be the first entry and SESSION_END
     the last, once each, and every message must be recorded in its
-    sender's direction.  Every block that appears must have its
-    announcement, quantum marker, reveal and detection report, once each
-    and in that order.  After the last detection report come Bob's
-    ESTIMATE_REPORT and then Alice's, one each way.  Bob's own record
-    holds no quantum markers, so every block of it is flagged."""
+    sender's direction.  The block ids must run from 0 to the last
+    without a gap, and every block must have its announcement, quantum
+    marker, reveal and detection report, once each and in that order.
+    After the last detection report come Bob's ESTIMATE_REPORT and then
+    Alice's, one each way, both carrying the last block's id.  Bob's own
+    record holds no quantum markers, so every block of it is flagged."""
     violations = []
     entries = transcript.entries
     if not entries:
@@ -323,10 +324,21 @@ def validate_transcript(transcript: Transcript) -> list[str]:
     elif estimates[Transcript.A_TO_B][0] < estimates[Transcript.B_TO_A][0]:
         violations.append("Alice's ESTIMATE_REPORT precedes Bob's")
     last_report = max((at.get("detection report", -1) for at in stages.values()), default=-1)
+    last_block = max(stages, default=-1)
     for k in sorted(itertools.chain(*estimates.values())):
         if k < last_report:
             violations.append(f"entry {k}: ESTIMATE_REPORT precedes the last detection report")
+        block_id = entries[k][1].block_id
+        if block_id != last_block:
+            violations.append(
+                f"entry {k}: ESTIMATE_REPORT for block {block_id}, not the last block {last_block}"
+            )
 
+    violations.extend(
+        f"block {block_id}: no entries"
+        for block_id in range(last_block + 1)
+        if block_id not in stages
+    )
     for block_id in sorted(stages):
         at = stages[block_id]
         violations.extend(

@@ -216,9 +216,45 @@ def channel_runs(draw):
     return params, state, frames, seed
 
 
+class FixedUniforms:
+    """Stands in for a generator whose one draw is the given uniforms."""
+
+    def __init__(self, u):
+        self._u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self._u)
+        return self._u.copy()
+
+
+def slot_params(**kwargs) -> PhysicalParams:
+    """A back-to-back link with a perfect detector and no dark counts or
+    leakage, so each click probability is set by ``mu`` and ``f_mon``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the weak-pulse guard
+        return PhysicalParams(**{"t_ch": 1.0, "xi": 1.0, "r_ext": 0.0, **kwargs})
+
+
 class TestSlotModelReference:
-    """``transmit_frame`` and ``monitor_tally`` work at the pulses; the
-    dense per-slot formulas above must give the same clicks and tallies."""
+    """``transmit_frame`` and ``monitor_tally`` work at the pulses, and
+    skip what no click needs; the dense per-slot formulas above must
+    give the same clicks and tallies."""
+
+    @staticmethod
+    def check_frame(occ, params, rng, u, state, ref_state):
+        """Send ``occ`` through ``state`` and, with the uniforms ``u`` that
+        ``rng`` draws, through the dense model at ``ref_state``."""
+        prev_occupied, last_mon = state.prev_occupied, state.last_monitor_click
+        clicks = transmit_frame(occ, params, rng, state)
+        # the click record carries the state the frame started from
+        assert (clicks.prev_occupied, clicks.last_monitor_click) == (prev_occupied, last_mon)
+        data, monitor = dense_transmit(occ, params, u, ref_state)
+        np.testing.assert_array_equal(clicks.data_slots, data)
+        np.testing.assert_array_equal(clicks.monitor_slots, monitor)
+        assert state == ref_state
+        tally = monitor_tally(occ, clicks, params)
+        assert tally == dense_tally(occ, prev_occupied, clicks, params, last_mon)
+        return clicks, tally
 
     @settings(max_examples=300, deadline=None)
     @given(run=channel_runs())
@@ -227,18 +263,65 @@ class TestSlotModelReference:
         ref_state = replace(state)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for occ in frames:
-            prev_occupied, last_mon = state.prev_occupied, state.last_monitor_click
-            clicks = transmit_frame(occ, params, rng, state)
-            # the click record carries the state the frame started from
-            assert (clicks.prev_occupied, clicks.last_monitor_click) == (prev_occupied, last_mon)
-            u = ref_rng.random(2 * len(occ))
-            data, monitor = dense_transmit(occ, params, u, ref_state)
-            np.testing.assert_array_equal(clicks.data_slots, data)
-            np.testing.assert_array_equal(clicks.monitor_slots, monitor)
-            assert state == ref_state
-            assert monitor_tally(occ, clicks, params) == dense_tally(
-                occ, prev_occupied, clicks, params, last_mon
-            )
+            self.check_frame(occ, params, rng, ref_rng.random(2 * len(occ)), state, ref_state)
+
+    def test_no_pulse_under_either_monitor_probability(self):
+        # 64 pulses in 512 slots, none next to another; every pulse's
+        # monitor uniform sits at the larger probability, which is no click
+        params = slot_params(mu=0.05, f_mon=0.3, v_true=0.9, t_dead=0.0)
+        p_max = max(params.p_monitor_interfering, params.p_monitor_noninterfering)
+        occ = np.zeros(512, dtype=bool)
+        occ[::8] = True
+        u = np.full(1024, 0.5)
+        u[0] = 0.0  # one data click, on the first pulse
+        u[512:][occ] = p_max
+        state = DetectorState(next_slot=1001)
+        clicks, tally = self.check_frame(
+            occ, params, FixedUniforms(u), u, state, replace(state)
+        )
+        assert clicks.data_slots.tolist() == [1001]
+        assert len(clicks.monitor_slots) == 0 and clicks.monitor_slots.dtype == np.int64
+        assert tally == MonitorTally(exp_non=64)
+
+    def test_interfering_class_likelier(self):
+        # v_true = 0 doubles the interfering pulses' monitor probability
+        # over the non-interfering ones'; between the two, only the
+        # interfering pulses (local slots 1 and 4) click
+        params = slot_params(mu=1.0, f_mon=0.3, v_true=0.0, t_dead=0.0)
+        p_int, p_non = params.p_monitor_interfering, params.p_monitor_noninterfering
+        assert p_non < p_int
+        occ = np.array([True, True, False, True, True])
+        u = np.concatenate((np.full(5, 0.99), np.full(5, (p_non + p_int) / 2)))
+        state = DetectorState(next_slot=11)
+        clicks, tally = self.check_frame(
+            occ, params, FixedUniforms(u), u, state, replace(state)
+        )
+        assert clicks.monitor_slots.tolist() == [12, 15]
+        assert tally == MonitorTally(n_int=2, exp_int=2, n_non=0, exp_non=2)
+
+    @pytest.mark.parametrize(
+        "last_monitor_click, exp_non",
+        [
+            (95, 1),  # blind through local slot 15: pulses 0, 10 and 15 are dead
+            (80, 3),  # blind through local slot 0 alone
+            (79, 4),  # blind until the slot before the frame: every pulse is live
+        ],
+    )
+    def test_quiet_frame_near_monitor_dead_window(self, last_monitor_click, exp_non):
+        # The frame starts at slot 100 and has no monitor click of its own;
+        # the monitor's last click blinds it for the 20 slots after.  The
+        # pulse at local slot 16 interferes and is live in every case.
+        params = slot_params(mu=0.05, f_mon=0.3, v_true=0.9, t_dead=40e-9)
+        assert params.dead_slots == 20
+        occ = np.zeros(40, dtype=bool)
+        occ[[0, 10, 15, 16, 30]] = True
+        u = np.full(80, 0.5)
+        state = DetectorState(last_monitor_click=last_monitor_click, next_slot=100)
+        clicks, tally = self.check_frame(
+            occ, params, FixedUniforms(u), u, state, replace(state)
+        )
+        assert len(clicks.monitor_slots) == 0
+        assert tally == MonitorTally(n_int=0, exp_int=1, n_non=0, exp_non=exp_non)
 
 
 class TestMonitorTallyClicks:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hdcow.kernels import BACKEND, dead_time_filter
 
@@ -7,10 +8,14 @@ def test_backend_reports_name():
     assert BACKEND == "python"
 
 
-def test_empty_input():
-    kept, last = dead_time_filter(np.array([], dtype=np.int64), 100)
-    assert len(kept) == 0
+@pytest.mark.parametrize("candidates", [[], np.array([], dtype=np.int64)])
+def test_empty_input(candidates):
+    kept, last = dead_time_filter(candidates, 100)
+    assert len(kept) == 0 and kept.dtype == np.int64
     assert last < 0
+    kept, last = dead_time_filter(candidates, 100, 12345)
+    assert len(kept) == 0 and kept.dtype == np.int64
+    assert last == 12345
 
 
 def test_zero_dead_time_keeps_everything():

@@ -237,6 +237,11 @@ class TestPermutation:
         with pytest.raises(InvalidArgumentError):
             Permutation(np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize("map_", [[1, 2, 4], [-1, 1, 2], [2, 3, 2**40]])
+    def test_rejects_values_outside_range(self, map_):
+        with pytest.raises(InvalidArgumentError, match=r"outside \{1\.\.L\}"):
+            Permutation(np.array(map_))
+
 
 def identity_maps(length):
     return np.arange(1, length + 1)[None]

@@ -513,6 +513,15 @@ def early_end(entries):
     entries.insert(len(entries) // 2, entries[-1])
 
 
+def drop_block_1(entries):
+    del entries[5:9]  # its announcement, quantum marker, reveal and report
+
+
+def bob_estimate_for_block_0(entries):
+    direction, estimate = entries[-3]
+    entries[-3] = direction, replace(estimate, block_id=0)
+
+
 class TestTranscriptValidator:
     def test_flags_reveal_before_quantum(self):
         t = Transcript()
@@ -580,6 +589,11 @@ class TestTranscriptValidator:
             ),
             (second_start, "entry 8: SESSION_START after the start"),
             (early_end, "entry 8: SESSION_END before the end"),
+            (drop_block_1, "block 1: no entries"),
+            (
+                bob_estimate_for_block_0,
+                "entry 13: ESTIMATE_REPORT for block 0, not the last block 2",
+            ),
         ],
     )
     def test_flags_misplaced_session_messages(self, edit, violation):
@@ -656,12 +670,12 @@ class TestPinnedTranscripts:
     moves them; it must re-record them and say which values moved."""
 
     @staticmethod
-    def check(settings, seed, digest, entries, sifted):
+    def check(settings, seed, digest, entries, sifted, bob_sifted=None):
         alice, bob, transcript = run_session(settings, seed=seed)
         assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == digest
         assert len(transcript.entries) == entries
         assert alice.sifted == sifted
-        assert bob.sifted == sifted
+        assert bob.sifted == (sifted if bob_sifted is None else bob_sifted)
         assert validate_transcript(transcript) == []
         return alice, bob
 
@@ -699,6 +713,33 @@ class TestPinnedTranscripts:
             (4, 2, 7, 5, 8, 8, 4, 3),
         )
         self.check_stderrs(alice, bob, 0.0, math.nan)
+
+    def test_reference_geometry_monitor_tally(self):
+        # The defaults' 100 blocks see no monitor click, so Bob's V has no
+        # error bar; over 1000 blocks the monitor clicks and the tally's
+        # counts and live exposures at d=8, n=64 reach V and its error bar.
+        # Four of the 65 sifted qudits are errors.
+        config = default_config()
+        settings = SessionSettings(
+            protocol=config.session_protocol(),
+            physical=config.physical_params(),
+            blocks=1000,
+            sample_fraction=config.session.sample_fraction,
+        )
+        alice, bob = self.check(
+            settings,
+            config.seed,
+            "d69cac40bbd702d9461b9afe74e8ca22ee6d0337135f4cd09079647bf78fdf00",
+            4004,
+            (4, 2, 7, 5, 8, 8, 4, 3, 6, 6, 6, 1, 4, 4, 4, 4, 5, 4, 7, 6, 3, 7, 4, 3,
+             3, 3, 2, 8, 7, 8, 8, 3, 7, 1, 8, 1, 1, 2, 7, 5, 1, 2, 8, 4, 4, 5, 1, 5,
+             7, 1, 4, 5, 3, 5, 7, 5, 4, 7, 2, 7, 3, 2, 1, 5, 7),
+            (4, 2, 7, 5, 8, 8, 4, 3, 7, 6, 6, 1, 4, 4, 4, 4, 5, 4, 7, 6, 3, 7, 4, 3,
+             3, 3, 2, 8, 7, 8, 8, 3, 7, 1, 8, 1, 1, 2, 7, 5, 1, 2, 8, 4, 1, 5, 1, 5,
+             7, 1, 7, 5, 3, 2, 7, 5, 4, 7, 2, 7, 3, 2, 1, 5, 7),
+        )
+        assert alice.v_hat == bob.v_hat == 1.0
+        self.check_stderrs(alice, bob, 0.0042582076730836626, 0.7025585262888576)
 
     def test_wide_geometry(self):
         # The session_wide benchmark geometry, d=32 and n=1024 over a
