@@ -281,9 +281,11 @@ def _validate(config: Config) -> None:
         raise InvalidArgumentError(
             f"threshold.axis {config.threshold.axis!r} not in ('per_slot', 'total')"
         )
-    mu, visibility = config.threshold.mu, config.threshold.visibility
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise InvalidArgumentError(f"threshold.mu={mu} must be finite and > 0")
+    for section in ("physical", "threshold"):
+        mu = getattr(config, section).mu
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise InvalidArgumentError(f"{section}.mu={mu} must be finite and > 0")
+    visibility = config.threshold.visibility
     if not 0.0 <= visibility <= 1.0:
         raise InvalidArgumentError(f"threshold.visibility={visibility} outside [0, 1]")
     d_max = max(config.protocol.dimensions)

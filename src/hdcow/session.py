@@ -4,8 +4,7 @@ in-process transport, quantum-channel handle, and transcript validation.
 The classical exchange is lockstep::
 
     A->B  SESSION_START
-    per block:
-        A->B  BLOCK_ANNOUNCE
+    per block, with ids 0, 1, ..., B-1:
         (quantum transmission of the block's pulse frame)
         A->B  PERMUTATION_REVEAL
         B->A  DETECTION_REPORT
@@ -14,21 +13,23 @@ The classical exchange is lockstep::
     A->B  ESTIMATE_REPORT   (Q from all sampled pairs; echoes V)
     A->B  SESSION_END
 
-Both estimates carry the last block's id.
+So a B-block session sends 2*B + 4 messages, and both estimates carry
+the last block's id.
 
 Alice and Bob are state machines without I/O: each takes one received
-message and returns what to send, in order.  Alice's output carries her
-block frames between the announce and the reveal; Bob reads a block's
-clicks from the channel handle when its reveal arrives, by which time
-Alice has transmitted.  So no endpoint ever waits for the other:
+message and returns what to send, in order.  Alice's output carries
+each block frame just before its reveal; Bob reads a block's clicks
+from the channel handle when its reveal arrives, by which time Alice
+has transmitted.  So no endpoint ever waits for the other:
 ``run_session`` drives both in one thread through two in-process byte
 pipes, and ``run_alice``/``run_bob`` drive one over any duplex, such as
 ``StreamDuplex`` on a socket.  A fault raises at once, in the thread
 that drives the failing endpoint.
 
-The receiver accepts blocks only in sequence and refuses a reveal for a
-block it has not announced, which is the ordering invariant the
-transcript validator checks offline.  An endpoint's link is the one
+Bob counts the blocks he has measured and refuses a reveal for any
+block but the next one.  The transcript validator checks the same
+order offline: a transcript recorded on Alice's side must be the
+sequence above, entry for entry.  An endpoint's link is the one
 writer of its transcript: it records each message it sends, each frame
 it passes to the channel (a quantum marker), and each message it reads,
 under the peer's direction.  ``run_session`` records on Alice's side.
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,6 @@ from .protocol import (
 )
 from .security import eve_optimal_holevo
 from .wire import (
-    BlockAnnounce,
     DetectionReportMsg,
     EstimateReport,
     Message,
@@ -252,102 +252,53 @@ class Transcript:
         return b"".join(encode_message(message) for message in self.messages())
 
 
-# The direction each message is recorded in: its sender's.  Each
-# endpoint also sends one ESTIMATE_REPORT.
-_SENT_AS = {
-    SessionStart: Transcript.A_TO_B,
-    BlockAnnounce: Transcript.A_TO_B,
-    PermutationReveal: Transcript.A_TO_B,
-    DetectionReportMsg: Transcript.B_TO_A,
-    SessionEnd: Transcript.A_TO_B,
-}
+def _lockstep(blocks: int):
+    """The entries of a ``blocks``-block session recorded on Alice's side,
+    in order, each as (direction, message type or None for a quantum
+    marker, block id or None)."""
+    a_to_b, b_to_a = Transcript.A_TO_B, Transcript.B_TO_A
+    yield a_to_b, SessionStart, None
+    for block_id in range(blocks):
+        yield Transcript.QUANTUM, None, block_id
+        yield a_to_b, PermutationReveal, block_id
+        yield b_to_a, DetectionReportMsg, block_id
+    yield b_to_a, EstimateReport, blocks - 1
+    yield a_to_b, EstimateReport, blocks - 1
+    yield a_to_b, SessionEnd, None
 
-# A block's entries in protocol order, with the violation each pair of
-# neighbours makes when recorded the other way round.
-_BLOCK_STAGES = ("announcement", "quantum transmission", "permutation reveal", "detection report")
-_STAGE_OF = {
-    BlockAnnounce: "announcement",
-    PermutationReveal: "permutation reveal",
-    DetectionReportMsg: "detection report",
-}
-_OUT_OF_ORDER = (
-    "transmission precedes announcement",
-    "permutation revealed before transmission",
-    "detection report precedes reveal",
-)
+
+def _shape(entry) -> tuple:
+    """A transcript entry in the form :func:`_lockstep` yields."""
+    direction, item = entry
+    if direction == Transcript.QUANTUM:
+        return direction, None, item
+    return direction, type(item), getattr(item, "block_id", None)
+
+
+def _describe(shape) -> str:
+    if shape is None:
+        return "the end of the transcript"
+    direction, kind, block_id = shape
+    what = "quantum transmission" if kind is None else f"{direction} {kind.__name__}"
+    return what if block_id is None else f"{what} of block {block_id}"
 
 
 def validate_transcript(transcript: Transcript) -> list[str]:
-    """Check a transcript recorded on Alice's side; returns a list of
-    violations.  SESSION_START must be the first entry and SESSION_END
-    the last, once each, and every message must be recorded in its
-    sender's direction.  The block ids must run from 0 to the last
-    without a gap, and every block must have its announcement, quantum
-    marker, reveal and detection report, once each and in that order.
-    After the last detection report come Bob's ESTIMATE_REPORT and then
-    Alice's, one each way, both carrying the last block's id.  Bob's own
-    record holds no quantum markers, so every block of it is flagged."""
-    violations = []
-    entries = transcript.entries
-    if not entries:
-        return ["empty transcript"]
-    if not (entries[0][0] == Transcript.A_TO_B and isinstance(entries[0][1], SessionStart)):
-        violations.append("transcript does not open with SESSION_START")
-    if not isinstance(entries[-1][1], SessionEnd):
-        violations.append("transcript does not close with SESSION_END")
-
-    stages: defaultdict[int, dict] = defaultdict(dict)  # block id -> {stage: entry index}
-    estimates: defaultdict[str, list] = defaultdict(list)  # direction -> entry indices
-    for k, (direction, item) in enumerate(entries):
-        if direction == Transcript.QUANTUM:
-            block_id, stage = item, "quantum transmission"
-        else:
-            kind = type(item)
-            if kind is EstimateReport:
-                estimates[direction].append(k)
-            elif direction != _SENT_AS.get(kind):
-                violations.append(f"entry {k}: {kind.__name__} recorded as {direction}")
-            if kind is SessionStart and k:
-                violations.append(f"entry {k}: SESSION_START after the start")
-            if kind is SessionEnd and k != len(entries) - 1:
-                violations.append(f"entry {k}: SESSION_END before the end")
-            if kind not in _STAGE_OF:
-                continue
-            block_id, stage = item.block_id, _STAGE_OF[kind]
-        if stage in stages[block_id]:
-            violations.append(f"block {block_id}: {stage} recorded twice")
-        stages[block_id][stage] = k
-
-    counts = {direction: len(at) for direction, at in estimates.items()}
-    if counts != {Transcript.A_TO_B: 1, Transcript.B_TO_A: 1}:
-        violations.append(f"ESTIMATE_REPORT recorded {counts} times, expected once each way")
-    elif estimates[Transcript.A_TO_B][0] < estimates[Transcript.B_TO_A][0]:
-        violations.append("Alice's ESTIMATE_REPORT precedes Bob's")
-    last_report = max((at.get("detection report", -1) for at in stages.values()), default=-1)
-    last_block = max(stages, default=-1)
-    for k in sorted(itertools.chain(*estimates.values())):
-        if k < last_report:
-            violations.append(f"entry {k}: ESTIMATE_REPORT precedes the last detection report")
-        block_id = entries[k][1].block_id
-        if block_id != last_block:
-            violations.append(
-                f"entry {k}: ESTIMATE_REPORT for block {block_id}, not the last block {last_block}"
-            )
-
-    violations.extend(
-        f"block {block_id}: no entries"
-        for block_id in range(last_block + 1)
-        if block_id not in stages
-    )
-    for block_id in sorted(stages):
-        at = stages[block_id]
-        violations.extend(
-            f"block {block_id}: no {stage}" for stage in _BLOCK_STAGES if stage not in at
-        )
-        for earlier, later, out_of_order in zip(_BLOCK_STAGES, _BLOCK_STAGES[1:], _OUT_OF_ORDER):
-            if earlier in at and later in at and not at[earlier] < at[later]:
-                violations.append(f"block {block_id}: {out_of_order}")
-    return violations
+    """Check a transcript recorded on Alice's side against the lockstep
+    order of the module docstring, entry for entry: each entry's
+    direction, message type and block id.  The block count B is taken
+    from the highest block id recorded.  Returns the first entry that
+    departs from that order as a one-item list, or ``[]``.  The expected
+    entries are generated as they are compared, so the cost is bounded
+    by the transcript's length, whatever block id it records.  Bob's own
+    record holds no quantum markers, so it departs at its first block."""
+    shapes = [_shape(entry) for entry in transcript.entries]
+    blocks = 1 + max([0, *(block_id for *_, block_id in shapes if block_id is not None)])
+    expected = _lockstep(blocks)
+    for k, (got, want) in enumerate(itertools.zip_longest(shapes, expected)):
+        if got != want:
+            return [f"entry {k}: expected {_describe(want)}, got {_describe(got)}"]
+    return []
 
 
 class SimulatedChannel:
@@ -355,8 +306,9 @@ class SimulatedChannel:
 
     The transmitter side pushes frames, each a bool occupancy row,
     through the Monte Carlo channel; the receiver side pulls each frame's
-    occupancy and click record in order, and asking for one that was
-    never transmitted raises.  The occupancy rides along for post-reveal monitor
+    occupancy and click record in order, when its reveal arrives.  Asking
+    for a frame that was never transmitted, or for another block than
+    the next frame's, raises.  The occupancy rides along for post-reveal monitor
     classification, which stands in for the disclosure a hardware system
     would perform on estimation blocks.
     """
@@ -377,7 +329,7 @@ class SimulatedChannel:
         sent_id, occupancy, clicks = self._deliveries.popleft()
         if sent_id != block_id:
             raise ProtocolError(
-                f"quantum block {sent_id} does not match announced {block_id}"
+                f"quantum block {sent_id} does not match revealed {block_id}"
             )
         return occupancy, clicks
 
@@ -481,7 +433,7 @@ class _Alice:
                 f"block source ended after {block_id} of {self._settings.blocks} blocks"
             )
         self._symbols, occupancy, reveal = self._prepared.popleft()
-        return [BlockAnnounce(block_id=block_id), _Transmit(block_id, occupancy), reveal]
+        return [_Transmit(block_id, occupancy), reveal]
 
     def _prepare_batch(self) -> None:
         """Prepare the blocks from the current one on, up to a batch; none
@@ -547,8 +499,9 @@ class _Alice:
 
 class _Bob:
     """Receiver state machine.  ``receive(message)`` returns the messages
-    to send; a reveal pulls its block's clicks from ``channel``.
-    ``summary`` is set once the session has ended."""
+    to send.  A reveal must be for the next block, the first one not yet
+    measured; it pulls that block's clicks from ``channel``.  ``summary``
+    is set once the session has ended."""
 
     role = "bob"
 
@@ -556,7 +509,6 @@ class _Bob:
         self._settings = settings
         self._channel = channel
         self._started = False
-        self._announced: int | None = None  # block announced, not yet revealed
         self._blocks_done = 0
         self._sifted: list[int] = []
         self._tally = MonitorTally()
@@ -581,18 +533,6 @@ class _Bob:
             if message.tau_picoseconds != round(proto.tau * 1e12):
                 raise ProtocolError("slot duration mismatch")
             self._started = True
-        elif isinstance(message, BlockAnnounce):
-            if self._announced is not None:
-                raise ProtocolError(
-                    f"block {message.block_id} announced while block "
-                    f"{self._announced} is still open"
-                )
-            if message.block_id != self._blocks_done or self._blocks_done == settings.blocks:
-                raise ProtocolError(
-                    f"block {message.block_id} announced, expected block {self._blocks_done} "
-                    f"of {settings.blocks}"
-                )
-            self._announced = message.block_id
         elif isinstance(message, PermutationReveal):
             return self._measure(message)
         elif isinstance(message, EstimateReport):
@@ -605,8 +545,6 @@ class _Bob:
                 raise ProtocolError(f"estimate for block {message.block_id}, expected {last}")
             self._q_hat = _peer_estimate(message.q_hat, "q_hat", 1.0 / (proto.d - 1))
         elif isinstance(message, SessionEnd):
-            if self._announced is not None:
-                raise ProtocolError("session ended with an open block")
             if self._blocks_done < settings.blocks:
                 raise ProtocolError(
                     f"session ended after {self._blocks_done} of {settings.blocks} blocks"
@@ -622,12 +560,17 @@ class _Bob:
         return []
 
     def _measure(self, message: PermutationReveal) -> list:
-        block_id = message.block_id
-        if block_id != self._announced:
+        block_id, expected = message.block_id, self._blocks_done
+        settings = self._settings
+        if expected == settings.blocks:
             raise ProtocolError(
-                f"permutation for block {block_id} revealed before it was announced"
+                f"permutation for block {block_id} revealed after the last block {expected - 1}"
             )
-        proto = self._settings.protocol
+        if block_id != expected:
+            raise ProtocolError(
+                f"permutation for block {block_id} revealed, expected block {expected}"
+            )
+        proto = settings.protocol
         try:
             sigma = Permutation(message.values())
             if len(sigma) != proto.slot_count:
@@ -638,11 +581,10 @@ class _Bob:
         report = decode_frame(proto, sigma, clicks)
         self._sifted.extend(j for _i, j in report.entries)
         tally = self._tally
-        tally.add(monitor_tally(occupancy, clicks, self._settings.physical))
-        self._announced = None
+        tally.add(monitor_tally(occupancy, clicks, settings.physical))
         self._blocks_done += 1
         out = [DetectionReportMsg(block_id=block_id, entries=report.entries)]
-        if self._blocks_done < self._settings.blocks:
+        if self._blocks_done < settings.blocks:
             return out
         try:
             self._v_hat, self._v_err = estimate_visibility(

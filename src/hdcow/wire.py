@@ -2,12 +2,12 @@
 
 Frame layout, all integers big-endian::
 
-    magic 0x51 0x4B | version 0x01 | tag u8 | payload length u32 | payload
+    magic 0x51 0x4B | version 0x02 | tag u8 | payload length u32 | payload
 
 Payloads by tag:
 
     0x01 SESSION_START      d u16, n u32, tau_picoseconds u64
-    0x02 BLOCK_ANNOUNCE     block_id u64
+    0x02                    retired; refused as an unknown tag
     0x03 PERMUTATION_REVEAL block_id u64, indices (d*n) x u32
     0x04 DETECTION_REPORT   block_id u64, count u32, count x (i u32, j u16)
     0x05 ESTIMATE_REPORT    block_id u64, q_hat f64, v_hat f64
@@ -41,7 +41,6 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "SessionStart",
-    "BlockAnnounce",
     "PermutationReveal",
     "DetectionReportMsg",
     "EstimateReport",
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 MAGIC = b"\x51\x4b"
-VERSION = 0x01
+VERSION = 0x02
 _HEADER = struct.Struct("!2sBBI")
 _U64 = struct.Struct("!Q")
 _START = struct.Struct("!HIQ")
@@ -68,20 +67,20 @@ def _framed(payload: struct.Struct) -> struct.Struct:
 
 
 _START_FRAME = _framed(_START)
-_ANNOUNCE_FRAME = _framed(_U64)
 _ESTIMATE_FRAME = _framed(_ESTIMATE)
 
 TAG_SESSION_START = 0x01
-TAG_BLOCK_ANNOUNCE = 0x02
 TAG_PERMUTATION_REVEAL = 0x03
 TAG_DETECTION_REPORT = 0x04
 TAG_ESTIMATE_REPORT = 0x05
 TAG_SESSION_END = 0x06
 
-# Payload sizes of the fixed-layout tags; the other tags vary in length.
-_FIXED_LENGTHS = {
+# The known tags, each with its payload size, or None for a tag whose
+# payload varies in length.
+_PAYLOAD_LENGTHS = {
     TAG_SESSION_START: _START.size,
-    TAG_BLOCK_ANNOUNCE: _U64.size,
+    TAG_PERMUTATION_REVEAL: None,
+    TAG_DETECTION_REPORT: None,
     TAG_ESTIMATE_REPORT: _ESTIMATE.size,
     TAG_SESSION_END: 0,
 }
@@ -92,11 +91,6 @@ class SessionStart:
     d: int
     n: int
     tau_picoseconds: int
-
-
-@dataclass(frozen=True)
-class BlockAnnounce:
-    block_id: int
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,6 @@ class SessionEnd:
 
 Message = Union[
     SessionStart,
-    BlockAnnounce,
     PermutationReveal,
     DetectionReportMsg,
     EstimateReport,
@@ -201,11 +194,6 @@ def encode_message(message: Message) -> bytes:
         return _ESTIMATE_FRAME.pack(
             MAGIC, VERSION, TAG_ESTIMATE_REPORT, _ESTIMATE.size,
             _check_u(message.block_id, 64, "block_id"), message.q_hat, message.v_hat,
-        )
-    if isinstance(message, BlockAnnounce):
-        return _ANNOUNCE_FRAME.pack(
-            MAGIC, VERSION, TAG_BLOCK_ANNOUNCE, _U64.size,
-            _check_u(message.block_id, 64, "block_id"),
         )
     if isinstance(message, PermutationReveal):
         block_id = _U64.pack(_check_u(message.block_id, 64, "block_id"))
@@ -243,8 +231,6 @@ def _decode_payload(tag: int, payload: bytes) -> Message:
     if tag == TAG_ESTIMATE_REPORT:
         block_id, q_hat, v_hat = _ESTIMATE.unpack(payload)
         return EstimateReport(block_id=block_id, q_hat=q_hat, v_hat=v_hat)
-    if tag == TAG_BLOCK_ANNOUNCE:
-        return BlockAnnounce(block_id=_U64.unpack(payload)[0])
     if tag == TAG_PERMUTATION_REVEAL:
         if len(payload) < 8 or (len(payload) - 8) % 4:
             raise LengthMismatchError(
@@ -298,9 +284,9 @@ def read_message(recv_exact: Callable[[int], bytes], d=None, n=None) -> Message:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
-    if not TAG_SESSION_START <= tag <= TAG_SESSION_END:
+    if tag not in _PAYLOAD_LENGTHS:
         raise UnknownTagError(f"unknown message tag 0x{tag:02x}")
-    fixed = _FIXED_LENGTHS.get(tag)
+    fixed = _PAYLOAD_LENGTHS[tag]
     if fixed is not None:
         if length != fixed:
             raise LengthMismatchError(

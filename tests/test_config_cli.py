@@ -137,6 +137,8 @@ class TestCli:
         [
             ('{"threshold": {"mu": NaN, "visibility": 7}}', "threshold.mu"),
             ('{"threshold": {"mu": 0}}', "threshold.mu"),
+            # a session with no light: simulate ran it all, then failed unnamed
+            ('{"physical": {"mu": 0}}', "physical.mu"),
             ('{"threshold": {"visibility": 7}}', "threshold.visibility"),
             # 1/(d-1) for the largest default dimension, d=32
             ('{"noise": {"q_slot": 0.5}}', "noise.q_slot"),
@@ -347,9 +349,9 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["transcript_violations"] == []
         assert payload["alice"]["sifted_count"] == payload["bob"]["sifted_count"]
-        # SESSION_START, three messages per block, the session's two
+        # SESSION_START, two messages per block, the session's two
         # estimates and SESSION_END
-        assert payload["transcript_messages"] == 3 * 5 + 4
+        assert payload["transcript_messages"] == 2 * 5 + 4
 
     def test_out_writes_file(self, tmp_path, fast_config):
         out = tmp_path / "rates.csv"

@@ -30,7 +30,8 @@ from hdcow.session import (
     validate_transcript,
 )
 from hdcow.wire import (
-    BlockAnnounce,
+    MAGIC,
+    VERSION,
     DetectionReportMsg,
     EstimateReport,
     PermutationReveal,
@@ -43,6 +44,7 @@ from hdcow.wire import (
 
 # The frame of block symbols (1, 2) under the identity permutation, d=2 and n=2.
 FRAME_12 = np.array([True, False, False, True])
+REVEAL_0 = PermutationReveal(block_id=0, indices=(1, 2, 3, 4))
 
 
 def noiseless_settings(d=4, n=16, blocks=1):
@@ -90,7 +92,7 @@ class TestNoiselessSession:
     def test_estimates_are_exchanged_once_per_session(self):
         _, _, transcript = run_session(noiseless_settings(blocks=2), seed=1)
         a, b = Transcript.A_TO_B, Transcript.B_TO_A
-        block = [(a, BlockAnnounce), (a, PermutationReveal), (b, DetectionReportMsg)]
+        block = [(a, PermutationReveal), (b, DetectionReportMsg)]
         sent = [(direction, type(item)) for direction, item in transcript.entries
                 if direction != Transcript.QUANTUM]
         assert sent == [
@@ -167,20 +169,6 @@ def test_sample_fraction_must_be_a_unit_fraction(fraction):
 
 
 class TestProtocolViolations:
-    def test_reveal_before_announce_aborts(self):
-        settings = noiseless_settings(d=2, n=2)
-        channel = SimulatedChannel(settings.physical, seed=0)
-        duplex = ScriptedDuplex(
-            [
-                encode_message(SessionStart(d=2, n=2, tau_picoseconds=2000)),
-                encode_message(
-                    PermutationReveal(block_id=0, indices=(1, 2, 3, 4))
-                ),
-            ]
-        )
-        with pytest.raises(ProtocolError, match="before"):
-            run_bob(settings, channel, duplex)
-
     def test_dimension_mismatch_aborts(self):
         settings = noiseless_settings(d=4, n=16)
         channel = SimulatedChannel(settings.physical, seed=0)
@@ -193,32 +181,17 @@ class TestProtocolViolations:
     def test_malformed_permutation_aborts(self):
         settings = noiseless_settings(d=2, n=2)
         channel = SimulatedChannel(settings.physical, seed=0)
-        # announce, transmit, then reveal a non-bijection
+        # transmit, then reveal a non-bijection
         channel.transmit(0, FRAME_12)
         duplex = ScriptedDuplex(
             [
                 encode_message(SessionStart(d=2, n=2, tau_picoseconds=2000)),
-                encode_message(BlockAnnounce(block_id=0)),
                 encode_message(
                     PermutationReveal(block_id=0, indices=(1, 1, 3, 4))
                 ),
             ]
         )
         with pytest.raises(ProtocolError, match="malformed permutation"):
-            run_bob(settings, channel, duplex)
-
-    def test_end_with_open_block_aborts(self):
-        settings = noiseless_settings(d=2, n=2)
-        channel = SimulatedChannel(settings.physical, seed=0)
-        channel.transmit(0, FRAME_12)
-        duplex = ScriptedDuplex(
-            [
-                encode_message(SessionStart(d=2, n=2, tau_picoseconds=2000)),
-                encode_message(BlockAnnounce(block_id=0)),
-                encode_message(SessionEnd()),
-            ]
-        )
-        with pytest.raises(ProtocolError, match="open block"):
             run_bob(settings, channel, duplex)
 
 
@@ -237,9 +210,8 @@ def scripted_bob(messages, blocks=1, transmissions=1):
 @pytest.mark.parametrize("values", [(0, 2, 3, 4), (1, 2, 3, 5), (1, 1, 3, 4)])
 def test_reveal_out_of_range_or_repeated_aborts(values):
     # 0 would scatter to the last slot of the inverse if not range-checked first
-    messages = (BlockAnnounce(block_id=0), PermutationReveal(block_id=0, indices=values))
     with pytest.raises(ProtocolError, match="malformed permutation"):
-        scripted_bob(messages)
+        scripted_bob([PermutationReveal(block_id=0, indices=values)])
 
 
 class RecordingDuplex(ScriptedDuplex):
@@ -254,7 +226,7 @@ class RecordingDuplex(ScriptedDuplex):
 
 def oversized_header(tag):
     # declares a payload far beyond any block of the session
-    return b"\x51\x4b\x01" + bytes([tag]) + struct.pack("!I", 2**32 - 1)
+    return MAGIC + bytes([VERSION, tag]) + struct.pack("!I", 2**32 - 1)
 
 
 class TestOversizedPayload:
@@ -263,13 +235,12 @@ class TestOversizedPayload:
         duplex = RecordingDuplex(
             [
                 encode_message(SessionStart(d=2, n=2, tau_picoseconds=2000)),
-                encode_message(BlockAnnounce(block_id=0)),
                 oversized_header(0x03),
             ]
         )
         with pytest.raises(ProtocolError, match="malformed message"):
             run_bob(settings, SimulatedChannel(settings.physical, seed=0), duplex)
-        assert duplex.reads == [8, 14, 8, 8, 8]
+        assert duplex.reads == [8, 14, 8]
 
     def test_alice_rejects_report_from_its_header(self):
         settings = noiseless_settings(d=2, n=2)
@@ -281,18 +252,22 @@ class TestOversizedPayload:
 
 
 class TestBlockSequence:
-    def test_replayed_block_aborts(self):
-        block_0 = [
-            BlockAnnounce(block_id=0),
-            PermutationReveal(block_id=0, indices=(1, 2, 3, 4)),
-            EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan),
-        ]
-        with pytest.raises(ProtocolError, match="block 0 announced, expected block 1"):
-            scripted_bob(block_0 * 3, transmissions=3)
+    @pytest.mark.parametrize(
+        "blocks, messages, cause",
+        [
+            (2, [replace(REVEAL_0, block_id=1)], "permutation for block 1 revealed, expected block 0"),
+            (2, [REVEAL_0, REVEAL_0], "permutation for block 0 revealed, expected block 1"),
+            # a replay of the session's one block, after Alice's estimate
+            (1, [REVEAL_0, EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan), REVEAL_0],
+             "permutation for block 0 revealed after the last block 0"),
+        ],
+    )
+    def test_reveal_out_of_sequence_aborts(self, blocks, messages, cause):
+        with pytest.raises(ProtocolError, match=cause):
+            scripted_bob(messages, blocks=blocks)
 
     def test_estimate_for_another_block_aborts(self):
         messages = [
-            BlockAnnounce(block_id=0),
             PermutationReveal(block_id=0, indices=(1, 2, 3, 4)),
             EstimateReport(block_id=5, q_hat=0.0, v_hat=math.nan),
         ]
@@ -307,7 +282,6 @@ class TestBlockSequence:
     def test_out_of_range_error_estimate_aborts(self, q_hat):
         # 1/(d-1) = 1 at d=2
         messages = [
-            BlockAnnounce(block_id=0),
             PermutationReveal(block_id=0, indices=(1, 2, 3, 4)),
             EstimateReport(block_id=0, q_hat=q_hat, v_hat=math.nan),
             SessionEnd(),
@@ -328,7 +302,6 @@ class TestBlockSequence:
     )
     def test_estimate_out_of_turn_aborts(self, blocks, tail, cause):
         messages = [
-            BlockAnnounce(block_id=0),
             PermutationReveal(block_id=0, indices=(1, 2, 3, 4)),
             *tail,
             SessionEnd(),
@@ -385,7 +358,7 @@ class TestSuppliedBlocksAcrossBatches:
 
     def refusal(self, blocks, reported):
         """Run Alice on ``blocks`` with empty reports for the first
-        ``reported`` blocks; returns her error and the blocks she announced."""
+        ``reported`` blocks; returns her error and the blocks she revealed."""
         duplex = ScriptedDuplex(
             [
                 encode_message(DetectionReportMsg(block_id=b, entries=()))
@@ -395,8 +368,8 @@ class TestSuppliedBlocksAcrossBatches:
         channel = SimulatedChannel(self.settings.physical, seed=0)
         with pytest.raises(ProtocolError) as info:
             run_alice(self.settings, blocks, channel, duplex, seed=0)
-        announced = [m.block_id for m in sent_messages(duplex) if isinstance(m, BlockAnnounce)]
-        return str(info.value), announced
+        revealed = [m.block_id for m in sent_messages(duplex) if isinstance(m, PermutationReveal)]
+        return str(info.value), revealed
 
     @staticmethod
     def valid_blocks(count):
@@ -417,15 +390,15 @@ class TestSuppliedBlocksAcrossBatches:
         blocks = self.valid_blocks(40)
         blocks[index] = bad
         batch_start = index - index % self.per_batch
-        error, announced = self.refusal(blocks, batch_start)
+        error, revealed = self.refusal(blocks, batch_start)
         assert error.startswith(f"supplied block {index}: ") and cause in error
-        assert announced == list(range(batch_start))  # none of the refused batch
+        assert revealed == list(range(batch_start))  # none of the refused batch
 
     @pytest.mark.parametrize("supplied", [1, 32, 33])
     def test_source_running_dry_fails_at_the_missing_block(self, supplied):
-        error, announced = self.refusal(self.valid_blocks(supplied), supplied)
+        error, revealed = self.refusal(self.valid_blocks(supplied), supplied)
         assert error == f"block source ended after {supplied} of 40 blocks"
-        assert announced == list(range(supplied))
+        assert revealed == list(range(supplied))
 
 
 @pytest.mark.parametrize("v_hat", [-0.5, 1.5])
@@ -443,7 +416,7 @@ def test_alice_rejects_out_of_range_visibility(v_hat):
         run_alice(settings, None, channel, duplex, seed=0)
     # she stops at the estimate, before her reply and SESSION_END
     kinds = [type(m) for m in sent_messages(duplex)]
-    assert kinds == [SessionStart, BlockAnnounce, PermutationReveal]
+    assert kinds == [SessionStart, PermutationReveal]
 
 
 class TestQueuePipe:
@@ -501,8 +474,17 @@ def swap_estimates(entries):
     entries[-3], entries[-2] = entries[-2], entries[-3]
 
 
+def bob_estimate_as_alice(entries):
+    entries[-3] = Transcript.A_TO_B, entries[-3][1]
+
+
 def bob_estimate_after_start(entries):
     entries.insert(1, entries.pop(-3))
+
+
+def bob_estimate_for_block_0(entries):
+    direction, estimate = entries[-3]
+    entries[-3] = direction, replace(estimate, block_id=0)
 
 
 def second_start(entries):
@@ -513,93 +495,81 @@ def early_end(entries):
     entries.insert(len(entries) // 2, entries[-1])
 
 
+def second_end(entries):
+    entries.append(entries[-1])
+
+
 def drop_block_1(entries):
-    del entries[5:9]  # its announcement, quantum marker, reveal and report
+    del entries[4:7]  # its quantum marker, reveal and report
 
 
-def bob_estimate_for_block_0(entries):
-    direction, estimate = entries[-3]
-    entries[-3] = direction, replace(estimate, block_id=0)
+def drop_quantum_2(entries):
+    entries.remove((Transcript.QUANTUM, 2))
+
+
+def reveal_0_again(entries):
+    entries.insert(-1, entries[2])
+
+
+A, B, Q = Transcript.A_TO_B, Transcript.B_TO_A, Transcript.QUANTUM
+START = (A, SessionStart(d=2, n=2, tau_picoseconds=2000))
+REPORT_0 = DetectionReportMsg(block_id=0, entries=())
 
 
 class TestTranscriptValidator:
-    def test_flags_reveal_before_quantum(self):
+    @pytest.mark.parametrize(
+        "entries, violation",
+        [
+            ([START, (A, REVEAL_0), (Q, 0), (B, REPORT_0), (A, SessionEnd())],
+             "entry 1: expected quantum transmission of block 0, "
+             "got a->b PermutationReveal of block 0"),
+            ([START, (Q, 0), (B, REPORT_0), (A, REVEAL_0), (A, SessionEnd())],
+             "entry 2: expected a->b PermutationReveal of block 0, "
+             "got b->a DetectionReportMsg of block 0"),
+            ([START, (Q, 0), (A, REVEAL_0), (A, REPORT_0), (Q, 1), (A, SessionEnd())],
+             "entry 3: expected b->a DetectionReportMsg of block 0, "
+             "got a->b DetectionReportMsg of block 0"),
+            # block 1 is transmitted but never revealed
+            ([START, (Q, 0), (A, REVEAL_0), (B, REPORT_0), (Q, 1), (A, SessionEnd())],
+             "entry 5: expected a->b PermutationReveal of block 1, got a->b SessionEnd"),
+        ],
+    )
+    def test_flags_hand_recorded_transcript(self, entries, violation):
         t = Transcript()
-        t.record(Transcript.A_TO_B, SessionStart(d=2, n=2, tau_picoseconds=2000))
-        t.record(Transcript.A_TO_B, BlockAnnounce(block_id=0))
-        t.record(Transcript.A_TO_B, PermutationReveal(block_id=0, indices=(1, 2, 3, 4)))
-        t.record(Transcript.QUANTUM, 0)
-        t.record(Transcript.B_TO_A, DetectionReportMsg(block_id=0, entries=()))
-        t.record(Transcript.A_TO_B, SessionEnd())
-        violations = validate_transcript(t)
-        assert any("before transmission" in v for v in violations)
-
-    def test_flags_report_before_reveal(self):
-        t = Transcript()
-        t.record(Transcript.A_TO_B, SessionStart(d=2, n=2, tau_picoseconds=2000))
-        t.record(Transcript.A_TO_B, BlockAnnounce(block_id=0))
-        t.record(Transcript.QUANTUM, 0)
-        t.record(Transcript.B_TO_A, DetectionReportMsg(block_id=0, entries=()))
-        t.record(Transcript.A_TO_B, PermutationReveal(block_id=0, indices=(1, 2, 3, 4)))
-        t.record(Transcript.A_TO_B, SessionEnd())
-        violations = validate_transcript(t)
-        assert any("precedes reveal" in v for v in violations)
-
-    def test_flags_misdirected_report_and_unfinished_block(self):
-        t = Transcript()
-        t.record(Transcript.A_TO_B, SessionStart(d=2, n=2, tau_picoseconds=2000))
-        t.record(Transcript.A_TO_B, BlockAnnounce(block_id=0))
-        t.record(Transcript.QUANTUM, 0)
-        t.record(Transcript.A_TO_B, PermutationReveal(block_id=0, indices=(1, 2, 3, 4)))
-        t.record(Transcript.A_TO_B, DetectionReportMsg(block_id=0, entries=()))
-        t.record(Transcript.A_TO_B, BlockAnnounce(block_id=1))
-        t.record(Transcript.QUANTUM, 1)
-        t.record(Transcript.A_TO_B, SessionEnd())
-        violations = validate_transcript(t)
-        assert "entry 4: DetectionReportMsg recorded as a->b" in violations
-        assert "block 1: no permutation reveal" in violations
-        assert "block 1: no detection report" in violations
-        assert any("ESTIMATE_REPORT" in v for v in violations)
-        assert not any(v.startswith("block 0") for v in violations)
-
-    def test_flags_edits_of_a_real_session(self):
-        _, _, transcript = run_session(noiseless_settings(blocks=3), seed=1)
-        entries = transcript.entries
-        # Bob's estimate recorded in Alice's direction
-        estimate = (Transcript.B_TO_A, entries[-3][1])
-        assert isinstance(estimate[1], EstimateReport) and entries[-3] == estimate
-        entries[-3] = (Transcript.A_TO_B, estimate[1])
-        # block 2's quantum marker dropped
-        entries.remove((Transcript.QUANTUM, 2))
-        # block 0's reveal recorded again before SESSION_END
-        assert isinstance(entries[3][1], PermutationReveal)
-        entries.insert(-1, entries[3])
-        violations = validate_transcript(transcript)
-        assert any("ESTIMATE_REPORT recorded" in v for v in violations)
-        assert "block 2: no quantum transmission" in violations
-        assert "block 0: permutation reveal recorded twice" in violations
+        for entry in entries:
+            t.record(*entry)
+        assert validate_transcript(t) == [violation]
 
     @pytest.mark.parametrize(
         "edit, violation",
         [
-            (swap_estimates, "Alice's ESTIMATE_REPORT precedes Bob's"),
-            (
-                bob_estimate_after_start,
-                "entry 1: ESTIMATE_REPORT precedes the last detection report",
-            ),
-            (second_start, "entry 8: SESSION_START after the start"),
-            (early_end, "entry 8: SESSION_END before the end"),
-            (drop_block_1, "block 1: no entries"),
-            (
-                bob_estimate_for_block_0,
-                "entry 13: ESTIMATE_REPORT for block 0, not the last block 2",
-            ),
+            (swap_estimates,
+             "entry 10: expected b->a EstimateReport of block 2, got a->b EstimateReport of block 2"),
+            (bob_estimate_as_alice,
+             "entry 10: expected b->a EstimateReport of block 2, got a->b EstimateReport of block 2"),
+            (bob_estimate_after_start,
+             "entry 1: expected quantum transmission of block 0, got b->a EstimateReport of block 2"),
+            (bob_estimate_for_block_0,
+             "entry 10: expected b->a EstimateReport of block 2, got b->a EstimateReport of block 0"),
+            (second_start,
+             "entry 6: expected b->a DetectionReportMsg of block 1, got a->b SessionStart"),
+            (early_end,
+             "entry 6: expected b->a DetectionReportMsg of block 1, got a->b SessionEnd"),
+            (second_end, "entry 13: expected the end of the transcript, got a->b SessionEnd"),
+            (list.pop, "entry 12: expected a->b SessionEnd, got the end of the transcript"),
+            (list.clear, "entry 0: expected a->b SessionStart, got the end of the transcript"),
+            (drop_block_1,
+             "entry 4: expected quantum transmission of block 1, got quantum transmission of block 2"),
+            (drop_quantum_2,
+             "entry 7: expected quantum transmission of block 2, got a->b PermutationReveal of block 2"),
+            (reveal_0_again,
+             "entry 12: expected a->b SessionEnd, got a->b PermutationReveal of block 0"),
         ],
     )
-    def test_flags_misplaced_session_messages(self, edit, violation):
+    def test_flags_edits_of_a_real_session(self, edit, violation):
         _, _, transcript = run_session(noiseless_settings(d=4, n=8, blocks=3), seed=1)
         entries = transcript.entries
-        assert len(entries) == 16
+        assert len(entries) == 13
         assert [type(item) for _, item in entries[-3:]] == [
             EstimateReport, EstimateReport, SessionEnd
         ]
@@ -610,6 +580,23 @@ class TestTranscriptValidator:
     def test_accepts_recorded_real_session(self):
         _, _, transcript = run_session(noiseless_settings(blocks=3), seed=1)
         assert validate_transcript(transcript) == []
+
+    def test_far_block_id_is_one_violation(self):
+        # Alice records Bob's report before she checks it, so her transcript
+        # holds its block id; the check stops at that entry and does not
+        # walk the blocks up to the id.
+        settings = noiseless_settings(d=2, n=2)
+        report = DetectionReportMsg(block_id=10**6, entries=())
+        duplex = ScriptedDuplex([encode_message(report)])
+        channel = SimulatedChannel(settings.physical, seed=0)
+        transcript = Transcript()
+        with pytest.raises(ProtocolError, match="for block 1000000, expected 0"):
+            run_alice(settings, None, channel, duplex, transcript, seed=0)
+        assert transcript.entries[3] == (B, report)
+        assert validate_transcript(transcript) == [
+            "entry 3: expected b->a DetectionReportMsg of block 0, "
+            "got b->a DetectionReportMsg of block 1000000"
+        ]
 
 
 class TestSingleThreadedSession:
@@ -662,12 +649,18 @@ class TestSingleThreadedSession:
         assert bob_transcript.entries == [
             e for e in transcript.entries if e[0] != Transcript.QUANTUM
         ]
+        assert validate_transcript(bob_transcript) == [
+            "entry 1: expected quantum transmission of block 0, "
+            "got a->b PermutationReveal of block 0"
+        ]
 
 
 class TestPinnedTranscripts:
-    """Wire transcripts and sifted strings of two seeded sessions.  A
-    change to what a seed draws (permutations, key blocks or clicks)
-    moves them; it must re-record them and say which values moved."""
+    """Wire transcripts and sifted strings of seeded sessions.  A change
+    to what a seed draws (permutations, key blocks or clicks) moves them;
+    it must re-record them and say which values moved.  A change of wire
+    format, or of the messages a session sends, moves the digests and
+    entry counts too, but not the sifted strings or the estimates."""
 
     @staticmethod
     def check(settings, seed, digest, entries, sifted, bob_sifted=None):
@@ -691,8 +684,8 @@ class TestPinnedTranscripts:
         self.check(
             noiseless_settings(d=4, n=8, blocks=5),
             42,
-            "8323ea630df76d614b02d122273fbfc6d44bb327f395a255e5013cea8aed452a",
-            24,
+            "cb6858a2de7e315ca9c5740fead0196ec42b332398073df57a8b9c67102094e0",
+            19,
             (3, 4, 1, 4, 2, 2, 3, 4, 4, 1, 4, 4, 3, 4, 4, 1, 1, 2, 1, 3,
              1, 1, 4, 1, 4, 4, 1, 2, 3, 1, 2, 4, 3, 1, 3, 3, 3, 3, 4, 1),
         )
@@ -708,8 +701,8 @@ class TestPinnedTranscripts:
         alice, bob = self.check(
             settings,
             config.seed,
-            "152001c1255bb11dee784e2763da89b23ed828806729f3ac57bccc92e040dcb4",
-            404,
+            "a6ee3368ea94f95d7d2e2c7d2eecbe7e7b63afa3959097cd9aa6e52bcce0d4b7",
+            304,
             (4, 2, 7, 5, 8, 8, 4, 3),
         )
         self.check_stderrs(alice, bob, 0.0, math.nan)
@@ -729,8 +722,8 @@ class TestPinnedTranscripts:
         alice, bob = self.check(
             settings,
             config.seed,
-            "d69cac40bbd702d9461b9afe74e8ca22ee6d0337135f4cd09079647bf78fdf00",
-            4004,
+            "656932643359a7b96bded91c428dc3bba006c6672a3b575cd03c56133304a1e6",
+            3004,
             (4, 2, 7, 5, 8, 8, 4, 3, 6, 6, 6, 1, 4, 4, 4, 4, 5, 4, 7, 6, 3, 7, 4, 3,
              3, 3, 2, 8, 7, 8, 8, 3, 7, 1, 8, 1, 1, 2, 7, 5, 1, 2, 8, 4, 4, 5, 1, 5,
              7, 1, 4, 5, 3, 5, 7, 5, 4, 7, 2, 7, 3, 2, 1, 5, 7),
@@ -752,9 +745,9 @@ class TestPinnedTranscripts:
         )
         alice, bob, transcript = run_session(settings, seed=1)
         assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == (
-            "58a8532df6d8c9be687d769520a5080b694195697c84abbe99ae58debd33001f"
+            "e6aca81c7014b7fca73616ac697d55210c282b2f36c380506ccb725a8522943d"
         )
-        assert len(transcript.entries) == 12
+        assert len(transcript.entries) == 10
         assert alice.sifted_count == bob.sifted_count == 218
         assert hashlib.sha256(bytes(alice.sifted)).hexdigest() == (
             "b99ce96d6a47520f9d8dffd5c1d96477f00fcd55a1f9cf762ff5d074bd117172"

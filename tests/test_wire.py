@@ -17,7 +17,8 @@ from hdcow.errors import (
     UnsupportedVersionError,
 )
 from hdcow.wire import (
-    BlockAnnounce,
+    MAGIC,
+    VERSION,
     DetectionReportMsg,
     EstimateReport,
     PermutationReveal,
@@ -30,13 +31,13 @@ from hdcow.wire import (
 
 
 def test_session_end_exact_bytes():
-    assert encode_message(SessionEnd()) == bytes.fromhex("514b010600000000")
+    assert encode_message(SessionEnd()) == bytes.fromhex("514b020600000000")
 
 
 def test_session_start_layout():
     data = encode_message(SessionStart(d=8, n=64, tau_picoseconds=2000))
     assert data[:2] == b"\x51\x4b"
-    assert data[2] == 0x01  # version
+    assert data[2] == 0x02  # version
     assert data[3] == 0x01  # tag
     assert struct.unpack("!I", data[4:8])[0] == 14
     assert struct.unpack("!HIQ", data[8:]) == (8, 64, 2000)
@@ -49,7 +50,6 @@ messages = st.one_of(
         n=st.integers(1, 2**32 - 1),
         tau_picoseconds=st.integers(1, 2**64 - 1),
     ),
-    st.builds(BlockAnnounce, block_id=st.integers(0, 2**64 - 1)),
     st.builds(
         PermutationReveal,
         block_id=st.integers(0, 2**64 - 1),
@@ -73,34 +73,16 @@ messages = st.one_of(
 )
 
 
-@pytest.mark.parametrize(
-    "tag,length",
-    [
-        (0x03, 2**32 - 4),  # PERMUTATION_REVEAL, at most 8 + 4*d*n = 264 bytes
-        (0x03, 268),
-        (0x04, 2**32 - 1),  # DETECTION_REPORT, at most 12 + 6*n = 108 bytes
-        (0x04, 114),
-    ],
-)
-def test_payload_beyond_block_rejected_before_read(tag, length):
-    stream = io.BytesIO(b"\x51\x4b\x01" + bytes([tag]) + struct.pack("!I", length))
-    reads = []
+def header_only(tag, length, version=VERSION):
+    """A ``recv_exact`` holding one frame header, which fails if it is
+    asked for anything past it."""
+    header = io.BytesIO(MAGIC + bytes([version, tag]) + struct.pack("!I", length))
 
     def recv_exact(count):
-        reads.append(count)
-        return stream.read(count)
+        assert header.tell() == 0, f"read of {count} bytes past the header"
+        return header.read(count)
 
-    with pytest.raises(LengthMismatchError, match="at most"):
-        read_message(recv_exact, d=4, n=16)
-    assert reads == [8]
-
-
-def test_payloads_filling_a_block_accepted():
-    reveal = PermutationReveal(block_id=1, indices=range(1, 65))
-    report = DetectionReportMsg(block_id=1, entries=tuple((i, 1) for i in range(16)))
-    for message in (reveal, report):
-        stream = io.BytesIO(encode_message(message))
-        assert read_message(stream.read, d=4, n=16) == message
+    return recv_exact
 
 
 @settings(max_examples=500, deadline=None)
@@ -115,7 +97,7 @@ class TestDecodeErrors:
             decode_message(b"\x51\x4b\x01")
 
     def test_truncated_payload(self):
-        frame = encode_message(BlockAnnounce(block_id=7))
+        frame = encode_message(EstimateReport(block_id=7, q_hat=0.0, v_hat=1.0))
         with pytest.raises(TruncatedError):
             decode_message(frame[:-1])
 
@@ -127,7 +109,7 @@ class TestDecodeErrors:
 
     def test_unsupported_version(self):
         frame = bytearray(encode_message(SessionEnd()))
-        frame[2] = 0x02
+        frame[2] = 0x03
         with pytest.raises(UnsupportedVersionError):
             decode_message(bytes(frame))
 
@@ -151,7 +133,7 @@ class TestDecodeErrors:
             decode_message(bytes(frame))
 
     def test_misaligned_reveal_payload(self):
-        header = b"\x51\x4b\x01\x03" + struct.pack("!I", 10)
+        header = MAGIC + bytes([VERSION, 0x03]) + struct.pack("!I", 10)
         with pytest.raises(LengthMismatchError):
             decode_message(header + b"\x00" * 10)
 
@@ -159,7 +141,7 @@ class TestDecodeErrors:
         with pytest.raises(InvalidArgumentError):
             encode_message(SessionStart(d=2**16, n=1, tau_picoseconds=1))
         with pytest.raises(InvalidArgumentError):
-            encode_message(BlockAnnounce(block_id=-1))
+            encode_message(EstimateReport(block_id=-1, q_hat=0.0, v_hat=1.0))
         for index in (-1, 2**32):
             with pytest.raises(InvalidArgumentError):
                 encode_message(PermutationReveal(block_id=0, indices=(1, index)))
@@ -181,24 +163,23 @@ class TestDecodeErrors:
     "tag,length,error",
     [
         (0x01, 15, LengthMismatchError),  # SESSION_START is 14 bytes
-        (0x02, 9, LengthMismatchError),  # BLOCK_ANNOUNCE is 8 bytes
         (0x05, 23, LengthMismatchError),  # ESTIMATE_REPORT is 24 bytes
         (0x06, 2**32 - 1, LengthMismatchError),  # SESSION_END is empty
+        (0x02, 2**32 - 1, UnknownTagError),  # the retired BLOCK_ANNOUNCE
         (0x07, 2**32 - 1, UnknownTagError),
         (0x00, 8, UnknownTagError),
     ],
 )
 def test_header_rejected_before_payload_read(tag, length, error):
-    stream = io.BytesIO(b"\x51\x4b\x01" + bytes([tag]) + struct.pack("!I", length))
-    reads = []
-
-    def recv_exact(count):
-        reads.append(count)
-        return stream.read(count)
-
     with pytest.raises(error):
-        read_message(recv_exact)
-    assert reads == [8]
+        read_message(header_only(tag, length))
+
+
+def test_version_1_frame_rejected_before_payload_read():
+    # a peer on the format that still sent BLOCK_ANNOUNCE fails at its
+    # first frame, its SESSION_START
+    with pytest.raises(UnsupportedVersionError):
+        read_message(header_only(0x01, 2**32 - 1, version=0x01))
 
 
 @pytest.mark.parametrize(
@@ -211,16 +192,8 @@ def test_header_rejected_before_payload_read(tag, length, error):
     ],
 )
 def test_payload_beyond_block_rejected_before_read(tag, length):
-    stream = io.BytesIO(b"\x51\x4b\x01" + bytes([tag]) + struct.pack("!I", length))
-    reads = []
-
-    def recv_exact(count):
-        reads.append(count)
-        return stream.read(count)
-
     with pytest.raises(LengthMismatchError, match="at most"):
-        read_message(recv_exact, d=4, n=16)
-    assert reads == [8]
+        read_message(header_only(tag, length), d=4, n=16)
 
 
 def test_payloads_filling_a_block_accepted():
