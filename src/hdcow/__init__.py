@@ -14,7 +14,6 @@ from .protocol import (
     DetectionReport,
     Permutation,
     ProtocolParams,
-    decode_click,
     encode_block,
     make_permutation,
     sift_block,
@@ -56,7 +55,6 @@ __all__ = [
     "SessionSummary",
     "SweepResult",
     "TableNoise",
-    "decode_click",
     "detection_rate",
     "encode_block",
     "entropy_term",

@@ -1,8 +1,8 @@
 """Monte Carlo model of the fiber link, beamsplitter tap, interference
 monitor, and click detectors with dead time.
 
-Click generation is per slot: an occupied slot fires the data detector
-with probability ``1 - exp(-xi_eff*mu)`` and an empty slot with
+The model is per slot: an occupied slot fires the data detector with
+probability ``1 - exp(-xi_eff*mu)`` and an empty slot with
 ``1 - exp(-xi_eff*mu*r_ext)`` (modulator leakage), each OR-ed with the
 dark-count probability; ``xi_eff = xi * t_ch * (1 - f_mon)``.  The
 monitor line fires on the dark port: a pulse whose predecessor slot is
@@ -13,6 +13,17 @@ predecessor does not interfere and clicks with probability
 probability once per slot: OR-ed into the slot's light, which at an
 empty monitor slot is none.  Dead time is applied per detector by
 ``kernels.dead_time_filter`` and persists across frames.
+
+The sender transmits a pulse train: the frames of several blocks back to
+back, as one continuous train on unchanged hardware, before revealing
+any of their permutations.  So each reveal still follows its frame's
+transmission.  :func:`transmit_frame` simulates a whole train at once,
+with draws that follow the pulses and the clicks, not the slots: each
+pulse takes one uniform per detector, and the empty slots' rare events
+are placed by :func:`_empty_hits` with exactly the per-slot model's
+distribution.  Every threshold those draws compare against is computed
+with :mod:`math`, as the click probabilities are, since NumPy's
+vectorized ``log`` and ``exp`` may round differently in the last bit.
 
 On a long lossy link almost every frame is quiet: no pulse's monitor
 uniform lies below either monitor click probability, the data detector
@@ -29,7 +40,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -202,10 +213,11 @@ class DetectorState:
 class ClickStream:
     """Time-ordered detector events for one frame, as global slot indices.
 
-    ``prev_occupied`` and ``last_monitor_click`` are the detector state
-    the frame started from: whether the slot before its first was
-    occupied, and the monitor's last click before the frame.  Their
-    defaults are :class:`DetectorState`'s, a fresh line.
+    ``frame_start``, ``prev_occupied`` and ``last_monitor_click`` are the
+    detector state the frame started from, also when it is a later row
+    of a train: the global index of its first slot, whether the slot
+    before it was occupied, and the monitor's last click before it.
+    The defaults are :class:`DetectorState`'s, a fresh line.
     """
 
     data_slots: np.ndarray
@@ -236,76 +248,181 @@ def transmit_frame(
     params: PhysicalParams,
     rng: np.random.Generator,
     state: DetectorState | None = None,
-) -> ClickStream:
-    """Simulate one frame through the channel and both detectors.  The
-    frame is its bool occupancy ``occ``, one entry per slot, such as a
-    row of :func:`~hdcow.protocol.encode_block`'s result; each pulse has
-    the mean photon number ``params.mu``.
+) -> list[ClickStream]:
+    """Simulate a pulse train through the channel and both detectors.
+    The train is its ``(m, L)`` bool occupancy ``occ``, one frame of
+    ``L`` slots per row and the rows back to back, such as
+    :func:`~hdcow.protocol.encode_block`'s result; a single frame is a
+    1-row train.  Each pulse has the mean photon number ``params.mu``.
+    Returns one :class:`ClickStream` per row, each carrying the detector
+    state its frame started from.
 
-    Draws the frame's uniform variates in one call of ``2*L`` for its
-    ``L`` slots: the first ``L`` decide the data detector, slot by slot,
-    and the next ``L`` the monitor, so identical seeds give identical
-    streams.  Only the frame's pulses click with other probabilities
-    than an empty slot, so the pulses are found once and both detectors
-    are tested at them alone.  The data detector is tested once more
-    against the empty-slot probability; an empty monitor slot can fire
-    only by a dark count, so the monitor's every slot is tested only
-    when ``p_dc`` > 0.  Without dark counts the pulses are first tested
-    against the larger of the two monitor probabilities, and only those
-    below it are classified for interference and tested against their
-    class's probability.  A pulse below its class's probability is below
-    the larger one, so the clicks are the same; in most frames of a long
-    link no pulse is below it and none is classified.  Each detector's
-    candidate clicks then pass its dead-time filter, the data detector's
-    first.  If ``state`` is given it is updated in place, chaining dead
-    time, global slot numbering, and pulse-train continuity into the
-    next frame.
+    The draws follow the pulses and the clicks, not the slots.  The
+    train's ``P`` pulses are found once and take one uniform each per
+    detector, from one call of ``2*P``: the first ``P`` decide the data
+    detector and the next ``P`` the monitor, pulse by pulse.  Then the
+    data detector's empty slots fire with the empty-slot probability
+    (leakage and dark counts) and, when ``p_dc`` > 0, the monitor's with
+    ``p_dc``, each through :func:`_empty_hits`.  Every slot fires
+    independently with its own probability, as in a per-slot draw, so
+    identical seeds give identical streams and the clicks have the
+    per-slot model's distribution.
+
+    A pulse's monitor uniform is first tested against the larger of the
+    two monitor probabilities, and only the pulses below it are
+    classified for interference and tested against their class's
+    probability.  A pulse below its class's probability is below the
+    larger one, so the clicks are the same; on a long link most trains
+    have no pulse below it and none is classified.  Each detector's
+    candidate clicks then pass its dead-time filter once for the whole
+    train, the data detector's first.  If ``state`` is given it is
+    updated in place, chaining dead time, global slot numbering, and
+    pulse-train continuity into the next train.
     """
+    if occ.ndim != 2 or not occ.size:
+        raise InvalidArgumentError(
+            f"a train is a non-empty (frames, slots) occupancy, got shape {occ.shape}"
+        )
     if state is None:
         state = DetectorState()
-    length = len(occ)
+    length = occ.shape[1]
+    slots = occ.reshape(-1)
     base = state.next_slot
     prev_occupied, last_monitor_click = state.prev_occupied, state.last_monitor_click
     dead = params.dead_slots
-    pulses = occ.nonzero()[0]
-    u = rng.random(2 * length)
-    u_data, u_mon = u[:length], u[length:]
+    pulses = slots.nonzero()[0]
+    u = rng.random(2 * len(pulses))
+    u_data, u_mon = u[: len(pulses)], u[len(pulses) :]
 
-    hit = u_data < params.p_click_empty
-    hit[pulses] = u_data[pulses] < params.p_click_occupied
-    cand_data = hit.nonzero()[0]
+    cand_data = pulses[u_data < params.p_click_occupied]
+    leaks = _empty_hits(pulses, len(slots), params.p_click_empty, rng)
+    if len(leaks):
+        cand_data = _merge(cand_data, leaks)
     cand_data += base
     data_slots, state.last_data_click = dead_time_filter(
         cand_data, dead, state.last_data_click
     )
 
     p_int, p_non = params.p_monitor_interfering, params.p_monitor_noninterfering
-    if params.p_dc > 0.0:
-        np.less(u_mon, params.p_dc, out=hit)
-        hit[pulses] = u_mon[pulses] < np.where(
-            _interferes(occ, pulses, prev_occupied), p_int, p_non
-        )
-        cand_mon = hit.nonzero()[0]
-    else:
-        cand_mon = pulses[u_mon[pulses] < max(p_int, p_non)]
-        if len(cand_mon):  # most frames of a long, lossy link have none
-            cand_mon = cand_mon[u_mon[cand_mon] < np.where(
-                _interferes(occ, cand_mon, prev_occupied), p_int, p_non
-            )]
+    below = (u_mon < max(p_int, p_non)).nonzero()[0]
+    cand_mon = pulses[below]
+    if len(below):  # most trains of a long, lossy link have none
+        cand_mon = cand_mon[u_mon[below] < np.where(
+            _interferes(slots, cand_mon, prev_occupied), p_int, p_non
+        )]
+    darks = _empty_hits(pulses, len(slots), params.p_dc, rng)
+    if len(darks):
+        cand_mon = _merge(cand_mon, darks)
     cand_mon += base
     monitor_slots, state.last_monitor_click = dead_time_filter(
         cand_mon, dead, last_monitor_click
     )
 
-    state.prev_occupied = bool(occ[-1])
-    state.next_slot = base + length
-    return ClickStream(
-        data_slots=data_slots,
-        monitor_slots=monitor_slots,
-        frame_start=base,
-        prev_occupied=prev_occupied,
-        last_monitor_click=last_monitor_click,
-    )
+    state.prev_occupied = bool(slots[-1])
+    state.next_slot = base + len(slots)
+    starts = np.arange(base, base + len(slots), length)
+    data_rows, _ = _split_rows(data_slots, starts)
+    monitor_rows, cuts = _split_rows(monitor_slots, starts)
+    # row r starts after cuts[r] monitor clicks, so its last one before is before[cuts[r]]
+    before = [last_monitor_click, *monitor_slots.tolist()]
+    row_prev = [prev_occupied, *occ[:-1, -1].tolist()]
+    return [
+        ClickStream(data, monitor, start, prev, before[cut])
+        for data, monitor, start, prev, cut in zip(
+            data_rows, monitor_rows, starts.tolist(), row_prev, cuts
+        )
+    ]
+
+
+def _merge(pulse_hits: np.ndarray, empty_hits: np.ndarray) -> np.ndarray:
+    """The union, in order, of two sorted arrays of slots that share none,
+    as a detector's hits at the pulses and at the empty slots do: each
+    value's place is its index plus the other array's values below it.
+    Placed by searches, not sorted: the first ``int64`` sort in a process
+    adds resident code that a session otherwise never loads."""
+    union = np.empty(len(pulse_hits) + len(empty_hits), dtype=np.int64)
+    union[pulse_hits.searchsorted(empty_hits) + np.arange(len(empty_hits))] = empty_hits
+    union[empty_hits.searchsorted(pulse_hits) + np.arange(len(pulse_hits))] = pulse_hits
+    return union
+
+
+def _split_rows(clicks: np.ndarray, starts: np.ndarray) -> tuple[list, list]:
+    """The sorted global slots ``clicks`` of a train split into its rows,
+    which start at ``starts``, and the number of clicks before each row.
+    Most rows of a long link have no click, so those share one empty
+    view instead of a slice each."""
+    cuts = clicks.searchsorted(starts).tolist()
+    none = clicks[:0]
+    rows = [
+        clicks[lo:hi] if lo < hi else none
+        for lo, hi in zip(cuts, [*cuts[1:], len(clicks)])
+    ]
+    return rows, cuts
+
+
+# Empty slots are tested in groups of this many; see _empty_hits.
+_GROUP = 64
+
+
+@lru_cache(maxsize=8)
+def _group_table(p: float) -> tuple[float, np.ndarray]:
+    """For an event of probability ``p`` in each of ``_GROUP`` slots:
+    the probability that a group holds any, ``1 - (1-p)**_GROUP``, and
+    the conditional CDF of the first one's offset given that it does,
+    ``F(k) = (1 - (1-p)**(k+1)) / (1 - (1-p)**_GROUP)`` for k = 0 ..
+    ``_GROUP - 2`` (``F(_GROUP - 1)`` is 1).  Computed with :mod:`math`,
+    so every host compares its uniforms against the same bits; the CDF
+    is read-only, since it is shared."""
+    log_miss = math.log1p(-p)
+    any_hit = -math.expm1(_GROUP * log_miss)
+    cdf = np.array([-math.expm1((k + 1) * log_miss) / any_hit for k in range(_GROUP - 1)])
+    cdf.flags.writeable = False
+    return any_hit, cdf
+
+
+def _empty_hits(pulses: np.ndarray, slots: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The sorted positions, among ``slots`` slots of which the sorted
+    positions ``pulses`` are occupied, of the empty slots at which an
+    event of probability ``p`` occurs, each independently.
+
+    The cost follows the events, not the slots.  The ``E`` empty slots,
+    counted in order, are split into groups of ``_GROUP``, the last one
+    padded with slots past ``E`` whose events are dropped.  One uniform
+    per group tests whether the group holds any event (see
+    :func:`_group_table`); for each group that does, one more uniform
+    ``v`` places its first event at the first offset ``k`` with
+    ``v < F(k)`` of the conditional CDF, by a ``searchsorted``, and its
+    later slots are tested one uniform each.  This is the joint
+    distribution of ``_GROUP`` independent slots, factored at the first
+    event.  The draws, in that order, are three calls of
+    ``Generator.random``; the third holds a uniform for each hit group's
+    slots from its first event on, the first event's own unread.
+    ``p`` = 0, or no empty slot, draws nothing, and ``p`` = 1 needs no
+    draw.  An empty slot's count ``e`` becomes its position by adding
+    the pulses before it: those whose position less their index is at
+    most ``e``.
+    """
+    empties = slots - len(pulses)
+    if p <= 0.0 or not empties:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        hits = np.arange(empties)
+    else:
+        any_hit, cdf = _group_table(p)
+        groups = (rng.random(-(-empties // _GROUP)) < any_hit).nonzero()[0]
+        if not len(groups):
+            return np.empty(0, dtype=np.int64)
+        first = cdf.searchsorted(rng.random(len(groups)), side="right")
+        # each hit group's slots from its first event to its end, in order
+        counts = _GROUP - first
+        heads = np.cumsum(counts) - counts  # where each group's first event sits
+        hits = np.arange(heads[-1] + counts[-1])
+        hits += np.repeat(groups * _GROUP + first - heads, counts)
+        keep = rng.random(len(hits)) < p
+        keep[heads] = True  # the first event's own uniform is not read
+        hits = hits[keep]
+        hits = hits[: hits.searchsorted(empties)]
+    return hits + (pulses - np.arange(len(pulses))).searchsorted(hits, side="right")
 
 
 def _interferes(occ: np.ndarray, pulses: np.ndarray, prev_occupied: bool) -> np.ndarray:

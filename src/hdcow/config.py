@@ -85,18 +85,28 @@ class Config:
     session: SessionSection = field(default_factory=SessionSection)
 
     def physical_params(self) -> PhysicalParams:
+        """The physical section as model parameters.  ``PhysicalParams``
+        names a field it refuses first in its message (``mu=-0.05 must
+        be non-negative``); the error here names its config key instead
+        (``physical.mu=-0.05 ...``)."""
         p = self.physical
-        return PhysicalParams(
-            mu=p.mu,
-            t_ch=p.t_ch,
-            xi=p.xi,
-            t_dead=p.t_dead,
-            tau=self.protocol.tau,
-            p_dc=p.p_dc,
-            r_ext=p.r_ext,
-            f_mon=p.f_mon,
-            v_true=p.visibility,
-        )
+        try:
+            return PhysicalParams(
+                mu=p.mu,
+                t_ch=p.t_ch,
+                xi=p.xi,
+                t_dead=p.t_dead,
+                tau=self.protocol.tau,
+                p_dc=p.p_dc,
+                r_ext=p.r_ext,
+                f_mon=p.f_mon,
+                v_true=p.visibility,
+            )
+        except InvalidArgumentError as exc:
+            field, _, rest = str(exc).partition("=")
+            if field not in _PHYSICAL_KEYS:
+                raise
+            raise InvalidArgumentError(f"{_PHYSICAL_KEYS[field]}={rest}") from None
 
     def session_protocol(self) -> ProtocolParams:
         return ProtocolParams(
@@ -144,6 +154,16 @@ class Config:
         step = (s.mu_max - s.mu_min) / (s.mu_steps - 1)
         return [s.mu_min + k * step for k in range(s.mu_steps)]
 
+
+# The config key of each PhysicalParams field.
+_PHYSICAL_KEYS = {
+    **{
+        name: f"physical.{name}"
+        for name in ("mu", "t_ch", "xi", "t_dead", "p_dc", "r_ext", "f_mon")
+    },
+    "tau": "protocol.tau",
+    "v_true": "physical.visibility",
+}
 
 _SECTION_TYPES = {
     "protocol": ProtocolSection,

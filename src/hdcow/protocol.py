@@ -30,7 +30,6 @@ __all__ = [
     "SeededByteSource",
     "make_permutation",
     "encode_block",
-    "decode_click",
     "sift_block",
 ]
 
@@ -245,20 +244,6 @@ def encode_block(params: ProtocolParams, symbols: np.ndarray, maps: np.ndarray) 
     if np.count_nonzero(occupancy) != count * params.n:
         raise InvalidArgumentError("occupancy does not have exactly n pulses per block")
     return occupancy
-
-
-def decode_click(params: ProtocolParams, sigma: Permutation, t: int) -> tuple[int, int]:
-    """Map a click at slot ``t`` back to ``(qudit index, symbol)`` via
-    ``sigma^{-1}(t) = i*d + j``."""
-    length = params.slot_count
-    if len(sigma) != length:
-        raise InvalidArgumentError(f"permutation length {len(sigma)} != d*n={length}")
-    if not 1 <= t <= length:
-        raise InvalidArgumentError(f"slot {t} outside {{1..{length}}}")
-    u = int(sigma.inverse_map[t - 1])
-    i = (u - 1) // params.d
-    j = u - i * params.d
-    return i, j
 
 
 def sift_block(

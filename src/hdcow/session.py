@@ -1,53 +1,58 @@
 """End-to-end protocol sessions: endpoint state machines, their drivers,
 in-process transport, quantum-channel handle, and transcript validation.
 
-The classical exchange is lockstep::
+The blocks go out in trains: the frames of as many whole blocks as fit
+in ``_BATCH_SLOTS`` slots, and at least one, sent back to back as one
+continuous pulse train (``_train_blocks``).  The classical exchange
+is lockstep::
 
     A->B  SESSION_START
-    per block, with ids 0, 1, ..., B-1:
-        (quantum transmission of the block's pulse frame)
-        A->B  PERMUTATION_REVEAL
-        B->A  DETECTION_REPORT
+    per train of blocks k, k+1, ..., k+m-1, with ids from 0 to B-1:
+        (quantum transmission of the m frames, one after another)
+        per block of the train, in order:
+            A->B  PERMUTATION_REVEAL
+            B->A  DETECTION_REPORT
     after the last block's report, once per session:
     B->A  ESTIMATE_REPORT   (V from the whole monitor tally; error field NaN)
     A->B  ESTIMATE_REPORT   (Q from all sampled pairs; echoes V)
     A->B  SESSION_END
 
-So a B-block session sends 2*B + 4 messages, and both estimates carry
-the last block's id.
+So a B-block session sends 2*B + 4 messages, both estimates carry the
+last block's id, and each reveal follows its frame's transmission.
 
 Alice and Bob are state machines without I/O: each takes one received
 message and returns what to send, in order.  Alice's output carries
-each block frame just before its reveal; Bob reads a block's clicks
-from the channel handle when its reveal arrives, by which time Alice
-has transmitted.  So no endpoint ever waits for the other:
-``run_session`` drives both in one thread through two in-process byte
-pipes, and ``run_alice``/``run_bob`` drive one over any duplex, such as
-``StreamDuplex`` on a socket.  A fault raises at once, in the thread
-that drives the failing endpoint.
+each train just before the reveal of its first block; Bob reads a
+block's clicks from the channel handle when its reveal arrives, by
+which time Alice has transmitted.  So no endpoint ever waits for the
+other: ``run_session`` drives both in one thread through two in-process
+byte pipes, and ``run_alice``/``run_bob`` drive one over any duplex,
+such as ``StreamDuplex`` on a socket.  A fault raises at once, in the
+thread that drives the failing endpoint.
 
 Bob counts the blocks he has measured and refuses a reveal for any
 block but the next one.  The transcript validator checks the same
 order offline: a transcript recorded on Alice's side must be the
-sequence above, entry for entry.  An endpoint's link is the one
-writer of its transcript: it records each message it sends, each frame
-it passes to the channel (a quantum marker), and each message it reads,
+sequence above, entry for entry, with the train size that
+SESSION_START's d and n give.  An endpoint's link is the one writer of
+its transcript: it records each message it sends, each train it passes
+to the channel (a quantum marker per block), and each message it reads,
 under the peer's direction.  ``run_session`` records on Alice's side.
 
-Alice prepares her blocks ahead, in batches of as many whole blocks as
-fit in ``_BATCH_SLOTS`` slots and at least one: one key draw, one
+Alice prepares each train's blocks together: one key draw, one
 permutation draw and sort, one encode and one reveal conversion per
-batch, each on an array with one block per row.  Each block gets the
-keys, permutation and frame it would get alone, so batch boundaries
-change no message, frame or key.
+train, each on an array with one block per row.  Each block gets the
+keys and permutation it would get alone, so train boundaries change no
+message or key.
 
 The quantum channel and detectors sit behind a handle injected into
 both endpoints, so the same state machines can drive an in-process
 simulation or external hardware.  The handle has two calls:
-``transmit(block_id, occupancy)`` on Alice's side, which sends the frame
-given as its bool occupancy row, and
+``transmit(first_block_id, occupancy)`` on Alice's side, which sends a
+train given as its ``(m, d*n)`` bool occupancy, one frame per row for
+the blocks from ``first_block_id`` on, and
 ``receive(block_id) -> (occupancy, clicks)`` on Bob's, which returns
-the frame's occupancy and its :class:`~hdcow.channel.ClickStream`.
+one frame's occupancy row and its :class:`~hdcow.channel.ClickStream`.
 """
 
 from __future__ import annotations
@@ -106,12 +111,19 @@ __all__ = [
     "validate_transcript",
 ]
 
-# Alice's batch holds as many whole blocks as fit in this many slots, and
-# at least one.  It bounds a batch's temporaries (the keys, their packed
-# and ranked copies, the occupancy and the reveal bytes, about 34 bytes a
-# slot) at about half a megabyte, so peak memory does not grow with the
-# frame: a frame of 2**14 slots or more is prepared alone.
+# A train holds as many whole blocks as fit in this many slots, and at
+# least one.  It bounds the temporaries Alice prepares a train with (the
+# keys, their packed and ranked copies, the occupancy and the reveal
+# bytes, about 34 bytes a slot) at about half a megabyte, so peak memory
+# does not grow with the frame: a frame of 2**14 slots or more is a train
+# of its own.
 _BATCH_SLOTS = 2**14
+
+
+def _train_blocks(slot_count: int) -> int:
+    """The number of blocks of ``slot_count`` slots each that a train
+    holds: as many as fit in ``_BATCH_SLOTS`` slots, and at least one."""
+    return max(1, _BATCH_SLOTS // slot_count)
 
 
 @dataclass(frozen=True)
@@ -252,16 +264,19 @@ class Transcript:
         return b"".join(encode_message(message) for message in self.messages())
 
 
-def _lockstep(blocks: int):
-    """The entries of a ``blocks``-block session recorded on Alice's side,
-    in order, each as (direction, message type or None for a quantum
-    marker, block id or None)."""
+def _lockstep(blocks: int, train: int):
+    """The entries of a ``blocks``-block session in trains of ``train``
+    blocks, recorded on Alice's side, in order, each as (direction,
+    message type or None for a quantum marker, block id or None)."""
     a_to_b, b_to_a = Transcript.A_TO_B, Transcript.B_TO_A
     yield a_to_b, SessionStart, None
-    for block_id in range(blocks):
-        yield Transcript.QUANTUM, None, block_id
-        yield a_to_b, PermutationReveal, block_id
-        yield b_to_a, DetectionReportMsg, block_id
+    for first in range(0, blocks, train):
+        block_ids = range(first, min(first + train, blocks))
+        for block_id in block_ids:
+            yield Transcript.QUANTUM, None, block_id
+        for block_id in block_ids:
+            yield a_to_b, PermutationReveal, block_id
+            yield b_to_a, DetectionReportMsg, block_id
     yield b_to_a, EstimateReport, blocks - 1
     yield a_to_b, EstimateReport, blocks - 1
     yield a_to_b, SessionEnd, None
@@ -286,15 +301,21 @@ def _describe(shape) -> str:
 def validate_transcript(transcript: Transcript) -> list[str]:
     """Check a transcript recorded on Alice's side against the lockstep
     order of the module docstring, entry for entry: each entry's
-    direction, message type and block id.  The block count B is taken
-    from the highest block id recorded.  Returns the first entry that
-    departs from that order as a one-item list, or ``[]``.  The expected
-    entries are generated as they are compared, so the cost is bounded
-    by the transcript's length, whatever block id it records.  Bob's own
-    record holds no quantum markers, so it departs at its first block."""
+    direction, message type and block id.  The block count B is the
+    number of blocks transmitted: one more than the highest block id of
+    a quantum marker, and 1 without any.  The train size comes from the
+    d and n of a SESSION_START at the head through ``_train_blocks``, as
+    Alice takes it (a train of one block without one, where the head
+    departs anyway).  Returns the first entry that departs from that
+    order as a one-item list, or ``[]``.  The expected entries are
+    generated as they are compared, so the cost is bounded by the
+    transcript's length, whatever block id it records.  Bob's own record
+    holds no quantum markers, so it departs at its first block."""
     shapes = [_shape(entry) for entry in transcript.entries]
-    blocks = 1 + max([0, *(block_id for *_, block_id in shapes if block_id is not None)])
-    expected = _lockstep(blocks)
+    blocks = 1 + max([0, *(shape[2] for shape in shapes if shape[0] == Transcript.QUANTUM)])
+    head = transcript.entries[0][1] if transcript.entries else None
+    slots = head.d * head.n if isinstance(head, SessionStart) else 0
+    expected = _lockstep(blocks, _train_blocks(slots) if slots >= 1 else 1)
     for k, (got, want) in enumerate(itertools.zip_longest(shapes, expected)):
         if got != want:
             return [f"entry {k}: expected {_describe(want)}, got {_describe(got)}"]
@@ -304,13 +325,18 @@ def validate_transcript(transcript: Transcript) -> list[str]:
 class SimulatedChannel:
     """In-process quantum channel handle.
 
-    The transmitter side pushes frames, each a bool occupancy row,
-    through the Monte Carlo channel; the receiver side pulls each frame's
-    occupancy and click record in order, when its reveal arrives.  Asking
-    for a frame that was never transmitted, or for another block than
-    the next frame's, raises.  The occupancy rides along for post-reveal monitor
-    classification, which stands in for the disclosure a hardware system
-    would perform on estimation blocks.
+    The transmitter side pushes trains, each a ``(m, d*n)`` bool
+    occupancy with one frame per row, through the Monte Carlo channel in
+    one :func:`~hdcow.channel.transmit_frame` call; the receiver side
+    pulls each frame's occupancy row and click record in order, when its
+    reveal arrives.  Asking for a frame that was never transmitted, or
+    for another block than the next frame's, raises.
+
+    The simulation hands Bob each frame's occupancy only for his monitor
+    tally, which classifies his monitor clicks and exposures by the
+    pulses around them.  Nothing on the wire discloses it, and a
+    hardware receiver could not do the same: it does not know Alice's
+    pulse pattern (ROADMAP item 12 moves the tally to Alice).
     """
 
     def __init__(self, phys: PhysicalParams, seed):
@@ -319,9 +345,9 @@ class SimulatedChannel:
         self._state = DetectorState()
         self._deliveries: deque[tuple] = deque()  # (block_id, occupancy, clicks)
 
-    def transmit(self, block_id: int, occupancy: np.ndarray) -> None:
+    def transmit(self, first_block_id: int, occupancy: np.ndarray) -> None:
         clicks = transmit_frame(occupancy, self.phys, self._rng, self._state)
-        self._deliveries.append((block_id, occupancy, clicks))
+        self._deliveries.extend(zip(itertools.count(first_block_id), occupancy, clicks))
 
     def receive(self, block_id: int) -> tuple[np.ndarray, ClickStream]:
         if not self._deliveries:
@@ -336,10 +362,11 @@ class SimulatedChannel:
 
 @dataclass(frozen=True)
 class _Transmit:
-    """An endpoint's request to send a block's frame down the quantum
-    channel, placed among its outgoing messages."""
+    """An endpoint's request to send a train down the quantum channel,
+    placed among its outgoing messages: the ``(m, d*n)`` occupancy of the
+    blocks from ``first_block_id`` on."""
 
-    block_id: int
+    first_block_id: int
     occupancy: np.ndarray
 
 
@@ -366,9 +393,11 @@ class _Link:
         transcript = self._transcript
         for item in items:
             if isinstance(item, _Transmit):
-                self._channel.transmit(item.block_id, item.occupancy)
+                first = item.first_block_id
+                self._channel.transmit(first, item.occupancy)
                 if transcript is not None:
-                    transcript.record(Transcript.QUANTUM, item.block_id)
+                    for block_id in range(first, first + len(item.occupancy)):
+                        transcript.record(Transcript.QUANTUM, block_id)
                 continue
             if transcript is not None:
                 transcript.record(self._direction, item)
@@ -391,16 +420,17 @@ class _Alice:
     return the messages to send and the frames to transmit, in order;
     ``summary`` is set once the session has ended.
 
-    She prepares her blocks ahead in batches (see ``_BATCH_SLOTS``), as
-    arrays with one block per row: the generated keys of a batch come
+    She prepares her blocks a train at a time (see ``_train_blocks``),
+    as arrays with one block per row: the generated keys of a train come
     from one draw, its permutations from one byte-source call and one
     sort, its frames from one scatter and its reveals from one
-    conversion.  The draws equal those of one block at a time, so batch
-    boundaries change no message, frame or key.  A block is then its row
-    of symbols, its occupancy row and its reveal.  Supplied blocks are
-    symbol sequences, taken from ``block_source`` up to a batch at a
-    time and checked when their batch is prepared; a source that runs
-    dry fails when the first missing block is opened."""
+    conversion.  The draws equal those of one block at a time, so train
+    boundaries change no message or key.  The train goes to the channel
+    at once, before its first reveal; a block is then its row of symbols
+    and its reveal.  Supplied blocks are symbol sequences, taken from
+    ``block_source`` up to a train at a time and checked when their
+    train is prepared; a source that runs dry fails when the first
+    missing block is opened."""
 
     role = "alice"
 
@@ -410,8 +440,8 @@ class _Alice:
         self._rng = np.random.default_rng(seed)
         self._perm_source = SeededByteSource(self._rng.integers(0, 2**63))
         self._supplied = None if block_source is None else iter(block_source)
-        self._batch_blocks = max(1, _BATCH_SLOTS // settings.protocol.slot_count)
-        self._prepared: deque[tuple] = deque()  # (symbols, occupancy, reveal) of the next blocks
+        self._per_train = _train_blocks(settings.protocol.slot_count)
+        self._prepared: deque[tuple] = deque()  # (symbols, reveal) of the transmitted blocks
         self._block_id = 0
         self._symbols: np.ndarray | None = None  # the open block's
         self._sifted: list[int] = []
@@ -425,23 +455,22 @@ class _Alice:
         return [start, *self._open_block()]
 
     def _open_block(self) -> list:
-        block_id = self._block_id
-        if not self._prepared:
-            self._prepare_batch()
+        out = [] if self._prepared else self._prepare_train()
         if not self._prepared:
             raise ProtocolError(
-                f"block source ended after {block_id} of {self._settings.blocks} blocks"
+                f"block source ended after {self._block_id} of {self._settings.blocks} blocks"
             )
-        self._symbols, occupancy, reveal = self._prepared.popleft()
-        return [_Transmit(block_id, occupancy), reveal]
+        self._symbols, reveal = self._prepared.popleft()
+        return [*out, reveal]
 
-    def _prepare_batch(self) -> None:
-        """Prepare the blocks from the current one on, up to a batch; none
-        if the supplied blocks have run out."""
+    def _prepare_train(self) -> list:
+        """Prepare the blocks from the current one on, up to a train, and
+        return the train's transmission; nothing if the supplied blocks
+        have run out."""
         settings = self._settings
         proto = settings.protocol
         first = self._block_id
-        count = min(self._batch_blocks, settings.blocks - first)
+        count = min(self._per_train, settings.blocks - first)
         if self._supplied is None:
             symbols = self._rng.integers(1, proto.d + 1, size=(count, proto.n))
         else:
@@ -450,7 +479,7 @@ class _Alice:
                 for block in itertools.islice(self._supplied, count)
             ]
             if not blocks:
-                return
+                return []
             for block_id, block in enumerate(blocks, first):
                 try:
                     if block.ndim != 1:
@@ -462,7 +491,8 @@ class _Alice:
         maps = make_permutation(proto.slot_count, self._perm_source, len(symbols))
         occupancy = encode_block(proto, symbols, maps)
         reveals = PermutationReveal.of_bijections(first, maps)
-        self._prepared.extend(zip(symbols, occupancy, reveals))
+        self._prepared.extend(zip(symbols, reveals))
+        return [_Transmit(first, occupancy)]
 
     def receive(self, message: Message) -> list:
         settings = self._settings

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -6,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from hdcow.channel import (
+    _GROUP,
     ClickStream,
     DetectorState,
     MonitorTally,
     PhysicalParams,
+    _empty_hits,
+    _group_table,
     decode_frame,
     estimate_qber,
     estimate_visibility,
@@ -20,13 +25,7 @@ from hdcow.channel import (
 )
 from hdcow.errors import InvalidArgumentError, UndefinedEstimateError
 from hdcow.kernels import dead_time_filter
-from hdcow.protocol import (
-    Permutation,
-    ProtocolParams,
-    SeededByteSource,
-    decode_click,
-    make_permutation,
-)
+from hdcow.protocol import Permutation, ProtocolParams, SeededByteSource, make_permutation
 
 
 def quiet_params(**kwargs) -> PhysicalParams:
@@ -67,12 +66,18 @@ class TestPhysicalParams:
             assert tuned.implied_qslot(d) == pytest.approx(0.004, rel=1e-9)
 
 
+def one_frame(occ, params, rng, state=None) -> ClickStream:
+    """``occ`` sent as a 1-row train."""
+    (clicks,) = transmit_frame(occ[None], params, rng, state)
+    return clicks
+
+
 class TestTransmitFrame:
     def test_no_light_no_noise_means_no_clicks(self):
         params = quiet_params(
             mu=0.05, t_ch=1.0, p_dc=0.0, r_ext=0.0, f_mon=0.0, t_dead=0.0
         )
-        clicks = transmit_frame(np.zeros(4096, dtype=bool), params, np.random.default_rng(0))
+        clicks = one_frame(np.zeros(4096, dtype=bool), params, np.random.default_rng(0))
         assert len(clicks.data_slots) == 0
         assert len(clicks.monitor_slots) == 0
 
@@ -82,32 +87,29 @@ class TestTransmitFrame:
             mu=0.05, xi=0.2, t_ch=1.0, f_mon=0.0, r_ext=0.0, p_dc=0.0, t_dead=0.0
         )
         n = 1_000_000
-        clicks = transmit_frame(np.ones(n, dtype=bool), params, np.random.default_rng(7))
+        clicks = one_frame(np.ones(n, dtype=bool), params, np.random.default_rng(7))
         p_expected = 1.0 - math.exp(-0.01)
         sigma = math.sqrt(p_expected * (1 - p_expected) / n)
         assert len(clicks.data_slots) / n == pytest.approx(p_expected, abs=3 * sigma)
 
     def test_deterministic_for_fixed_seed(self):
-        params = quiet_params(mu=0.05)
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        occ = np.random.default_rng(1).random(8192) < 0.25
-        ca = transmit_frame(occ, params, rng_a)
-        cb = transmit_frame(occ, params, rng_b)
-        assert np.array_equal(ca.data_slots, cb.data_slots)
-        assert np.array_equal(ca.monitor_slots, cb.monitor_slots)
+        params = quiet_params(mu=0.05, p_dc=1e-3)
+        occ = np.random.default_rng(1).random((4, 8192)) < 0.25
+        ca = transmit_frame(occ, params, np.random.default_rng(5))
+        cb = transmit_frame(occ, params, np.random.default_rng(5))
+        for a, b in zip(ca, cb, strict=True):
+            assert np.array_equal(a.data_slots, b.data_slots)
+            assert np.array_equal(a.monitor_slots, b.monitor_slots)
 
     def test_dead_time_invariant_and_rate_ceiling(self):
         params = quiet_params(mu=0.05, t_ch=1.0, xi=1.0, f_mon=0.0, t_dead=1e-7)
         dead = params.dead_slots
         assert dead == 50
-        occ = np.ones(200_000, dtype=bool)
+        occ = np.ones((2, 50_000), dtype=bool)
         state = DetectorState()
         rng = np.random.default_rng(3)
-        all_clicks = []
-        for _ in range(4):
-            cs = transmit_frame(occ[:50_000], params, rng, state)
-            all_clicks.append(cs.data_slots)
-        slots = np.concatenate(all_clicks)
+        trains = [transmit_frame(occ, params, rng, state) for _ in range(2)]
+        slots = np.concatenate([cs.data_slots for train in trains for cs in train])
         assert (np.diff(slots) > dead).all()
         duration = 200_000 * params.tau
         assert len(slots) / duration <= 1.0 / params.t_dead
@@ -116,28 +118,70 @@ class TestTransmitFrame:
         params = PhysicalParams.noiseless()
         state = DetectorState()
         rng = np.random.default_rng(0)
-        c1 = transmit_frame(np.array([True, False]), params, rng, state)
-        c2 = transmit_frame(np.array([False, True]), params, rng, state)
-        assert list(c1.data_slots) == [1]
-        assert list(c2.data_slots) == [4]
+        c1, c2 = transmit_frame(np.array([[True, False], [False, True]]), params, rng, state)
+        (c3,) = transmit_frame(np.array([[True, False]]), params, rng, state)
+        assert [c.frame_start for c in (c1, c2, c3)] == [1, 3, 5]
+        assert [c.data_slots.tolist() for c in (c1, c2, c3)] == [[1], [4], [5]]
 
     def test_dark_counts_applied_once_at_the_monitor(self):
         # no light reaches the monitor, so every slot clicks at p_dc
         params = quiet_params(mu=0.05, f_mon=0.0, p_dc=0.1, t_dead=0.0)
         occ = np.arange(400_000) % 2 == 0
-        clicks = transmit_frame(occ, params, np.random.default_rng(11))
+        clicks = one_frame(occ, params, np.random.default_rng(11))
         hit = np.zeros(len(occ), dtype=bool)
         hit[clicks.monitor_slots - clicks.frame_start] = True
         sigma = math.sqrt(0.1 * 0.9 / 200_000)
         assert hit[occ].mean() == pytest.approx(0.1, abs=5 * sigma)
         assert hit[~occ].mean() == pytest.approx(0.1, abs=5 * sigma)
 
+    @pytest.mark.parametrize("shape", [(8,), (0, 8), (2, 0), (1, 2, 4)])
+    def test_train_must_be_a_non_empty_2d_occupancy(self, shape):
+        with pytest.raises(InvalidArgumentError, match="non-empty"):
+            transmit_frame(
+                np.ones(shape, dtype=bool), PhysicalParams.noiseless(), np.random.default_rng(0)
+            )
+
+    def test_rows_carry_the_state_their_frame_started_from(self):
+        # Every pulse fires both detectors (the monitor's probabilities
+        # are clipped to 1), so the clicks do not depend on the draws: a
+        # train gives the clicks and start states of its rows sent one by one.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the weak-pulse guard
+            params = PhysicalParams(
+                mu=50.0, t_ch=1.0, xi=1.0, t_dead=2e-9 * 6, r_ext=0.0, f_mon=0.5, v_true=0.0
+            )
+        occ = np.zeros((5, 8), dtype=bool)
+        occ[0, [0, 7]] = True  # slot 100 is in the dead window of the click at 95
+        occ[1, [0, 1]] = True  # both in the window of 107, the end of row 0
+        occ[3, [5]] = True  # row 2 is dark
+        occ[4, [0]] = True  # in the window of 129, which row 3 clicked
+        first = DetectorState(
+            last_data_click=-3, last_monitor_click=95, prev_occupied=True, next_slot=100
+        )
+        state, ref_state = replace(first), replace(first)
+        rng = np.random.default_rng(0)
+        train = transmit_frame(occ, params, rng, state)
+        rows = [one_frame(row, params, rng, ref_state) for row in occ]
+        assert state == ref_state
+        assert len(train) == len(rows) == 5
+        for got, want in zip(train, rows):
+            np.testing.assert_array_equal(got.data_slots, want.data_slots)
+            np.testing.assert_array_equal(got.monitor_slots, want.monitor_slots)
+            assert (got.frame_start, got.prev_occupied, got.last_monitor_click) == (
+                want.frame_start, want.prev_occupied, want.last_monitor_click
+            )
+            assert got.monitor_slots.dtype == got.data_slots.dtype == np.int64
+        assert [c.frame_start for c in train] == [100, 108, 116, 124, 132]
+        assert [c.prev_occupied for c in train] == [True, True, False, False, False]
+        assert [c.last_monitor_click for c in train] == [95, 107, 107, 107, 129]
+        assert [c.monitor_slots.tolist() for c in train] == [[107], [], [], [129], []]
+
 
 def dense_transmit(occ, params, u, state):
     """The per-slot model with one click probability per slot, the
-    reference for ``transmit_frame``; ``u`` holds the frame's 2*L
-    uniform variates, data detector first.  Every monitor slot gets the
-    dark-count probability once."""
+    reference for ``transmit_frame``; ``occ`` is one frame and ``u``
+    holds its 2*L uniform variates, data detector first.  Every monitor
+    slot gets the dark-count probability once."""
     length = len(occ)
     base = state.next_slot
     p_data = np.where(occ, params.p_click_occupied, params.p_click_empty)
@@ -180,9 +224,12 @@ def dense_tally(occ, prev_occupied, clicks, params, last_click_before):
 
 
 @st.composite
-def channel_runs(draw):
-    """``(params, state, frames, seed)``: a few frames through one
-    detector state, with bright pulses, a busy monitor and dead time."""
+def channel_runs(draw, empty_slots_fire=True):
+    """``(params, state, trains, seed)``: a few trains of a few frames each
+    through one detector state, with bright pulses, a busy monitor and
+    dead time.  Without ``empty_slots_fire`` there is no leakage and no
+    dark count, so the draws are the pulses' alone."""
+    noise = [0.0, 0.01, 0.3] if empty_slots_fire else [0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the weak-pulse guard
         params = PhysicalParams(
@@ -191,8 +238,8 @@ def channel_runs(draw):
             xi=1.0,
             t_dead=2e-9 * draw(st.integers(0, 40), label="dead_slots"),
             tau=2e-9,
-            p_dc=draw(st.sampled_from([0.0, 0.01, 0.3]), label="p_dc"),
-            r_ext=draw(st.sampled_from([0.0, 0.05]), label="r_ext"),
+            p_dc=draw(st.sampled_from(noise), label="p_dc"),
+            r_ext=draw(st.sampled_from([0.0, 0.05] if empty_slots_fire else [0.0]), label="r_ext"),
             f_mon=draw(st.sampled_from([0.0, 0.3, 0.9]), label="f_mon"),
             v_true=draw(st.sampled_from([0.0, 0.9, 1.0]), label="v_true"),
         )
@@ -208,12 +255,25 @@ def channel_runs(draw):
     )
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     occ_rng = np.random.default_rng(seed)
-    frames = []
-    for _ in range(draw(st.integers(1, 3), label="frames")):
-        length = draw(st.integers(1, 400), label="length")
+    trains = []
+    for _ in range(draw(st.integers(1, 3), label="trains")):
+        shape = draw(st.integers(1, 4), label="frames"), draw(st.integers(1, 200), label="length")
         density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="density")
-        frames.append(occ_rng.random(length) < density)
-    return params, state, frames, seed
+        trains.append(occ_rng.random(shape) < density)
+    return params, state, trains, seed
+
+
+class RecordingGenerator:
+    """Draws from a generator and keeps each call's uniforms."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, size):
+        u = self._rng.random(size)
+        self.draws.append(u.copy())
+        return u
 
 
 class FixedUniforms:
@@ -227,6 +287,18 @@ class FixedUniforms:
         return self._u.copy()
 
 
+def dense_uniforms(occ, u):
+    """The per-slot uniforms of each frame of the train ``occ`` that give
+    the same clicks as the train's pulse uniforms ``u`` (data detector's
+    first) when no empty slot can fire: each pulse's own, and 1.0, which
+    is never below a probability, elsewhere."""
+    pulses = occ.reshape(-1).nonzero()[0]
+    assert len(u) == 2 * len(pulses)
+    dense = np.ones((2, occ.size))
+    dense[0, pulses], dense[1, pulses] = u[: len(pulses)], u[len(pulses) :]
+    return np.concatenate(dense.reshape(2, *occ.shape), axis=1)  # row r: (data, monitor)
+
+
 def slot_params(**kwargs) -> PhysicalParams:
     """A back-to-back link with a perfect detector and no dark counts or
     leakage, so each click probability is set by ``mu`` and ``f_mon``."""
@@ -235,49 +307,180 @@ def slot_params(**kwargs) -> PhysicalParams:
         return PhysicalParams(**{"t_ch": 1.0, "xi": 1.0, "r_ext": 0.0, **kwargs})
 
 
+def check_rows(occ, train, params, start_state):
+    """The structure every train's click record has, whatever the draws,
+    and each row's monitor tally against the dense reference."""
+    prev_occupied, last_mon = start_state.prev_occupied, start_state.last_monitor_click
+    last_data = start_state.last_data_click
+    length = occ.shape[1]
+    tallies = []
+    for row, (frame, clicks) in enumerate(zip(occ, train, strict=True)):
+        start = start_state.next_slot + row * length
+        assert (clicks.frame_start, clicks.prev_occupied, clicks.last_monitor_click) == (
+            start, prev_occupied, last_mon
+        )
+        for slots, fires_empty in (
+            (clicks.data_slots, params.p_click_empty > 0.0),
+            (clicks.monitor_slots, params.p_dc > 0.0),
+        ):
+            assert slots.dtype == np.int64
+            local = slots - start
+            assert ((0 <= local) & (local < length)).all()
+            assert fires_empty or frame[local].all()
+        for slots, last in ((clicks.data_slots, last_data), (clicks.monitor_slots, last_mon)):
+            assert (np.diff(np.concatenate(([last], slots))) > params.dead_slots).all()
+        tally = monitor_tally(frame, clicks, params)
+        assert tally == dense_tally(frame, prev_occupied, clicks, params, last_mon)
+        tallies.append(tally)
+        prev_occupied = bool(frame[-1])
+        if len(clicks.monitor_slots):
+            last_mon = int(clicks.monitor_slots[-1])
+        if len(clicks.data_slots):
+            last_data = int(clicks.data_slots[-1])
+    return tallies
+
+
 class TestSlotModelReference:
-    """``transmit_frame`` and ``monitor_tally`` work at the pulses, and
-    skip what no click needs; the dense per-slot formulas above must
-    give the same clicks and tallies."""
+    """``transmit_frame`` draws per pulse and per empty-slot event, and
+    ``monitor_tally`` skips what no click needs; the dense per-slot
+    model above is their reference.  Where no empty slot can fire, the
+    pulses' uniforms are the dense model's at the pulses, so the clicks
+    must be equal; otherwise the draws differ, and the click counts,
+    dead-time losses and tallies must agree in distribution."""
 
     @staticmethod
-    def check_frame(occ, params, rng, u, state, ref_state):
-        """Send ``occ`` through ``state`` and, with the uniforms ``u`` that
-        ``rng`` draws, through the dense model at ``ref_state``."""
-        prev_occupied, last_mon = state.prev_occupied, state.last_monitor_click
-        clicks = transmit_frame(occ, params, rng, state)
-        # the click record carries the state the frame started from
-        assert (clicks.prev_occupied, clicks.last_monitor_click) == (prev_occupied, last_mon)
-        data, monitor = dense_transmit(occ, params, u, ref_state)
-        np.testing.assert_array_equal(clicks.data_slots, data)
-        np.testing.assert_array_equal(clicks.monitor_slots, monitor)
+    def check_train(occ, params, rng, u, state):
+        """Send ``occ`` through ``state`` and, with the dense uniforms
+        ``u`` (one row per frame), through the dense model from the same
+        state; the clicks must be equal."""
+        ref_state, start = replace(state), replace(state)
+        train = transmit_frame(occ, params, rng, state)
+        for clicks, frame, frame_u in zip(train, occ, u, strict=True):
+            data, monitor = dense_transmit(frame, params, frame_u, ref_state)
+            np.testing.assert_array_equal(clicks.data_slots, data)
+            np.testing.assert_array_equal(clicks.monitor_slots, monitor)
         assert state == ref_state
-        tally = monitor_tally(occ, clicks, params)
-        assert tally == dense_tally(occ, prev_occupied, clicks, params, last_mon)
-        return clicks, tally
+        return train, check_rows(occ, train, params, start)
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=channel_runs(empty_slots_fire=False))
+    def test_matches_dense_model_on_the_pulse_draws(self, run):
+        params, state, trains, seed = run
+        ref_state = replace(state)
+        rng = RecordingGenerator(seed)
+        for occ in trains:
+            start = replace(state)
+            train = transmit_frame(occ, params, rng, state)
+            (u,) = rng.draws  # one call: a uniform per pulse and detector
+            rng.draws.clear()
+            for clicks, frame, frame_u in zip(train, occ, dense_uniforms(occ, u), strict=True):
+                data, monitor = dense_transmit(frame, params, frame_u, ref_state)
+                np.testing.assert_array_equal(clicks.data_slots, data)
+                np.testing.assert_array_equal(clicks.monitor_slots, monitor)
+            assert state == ref_state
+            check_rows(occ, train, params, start)
 
     @settings(max_examples=300, deadline=None)
     @given(run=channel_runs())
-    def test_matches_dense_per_slot_model(self, run):
-        params, state, frames, seed = run
-        ref_state = replace(state)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for occ in frames:
-            self.check_frame(occ, params, rng, ref_rng.random(2 * len(occ)), state, ref_state)
+    def test_click_record_structure_and_tally(self, run):
+        params, state, trains, seed = run
+        rng = np.random.default_rng(seed)
+        for occ in trains:
+            start = replace(state)
+            train = transmit_frame(occ, params, rng, state)
+            check_rows(occ, train, params, start)
+            assert state.next_slot == start.next_slot + occ.size
+            assert state.prev_occupied == bool(occ[-1, -1])
+
+    def test_counts_match_dense_model_in_distribution(self, monkeypatch):
+        # Leakage, dark counts on both detectors, dead time and both
+        # monitor classes, over 3200 frames of 512 slots in trains of 8.
+        # Per train, the clicks of each detector and slot class, the
+        # candidates each dead-time filter drops and the monitor tally
+        # are counted for both models, and each count is compared with
+        # Welch's two-sample test; the seeds are fixed, so the p-values are too.
+        params = slot_params(
+            mu=0.05, f_mon=0.5, v_true=0.5, r_ext=0.05, p_dc=3e-3, t_dead=2e-9 * 20
+        )
+        occ = np.random.default_rng(0).random((400, 8, 512)) < 0.25
+        lost = []  # candidates each filter call dropped: data, monitor, data, ...
+        real_filter = dead_time_filter
+
+        def counting_filter(candidates, dead_slots, last_click):
+            kept, last = real_filter(candidates, dead_slots, last_click)
+            lost.append(len(candidates) - len(kept))
+            return kept, last
+
+        monkeypatch.setattr("hdcow.channel.dead_time_filter", counting_filter)
+        monkeypatch.setattr(sys.modules[__name__], "dead_time_filter", counting_filter)
+
+        def sparse(train, state, rng):
+            return transmit_frame(train, params, rng, state)
+
+        def dense(train, state, rng):
+            rows = []
+            for frame in train:
+                start = replace(state)
+                data, monitor = dense_transmit(frame, params, rng.random(2 * frame.size), state)
+                rows.append(ClickStream(
+                    data, monitor, start.next_slot, start.prev_occupied, start.last_monitor_click
+                ))
+            return rows
+
+        counts = {}
+        for model, seed in ((sparse, 1), (dense, 2)):
+            state, rng, per_train = DetectorState(), np.random.default_rng(seed), []
+            for train in occ:
+                start = replace(state)
+                lost.clear()
+                clicks = model(train, state, rng)
+                per_train.append(self.counts(train, clicks, params, start, lost))
+            counts[model.__name__] = np.array(per_train)
+        totals = dict(zip(self.COUNTS, counts["sparse"].sum(axis=0)))
+        assert min(totals.values()) > 300, totals
+        for name, a, b in zip(self.COUNTS, counts["sparse"].T, counts["dense"].T):
+            result = stats.ttest_ind(a, b, equal_var=False)
+            assert result.pvalue > 1e-3, (name, a.sum(), b.sum(), result.pvalue)
+
+    COUNTS = (
+        "data at pulses", "data at empty slots", "monitor at interfering pulses",
+        "monitor at other pulses", "monitor at empty slots", "data lost to dead time",
+        "monitor lost to dead time", "interfering exposures", "non-interfering exposures",
+    )
+
+    @staticmethod
+    def counts(train, clicks, params, start, lost):
+        """The ``COUNTS`` of one train's click record."""
+        flat = train.reshape(-1)
+        prev = np.concatenate(([start.prev_occupied], flat[:-1]))
+        data = np.concatenate([c.data_slots for c in clicks]) - start.next_slot
+        monitor = np.concatenate([c.monitor_slots for c in clicks]) - start.next_slot
+        tally = MonitorTally()
+        for frame, row in zip(train, clicks, strict=True):
+            tally.add(monitor_tally(frame, row, params))
+        assert (tally.n_int, tally.n_non) == (
+            np.count_nonzero(flat[monitor] & prev[monitor]),
+            np.count_nonzero(flat[monitor] & ~prev[monitor]),
+        )
+        return (
+            np.count_nonzero(flat[data]), np.count_nonzero(~flat[data]), tally.n_int,
+            tally.n_non, np.count_nonzero(~flat[monitor]), sum(lost[0::2]), sum(lost[1::2]),
+            tally.exp_int, tally.exp_non,
+        )
 
     def test_no_pulse_under_either_monitor_probability(self):
         # 64 pulses in 512 slots, none next to another; every pulse's
         # monitor uniform sits at the larger probability, which is no click
         params = slot_params(mu=0.05, f_mon=0.3, v_true=0.9, t_dead=0.0)
         p_max = max(params.p_monitor_interfering, params.p_monitor_noninterfering)
-        occ = np.zeros(512, dtype=bool)
-        occ[::8] = True
-        u = np.full(1024, 0.5)
+        occ = np.zeros((1, 512), dtype=bool)
+        occ[0, ::8] = True
+        u = np.full(128, 0.5)
         u[0] = 0.0  # one data click, on the first pulse
-        u[512:][occ] = p_max
+        u[64:] = p_max
         state = DetectorState(next_slot=1001)
-        clicks, tally = self.check_frame(
-            occ, params, FixedUniforms(u), u, state, replace(state)
+        (clicks,), (tally,) = self.check_train(
+            occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
         )
         assert clicks.data_slots.tolist() == [1001]
         assert len(clicks.monitor_slots) == 0 and clicks.monitor_slots.dtype == np.int64
@@ -290,14 +493,32 @@ class TestSlotModelReference:
         params = slot_params(mu=1.0, f_mon=0.3, v_true=0.0, t_dead=0.0)
         p_int, p_non = params.p_monitor_interfering, params.p_monitor_noninterfering
         assert p_non < p_int
-        occ = np.array([True, True, False, True, True])
-        u = np.concatenate((np.full(5, 0.99), np.full(5, (p_non + p_int) / 2)))
+        occ = np.array([[True, True, False, True, True]])
+        u = np.concatenate((np.full(4, 0.99), np.full(4, (p_non + p_int) / 2)))
         state = DetectorState(next_slot=11)
-        clicks, tally = self.check_frame(
-            occ, params, FixedUniforms(u), u, state, replace(state)
+        (clicks,), (tally,) = self.check_train(
+            occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
         )
         assert clicks.monitor_slots.tolist() == [12, 15]
         assert tally == MonitorTally(n_int=2, exp_int=2, n_non=0, exp_non=2)
+
+    def test_interference_across_a_row_boundary(self):
+        # Row 1's first pulse follows row 0's last slot, a pulse, so it
+        # interferes; row 2's follows an empty slot.  Only interfering
+        # pulses are below their monitor probability.
+        params = slot_params(mu=1.0, f_mon=0.3, v_true=0.0, t_dead=0.0)
+        p_int, p_non = params.p_monitor_interfering, params.p_monitor_noninterfering
+        occ = np.array([[False, False, True], [True, False, False], [True, False, False]])
+        u = np.concatenate((np.full(3, 0.99), np.full(3, (p_non + p_int) / 2)))
+        state = DetectorState(next_slot=1)
+        train, tallies = self.check_train(
+            occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
+        )
+        assert [c.monitor_slots.tolist() for c in train] == [[], [4], []]
+        assert [c.prev_occupied for c in train] == [False, True, False]
+        assert tallies == [
+            MonitorTally(exp_non=1), MonitorTally(n_int=1, exp_int=1), MonitorTally(exp_non=1)
+        ]
 
     @pytest.mark.parametrize(
         "last_monitor_click, exp_non",
@@ -313,15 +534,71 @@ class TestSlotModelReference:
         # pulse at local slot 16 interferes and is live in every case.
         params = slot_params(mu=0.05, f_mon=0.3, v_true=0.9, t_dead=40e-9)
         assert params.dead_slots == 20
-        occ = np.zeros(40, dtype=bool)
-        occ[[0, 10, 15, 16, 30]] = True
-        u = np.full(80, 0.5)
+        occ = np.zeros((1, 40), dtype=bool)
+        occ[0, [0, 10, 15, 16, 30]] = True
+        u = np.full(10, 0.5)
         state = DetectorState(last_monitor_click=last_monitor_click, next_slot=100)
-        clicks, tally = self.check_frame(
-            occ, params, FixedUniforms(u), u, state, replace(state)
+        (clicks,), (tally,) = self.check_train(
+            occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
         )
         assert len(clicks.monitor_slots) == 0
         assert tally == MonitorTally(n_int=0, exp_int=1, n_non=0, exp_non=exp_non)
+
+
+class TestEmptyHits:
+    """The empty slots' events are drawn a group of ``_GROUP`` at a time;
+    each empty slot must still fire independently with probability p."""
+
+    @pytest.mark.parametrize(
+        "p, calls",
+        [(1.4e-5, 40_000), (1e-3, 1_000), (0.05, 100), (0.5, 50), (0.9, 50)],
+    )
+    def test_binomial_count_and_uniform_placement(self, p, calls):
+        # 10,000 slots with 1,250 pulses, so 8,750 empty slots: 136 full
+        # groups and one of 46 padded to 64.
+        rng = np.random.default_rng(17)
+        occ = np.zeros(10_000, dtype=bool)
+        occ[rng.choice(10_000, 1_250, replace=False)] = True
+        pulses = occ.nonzero()[0]
+        empties = (~occ).nonzero()[0]
+        per_call, at = [], np.zeros(len(empties), dtype=np.int64)
+        for _ in range(calls):
+            hits = _empty_hits(pulses, len(occ), p, rng)
+            assert hits.dtype == np.int64 and (np.diff(hits) > 0).all()
+            assert not occ[hits].any()
+            per_call.append(len(hits))
+            at[empties.searchsorted(hits)] += 1
+        total, trials = sum(per_call), calls * len(empties)
+        assert stats.binomtest(total, trials, p).pvalue > 1e-3
+        # each empty slot's share of the events: uniform over the offset
+        # within a group, over the groups, and over the padded last group
+        index = np.arange(len(empties))
+        for key in (index % _GROUP, index // _GROUP):
+            observed = np.bincount(key, weights=at)
+            expected = np.bincount(key) * (total / len(empties))
+            assert stats.chisquare(observed, expected).pvalue > 1e-3, key
+        # independence: the spread of the per-call counts is binomial
+        counts = np.array(per_call)
+        dispersion = ((counts - len(empties) * p) ** 2).sum() / (len(empties) * p * (1 - p))
+        assert stats.chi2(calls).sf(dispersion) > 1e-3
+        assert stats.chi2(calls).cdf(dispersion) > 1e-3
+
+    @pytest.mark.parametrize("pulses", [[], [0, 1, 5], list(range(10))])
+    def test_no_draw_without_events_and_every_slot_at_certainty(self, pulses):
+        pulses = np.array(pulses, dtype=np.int64)
+        rng = RecordingGenerator(0)
+        assert _empty_hits(pulses, 10, 0.0, rng).tolist() == []
+        everything = _empty_hits(pulses, 10, 1.0, rng)
+        assert everything.tolist() == sorted(set(range(10)) - set(pulses.tolist()))
+        assert rng.draws == []
+
+    def test_group_table_from_math(self):
+        p = 1e-3
+        any_hit, cdf = _group_table(p)
+        assert any_hit == -math.expm1(_GROUP * math.log1p(-p))
+        assert len(cdf) == _GROUP - 1 and (np.diff(cdf) > 0).all() and cdf[-1] < 1.0
+        assert cdf[0] == pytest.approx(p / any_hit, rel=1e-12)
+        assert not cdf.flags.writeable
 
 
 class TestMonitorTallyClicks:
@@ -408,6 +685,14 @@ def click_stream(slots, frame_start):
     return ClickStream(data, np.zeros(0, dtype=np.int64), frame_start)
 
 
+def decode_click(params, sigma, t):
+    """The qudit and symbol ``(i, j)`` of a click at the 1-based local
+    slot ``t``, by ``sigma^{-1}(t) = d*i + j``."""
+    u = int(sigma.inverse_map[t - 1])
+    i = (u - 1) // params.d
+    return i, u - i * params.d
+
+
 def decode_per_click(params, sigma, clicks):
     """Entries decoded one click at a time, dropping a qudit seen twice."""
     seen = {}
@@ -446,6 +731,21 @@ class TestDecodeFrame:
         assert entries == decode_per_click(params, sigma, clicks)
         assert all(type(x) is int for entry in entries for x in entry)
         assert {i for i, _ in entries} == {i for i, js in clicked.items() if len(js) == 1}
+
+    @pytest.mark.parametrize(
+        "d, n, map_, slot, entry",
+        [
+            (2, 2, [1, 2, 3, 4], 4, (1, 2)),
+            (4, 1, [1, 2, 3, 4], 3, (0, 3)),
+            (2, 2, [3, 4, 1, 2], 2, (1, 2)),
+        ],
+    )
+    def test_single_click_examples(self, d, n, map_, slot, entry):
+        params = ProtocolParams(d=d, n=n, tau=2e-9)
+        sigma = Permutation(np.array(map_))
+        assert decode_click(params, sigma, slot) == entry
+        clicks = click_stream([slot], frame_start=50)
+        assert decode_frame(params, sigma, clicks).entries == (entry,)
 
     @pytest.mark.parametrize("slot", [0, 9])
     def test_click_outside_frame_rejected(self, slot):

@@ -139,6 +139,9 @@ class TestCli:
             ('{"threshold": {"mu": 0}}', "threshold.mu"),
             # a session with no light: simulate ran it all, then failed unnamed
             ('{"physical": {"mu": 0}}', "physical.mu"),
+            # refused when the channel parameters are built, with the key named
+            ('{"physical": {"mu": -0.05}}', "physical.mu"),
+            ('{"physical": {"t_ch": 2}}', "physical.t_ch"),
             ('{"threshold": {"visibility": 7}}', "threshold.visibility"),
             # 1/(d-1) for the largest default dimension, d=32
             ('{"noise": {"q_slot": 0.5}}', "noise.q_slot"),
@@ -289,7 +292,7 @@ class TestCli:
             main([command, "--config", str(path)])
         assert exc.value.code == 2
         field = physical.split('"')[1]
-        assert f"error: {field}=" in capsys.readouterr().err
+        assert f"error: physical.{field}=" in capsys.readouterr().err
 
     def test_threshold_monotone_decreasing(self, capsys):
         assert main(["threshold"]) == 0

@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from hdcow.channel import ClickStream, decode_frame
 from hdcow.errors import InvalidArgumentError, ProtocolError
 from hdcow.protocol import (
     DetectionReport,
     Permutation,
     ProtocolParams,
     SeededByteSource,
-    decode_click,
     encode_block,
     make_permutation,
     sift_block,
@@ -293,26 +293,6 @@ class TestEncodeBlock:
             encode_block(params, np.array([[1, 2, 1]]), identity_maps(4))
 
 
-class TestDecodeClick:
-    @pytest.mark.parametrize(
-        "d,n,t,expected",
-        [(2, 2, 4, (1, 2)), (4, 1, 3, (0, 3))],
-    )
-    def test_identity_examples(self, d, n, t, expected):
-        params = ProtocolParams(d=d, n=n, tau=2e-9)
-        assert decode_click(params, Permutation(np.arange(1, d * n + 1)), t) == expected
-
-    def test_nontrivial_permutation(self):
-        params = ProtocolParams(d=2, n=2, tau=2e-9)
-        sigma = Permutation(np.array([3, 4, 1, 2]))
-        assert decode_click(params, sigma, 2) == (1, 2)
-
-    def test_out_of_range_rejected(self):
-        params = ProtocolParams(d=2, n=2, tau=2e-9)
-        with pytest.raises(InvalidArgumentError):
-            decode_click(params, Permutation(np.arange(1, 5)), 5)
-
-
 class TestSiftBlock:
     def test_empty_report(self):
         assert sift_block([1, 2], DetectionReport(()), d=2) == ([], [])
@@ -356,5 +336,8 @@ def test_encode_decode_round_trip_property(data):
     sigma = Permutation(maps[0])
 
     assert int(occupancy.sum()) == n
-    decoded = {decode_click(params, sigma, t + 1) for t in np.nonzero(occupancy)[0]}
-    assert decoded == {(i, int(q)) for i, q in enumerate(symbols)}
+    # every pulse clicks, once: each qudit decodes to its own symbol
+    clicks = ClickStream(np.nonzero(occupancy)[0] + 1, np.zeros(0, dtype=np.int64), 1)
+    assert decode_frame(params, sigma, clicks).entries == tuple(
+        (i, int(q)) for i, q in enumerate(symbols)
+    )

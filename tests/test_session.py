@@ -42,8 +42,9 @@ from hdcow.wire import (
 )
 
 
-# The frame of block symbols (1, 2) under the identity permutation, d=2 and n=2.
-FRAME_12 = np.array([True, False, False, True])
+# The frame of block symbols (1, 2) under the identity permutation, d=2 and
+# n=2, as a train of one frame.
+FRAME_12 = np.array([[True, False, False, True]])
 REVEAL_0 = PermutationReveal(block_id=0, indices=(1, 2, 3, 4))
 
 
@@ -500,7 +501,8 @@ def second_end(entries):
 
 
 def drop_block_1(entries):
-    del entries[4:7]  # its quantum marker, reveal and report
+    # its quantum marker, reveal and report
+    entries[:] = [e for e in entries if e[1] != 1 and getattr(e[1], "block_id", None) != 1]
 
 
 def drop_quantum_2(entries):
@@ -508,7 +510,7 @@ def drop_quantum_2(entries):
 
 
 def reveal_0_again(entries):
-    entries.insert(-1, entries[2])
+    entries.insert(-1, entries[4])
 
 
 A, B, Q = Transcript.A_TO_B, Transcript.B_TO_A, Transcript.QUANTUM
@@ -526,12 +528,20 @@ class TestTranscriptValidator:
             ([START, (Q, 0), (B, REPORT_0), (A, REVEAL_0), (A, SessionEnd())],
              "entry 2: expected a->b PermutationReveal of block 0, "
              "got b->a DetectionReportMsg of block 0"),
-            ([START, (Q, 0), (A, REVEAL_0), (A, REPORT_0), (Q, 1), (A, SessionEnd())],
+            ([START, (Q, 0), (A, REVEAL_0), (A, REPORT_0), (A, SessionEnd())],
              "entry 3: expected b->a DetectionReportMsg of block 0, "
              "got a->b DetectionReportMsg of block 0"),
             # block 1 is transmitted but never revealed
-            ([START, (Q, 0), (A, REVEAL_0), (B, REPORT_0), (Q, 1), (A, SessionEnd())],
+            ([START, (Q, 0), (Q, 1), (A, REVEAL_0), (B, REPORT_0), (A, SessionEnd())],
              "entry 5: expected a->b PermutationReveal of block 1, got a->b SessionEnd"),
+            # 4-slot frames go 4096 to a train, so block 1 goes out with block 0
+            ([START, (Q, 0), (A, REVEAL_0), (B, REPORT_0), (Q, 1)],
+             "entry 2: expected quantum transmission of block 1, "
+             "got a->b PermutationReveal of block 0"),
+            # 16384-slot frames go one to a train
+            ([(A, SessionStart(d=2, n=2**13, tau_picoseconds=2000)), (Q, 0), (Q, 1)],
+             "entry 2: expected a->b PermutationReveal of block 0, "
+             "got quantum transmission of block 1"),
         ],
     )
     def test_flags_hand_recorded_transcript(self, entries, violation):
@@ -552,24 +562,27 @@ class TestTranscriptValidator:
             (bob_estimate_for_block_0,
              "entry 10: expected b->a EstimateReport of block 2, got b->a EstimateReport of block 0"),
             (second_start,
-             "entry 6: expected b->a DetectionReportMsg of block 1, got a->b SessionStart"),
+             "entry 6: expected a->b PermutationReveal of block 1, got a->b SessionStart"),
             (early_end,
-             "entry 6: expected b->a DetectionReportMsg of block 1, got a->b SessionEnd"),
+             "entry 6: expected a->b PermutationReveal of block 1, got a->b SessionEnd"),
             (second_end, "entry 13: expected the end of the transcript, got a->b SessionEnd"),
             (list.pop, "entry 12: expected a->b SessionEnd, got the end of the transcript"),
             (list.clear, "entry 0: expected a->b SessionStart, got the end of the transcript"),
             (drop_block_1,
-             "entry 4: expected quantum transmission of block 1, got quantum transmission of block 2"),
+             "entry 2: expected quantum transmission of block 1, got quantum transmission of block 2"),
+            # without its marker block 2 was never transmitted
             (drop_quantum_2,
-             "entry 7: expected quantum transmission of block 2, got a->b PermutationReveal of block 2"),
+             "entry 7: expected b->a EstimateReport of block 1, got a->b PermutationReveal of block 2"),
             (reveal_0_again,
              "entry 12: expected a->b SessionEnd, got a->b PermutationReveal of block 0"),
         ],
     )
     def test_flags_edits_of_a_real_session(self, edit, violation):
+        # 32-slot frames, so the three blocks go out as one train
         _, _, transcript = run_session(noiseless_settings(d=4, n=8, blocks=3), seed=1)
         entries = transcript.entries
         assert len(entries) == 13
+        assert entries[1:4] == [(Q, 0), (Q, 1), (Q, 2)]
         assert [type(item) for _, item in entries[-3:]] == [
             EstimateReport, EstimateReport, SessionEnd
         ]
@@ -580,6 +593,23 @@ class TestTranscriptValidator:
     def test_accepts_recorded_real_session(self):
         _, _, transcript = run_session(noiseless_settings(blocks=3), seed=1)
         assert validate_transcript(transcript) == []
+
+    def test_each_train_is_transmitted_before_its_reveals(self):
+        # 512-slot frames go 32 to a train: 70 blocks are trains of 32, 32 and 6
+        settings = noiseless_settings(d=8, n=64, blocks=70)
+        assert _BATCH_SLOTS // 512 == 32
+        _, _, transcript = run_session(settings, seed=1)
+        assert validate_transcript(transcript) == []
+        shapes = [
+            (direction, item if direction == Q else item.block_id)
+            for direction, item in transcript.entries[1:-3]
+        ]
+        expected = []
+        for first, last in ((0, 32), (32, 64), (64, 70)):
+            expected += [(Q, b) for b in range(first, last)]
+            for b in range(first, last):
+                expected += [(A, b), (B, b)]
+        assert shapes == expected
 
     def test_far_block_id_is_one_violation(self):
         # Alice records Bob's report before she checks it, so her transcript
@@ -701,17 +731,17 @@ class TestPinnedTranscripts:
         alice, bob = self.check(
             settings,
             config.seed,
-            "a6ee3368ea94f95d7d2e2c7d2eecbe7e7b63afa3959097cd9aa6e52bcce0d4b7",
+            "de8aab7c3000ed88ad52749f8da174cc1e428bf575178e0d1a19b4fc6ce422e3",
             304,
-            (4, 2, 7, 5, 8, 8, 4, 3),
+            (5, 2, 6, 3, 1, 5, 4, 3, 1, 3),
         )
-        self.check_stderrs(alice, bob, 0.0, math.nan)
+        self.check_stderrs(alice, bob, 0.0, 3.6779891304347827)
 
     def test_reference_geometry_monitor_tally(self):
-        # The defaults' 100 blocks see no monitor click, so Bob's V has no
-        # error bar; over 1000 blocks the monitor clicks and the tally's
-        # counts and live exposures at d=8, n=64 reach V and its error bar.
-        # Four of the 65 sifted qudits are errors.
+        # The defaults' 100 blocks see too few monitor clicks for a useful
+        # error bar on Bob's V (3.7); over 1000 blocks the tally's counts
+        # and live exposures at d=8, n=64 bring it to 0.88.  Four of the
+        # 76 sifted qudits are errors.
         config = default_config()
         settings = SessionSettings(
             protocol=config.session_protocol(),
@@ -722,21 +752,21 @@ class TestPinnedTranscripts:
         alice, bob = self.check(
             settings,
             config.seed,
-            "656932643359a7b96bded91c428dc3bba006c6672a3b575cd03c56133304a1e6",
+            "7f797525dd227e065320ccef4a88dd08c0125b49fc4ed81d653bfe93a18044e3",
             3004,
-            (4, 2, 7, 5, 8, 8, 4, 3, 6, 6, 6, 1, 4, 4, 4, 4, 5, 4, 7, 6, 3, 7, 4, 3,
-             3, 3, 2, 8, 7, 8, 8, 3, 7, 1, 8, 1, 1, 2, 7, 5, 1, 2, 8, 4, 4, 5, 1, 5,
-             7, 1, 4, 5, 3, 5, 7, 5, 4, 7, 2, 7, 3, 2, 1, 5, 7),
-            (4, 2, 7, 5, 8, 8, 4, 3, 7, 6, 6, 1, 4, 4, 4, 4, 5, 4, 7, 6, 3, 7, 4, 3,
-             3, 3, 2, 8, 7, 8, 8, 3, 7, 1, 8, 1, 1, 2, 7, 5, 1, 2, 8, 4, 1, 5, 1, 5,
-             7, 1, 7, 5, 3, 2, 7, 5, 4, 7, 2, 7, 3, 2, 1, 5, 7),
+            (5, 2, 6, 3, 1, 5, 4, 3, 1, 3, 2, 6, 5, 2, 7, 2, 4, 3, 1, 5, 6, 7, 2, 7, 7, 1,
+             2, 5, 7, 3, 1, 8, 7, 1, 3, 6, 3, 4, 5, 8, 4, 6, 4, 1, 2, 8, 7, 3, 3, 3, 2, 1,
+             7, 1, 5, 2, 3, 2, 3, 4, 5, 4, 2, 7, 1, 3, 1, 8, 6, 3, 2, 8, 3, 7, 5, 2),
+            (5, 2, 6, 3, 1, 5, 4, 3, 1, 3, 2, 6, 5, 2, 7, 2, 4, 3, 1, 8, 6, 7, 2, 7, 7, 1,
+             2, 5, 7, 3, 3, 8, 7, 1, 3, 6, 3, 4, 5, 8, 4, 6, 4, 1, 2, 5, 7, 3, 3, 3, 2, 1,
+             7, 1, 5, 2, 3, 2, 3, 4, 5, 4, 2, 7, 1, 3, 1, 8, 6, 3, 2, 8, 3, 3, 5, 2),
         )
         assert alice.v_hat == bob.v_hat == 1.0
-        self.check_stderrs(alice, bob, 0.0042582076730836626, 0.7025585262888576)
+        self.check_stderrs(alice, bob, 0.003659129799942012, 0.8792724142328785)
 
     def test_wide_geometry(self):
         # The session_wide benchmark geometry, d=32 and n=1024 over a
-        # back-to-back link: about 110 data clicks per block, a few lost
+        # back-to-back link: about 100 data clicks per block, a few lost
         # to the 10-slot dead time, and a few monitor clicks.
         settings = SessionSettings(
             protocol=ProtocolParams(d=32, n=1024, tau=2e-9),
@@ -745,15 +775,15 @@ class TestPinnedTranscripts:
         )
         alice, bob, transcript = run_session(settings, seed=1)
         assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == (
-            "e6aca81c7014b7fca73616ac697d55210c282b2f36c380506ccb725a8522943d"
+            "81fe16f2b7deb84dd52629118bde0e5b187e411d6d533bbe387e9325fdd3a58a"
         )
         assert len(transcript.entries) == 10
-        assert alice.sifted_count == bob.sifted_count == 218
+        assert alice.sifted_count == bob.sifted_count == 185
         assert hashlib.sha256(bytes(alice.sifted)).hexdigest() == (
-            "b99ce96d6a47520f9d8dffd5c1d96477f00fcd55a1f9cf762ff5d074bd117172"
+            "31eb91a417ccc540e46d3d512901e7fb7002cf63edd2741f75ab41a8ad974080"
         )
         assert validate_transcript(transcript) == []
-        self.check_stderrs(alice, bob, 0.0009654450359556678, 2.4924812030075185)
+        self.check_stderrs(alice, bob, 0.0009288816109911649, 4.364035087719298)
 
 
 class TestSessionEstimates:
