@@ -16,8 +16,9 @@ empty monitor slot is none.  Dead time is applied per detector by
 
 The sender transmits a pulse train: the frames of several blocks back to
 back, as one continuous train on unchanged hardware, before revealing
-any of their permutations.  So each reveal still follows its frame's
-transmission.  :func:`transmit_frame` simulates a whole train at once,
+any of their permutations.  The receiver then decodes and tallies the
+train as a whole, with its slots counted across the frames.
+:func:`transmit_frame` simulates a whole train at once,
 with draws that follow the pulses and the clicks, not the slots: each
 pulse takes one uniform per detector, and the empty slots' rare events
 are placed by :func:`_empty_hits` with exactly the per-slot model's
@@ -211,18 +212,19 @@ class DetectorState:
 
 @dataclass
 class ClickStream:
-    """Time-ordered detector events for one frame, as global slot indices.
+    """Time-ordered detector events for one pulse train, or one frame,
+    as global slot indices.
 
     ``frame_start``, ``prev_occupied`` and ``last_monitor_click`` are the
-    detector state the frame started from, also when it is a later row
-    of a train: the global index of its first slot, whether the slot
-    before it was occupied, and the monitor's last click before it.
-    The defaults are :class:`DetectorState`'s, a fresh line.
+    detector state the train started from: the global index of its first
+    slot, whether the slot before it was occupied, and the monitor's last
+    click before it.  The defaults are :class:`DetectorState`'s, a fresh
+    line.
     """
 
     data_slots: np.ndarray
     monitor_slots: np.ndarray
-    frame_start: int  # global index of the frame's first slot
+    frame_start: int  # global index of the train's first slot
     prev_occupied: bool = False
     last_monitor_click: int = -(1 << 62)
 
@@ -248,14 +250,14 @@ def transmit_frame(
     params: PhysicalParams,
     rng: np.random.Generator,
     state: DetectorState | None = None,
-) -> list[ClickStream]:
+) -> ClickStream:
     """Simulate a pulse train through the channel and both detectors.
     The train is its ``(m, L)`` bool occupancy ``occ``, one frame of
     ``L`` slots per row and the rows back to back, such as
     :func:`~hdcow.protocol.encode_block`'s result; a single frame is a
     1-row train.  Each pulse has the mean photon number ``params.mu``.
-    Returns one :class:`ClickStream` per row, each carrying the detector
-    state its frame started from.
+    Returns the train's :class:`ClickStream`, which carries the detector
+    state the train started from.
 
     The draws follow the pulses and the clicks, not the slots.  The
     train's ``P`` pulses are found once and take one uniform each per
@@ -285,7 +287,6 @@ def transmit_frame(
         )
     if state is None:
         state = DetectorState()
-    length = occ.shape[1]
     slots = occ.reshape(-1)
     base = state.next_slot
     prev_occupied, last_monitor_click = state.prev_occupied, state.last_monitor_click
@@ -320,18 +321,7 @@ def transmit_frame(
 
     state.prev_occupied = bool(slots[-1])
     state.next_slot = base + len(slots)
-    starts = np.arange(base, base + len(slots), length)
-    data_rows, _ = _split_rows(data_slots, starts)
-    monitor_rows, cuts = _split_rows(monitor_slots, starts)
-    # row r starts after cuts[r] monitor clicks, so its last one before is before[cuts[r]]
-    before = [last_monitor_click, *monitor_slots.tolist()]
-    row_prev = [prev_occupied, *occ[:-1, -1].tolist()]
-    return [
-        ClickStream(data, monitor, start, prev, before[cut])
-        for data, monitor, start, prev, cut in zip(
-            data_rows, monitor_rows, starts.tolist(), row_prev, cuts
-        )
-    ]
+    return ClickStream(data_slots, monitor_slots, base, prev_occupied, last_monitor_click)
 
 
 def _merge(pulse_hits: np.ndarray, empty_hits: np.ndarray) -> np.ndarray:
@@ -344,20 +334,6 @@ def _merge(pulse_hits: np.ndarray, empty_hits: np.ndarray) -> np.ndarray:
     union[pulse_hits.searchsorted(empty_hits) + np.arange(len(empty_hits))] = empty_hits
     union[empty_hits.searchsorted(pulse_hits) + np.arange(len(pulse_hits))] = pulse_hits
     return union
-
-
-def _split_rows(clicks: np.ndarray, starts: np.ndarray) -> tuple[list, list]:
-    """The sorted global slots ``clicks`` of a train split into its rows,
-    which start at ``starts``, and the number of clicks before each row.
-    Most rows of a long link have no click, so those share one empty
-    view instead of a slice each."""
-    cuts = clicks.searchsorted(starts).tolist()
-    none = clicks[:0]
-    rows = [
-        clicks[lo:hi] if lo < hi else none
-        for lo, hi in zip(cuts, [*cuts[1:], len(clicks)])
-    ]
-    return rows, cuts
 
 
 # Empty slots are tested in groups of this many; see _empty_hits.
@@ -438,16 +414,20 @@ def _interferes(occ: np.ndarray, pulses: np.ndarray, prev_occupied: bool) -> np.
 def monitor_tally(
     occ: np.ndarray, clicks: ClickStream, params: PhysicalParams
 ) -> MonitorTally:
-    """Classify monitor clicks and count live exposures for one frame.
+    """Classify monitor clicks and count live exposures for one pulse
+    train, in one pass over its occupancy ``occ`` flattened, the frames
+    back to back, as :func:`transmit_frame` sent it; ``clicks`` is its
+    click record.  The tally equals the sum of the tallies of the
+    train's frames, each taken with the state it started from.
 
     Each pulse is an interfering exposure when the slot before it is
     occupied and a non-interfering one otherwise; before the first slot
     stands ``clicks.prev_occupied``.  A click on a pulse counts for its
     class, and a click on an empty slot (a dark count) or outside the
-    frame for neither.  A pulse within ``dead_slots`` slots after a
+    train for neither.  A pulse within ``dead_slots`` slots after a
     monitor click could never have clicked, so it is no exposure; the
-    clicks are the frame's own and ``clicks.last_monitor_click``, the
-    monitor's last click before the frame.  The receiver can
+    clicks are the train's own and ``clicks.last_monitor_click``, the
+    monitor's last click before the train.  The receiver can
     reconstruct these dead windows from its own click record.
 
     The exposures take one pass over the pulses: two ``searchsorted``
@@ -457,13 +437,14 @@ def monitor_tally(
     interfering are the non-interfering exposures.  The clicks are few,
     so each is classified where it falls.
 
-    A frame with no monitor click of its own that starts after the dead
+    A train with no monitor click of its own that starts after the dead
     window of the monitor's last click (``last_monitor_click +
     dead_slots < frame_start``) has no dead pulse and no click to
     classify: every pulse is live, as both counts would show, so the
     tally is the pulse counts alone, with no search.
     """
     prev_occupied = clicks.prev_occupied
+    occ = occ.reshape(-1)
     pulses = occ.nonzero()[0]
     interfering = _interferes(occ, pulses, prev_occupied)
     start = clicks.frame_start
@@ -543,29 +524,35 @@ def decode_frame(
     sigma: Permutation,
     clicks: ClickStream,
 ) -> DetectionReport:
-    """Decode a frame's data clicks into a detection report.
+    """Decode a pulse train's data clicks into one detection report.
 
-    A click at local slot ``t`` names qudit ``i`` and symbol ``j`` through
-    ``sigma^{-1}(t) = d*i + j``.  A qudit named by exactly one click is
-    kept; a qudit named by two or more clicks is discarded whole, since
-    the clicks disagree on its symbol.  Entries are ``(i, j)`` pairs of
-    Python ints in increasing ``i``.  A click outside the frame is
+    ``sigma`` holds the permutations of the train's blocks, one row per
+    frame, and ``clicks`` the train's click record.  A click at slot
+    ``t`` of the train, counted from 1 at ``clicks.frame_start``, names
+    qudit ``i`` of the train and symbol ``j`` through
+    ``sigma^{-1}(t) = d*i + j``, with the train's bijection as
+    :class:`~hdcow.protocol.Permutation` flattens it; so qudit i of row
+    k is ``k*n + i``.  A qudit named by exactly one click is kept; a
+    qudit named by two or more clicks is discarded whole, since the
+    clicks disagree on its symbol.  Entries are ``(i, j)`` pairs of
+    Python ints in increasing ``i``.  A click outside the train is
     rejected.
     """
-    d, length = params.d, params.slot_count
-    if len(sigma) != length:
+    d = params.d
+    if sigma.inverse_map.shape[-1] != params.slot_count:
         raise InvalidArgumentError(
-            f"permutation length {len(sigma)} != d*n={length}"
+            f"permutation length {sigma.inverse_map.shape[-1]} != d*n={params.slot_count}"
         )
-    if not len(clicks.data_slots):  # most frames of a long, lossy link
+    if not len(clicks.data_slots):  # most trains of a long, lossy link
         return DetectionReport(entries=())
-    offsets = clicks.data_slots - clicks.frame_start  # 0-based local slots
-    if np.minimum.reduce(offsets) < 0 or np.maximum.reduce(offsets) >= length:
+    inverse = sigma.inverse_map.reshape(-1)
+    offsets = clicks.data_slots - clicks.frame_start  # 0-based train slots
+    if np.minimum.reduce(offsets) < 0 or np.maximum.reduce(offsets) >= len(inverse):
         raise InvalidArgumentError(
-            f"data click outside the frame's slots {clicks.frame_start}.."
-            f"{clicks.frame_start + length - 1}"
+            f"data click outside the train's slots {clicks.frame_start}.."
+            f"{clicks.frame_start + len(inverse) - 1}"
         )
-    qudits, symbols = np.divmod(sigma.inverse_map[offsets] - 1, d)
+    qudits, symbols = np.divmod(inverse[offsets] - 1, d)
     kept, first, counts = np.unique(qudits, return_index=True, return_counts=True)
     once = counts == 1
     entries = zip(kept[once].tolist(), (symbols[first[once]] + 1).tolist())

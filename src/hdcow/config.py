@@ -85,28 +85,19 @@ class Config:
     session: SessionSection = field(default_factory=SessionSection)
 
     def physical_params(self) -> PhysicalParams:
-        """The physical section as model parameters.  ``PhysicalParams``
-        names a field it refuses first in its message (``mu=-0.05 must
-        be non-negative``); the error here names its config key instead
-        (``physical.mu=-0.05 ...``)."""
+        """The physical section as model parameters."""
         p = self.physical
-        try:
-            return PhysicalParams(
-                mu=p.mu,
-                t_ch=p.t_ch,
-                xi=p.xi,
-                t_dead=p.t_dead,
-                tau=self.protocol.tau,
-                p_dc=p.p_dc,
-                r_ext=p.r_ext,
-                f_mon=p.f_mon,
-                v_true=p.visibility,
-            )
-        except InvalidArgumentError as exc:
-            field, _, rest = str(exc).partition("=")
-            if field not in _PHYSICAL_KEYS:
-                raise
-            raise InvalidArgumentError(f"{_PHYSICAL_KEYS[field]}={rest}") from None
+        return PhysicalParams(
+            mu=p.mu,
+            t_ch=p.t_ch,
+            xi=p.xi,
+            t_dead=p.t_dead,
+            tau=self.protocol.tau,
+            p_dc=p.p_dc,
+            r_ext=p.r_ext,
+            f_mon=p.f_mon,
+            v_true=p.visibility,
+        )
 
     def session_protocol(self) -> ProtocolParams:
         return ProtocolParams(
@@ -114,13 +105,23 @@ class Config:
         )
 
     def session_settings(self) -> SessionSettings:
-        """The ``hdcow simulate`` session, checked by ``SessionSettings``."""
-        return SessionSettings(
-            protocol=self.session_protocol(),
-            physical=self.physical_params(),
-            blocks=self.session.blocks,
-            sample_fraction=self.session.sample_fraction,
-        )
+        """The ``hdcow simulate`` session, checked by ``SessionSettings``
+        and the parameters it holds; the config is checked at load by this
+        call.  Each names a field it refuses first in its message
+        (``mu=-0.05 must be non-negative``); the error here names its
+        config key instead (``physical.mu=-0.05 ...``)."""
+        try:
+            return SessionSettings(
+                protocol=self.session_protocol(),
+                physical=self.physical_params(),
+                blocks=self.session.blocks,
+                sample_fraction=self.session.sample_fraction,
+            )
+        except InvalidArgumentError as exc:
+            name, _, rest = str(exc).partition("=")
+            if name not in _KEYS:
+                raise
+            raise InvalidArgumentError(f"{_KEYS[name]}={rest}") from None
 
     def noise_model(self):
         table = _noise_table(self.noise.table)  # rows checked for either model
@@ -155,12 +156,14 @@ class Config:
         return [s.mu_min + k * step for k in range(s.mu_steps)]
 
 
-# The config key of each PhysicalParams field.
-_PHYSICAL_KEYS = {
+# The config key of each field of PhysicalParams, ProtocolParams and
+# SessionSettings.
+_KEYS = {
     **{
         name: f"physical.{name}"
         for name in ("mu", "t_ch", "xi", "t_dead", "p_dc", "r_ext", "f_mon")
     },
+    **{name: f"session.{name}" for name in ("d", "n", "blocks", "sample_fraction")},
     "tau": "protocol.tau",
     "v_true": "physical.visibility",
 }

@@ -9,7 +9,8 @@ Each block's permutation ranks random keys from an injected byte source.
 The sender works on arrays with one block per row: ``(m, n)`` symbols,
 ``(m, d*n)`` permutation images from :func:`make_permutation` and the
 ``(m, d*n)`` bool occupancy that :func:`encode_block` places.  The
-receiver checks a revealed image sequence as a :class:`Permutation`.
+receiver checks a revealed train's image sequences, one row per block,
+as one :class:`Permutation`.
 """
 
 from __future__ import annotations
@@ -101,39 +102,39 @@ def _check_symbols(symbols: np.ndarray, params: ProtocolParams) -> None:
 
 @dataclass
 class Permutation:
-    """A peer's bijection on {1..L}, stored as the image sequence ``map_``,
-    i.e. ``sigma(u) = map_[u-1]``, with its inverse ``inverse_map``.
+    """A peer's bijections on {1..L}, one per block of a train: the image
+    sequences ``map_``, one row per block or a single row, so
+    ``sigma_k(u) = map_[k, u-1]``, and the inverse ``inverse_map`` of the
+    same shape, whose row k holds ``k*L + sigma_k^{-1}(t)`` at column
+    ``t-1``.  Flattened, it inverts the train's bijection on {1..m*L},
+    which applies row k's to the train's k-th frame.
 
-    The constructor validates ``map_``, as a receiver must do with a
-    reveal off the wire: a check that no value is below 1, then one
-    scatter that builds the inverse and shows every slot is hit, which
-    for L values in range makes ``map_`` a bijection.  A value above L
-    fails the scatter's own bounds check, so it needs no pass of its
-    own.  The inverse is int32, half the bytes of int64, unless L
-    reaches 2**31."""
+    The constructor validates ``map_``, as a receiver must a reveal off
+    the wire, in one pass for all rows: a check that every value lies in
+    {1..L}, which also keeps each row's values out of its neighbours',
+    then one scatter that builds the inverse and shows every slot of
+    every row is hit, which for values in range makes each row a
+    bijection.  The inverse is int32, half the bytes of int64, unless
+    m*L reaches 2**31."""
 
     map_: np.ndarray
     inverse_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         map_ = self.map_ = np.asarray(self.map_, dtype=np.int64)
-        L = len(map_)
-        if L == 0:
+        L, total = map_.shape[-1], map_.size
+        if total == 0:
             raise InvalidArgumentError("empty permutation")
-        if np.minimum.reduce(map_) < 1:  # a negative index would wrap
+        if np.minimum.reduce(map_, axis=None) < 1 or np.maximum.reduce(map_, axis=None) > L:
             raise InvalidArgumentError("permutation values outside {1..L}")
-        dtype = np.int32 if L < 2**31 else np.int64
-        inv = np.zeros(L + 1, dtype=dtype)
-        try:
-            inv[map_] = np.arange(1, L + 1, dtype=dtype)  # 1-based; slot 0 is dropped
-        except IndexError:  # a value above L
-            raise InvalidArgumentError("permutation values outside {1..L}") from None
-        self.inverse_map = inv[1:]
-        if np.count_nonzero(self.inverse_map) != L:
+        dtype = np.int32 if total < 2**31 else np.int64
+        inv = np.zeros(total + 1, dtype=dtype)
+        # each row's images, moved to its place in the train
+        slots = map_ if total == L else map_ + np.arange(0, total, L).reshape(-1, 1)
+        inv[slots.reshape(-1)] = np.arange(1, total + 1, dtype=dtype)  # 1-based; slot 0 is dropped
+        self.inverse_map = inv[1:].reshape(map_.shape)
+        if np.count_nonzero(self.inverse_map) != total:
             raise InvalidArgumentError("permutation is not a bijection")
-
-    def __len__(self) -> int:
-        return len(self.map_)
 
 
 @dataclass

@@ -2,48 +2,50 @@
 in-process transport, quantum-channel handle, and transcript validation.
 
 The blocks go out in trains: the frames of as many whole blocks as fit
-in ``_BATCH_SLOTS`` slots, and at least one, sent back to back as one
-continuous pulse train (``_train_blocks``).  The classical exchange
-is lockstep::
+in ``wire._BATCH_SLOTS`` slots, and at least one, sent back to back as
+one continuous pulse train (``wire._train_blocks``).  The train is also
+the unit of the classical exchange, which is lockstep::
 
     A->B  SESSION_START
     per train of blocks k, k+1, ..., k+m-1, with ids from 0 to B-1:
         (quantum transmission of the m frames, one after another)
-        per block of the train, in order:
-            A->B  PERMUTATION_REVEAL
-            B->A  DETECTION_REPORT
-    after the last block's report, once per session:
+        A->B  PERMUTATION_REVEAL  (block k; the m permutations, row after row)
+        B->A  DETECTION_REPORT    (block k; qudit i of row r as r*n + i)
+    after the last train's report, once per session:
     B->A  ESTIMATE_REPORT   (V from the whole monitor tally; error field NaN)
     A->B  ESTIMATE_REPORT   (Q from all sampled pairs; echoes V)
     A->B  SESSION_END
 
-So a B-block session sends 2*B + 4 messages, both estimates carry the
-last block's id, and each reveal follows its frame's transmission.
+So a B-block session in trains of t blocks sends 2*ceil(B/t) + 4
+messages, and both estimates carry the last block's id.  Both sides
+derive t from SESSION_START's d and n, so each train's m is known: t,
+or the blocks left for the last train.
 
 Alice and Bob are state machines without I/O: each takes one received
 message and returns what to send, in order.  Alice's output carries
-each train just before the reveal of its first block; Bob reads a
-block's clicks from the channel handle when its reveal arrives, by
-which time Alice has transmitted.  So no endpoint ever waits for the
-other: ``run_session`` drives both in one thread through two in-process
-byte pipes, and ``run_alice``/``run_bob`` drive one over any duplex,
-such as ``StreamDuplex`` on a socket.  A fault raises at once, in the
-thread that drives the failing endpoint.
+each train just before its reveal; Bob reads the train's clicks from the
+channel handle when its reveal arrives, by which time Alice has
+transmitted.  So no endpoint ever waits for the other: ``run_session``
+drives both in one thread through two in-process byte pipes, and
+``run_alice``/``run_bob`` drive one over any duplex, such as
+``StreamDuplex`` on a socket.  A fault raises at once, in the thread
+that drives the failing endpoint.
 
 Bob counts the blocks he has measured and refuses a reveal for any
-block but the next one.  The transcript validator checks the same
-order offline: a transcript recorded on Alice's side must be the
-sequence above, entry for entry, with the train size that
-SESSION_START's d and n give.  An endpoint's link is the one writer of
-its transcript: it records each message it sends, each train it passes
-to the channel (a quantum marker per block), and each message it reads,
-under the peer's direction.  ``run_session`` records on Alice's side.
+train but the next one, or with any other number of rows.  The
+transcript validator checks the same order offline: a transcript
+recorded on Alice's side must be the sequence above, entry for entry,
+with the train size that SESSION_START's d and n give.  An endpoint's
+link is the one writer of its transcript: it records each message it
+sends, each train it passes to the channel (a quantum marker per
+block), and each message it reads, under the peer's direction.
+``run_session`` records on Alice's side.
 
 Alice prepares each train's blocks together: one key draw, one
 permutation draw and sort, one encode and one reveal conversion per
 train, each on an array with one block per row.  Each block gets the
-keys and permutation it would get alone, so train boundaries change no
-message or key.
+keys and permutation it would get alone, so the train size changes no
+block's symbols or permutation.
 
 The quantum channel and detectors sit behind a handle injected into
 both endpoints, so the same state machines can drive an in-process
@@ -51,8 +53,9 @@ simulation or external hardware.  The handle has two calls:
 ``transmit(first_block_id, occupancy)`` on Alice's side, which sends a
 train given as its ``(m, d*n)`` bool occupancy, one frame per row for
 the blocks from ``first_block_id`` on, and
-``receive(block_id) -> (occupancy, clicks)`` on Bob's, which returns
-one frame's occupancy row and its :class:`~hdcow.channel.ClickStream`.
+``receive(first_block_id) -> (occupancy, clicks)`` on Bob's, which
+returns that train's occupancy and its
+:class:`~hdcow.channel.ClickStream`.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ from .wire import (
     PermutationReveal,
     SessionEnd,
     SessionStart,
+    _train_blocks,
     encode_message,
     read_message,
 )
@@ -111,21 +115,6 @@ __all__ = [
     "validate_transcript",
 ]
 
-# A train holds as many whole blocks as fit in this many slots, and at
-# least one.  It bounds the temporaries Alice prepares a train with (the
-# keys, their packed and ranked copies, the occupancy and the reveal
-# bytes, about 34 bytes a slot) at about half a megabyte, so peak memory
-# does not grow with the frame: a frame of 2**14 slots or more is a train
-# of its own.
-_BATCH_SLOTS = 2**14
-
-
-def _train_blocks(slot_count: int) -> int:
-    """The number of blocks of ``slot_count`` slots each that a train
-    holds: as many as fit in ``_BATCH_SLOTS`` slots, and at least one."""
-    return max(1, _BATCH_SLOTS // slot_count)
-
-
 @dataclass(frozen=True)
 class SessionSettings:
     protocol: ProtocolParams
@@ -134,11 +123,13 @@ class SessionSettings:
     sample_fraction: float = 1.0
 
     def __post_init__(self):
+        if self.protocol.d >= 1 << 16:
+            raise InvalidArgumentError(f"d={self.protocol.d} does not fit SESSION_START's u16")
         if self.blocks < 1:
-            raise InvalidArgumentError("blocks must be >= 1")
+            raise InvalidArgumentError(f"blocks={self.blocks} must be >= 1")
         f = self.sample_fraction
         if not 0.0 < f <= 1.0:
-            raise InvalidArgumentError("sample_fraction outside (0, 1]")
+            raise InvalidArgumentError(f"sample_fraction={f} outside (0, 1]")
         if abs(f * round(1.0 / f) - 1.0) > 1e-9:
             k = math.floor(1.0 / f)
             raise InvalidArgumentError(
@@ -271,12 +262,10 @@ def _lockstep(blocks: int, train: int):
     a_to_b, b_to_a = Transcript.A_TO_B, Transcript.B_TO_A
     yield a_to_b, SessionStart, None
     for first in range(0, blocks, train):
-        block_ids = range(first, min(first + train, blocks))
-        for block_id in block_ids:
+        for block_id in range(first, min(first + train, blocks)):
             yield Transcript.QUANTUM, None, block_id
-        for block_id in block_ids:
-            yield a_to_b, PermutationReveal, block_id
-            yield b_to_a, DetectionReportMsg, block_id
+        yield a_to_b, PermutationReveal, first
+        yield b_to_a, DetectionReportMsg, first
     yield b_to_a, EstimateReport, blocks - 1
     yield a_to_b, EstimateReport, blocks - 1
     yield a_to_b, SessionEnd, None
@@ -328,11 +317,12 @@ class SimulatedChannel:
     The transmitter side pushes trains, each a ``(m, d*n)`` bool
     occupancy with one frame per row, through the Monte Carlo channel in
     one :func:`~hdcow.channel.transmit_frame` call; the receiver side
-    pulls each frame's occupancy row and click record in order, when its
-    reveal arrives.  Asking for a frame that was never transmitted, or
-    for another block than the next frame's, raises.
+    pulls each train's occupancy and its one click record in order, when
+    the train's reveal arrives.  Asking for a train that was never
+    transmitted, or for another first block than the next train's,
+    raises.
 
-    The simulation hands Bob each frame's occupancy only for his monitor
+    The simulation hands Bob each train's occupancy only for his monitor
     tally, which classifies his monitor clicks and exposures by the
     pulses around them.  Nothing on the wire discloses it, and a
     hardware receiver could not do the same: it does not know Alice's
@@ -343,19 +333,19 @@ class SimulatedChannel:
         self.phys = phys
         self._rng = np.random.default_rng(seed)
         self._state = DetectorState()
-        self._deliveries: deque[tuple] = deque()  # (block_id, occupancy, clicks)
+        self._deliveries: deque[tuple] = deque()  # (first_block_id, occupancy, clicks)
 
     def transmit(self, first_block_id: int, occupancy: np.ndarray) -> None:
         clicks = transmit_frame(occupancy, self.phys, self._rng, self._state)
-        self._deliveries.extend(zip(itertools.count(first_block_id), occupancy, clicks))
+        self._deliveries.append((first_block_id, occupancy, clicks))
 
-    def receive(self, block_id: int) -> tuple[np.ndarray, ClickStream]:
+    def receive(self, first_block_id: int) -> tuple[np.ndarray, ClickStream]:
         if not self._deliveries:
-            raise ProtocolError(f"no quantum transmission observed for block {block_id}")
+            raise ProtocolError(f"no quantum transmission observed for block {first_block_id}")
         sent_id, occupancy, clicks = self._deliveries.popleft()
-        if sent_id != block_id:
+        if sent_id != first_block_id:
             raise ProtocolError(
-                f"quantum block {sent_id} does not match revealed {block_id}"
+                f"quantum train of block {sent_id} does not match revealed {first_block_id}"
             )
         return occupancy, clicks
 
@@ -372,7 +362,7 @@ class _Transmit:
 
 class _Link:
     """An endpoint's side of the classical channel: sends its output,
-    reads the peer's messages, and records both, with each frame passed
+    reads the peer's messages, and records both, with each train passed
     to the channel, in the transcript."""
 
     def __init__(self, tx, rx, transcript: Transcript | None, direction: str, channel, settings):
@@ -387,7 +377,7 @@ class _Link:
         self._channel = channel
 
     def send(self, items: list) -> int:
-        """Send messages and transmit frames in order; returns the number
+        """Send messages and transmit trains in order; returns the number
         of messages sent."""
         sent = 0
         transcript = self._transcript
@@ -417,20 +407,19 @@ class _Link:
 
 class _Alice:
     """Transmitter state machine.  ``start()`` and ``receive(message)``
-    return the messages to send and the frames to transmit, in order;
+    return the messages to send and the trains to transmit, in order;
     ``summary`` is set once the session has ended.
 
-    She prepares her blocks a train at a time (see ``_train_blocks``),
-    as arrays with one block per row: the generated keys of a train come
-    from one draw, its permutations from one byte-source call and one
-    sort, its frames from one scatter and its reveals from one
-    conversion.  The draws equal those of one block at a time, so train
-    boundaries change no message or key.  The train goes to the channel
-    at once, before its first reveal; a block is then its row of symbols
-    and its reveal.  Supplied blocks are symbol sequences, taken from
-    ``block_source`` up to a train at a time and checked when their
-    train is prepared; a source that runs dry fails when the first
-    missing block is opened."""
+    She works a train at a time (see ``_train_blocks``), on arrays with
+    one block per row: the generated keys of a train come from one draw,
+    its permutations from one byte-source call and one sort, its frames
+    from one scatter and its reveal from one conversion.  The draws equal
+    those of one block at a time, so the train size changes no block.  The
+    train goes to the channel at once, before its reveal, and she keeps
+    its ``(m, n)`` symbols until Bob's report on it.  Supplied blocks are
+    symbol sequences, taken from ``block_source`` a train at a time and
+    checked when their train is prepared; a source that runs dry fails
+    at the train it cannot fill, before that train is sent."""
 
     role = "alice"
 
@@ -441,9 +430,8 @@ class _Alice:
         self._perm_source = SeededByteSource(self._rng.integers(0, 2**63))
         self._supplied = None if block_source is None else iter(block_source)
         self._per_train = _train_blocks(settings.protocol.slot_count)
-        self._prepared: deque[tuple] = deque()  # (symbols, reveal) of the transmitted blocks
-        self._block_id = 0
-        self._symbols: np.ndarray | None = None  # the open block's
+        self._block_id = 0  # the open train's first block
+        self._symbols: np.ndarray | None = None  # the open train's, one block per row
         self._sifted: list[int] = []
         self._sampled_mine: list[int] = []
         self._sampled_theirs: list[int] = []
@@ -452,21 +440,11 @@ class _Alice:
     def start(self) -> list:
         proto = self._settings.protocol
         start = SessionStart(d=proto.d, n=proto.n, tau_picoseconds=round(proto.tau * 1e12))
-        return [start, *self._open_block()]
+        return [start, *self._open_train()]
 
-    def _open_block(self) -> list:
-        out = [] if self._prepared else self._prepare_train()
-        if not self._prepared:
-            raise ProtocolError(
-                f"block source ended after {self._block_id} of {self._settings.blocks} blocks"
-            )
-        self._symbols, reveal = self._prepared.popleft()
-        return [*out, reveal]
-
-    def _prepare_train(self) -> list:
-        """Prepare the blocks from the current one on, up to a train, and
-        return the train's transmission; nothing if the supplied blocks
-        have run out."""
+    def _open_train(self) -> list:
+        """Prepare the train from the current block on and return its
+        transmission and its reveal."""
         settings = self._settings
         proto = settings.protocol
         first = self._block_id
@@ -478,8 +456,6 @@ class _Alice:
                 np.asarray(block, dtype=np.int64)
                 for block in itertools.islice(self._supplied, count)
             ]
-            if not blocks:
-                return []
             for block_id, block in enumerate(blocks, first):
                 try:
                     if block.ndim != 1:
@@ -487,31 +463,35 @@ class _Alice:
                     _check_symbols(block, proto)
                 except InvalidArgumentError as exc:
                     raise ProtocolError(f"supplied block {block_id}: {exc}") from exc
+            if len(blocks) < count:
+                raise ProtocolError(
+                    f"block source ended after {first + len(blocks)} of {settings.blocks} blocks"
+                )
             symbols = np.array(blocks)
-        maps = make_permutation(proto.slot_count, self._perm_source, len(symbols))
-        occupancy = encode_block(proto, symbols, maps)
-        reveals = PermutationReveal.of_bijections(first, maps)
-        self._prepared.extend(zip(symbols, reveals))
-        return [_Transmit(first, occupancy)]
+        self._symbols = symbols
+        maps = make_permutation(proto.slot_count, self._perm_source, count)
+        return [_Transmit(first, encode_block(proto, symbols, maps)),
+                PermutationReveal.of_bijections(first, maps)]
 
     def receive(self, message: Message) -> list:
         settings = self._settings
-        block_id = self._block_id
-        if block_id == settings.blocks:
-            return self._finish(_expect(message, EstimateReport, block_id - 1))
-        entries = _expect(message, DetectionReportMsg, block_id).entries
-        symbols = self._symbols
+        first = self._block_id
+        if first == settings.blocks:
+            return self._finish(_expect(message, EstimateReport, first - 1))
+        entries = _expect(message, DetectionReportMsg, first).entries
+        symbols = self._symbols.reshape(-1)
         alice_syms, _ = sift_block(symbols, DetectionReport(entries), settings.protocol.d)
         self._sifted.extend(alice_syms)
         # The entries passed sift_block's checks.  The estimate counts
         # mismatches, so the sampled pairs may stay in the report's order.
-        every = self._every
-        for i, j in entries:
-            if (block_id + i) % every == 0:
-                self._sampled_mine.append(int(symbols[i]))
+        # Qudit g of the train is qudit g % n of block first + g // n.
+        every, n = self._every, settings.protocol.n
+        for g, j in entries:
+            if (first + g // n + g % n) % every == 0:
+                self._sampled_mine.append(int(symbols[g]))
                 self._sampled_theirs.append(j)
-        self._block_id += 1
-        return self._open_block() if self._block_id < settings.blocks else []
+        self._block_id += len(self._symbols)
+        return self._open_train() if self._block_id < settings.blocks else []
 
     def _finish(self, estimate: EstimateReport) -> list:
         """Answer Bob's estimate with Q over all sampled pairs; end the session."""
@@ -529,15 +509,17 @@ class _Alice:
 
 class _Bob:
     """Receiver state machine.  ``receive(message)`` returns the messages
-    to send.  A reveal must be for the next block, the first one not yet
-    measured; it pulls that block's clicks from ``channel``.  ``summary``
-    is set once the session has ended."""
+    to send.  A reveal must be for the next train, whose first block is
+    the first one not yet measured, and must carry one permutation per
+    block of that train; it pulls the train's clicks from ``channel``.
+    ``summary`` is set once the session has ended."""
 
     role = "bob"
 
     def __init__(self, settings: SessionSettings, channel):
         self._settings = settings
         self._channel = channel
+        self._per_train = _train_blocks(settings.protocol.slot_count)
         self._started = False
         self._blocks_done = 0
         self._sifted: list[int] = []
@@ -590,30 +572,35 @@ class _Bob:
         return []
 
     def _measure(self, message: PermutationReveal) -> list:
-        block_id, expected = message.block_id, self._blocks_done
+        first, expected = message.block_id, self._blocks_done
         settings = self._settings
         if expected == settings.blocks:
             raise ProtocolError(
-                f"permutation for block {block_id} revealed after the last block {expected - 1}"
+                f"permutation for block {first} revealed after the last block {expected - 1}"
             )
-        if block_id != expected:
+        if first != expected:
             raise ProtocolError(
-                f"permutation for block {block_id} revealed, expected block {expected}"
+                f"permutation for block {first} revealed, expected block {expected}"
             )
-        proto = settings.protocol
+        length = settings.protocol.slot_count
+        rows = min(self._per_train, settings.blocks - first)
+        values = message.values()
+        count = len(values)
         try:
-            sigma = Permutation(message.values())
-            if len(sigma) != proto.slot_count:
-                raise InvalidArgumentError("permutation length mismatch")
+            if count % length:
+                raise InvalidArgumentError(f"{count} indices are not whole blocks of d*n={length}")
+            if count != rows * length:
+                raise InvalidArgumentError(f"reveal of {count // length} blocks for a train of {rows}")
+            sigma = Permutation(values.reshape(rows, length))
         except InvalidArgumentError as exc:
             raise ProtocolError(f"malformed permutation reveal: {exc}") from exc
-        occupancy, clicks = self._channel.receive(block_id)
-        report = decode_frame(proto, sigma, clicks)
+        occupancy, clicks = self._channel.receive(first)
+        report = decode_frame(settings.protocol, sigma, clicks)
         self._sifted.extend(j for _i, j in report.entries)
         tally = self._tally
         tally.add(monitor_tally(occupancy, clicks, settings.physical))
-        self._blocks_done += 1
-        out = [DetectionReportMsg(block_id=block_id, entries=report.entries)]
+        self._blocks_done += rows
+        out = [DetectionReportMsg(block_id=first, entries=report.entries)]
         if self._blocks_done < settings.blocks:
             return out
         try:
@@ -622,7 +609,8 @@ class _Bob:
             )
         except UndefinedEstimateError:
             pass  # the data leave V undefined; it stays NaN
-        return out + [EstimateReport(block_id=block_id, q_hat=float("nan"), v_hat=self._v_hat)]
+        last = settings.blocks - 1
+        return out + [EstimateReport(block_id=last, q_hat=float("nan"), v_hat=self._v_hat)]
 
 
 def _expect(message: Message, expected_type, block_id: int):

@@ -2,19 +2,23 @@
 
 Frame layout, all integers big-endian::
 
-    magic 0x51 0x4B | version 0x02 | tag u8 | payload length u32 | payload
+    magic 0x51 0x4B | version 0x03 | tag u8 | payload length u32 | payload
 
 Payloads by tag:
 
     0x01 SESSION_START      d u16, n u32, tau_picoseconds u64
     0x02                    retired; refused as an unknown tag
-    0x03 PERMUTATION_REVEAL block_id u64, indices (d*n) x u32
+    0x03 PERMUTATION_REVEAL block_id u64, indices (m*d*n) x u32
     0x04 DETECTION_REPORT   block_id u64, count u32, count x (i u32, j u16)
     0x05 ESTIMATE_REPORT    block_id u64, q_hat f64, v_hat f64
     0x06 SESSION_END        empty
 
-Estimate fields not yet known are encoded as NaN.  A reveal's indices
-are held in their wire form from the moment the message is built.
+A reveal and a report cover one train of m blocks from ``block_id`` on:
+``_train_blocks`` of SESSION_START's d and n, or the blocks left.  The
+reveal holds the m blocks' images row after row; the report's qudit
+index counts across the train, k*n + i for qudit i of row k.  Estimate
+fields not yet known are encoded as NaN.  A reveal's indices are held
+in their wire form from the moment the message is built.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ __all__ = [
 ]
 
 MAGIC = b"\x51\x4b"
-VERSION = 0x02
+VERSION = 0x03
 _HEADER = struct.Struct("!2sBBI")
 _U64 = struct.Struct("!Q")
 _START = struct.Struct("!HIQ")
@@ -68,6 +72,21 @@ def _framed(payload: struct.Struct) -> struct.Struct:
 
 _START_FRAME = _framed(_START)
 _ESTIMATE_FRAME = _framed(_ESTIMATE)
+
+# A train holds as many whole blocks as fit in this many slots, and at
+# least one.  Both peers derive it from SESSION_START's d and n, so it is
+# part of the protocol, not an option.  It bounds the temporaries the
+# sender prepares a train with (keys, their packed and ranked copies,
+# occupancy and reveal bytes, about 34 bytes a slot) at about half a
+# megabyte: a frame of 2**14 slots or more is a train of its own.
+_BATCH_SLOTS = 2**14
+
+
+def _train_blocks(slot_count: int) -> int:
+    """The number of blocks of ``slot_count`` slots each that a train
+    holds: as many as fit in ``_BATCH_SLOTS`` slots, and at least one."""
+    return max(1, _BATCH_SLOTS // slot_count)
+
 
 TAG_SESSION_START = 0x01
 TAG_PERMUTATION_REVEAL = 0x03
@@ -95,10 +114,12 @@ class SessionStart:
 
 @dataclass(frozen=True)
 class PermutationReveal:
-    """``indices`` are the images sigma(1), ..., sigma(L) as big-endian
-    u32, 4 bytes each.  A ``bytes`` value is taken as that form; any other
-    integer sequence is converted, and values outside u32 are rejected,
-    when the message is built.  Built and decoded reveals compare equal."""
+    """The permutations of one train's blocks, the first of which is
+    ``block_id``.  ``indices`` are each block's images sigma(1), ...,
+    sigma(L), block after block, as big-endian u32, 4 bytes each.  A
+    ``bytes`` value is taken as that form; any other integer sequence is
+    converted, and values outside u32 are rejected, when the message is
+    built.  Built and decoded reveals compare equal."""
 
     block_id: int
     indices: bytes
@@ -119,18 +140,17 @@ class PermutationReveal:
             object.__setattr__(self, "indices", values.astype(">u4").tobytes())
 
     @classmethod
-    def of_bijections(cls, first_block_id: int, maps: np.ndarray) -> list["PermutationReveal"]:
-        """The reveals of consecutive blocks from ``first_block_id`` on,
-        given their bijections on {1..L} as the rows of an integer array
-        of image sequences, such as ``make_permutation`` draws.  The
-        values are at most L, so L alone is checked against u32, and every
-        row is put in wire form by one conversion."""
+    def of_bijections(cls, first_block_id: int, maps: np.ndarray) -> "PermutationReveal":
+        """The reveal of a train whose first block is ``first_block_id``,
+        given its blocks' bijections on {1..L} as the rows of an integer
+        array of image sequences, such as ``make_permutation`` draws.  The
+        values are at most L, so L alone is checked against u32, and the
+        rows are put in wire form by one conversion."""
         _check_u(maps.shape[1], 32, "index")
-        rows = maps.astype(">u4")
-        return [cls(block_id, row.tobytes()) for block_id, row in enumerate(rows, first_block_id)]
+        return cls(first_block_id, maps.astype(">u4").tobytes())
 
     def values(self) -> np.ndarray:
-        """The indices as an array of integers."""
+        """The indices as a flat array of integers, block after block."""
         return np.frombuffer(self.indices, dtype=">u4")
 
 
@@ -274,7 +294,7 @@ def read_message(recv_exact: Callable[[int], bytes], d=None, n=None) -> Message:
     :class:`TruncatedError`.  The header is checked before the payload
     is read, so a bad tag or a wrong fixed length costs no payload read.
     Given the block geometry ``d`` and ``n``, a reveal or report longer
-    than one block can fill is rejected from its header too.
+    than one train can fill is rejected from its header too.
     """
     header = recv_exact(_HEADER.size)
     if len(header) < _HEADER.size:
@@ -293,11 +313,12 @@ def read_message(recv_exact: Callable[[int], bytes], d=None, n=None) -> Message:
                 f"tag 0x{tag:02x} payload must be {fixed} bytes, header declares {length}"
             )
     elif d is not None and n is not None:  # a reveal or a report
-        most = 8 + 4 * d * n if tag == TAG_PERMUTATION_REVEAL else 12 + 6 * n
+        train = _train_blocks(d * n)
+        most = 8 + 4 * d * n * train if tag == TAG_PERMUTATION_REVEAL else 12 + 6 * n * train
         if length > most:
             raise LengthMismatchError(
                 f"tag 0x{tag:02x} payload is at most {most} bytes for d={d}, "
-                f"n={n}, header declares {length}"
+                f"n={n} and {train} blocks a train, header declares {length}"
             )
     payload = recv_exact(length) if length else b""
     if len(payload) < length:

@@ -68,8 +68,7 @@ class TestPhysicalParams:
 
 def one_frame(occ, params, rng, state=None) -> ClickStream:
     """``occ`` sent as a 1-row train."""
-    (clicks,) = transmit_frame(occ[None], params, rng, state)
-    return clicks
+    return transmit_frame(occ[None], params, rng, state)
 
 
 class TestTransmitFrame:
@@ -95,11 +94,10 @@ class TestTransmitFrame:
     def test_deterministic_for_fixed_seed(self):
         params = quiet_params(mu=0.05, p_dc=1e-3)
         occ = np.random.default_rng(1).random((4, 8192)) < 0.25
-        ca = transmit_frame(occ, params, np.random.default_rng(5))
-        cb = transmit_frame(occ, params, np.random.default_rng(5))
-        for a, b in zip(ca, cb, strict=True):
-            assert np.array_equal(a.data_slots, b.data_slots)
-            assert np.array_equal(a.monitor_slots, b.monitor_slots)
+        a = transmit_frame(occ, params, np.random.default_rng(5))
+        b = transmit_frame(occ, params, np.random.default_rng(5))
+        assert np.array_equal(a.data_slots, b.data_slots)
+        assert np.array_equal(a.monitor_slots, b.monitor_slots)
 
     def test_dead_time_invariant_and_rate_ceiling(self):
         params = quiet_params(mu=0.05, t_ch=1.0, xi=1.0, f_mon=0.0, t_dead=1e-7)
@@ -109,7 +107,7 @@ class TestTransmitFrame:
         state = DetectorState()
         rng = np.random.default_rng(3)
         trains = [transmit_frame(occ, params, rng, state) for _ in range(2)]
-        slots = np.concatenate([cs.data_slots for train in trains for cs in train])
+        slots = np.concatenate([train.data_slots for train in trains])
         assert (np.diff(slots) > dead).all()
         duration = 200_000 * params.tau
         assert len(slots) / duration <= 1.0 / params.t_dead
@@ -118,10 +116,10 @@ class TestTransmitFrame:
         params = PhysicalParams.noiseless()
         state = DetectorState()
         rng = np.random.default_rng(0)
-        c1, c2 = transmit_frame(np.array([[True, False], [False, True]]), params, rng, state)
-        (c3,) = transmit_frame(np.array([[True, False]]), params, rng, state)
-        assert [c.frame_start for c in (c1, c2, c3)] == [1, 3, 5]
-        assert [c.data_slots.tolist() for c in (c1, c2, c3)] == [[1], [4], [5]]
+        c1 = transmit_frame(np.array([[True, False], [False, True]]), params, rng, state)
+        c2 = transmit_frame(np.array([[True, False]]), params, rng, state)
+        assert [c.frame_start for c in (c1, c2)] == [1, 5]
+        assert [c.data_slots.tolist() for c in (c1, c2)] == [[1, 4], [5]]
 
     def test_dark_counts_applied_once_at_the_monitor(self):
         # no light reaches the monitor, so every slot clicks at p_dc
@@ -141,10 +139,11 @@ class TestTransmitFrame:
                 np.ones(shape, dtype=bool), PhysicalParams.noiseless(), np.random.default_rng(0)
             )
 
-    def test_rows_carry_the_state_their_frame_started_from(self):
+    def test_train_equals_its_rows_sent_one_by_one(self):
         # Every pulse fires both detectors (the monitor's probabilities
         # are clipped to 1), so the clicks do not depend on the draws: a
-        # train gives the clicks and start states of its rows sent one by one.
+        # train gives the clicks of its rows sent one by one, and its
+        # tally is the sum of theirs.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the weak-pulse guard
             params = PhysicalParams(
@@ -163,18 +162,21 @@ class TestTransmitFrame:
         train = transmit_frame(occ, params, rng, state)
         rows = [one_frame(row, params, rng, ref_state) for row in occ]
         assert state == ref_state
-        assert len(train) == len(rows) == 5
-        for got, want in zip(train, rows):
-            np.testing.assert_array_equal(got.data_slots, want.data_slots)
-            np.testing.assert_array_equal(got.monitor_slots, want.monitor_slots)
-            assert (got.frame_start, got.prev_occupied, got.last_monitor_click) == (
-                want.frame_start, want.prev_occupied, want.last_monitor_click
-            )
-            assert got.monitor_slots.dtype == got.data_slots.dtype == np.int64
-        assert [c.frame_start for c in train] == [100, 108, 116, 124, 132]
-        assert [c.prev_occupied for c in train] == [True, True, False, False, False]
-        assert [c.last_monitor_click for c in train] == [95, 107, 107, 107, 129]
-        assert [c.monitor_slots.tolist() for c in train] == [[107], [], [], [129], []]
+        for field in ("data_slots", "monitor_slots"):
+            joined = np.concatenate([getattr(row, field) for row in rows])
+            np.testing.assert_array_equal(getattr(train, field), joined)
+            assert getattr(train, field).dtype == np.int64
+        assert (train.frame_start, train.prev_occupied, train.last_monitor_click) == (
+            100, True, 95
+        )
+        assert [c.frame_start for c in rows] == [100, 108, 116, 124, 132]
+        assert [c.prev_occupied for c in rows] == [True, True, False, False, False]
+        assert [c.last_monitor_click for c in rows] == [95, 107, 107, 107, 129]
+        assert train.monitor_slots.tolist() == [107, 129]
+        tally = MonitorTally()
+        for frame, clicks in zip(occ, rows):
+            tally.add(monitor_tally(frame, clicks, params))
+        assert monitor_tally(occ, train, params) == tally
 
 
 def dense_transmit(occ, params, u, state):
@@ -307,36 +309,61 @@ def slot_params(**kwargs) -> PhysicalParams:
         return PhysicalParams(**{"t_ch": 1.0, "xi": 1.0, "r_ext": 0.0, **kwargs})
 
 
+def dense_train(occ, params, u, state):
+    """``dense_transmit`` over each frame of the train ``occ`` in turn,
+    with row k of ``u`` as frame k's uniforms; the clicks joined."""
+    rows = [
+        dense_transmit(frame, params, frame_u, state) for frame, frame_u in zip(occ, u, strict=True)
+    ]
+    return tuple(np.concatenate(slots) for slots in zip(*rows))
+
+
+def rows_of(occ, train):
+    """The click record ``train`` of the train ``occ`` split into one
+    record per frame, each carrying the detector state its frame started
+    from: whether the slot before it was occupied and the monitor's last
+    click before it."""
+    length = occ.shape[1]
+    prev_occupied, last_mon = train.prev_occupied, train.last_monitor_click
+    rows = []
+    for k, frame in enumerate(occ):
+        start = train.frame_start + k * length
+        data, monitor = (
+            slots[(start <= slots) & (slots < start + length)]
+            for slots in (train.data_slots, train.monitor_slots)
+        )
+        rows.append(ClickStream(data, monitor, start, prev_occupied, last_mon))
+        prev_occupied = bool(frame[-1])
+        if len(monitor):
+            last_mon = int(monitor[-1])
+    return rows
+
+
 def check_rows(occ, train, params, start_state):
     """The structure every train's click record has, whatever the draws,
-    and each row's monitor tally against the dense reference."""
-    prev_occupied, last_mon = start_state.prev_occupied, start_state.last_monitor_click
-    last_data = start_state.last_data_click
-    length = occ.shape[1]
-    tallies = []
-    for row, (frame, clicks) in enumerate(zip(occ, train, strict=True)):
-        start = start_state.next_slot + row * length
-        assert (clicks.frame_start, clicks.prev_occupied, clicks.last_monitor_click) == (
-            start, prev_occupied, last_mon
-        )
-        for slots, fires_empty in (
-            (clicks.data_slots, params.p_click_empty > 0.0),
-            (clicks.monitor_slots, params.p_dc > 0.0),
-        ):
-            assert slots.dtype == np.int64
-            local = slots - start
-            assert ((0 <= local) & (local < length)).all()
-            assert fires_empty or frame[local].all()
-        for slots, last in ((clicks.data_slots, last_data), (clicks.monitor_slots, last_mon)):
-            assert (np.diff(np.concatenate(([last], slots))) > params.dead_slots).all()
-        tally = monitor_tally(frame, clicks, params)
-        assert tally == dense_tally(frame, prev_occupied, clicks, params, last_mon)
-        tallies.append(tally)
-        prev_occupied = bool(frame[-1])
-        if len(clicks.monitor_slots):
-            last_mon = int(clicks.monitor_slots[-1])
-        if len(clicks.data_slots):
-            last_data = int(clicks.data_slots[-1])
+    and the train's monitor tally against the sum of the dense
+    reference's tallies of its frames, which are returned."""
+    assert (train.frame_start, train.prev_occupied, train.last_monitor_click) == (
+        start_state.next_slot, start_state.prev_occupied, start_state.last_monitor_click
+    )
+    flat = occ.reshape(-1)
+    for slots, fires_empty, last in (
+        (train.data_slots, params.p_click_empty > 0.0, start_state.last_data_click),
+        (train.monitor_slots, params.p_dc > 0.0, start_state.last_monitor_click),
+    ):
+        assert slots.dtype == np.int64
+        local = slots - train.frame_start
+        assert ((0 <= local) & (local < occ.size)).all()
+        assert fires_empty or flat[local].all()
+        assert (np.diff(np.concatenate(([last], slots))) > params.dead_slots).all()
+    tallies = [
+        dense_tally(frame, clicks.prev_occupied, clicks, params, clicks.last_monitor_click)
+        for frame, clicks in zip(occ, rows_of(occ, train))
+    ]
+    total = MonitorTally()
+    for tally in tallies:
+        total.add(tally)
+    assert monitor_tally(occ, train, params) == total
     return tallies
 
 
@@ -355,10 +382,9 @@ class TestSlotModelReference:
         state; the clicks must be equal."""
         ref_state, start = replace(state), replace(state)
         train = transmit_frame(occ, params, rng, state)
-        for clicks, frame, frame_u in zip(train, occ, u, strict=True):
-            data, monitor = dense_transmit(frame, params, frame_u, ref_state)
-            np.testing.assert_array_equal(clicks.data_slots, data)
-            np.testing.assert_array_equal(clicks.monitor_slots, monitor)
+        data, monitor = dense_train(occ, params, u, ref_state)
+        np.testing.assert_array_equal(train.data_slots, data)
+        np.testing.assert_array_equal(train.monitor_slots, monitor)
         assert state == ref_state
         return train, check_rows(occ, train, params, start)
 
@@ -373,10 +399,9 @@ class TestSlotModelReference:
             train = transmit_frame(occ, params, rng, state)
             (u,) = rng.draws  # one call: a uniform per pulse and detector
             rng.draws.clear()
-            for clicks, frame, frame_u in zip(train, occ, dense_uniforms(occ, u), strict=True):
-                data, monitor = dense_transmit(frame, params, frame_u, ref_state)
-                np.testing.assert_array_equal(clicks.data_slots, data)
-                np.testing.assert_array_equal(clicks.monitor_slots, monitor)
+            data, monitor = dense_train(occ, params, dense_uniforms(occ, u), ref_state)
+            np.testing.assert_array_equal(train.data_slots, data)
+            np.testing.assert_array_equal(train.monitor_slots, monitor)
             assert state == ref_state
             check_rows(occ, train, params, start)
 
@@ -418,14 +443,12 @@ class TestSlotModelReference:
             return transmit_frame(train, params, rng, state)
 
         def dense(train, state, rng):
-            rows = []
-            for frame in train:
-                start = replace(state)
-                data, monitor = dense_transmit(frame, params, rng.random(2 * frame.size), state)
-                rows.append(ClickStream(
-                    data, monitor, start.next_slot, start.prev_occupied, start.last_monitor_click
-                ))
-            return rows
+            start = replace(state)
+            u = [rng.random(2 * frame.size) for frame in train]
+            data, monitor = dense_train(train, params, u, state)
+            return ClickStream(
+                data, monitor, start.next_slot, start.prev_occupied, start.last_monitor_click
+            )
 
         counts = {}
         for model, seed in ((sparse, 1), (dense, 2)):
@@ -453,11 +476,9 @@ class TestSlotModelReference:
         """The ``COUNTS`` of one train's click record."""
         flat = train.reshape(-1)
         prev = np.concatenate(([start.prev_occupied], flat[:-1]))
-        data = np.concatenate([c.data_slots for c in clicks]) - start.next_slot
-        monitor = np.concatenate([c.monitor_slots for c in clicks]) - start.next_slot
-        tally = MonitorTally()
-        for frame, row in zip(train, clicks, strict=True):
-            tally.add(monitor_tally(frame, row, params))
+        data = clicks.data_slots - start.next_slot
+        monitor = clicks.monitor_slots - start.next_slot
+        tally = monitor_tally(train, clicks, params)
         assert (tally.n_int, tally.n_non) == (
             np.count_nonzero(flat[monitor] & prev[monitor]),
             np.count_nonzero(flat[monitor] & ~prev[monitor]),
@@ -479,7 +500,7 @@ class TestSlotModelReference:
         u[0] = 0.0  # one data click, on the first pulse
         u[64:] = p_max
         state = DetectorState(next_slot=1001)
-        (clicks,), (tally,) = self.check_train(
+        clicks, (tally,) = self.check_train(
             occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
         )
         assert clicks.data_slots.tolist() == [1001]
@@ -496,7 +517,7 @@ class TestSlotModelReference:
         occ = np.array([[True, True, False, True, True]])
         u = np.concatenate((np.full(4, 0.99), np.full(4, (p_non + p_int) / 2)))
         state = DetectorState(next_slot=11)
-        (clicks,), (tally,) = self.check_train(
+        clicks, (tally,) = self.check_train(
             occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
         )
         assert clicks.monitor_slots.tolist() == [12, 15]
@@ -514,8 +535,7 @@ class TestSlotModelReference:
         train, tallies = self.check_train(
             occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
         )
-        assert [c.monitor_slots.tolist() for c in train] == [[], [4], []]
-        assert [c.prev_occupied for c in train] == [False, True, False]
+        assert train.monitor_slots.tolist() == [4]
         assert tallies == [
             MonitorTally(exp_non=1), MonitorTally(n_int=1, exp_int=1), MonitorTally(exp_non=1)
         ]
@@ -538,7 +558,7 @@ class TestSlotModelReference:
         occ[0, [0, 10, 15, 16, 30]] = True
         u = np.full(10, 0.5)
         state = DetectorState(last_monitor_click=last_monitor_click, next_slot=100)
-        (clicks,), (tally,) = self.check_train(
+        clicks, (tally,) = self.check_train(
             occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
         )
         assert len(clicks.monitor_slots) == 0
@@ -751,5 +771,76 @@ class TestDecodeFrame:
     def test_click_outside_frame_rejected(self, slot):
         params = ProtocolParams(d=2, n=4, tau=2e-9)
         clicks = click_stream([1, slot], frame_start=100)
-        with pytest.raises(InvalidArgumentError, match="outside the frame"):
+        with pytest.raises(InvalidArgumentError, match="outside the train"):
             decode_frame(params, Permutation(np.arange(1, 9)), clicks)
+
+
+@st.composite
+def clicked_trains(draw):
+    """``(d, n, occ, maps, clicks, params)``: a train of 1 to 4 frames,
+    its blocks' permutations, and a click record that starts anywhere,
+    with data and monitor clicks anywhere in the train, each frame's
+    first and last slot among the likelier, and a monitor dead time of
+    up to two frames, so that a click's dead window can run into the
+    next frame."""
+    d = draw(st.integers(2, 8), label="d")
+    n = draw(st.integers(1, 8), label="n")
+    rows = draw(st.integers(1, 4), label="rows")
+    length = d * n
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]), label="density")
+    occ = np.random.default_rng(seed).random((rows, length)) < density
+    maps = make_permutation(length, SeededByteSource(seed), rows)
+    edges = sorted({k * length + e for k in range(rows) for e in (0, length - 1)})
+    slots = st.one_of(st.sampled_from(edges), st.integers(0, rows * length - 1))
+    data, monitor = (
+        np.array(sorted(draw(st.sets(slots, max_size=3 * n), label=name)), dtype=np.int64)
+        for name in ("data", "monitor")
+    )
+    start = draw(st.integers(1, 10**9), label="frame_start")
+    gap = draw(st.one_of(st.none(), st.integers(1, 3 * length)), label="last_monitor_gap")
+    clicks = ClickStream(
+        data + start, monitor + start, start,
+        prev_occupied=draw(st.booleans(), label="prev_occupied"),
+        last_monitor_click=-(1 << 62) if gap is None else start - gap,
+    )
+    dead_slots = draw(st.integers(0, 2 * length), label="dead_slots")
+    return d, n, occ, maps, clicks, slot_params(mu=0.05, t_dead=2e-9 * dead_slots)
+
+
+def boundary_train():
+    """Three frames of d=2, n=2, every slot a pulse, under the identity:
+    data clicks on the last slot of frame 0 and the first of frame 1,
+    and a monitor click on the last slot of frame 0 whose three-slot dead
+    window covers frame 1's first three slots."""
+    occ = np.ones((3, 4), dtype=bool)
+    maps = np.tile(np.arange(1, 5), (3, 1))
+    clicks = ClickStream(np.array([104, 105]), np.array([104]), 101, True)
+    return 2, 2, occ, maps, clicks, slot_params(mu=0.05, t_dead=2e-9 * 3)
+
+
+class TestTrainAsItsFrames:
+    """A train is decoded and tallied in one pass.  The sifted keys and
+    the estimates of a session equal those of a block-by-block exchange
+    because the train's results equal its frames' results, joined."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(train=clicked_trains())
+    @example(train=boundary_train())
+    def test_decode_and_tally_equal_the_frames_joined(self, train):
+        d, n, occ, maps, clicks, params = train
+        proto = ProtocolParams(d=d, n=n, tau=2e-9)
+        entries, tally = [], MonitorTally()
+        for k, (frame, row, map_) in enumerate(zip(occ, rows_of(occ, clicks), maps, strict=True)):
+            entries += [(k * n + i, j) for i, j in decode_per_click(proto, Permutation(map_), row)]
+            tally.add(dense_tally(frame, row.prev_occupied, row, params, row.last_monitor_click))
+        assert decode_frame(proto, Permutation(maps), clicks).entries == tuple(entries)
+        assert monitor_tally(occ, clicks, params) == tally
+
+    def test_boundary_train(self):
+        # frame 1's first pulse is dead, and the click on frame 0's last
+        # pulse, which follows a pulse, counts as interfering
+        d, n, occ, maps, clicks, params = boundary_train()
+        proto = ProtocolParams(d=d, n=n, tau=2e-9)
+        assert decode_frame(proto, Permutation(maps), clicks).entries == ((1, 2), (2, 1))
+        assert monitor_tally(occ, clicks, params) == MonitorTally(n_int=1, exp_int=9)

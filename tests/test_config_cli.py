@@ -110,16 +110,28 @@ class TestCli:
             main(["rates", "--config", str(path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["threshold", "rates", "simulate"])
     @pytest.mark.parametrize(
-        "session", [{"sample_fraction": 0.4}, {"blocks": 0}]
+        "raw, key",
+        [
+            ({"session": {"sample_fraction": 0.4}}, "session.sample_fraction"),
+            ({"session": {"sample_fraction": 1.5}}, "session.sample_fraction"),
+            ({"session": {"blocks": 0}}, "session.blocks"),
+            ({"session": {"d": 1}}, "session.d"),
+            ({"session": {"n": 0}}, "session.n"),
+            ({"protocol": {"tau": 0}}, "protocol.tau"),
+            # SESSION_START carries d as u16: rates ran, simulate failed mid-session
+            ({"session": {"d": 70000, "n": 1, "blocks": 1}}, "session.d"),
+        ],
     )
-    def test_bad_session_section_is_usage_error(self, tmp_path, capsys, session):
+    def test_bad_session_section_is_usage_error(self, tmp_path, capsys, command, raw, key):
         # the session section is checked at load, not only by simulate
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"session": session}))
+        path.write_text(json.dumps(raw))
         with pytest.raises(SystemExit) as exc:
-            main(["threshold", "--config", str(path)])
+            main([command, "--config", str(path)])
         assert exc.value.code == 2
+        assert f"error: {key}=" in capsys.readouterr().err
 
     def test_protocol_n_is_an_unknown_key(self, tmp_path, capsys):
         # the session's qudit count is session.n; protocol.n was never read,
@@ -352,9 +364,9 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["transcript_violations"] == []
         assert payload["alice"]["sifted_count"] == payload["bob"]["sifted_count"]
-        # SESSION_START, two messages per block, the session's two
-        # estimates and SESSION_END
-        assert payload["transcript_messages"] == 2 * 5 + 4
+        # SESSION_START, a reveal and a report for the one train (five
+        # 64-slot blocks), the session's two estimates and SESSION_END
+        assert payload["transcript_messages"] == 2 * 1 + 4
 
     def test_out_writes_file(self, tmp_path, fast_config):
         out = tmp_path / "rates.csv"

@@ -18,7 +18,6 @@ from hdcow.config import default_config
 from hdcow.errors import InvalidArgumentError, ProtocolError
 from hdcow.protocol import ProtocolParams
 from hdcow.session import (
-    _BATCH_SLOTS,
     QueuePipe,
     SessionSettings,
     SimulatedChannel,
@@ -30,6 +29,7 @@ from hdcow.session import (
     validate_transcript,
 )
 from hdcow.wire import (
+    _BATCH_SLOTS,
     MAGIC,
     VERSION,
     DetectionReportMsg,
@@ -91,13 +91,13 @@ class TestNoiselessSession:
             assert summary.secure_bits_per_second == 0.0
 
     def test_estimates_are_exchanged_once_per_session(self):
+        # 64-slot frames go 256 to a train, so both blocks are one train
         _, _, transcript = run_session(noiseless_settings(blocks=2), seed=1)
         a, b = Transcript.A_TO_B, Transcript.B_TO_A
-        block = [(a, PermutationReveal), (b, DetectionReportMsg)]
         sent = [(direction, type(item)) for direction, item in transcript.entries
                 if direction != Transcript.QUANTUM]
         assert sent == [
-            (a, SessionStart), *block, *block,
+            (a, SessionStart), (a, PermutationReveal), (b, DetectionReportMsg),
             (b, EstimateReport), (a, EstimateReport), (a, SessionEnd),
         ]
         estimates = [m for m in transcript.messages() if isinstance(m, EstimateReport)]
@@ -196,13 +196,24 @@ class TestProtocolViolations:
             run_bob(settings, channel, duplex)
 
 
+# d=2 and n=2 give 4-slot frames, 4096 to a train.
+TRAIN = _BATCH_SLOTS // 4
+
+
+def identity_reveal(first, rows):
+    """The reveal of a train of ``rows`` blocks (d=2, n=2) from ``first``
+    on, each under the identity permutation."""
+    return PermutationReveal(block_id=first, indices=np.tile(np.arange(1, 5), rows))
+
+
 def scripted_bob(messages, blocks=1, transmissions=1):
-    """Run Bob (d=2, n=2) on ``messages`` after ``transmissions`` copies of
-    one block-0 frame have gone down the channel."""
+    """Run Bob (d=2, n=2) on ``messages`` after the first ``transmissions``
+    trains of a ``blocks``-block session, each frame FRAME_12's, have gone
+    down the channel."""
     settings = noiseless_settings(d=2, n=2, blocks=blocks)
     channel = SimulatedChannel(settings.physical, seed=0)
-    for _ in range(transmissions):
-        channel.transmit(0, FRAME_12)
+    for first in range(0, blocks, TRAIN)[:transmissions]:
+        channel.transmit(first, np.repeat(FRAME_12, min(TRAIN, blocks - first), axis=0))
     start = SessionStart(d=2, n=2, tau_picoseconds=2000)
     duplex = ScriptedDuplex([encode_message(m) for m in (start, *messages)])
     return run_bob(settings, channel, duplex)
@@ -213,6 +224,36 @@ def test_reveal_out_of_range_or_repeated_aborts(values):
     # 0 would scatter to the last slot of the inverse if not range-checked first
     with pytest.raises(ProtocolError, match="malformed permutation"):
         scripted_bob([PermutationReveal(block_id=0, indices=values)])
+
+
+class TestMalformedTrainReveal:
+    """A 3-block session of 4-slot frames is one train, so its reveal
+    must be three bijections on {1..4}."""
+
+    @pytest.mark.parametrize(
+        "rows, cause",
+        [
+            ([[1, 2, 3, 4]] * 2, "reveal of 2 blocks for a train of 3"),
+            ([[1, 2, 3, 4]] * 4, "reveal of 4 blocks for a train of 3"),
+            ([[1, 2, 3, 4]] * 2 + [[1, 2, 3]], r"11 indices are not whole blocks of d\*n=4"),
+            ([[1, 2, 3, 4], [1, 2, 2, 4], [1, 2, 3, 4]], "permutation is not a bijection"),
+            ([[1, 2, 3, 4], [1, 2, 3, 4], [0, 2, 3, 4]], r"permutation values outside \{1\.\.L\}"),
+            # Each row's images are moved to its place in the train, so
+            # without a range check a 5 would fill the next row's first slot.
+            ([[2, 3, 4, 5], [1, 2, 3, 4], [1, 2, 3, 4]], r"permutation values outside \{1\.\.L\}"),
+            ([[1, 2, 3, 4], [2, 3, 4, 5], [1, 2, 3, 4]], r"permutation values outside \{1\.\.L\}"),
+        ],
+    )
+    def test_refused_with_its_cause(self, rows, cause):
+        reveal = PermutationReveal(block_id=0, indices=[v for row in rows for v in row])
+        with pytest.raises(ProtocolError, match=f"malformed permutation reveal: {cause}"):
+            scripted_bob([reveal], blocks=3)
+
+    def test_last_train_holds_the_blocks_left(self):
+        # 4097 blocks are a train of 4096 and one of 1
+        reveals = [identity_reveal(0, TRAIN), identity_reveal(TRAIN, 2)]
+        with pytest.raises(ProtocolError, match="reveal of 2 blocks for a train of 1"):
+            scripted_bob(reveals, blocks=TRAIN + 1, transmissions=2)
 
 
 class RecordingDuplex(ScriptedDuplex):
@@ -257,7 +298,9 @@ class TestBlockSequence:
         "blocks, messages, cause",
         [
             (2, [replace(REVEAL_0, block_id=1)], "permutation for block 1 revealed, expected block 0"),
-            (2, [REVEAL_0, REVEAL_0], "permutation for block 0 revealed, expected block 1"),
+            # the first train is blocks 0 to 4095, so the next reveal is for block 4096
+            (TRAIN + 1, [identity_reveal(0, TRAIN)] * 2,
+             f"permutation for block 0 revealed, expected block {TRAIN}"),
             # a replay of the session's one block, after Alice's estimate
             (1, [REVEAL_0, EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan), REVEAL_0],
              "permutation for block 0 revealed after the last block 0"),
@@ -293,9 +336,9 @@ class TestBlockSequence:
     @pytest.mark.parametrize(
         "blocks, tail, cause",
         [
-            # at the end of block 0 of 2 no estimate is due yet
-            (2, [EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan)],
-             "estimate before the reveal of the last block 1"),
+            # at the end of the first of two trains no estimate is due yet
+            (TRAIN + 1, [EstimateReport(block_id=TRAIN, q_hat=0.0, v_hat=math.nan)],
+             f"estimate before the reveal of the last block {TRAIN}"),
             (1, [EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan)] * 2,
              "second estimate"),
             (1, [SessionEnd()], "session ended before its error estimate"),
@@ -303,7 +346,7 @@ class TestBlockSequence:
     )
     def test_estimate_out_of_turn_aborts(self, blocks, tail, cause):
         messages = [
-            PermutationReveal(block_id=0, indices=(1, 2, 3, 4)),
+            identity_reveal(0, min(blocks, TRAIN)),
             *tail,
             SessionEnd(),
         ]
@@ -312,27 +355,34 @@ class TestBlockSequence:
 
 
 class TestAliceSampling:
-    def run_with_report(self, entries):
+    def run_with_report(self, entries, blocks=([1, 2, 1, 2],)):
         settings = SessionSettings(
             protocol=ProtocolParams(d=2, n=4, tau=2e-9),
             physical=PhysicalParams.noiseless(),
-            blocks=1,
+            blocks=len(blocks),
             sample_fraction=0.5,
         )
+        last = len(blocks) - 1
         duplex = ScriptedDuplex(
             [
                 encode_message(DetectionReportMsg(block_id=0, entries=entries)),
-                encode_message(EstimateReport(block_id=0, q_hat=math.nan, v_hat=0.95)),
+                encode_message(EstimateReport(block_id=last, q_hat=math.nan, v_hat=0.95)),
             ]
         )
         channel = SimulatedChannel(settings.physical, seed=0)
-        summary = run_alice(settings, [[1, 2, 1, 2]], channel, duplex, seed=0)
+        summary = run_alice(settings, blocks, channel, duplex, seed=0)
         return summary.q_hat
 
     def test_sampled_qudits_do_not_depend_on_report_order(self):
         # qudit 0 (sent 1, received 2) is the one sampled at every=2
         assert self.run_with_report(((0, 2), (3, 2))) == 1.0
         assert self.run_with_report(((3, 2), (0, 2))) == 1.0
+
+    def test_train_qudit_is_sampled_by_its_block_and_place(self):
+        # The two blocks are one train.  Train qudit 5 is qudit 1 of block
+        # 1, so 1 + 1 is even and it is sampled (sent 2, received 1);
+        # train qudit 4, qudit 0 of block 1, is not.
+        assert self.run_with_report(((4, 2), (5, 1)), ([1, 2, 1, 2], [2, 2, 2, 2])) == 1.0
 
 
 def test_short_block_source_names_the_block():
@@ -358,12 +408,13 @@ class TestSuppliedBlocksAcrossBatches:
     per_batch = _BATCH_SLOTS // 512
 
     def refusal(self, blocks, reported):
-        """Run Alice on ``blocks`` with empty reports for the first
-        ``reported`` blocks; returns her error and the blocks she revealed."""
+        """Run Alice on ``blocks`` with empty reports for the trains before
+        block ``reported``; returns her error and the first blocks of the
+        trains she revealed."""
         duplex = ScriptedDuplex(
             [
                 encode_message(DetectionReportMsg(block_id=b, entries=()))
-                for b in range(reported)
+                for b in range(0, reported, self.per_batch)
             ]
         )
         channel = SimulatedChannel(self.settings.physical, seed=0)
@@ -393,13 +444,14 @@ class TestSuppliedBlocksAcrossBatches:
         batch_start = index - index % self.per_batch
         error, revealed = self.refusal(blocks, batch_start)
         assert error.startswith(f"supplied block {index}: ") and cause in error
-        assert revealed == list(range(batch_start))  # none of the refused batch
+        assert revealed == list(range(0, batch_start, 32))  # not the refused batch
 
     @pytest.mark.parametrize("supplied", [1, 32, 33])
-    def test_source_running_dry_fails_at_the_missing_block(self, supplied):
-        error, revealed = self.refusal(self.valid_blocks(supplied), supplied)
+    def test_source_running_dry_fails_at_the_batch_it_cannot_fill(self, supplied):
+        filled = supplied - supplied % self.per_batch
+        error, revealed = self.refusal(self.valid_blocks(supplied), filled)
         assert error == f"block source ended after {supplied} of 40 blocks"
-        assert revealed == list(range(supplied))
+        assert revealed == list(range(0, filled, 32))  # not the batch left short
 
 
 @pytest.mark.parametrize("v_hat", [-0.5, 1.5])
@@ -500,9 +552,8 @@ def second_end(entries):
     entries.append(entries[-1])
 
 
-def drop_block_1(entries):
-    # its quantum marker, reveal and report
-    entries[:] = [e for e in entries if e[1] != 1 and getattr(e[1], "block_id", None) != 1]
+def drop_train_2(entries):
+    del entries[5:8]  # its quantum marker, reveal and report
 
 
 def drop_quantum_2(entries):
@@ -510,7 +561,7 @@ def drop_quantum_2(entries):
 
 
 def reveal_0_again(entries):
-    entries.insert(-1, entries[4])
+    entries.insert(-1, next(e for e in entries if isinstance(e[1], PermutationReveal)))
 
 
 A, B, Q = Transcript.A_TO_B, Transcript.B_TO_A, Transcript.QUANTUM
@@ -531,9 +582,14 @@ class TestTranscriptValidator:
             ([START, (Q, 0), (A, REVEAL_0), (A, REPORT_0), (A, SessionEnd())],
              "entry 3: expected b->a DetectionReportMsg of block 0, "
              "got a->b DetectionReportMsg of block 0"),
-            # block 1 is transmitted but never revealed
+            # blocks 0 and 1 are one train, with one reveal and one report
             ([START, (Q, 0), (Q, 1), (A, REVEAL_0), (B, REPORT_0), (A, SessionEnd())],
-             "entry 5: expected a->b PermutationReveal of block 1, got a->b SessionEnd"),
+             "entry 5: expected b->a EstimateReport of block 1, got a->b SessionEnd"),
+            # the block-by-block exchange of wire version 2
+            ([START, (Q, 0), (Q, 1), (A, REVEAL_0), (B, REPORT_0),
+              (A, replace(REVEAL_0, block_id=1))],
+             "entry 5: expected b->a EstimateReport of block 1, "
+             "got a->b PermutationReveal of block 1"),
             # 4-slot frames go 4096 to a train, so block 1 goes out with block 0
             ([START, (Q, 0), (A, REVEAL_0), (B, REPORT_0), (Q, 1)],
              "entry 2: expected quantum transmission of block 1, "
@@ -554,35 +610,35 @@ class TestTranscriptValidator:
         "edit, violation",
         [
             (swap_estimates,
-             "entry 10: expected b->a EstimateReport of block 2, got a->b EstimateReport of block 2"),
+             "entry 8: expected b->a EstimateReport of block 2, got a->b EstimateReport of block 2"),
             (bob_estimate_as_alice,
-             "entry 10: expected b->a EstimateReport of block 2, got a->b EstimateReport of block 2"),
+             "entry 8: expected b->a EstimateReport of block 2, got a->b EstimateReport of block 2"),
             (bob_estimate_after_start,
              "entry 1: expected quantum transmission of block 0, got b->a EstimateReport of block 2"),
             (bob_estimate_for_block_0,
-             "entry 10: expected b->a EstimateReport of block 2, got b->a EstimateReport of block 0"),
+             "entry 8: expected b->a EstimateReport of block 2, got b->a EstimateReport of block 0"),
             (second_start,
-             "entry 6: expected a->b PermutationReveal of block 1, got a->b SessionStart"),
+             "entry 5: expected quantum transmission of block 2, got a->b SessionStart"),
             (early_end,
-             "entry 6: expected a->b PermutationReveal of block 1, got a->b SessionEnd"),
-            (second_end, "entry 13: expected the end of the transcript, got a->b SessionEnd"),
-            (list.pop, "entry 12: expected a->b SessionEnd, got the end of the transcript"),
+             "entry 5: expected quantum transmission of block 2, got a->b SessionEnd"),
+            (second_end, "entry 11: expected the end of the transcript, got a->b SessionEnd"),
+            (list.pop, "entry 10: expected a->b SessionEnd, got the end of the transcript"),
             (list.clear, "entry 0: expected a->b SessionStart, got the end of the transcript"),
-            (drop_block_1,
-             "entry 2: expected quantum transmission of block 1, got quantum transmission of block 2"),
+            (drop_train_2,
+             "entry 5: expected b->a EstimateReport of block 1, got b->a EstimateReport of block 2"),
             # without its marker block 2 was never transmitted
             (drop_quantum_2,
-             "entry 7: expected b->a EstimateReport of block 1, got a->b PermutationReveal of block 2"),
+             "entry 5: expected b->a EstimateReport of block 1, got a->b PermutationReveal of block 2"),
             (reveal_0_again,
-             "entry 12: expected a->b SessionEnd, got a->b PermutationReveal of block 0"),
+             "entry 10: expected a->b SessionEnd, got a->b PermutationReveal of block 0"),
         ],
     )
     def test_flags_edits_of_a_real_session(self, edit, violation):
-        # 32-slot frames, so the three blocks go out as one train
-        _, _, transcript = run_session(noiseless_settings(d=4, n=8, blocks=3), seed=1)
+        # 8192-slot frames go two to a train, so three blocks are trains of 2 and 1
+        _, _, transcript = run_session(noiseless_settings(d=8, n=1024, blocks=3), seed=1)
         entries = transcript.entries
-        assert len(entries) == 13
-        assert entries[1:4] == [(Q, 0), (Q, 1), (Q, 2)]
+        assert len(entries) == 11
+        assert [e[1] for e in entries[1:3]] == [0, 1] and entries[5] == (Q, 2)
         assert [type(item) for _, item in entries[-3:]] == [
             EstimateReport, EstimateReport, SessionEnd
         ]
@@ -607,8 +663,7 @@ class TestTranscriptValidator:
         expected = []
         for first, last in ((0, 32), (32, 64), (64, 70)):
             expected += [(Q, b) for b in range(first, last)]
-            for b in range(first, last):
-                expected += [(A, b), (B, b)]
+            expected += [(A, first), (B, first)]
         assert shapes == expected
 
     def test_far_block_id_is_one_violation(self):
@@ -714,8 +769,8 @@ class TestPinnedTranscripts:
         self.check(
             noiseless_settings(d=4, n=8, blocks=5),
             42,
-            "cb6858a2de7e315ca9c5740fead0196ec42b332398073df57a8b9c67102094e0",
-            19,
+            "ed7b1bfd8fb47f9fb971026bb8cc8595d3045c963f6270cb7530c3e6a3159899",
+            11,
             (3, 4, 1, 4, 2, 2, 3, 4, 4, 1, 4, 4, 3, 4, 4, 1, 1, 2, 1, 3,
              1, 1, 4, 1, 4, 4, 1, 2, 3, 1, 2, 4, 3, 1, 3, 3, 3, 3, 4, 1),
         )
@@ -731,8 +786,8 @@ class TestPinnedTranscripts:
         alice, bob = self.check(
             settings,
             config.seed,
-            "de8aab7c3000ed88ad52749f8da174cc1e428bf575178e0d1a19b4fc6ce422e3",
-            304,
+            "896da4f375e0323d1793a1d3e511729f892a88528c1d7cd0f904684ef3fb2448",
+            112,
             (5, 2, 6, 3, 1, 5, 4, 3, 1, 3),
         )
         self.check_stderrs(alice, bob, 0.0, 3.6779891304347827)
@@ -752,8 +807,8 @@ class TestPinnedTranscripts:
         alice, bob = self.check(
             settings,
             config.seed,
-            "7f797525dd227e065320ccef4a88dd08c0125b49fc4ed81d653bfe93a18044e3",
-            3004,
+            "f6e9864e31eeaf82e4bd9c8e3eb440b30a1789d3f34a02401b1abbb27652c6d8",
+            1068,
             (5, 2, 6, 3, 1, 5, 4, 3, 1, 3, 2, 6, 5, 2, 7, 2, 4, 3, 1, 5, 6, 7, 2, 7, 7, 1,
              2, 5, 7, 3, 1, 8, 7, 1, 3, 6, 3, 4, 5, 8, 4, 6, 4, 1, 2, 8, 7, 3, 3, 3, 2, 1,
              7, 1, 5, 2, 3, 2, 3, 4, 5, 4, 2, 7, 1, 3, 1, 8, 6, 3, 2, 8, 3, 7, 5, 2),
@@ -775,7 +830,7 @@ class TestPinnedTranscripts:
         )
         alice, bob, transcript = run_session(settings, seed=1)
         assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == (
-            "81fe16f2b7deb84dd52629118bde0e5b187e411d6d533bbe387e9325fdd3a58a"
+            "b100369543427d1b13b9b104d36c3271f7ecf23bb52577a52cdcaf28832ee432"
         )
         assert len(transcript.entries) == 10
         assert alice.sifted_count == bob.sifted_count == 185

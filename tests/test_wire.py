@@ -31,13 +31,13 @@ from hdcow.wire import (
 
 
 def test_session_end_exact_bytes():
-    assert encode_message(SessionEnd()) == bytes.fromhex("514b020600000000")
+    assert encode_message(SessionEnd()) == bytes.fromhex("514b030600000000")
 
 
 def test_session_start_layout():
     data = encode_message(SessionStart(d=8, n=64, tau_picoseconds=2000))
     assert data[:2] == b"\x51\x4b"
-    assert data[2] == 0x02  # version
+    assert data[2] == 0x03  # version
     assert data[3] == 0x01  # tag
     assert struct.unpack("!I", data[4:8])[0] == 14
     assert struct.unpack("!HIQ", data[8:]) == (8, 64, 2000)
@@ -109,7 +109,7 @@ class TestDecodeErrors:
 
     def test_unsupported_version(self):
         frame = bytearray(encode_message(SessionEnd()))
-        frame[2] = 0x03
+        frame[2] = 0x04
         with pytest.raises(UnsupportedVersionError):
             decode_message(bytes(frame))
 
@@ -175,30 +175,31 @@ def test_header_rejected_before_payload_read(tag, length, error):
         read_message(header_only(tag, length))
 
 
-def test_version_1_frame_rejected_before_payload_read():
-    # a peer on the format that still sent BLOCK_ANNOUNCE fails at its
-    # first frame, its SESSION_START
+def test_version_2_frame_rejected_before_payload_read():
+    # a peer on the format that revealed and reported one block per
+    # message fails at its first frame, its SESSION_START
     with pytest.raises(UnsupportedVersionError):
-        read_message(header_only(0x01, 2**32 - 1, version=0x01))
+        read_message(header_only(0x01, 2**32 - 1, version=0x02))
 
 
+# d=4 and n=16 give 64-slot blocks, 256 to a train.
 @pytest.mark.parametrize(
     "tag,length",
     [
-        (0x03, 2**32 - 4),  # PERMUTATION_REVEAL, at most 8 + 4*d*n = 264 bytes
-        (0x03, 268),
-        (0x04, 2**32 - 1),  # DETECTION_REPORT, at most 12 + 6*n = 108 bytes
-        (0x04, 114),
+        (0x03, 2**32 - 4),  # PERMUTATION_REVEAL, at most 8 + 4*d*n*256 = 65544 bytes
+        (0x03, 65548),
+        (0x04, 2**32 - 1),  # DETECTION_REPORT, at most 12 + 6*n*256 = 24588 bytes
+        (0x04, 24594),
     ],
 )
-def test_payload_beyond_block_rejected_before_read(tag, length):
-    with pytest.raises(LengthMismatchError, match="at most"):
+def test_payload_beyond_train_rejected_before_read(tag, length):
+    with pytest.raises(LengthMismatchError, match="at most .* 256 blocks a train"):
         read_message(header_only(tag, length), d=4, n=16)
 
 
-def test_payloads_filling_a_block_accepted():
-    reveal = PermutationReveal(block_id=1, indices=range(1, 65))
-    report = DetectionReportMsg(block_id=1, entries=tuple((i, 1) for i in range(16)))
+def test_payloads_filling_a_train_accepted():
+    reveal = PermutationReveal(block_id=256, indices=np.tile(np.arange(1, 65), 256))
+    report = DetectionReportMsg(block_id=256, entries=tuple((i, 1) for i in range(16 * 256)))
     for message in (reveal, report):
         stream = io.BytesIO(encode_message(message))
         assert read_message(stream.read, d=4, n=16) == message
