@@ -16,8 +16,9 @@ empty monitor slot is none.  Dead time is applied per detector by
 
 The sender transmits a pulse train: the frames of several blocks back to
 back, as one continuous train on unchanged hardware, before revealing
-any of their permutations.  The receiver then decodes and tallies the
-train as a whole, with its slots counted across the frames.
+any of their permutations.  The receiver then decodes the train as a
+whole, with its slots counted across the frames, and reports its
+monitor clicks; the sender, who knows the pulses, tallies them.
 :func:`transmit_frame` simulates a whole train at once,
 with draws that follow the pulses and the clicks, not the slots: each
 pulse takes one uniform per detector, and the empty slots' rare events
@@ -213,20 +214,12 @@ class DetectorState:
 @dataclass
 class ClickStream:
     """Time-ordered detector events for one pulse train, or one frame,
-    as global slot indices.
-
-    ``frame_start``, ``prev_occupied`` and ``last_monitor_click`` are the
-    detector state the train started from: the global index of its first
-    slot, whether the slot before it was occupied, and the monitor's last
-    click before it.  The defaults are :class:`DetectorState`'s, a fresh
-    line.
-    """
+    as global slot indices: what a receiver's detectors give, and
+    nothing of the pulses sent."""
 
     data_slots: np.ndarray
     monitor_slots: np.ndarray
     frame_start: int  # global index of the train's first slot
-    prev_occupied: bool = False
-    last_monitor_click: int = -(1 << 62)
 
 
 @dataclass
@@ -256,8 +249,7 @@ def transmit_frame(
     ``L`` slots per row and the rows back to back, such as
     :func:`~hdcow.protocol.encode_block`'s result; a single frame is a
     1-row train.  Each pulse has the mean photon number ``params.mu``.
-    Returns the train's :class:`ClickStream`, which carries the detector
-    state the train started from.
+    Returns the train's :class:`ClickStream`.
 
     The draws follow the pulses and the clicks, not the slots.  The
     train's ``P`` pulses are found once and take one uniform each per
@@ -321,7 +313,7 @@ def transmit_frame(
 
     state.prev_occupied = bool(slots[-1])
     state.next_slot = base + len(slots)
-    return ClickStream(data_slots, monitor_slots, base, prev_occupied, last_monitor_click)
+    return ClickStream(data_slots, monitor_slots, base)
 
 
 def _merge(pulse_hits: np.ndarray, empty_hits: np.ndarray) -> np.ndarray:
@@ -412,23 +404,29 @@ def _interferes(occ: np.ndarray, pulses: np.ndarray, prev_occupied: bool) -> np.
 
 
 def monitor_tally(
-    occ: np.ndarray, clicks: ClickStream, params: PhysicalParams
+    occ: np.ndarray,
+    monitor_slots,
+    prev_occupied: bool,
+    last_click: int,
+    params: PhysicalParams,
 ) -> MonitorTally:
     """Classify monitor clicks and count live exposures for one pulse
     train, in one pass over its occupancy ``occ`` flattened, the frames
-    back to back, as :func:`transmit_frame` sent it; ``clicks`` is its
-    click record.  The tally equals the sum of the tallies of the
-    train's frames, each taken with the state it started from.
+    back to back, as :func:`transmit_frame` sent it.  The inputs are
+    local to the train: ``monitor_slots`` are its monitor clicks as
+    strictly increasing 0-based slots of the train, ``prev_occupied``
+    tells whether the slot before it was occupied, and ``last_click`` is
+    the monitor's last click before it, counted from its first slot (so
+    negative).  The tally equals the sum of the tallies of the train's
+    frames, each taken with the state it started from.
 
     Each pulse is an interfering exposure when the slot before it is
-    occupied and a non-interfering one otherwise; before the first slot
-    stands ``clicks.prev_occupied``.  A click on a pulse counts for its
-    class, and a click on an empty slot (a dark count) or outside the
-    train for neither.  A pulse within ``dead_slots`` slots after a
-    monitor click could never have clicked, so it is no exposure; the
-    clicks are the train's own and ``clicks.last_monitor_click``, the
-    monitor's last click before the train.  The receiver can
-    reconstruct these dead windows from its own click record.
+    occupied and a non-interfering one otherwise.  A click on a pulse
+    counts for its class, and a click on an empty slot (a dark count)
+    for neither.  A pulse within ``dead_slots`` slots after a monitor
+    click, the train's own or ``last_click``, could never have clicked,
+    so it is no exposure.  Only the sender knows the pulses, so the
+    sender tallies the clicks that the receiver reports.
 
     The exposures take one pass over the pulses: two ``searchsorted``
     of the pulses among the clicks count, for every pulse, the clicks
@@ -438,30 +436,26 @@ def monitor_tally(
     so each is classified where it falls.
 
     A train with no monitor click of its own that starts after the dead
-    window of the monitor's last click (``last_monitor_click +
-    dead_slots < frame_start``) has no dead pulse and no click to
-    classify: every pulse is live, as both counts would show, so the
-    tally is the pulse counts alone, with no search.
+    window of the monitor's last click (``last_click + dead_slots < 0``)
+    has no dead pulse and no click to classify: every pulse is live, as
+    both counts would show, so the tally is the pulse counts alone, with
+    no search.
     """
-    prev_occupied = clicks.prev_occupied
     occ = occ.reshape(-1)
     pulses = occ.nonzero()[0]
     interfering = _interferes(occ, pulses, prev_occupied)
-    start = clicks.frame_start
-    if not len(clicks.monitor_slots) and clicks.last_monitor_click + params.dead_slots < start:
+    if not len(monitor_slots) and last_click + params.dead_slots < 0:
         exp_int = int(np.count_nonzero(interfering))  # every pulse is live
         return MonitorTally(exp_int=exp_int, exp_non=len(pulses) - exp_int)
-    marks = np.empty(len(clicks.monitor_slots) + 1, dtype=np.int64)  # local slots
-    marks[0] = clicks.last_monitor_click - start
-    local = marks[1:]
-    np.subtract(clicks.monitor_slots, start, out=local)
+    marks = np.empty(len(monitor_slots) + 1, dtype=np.int64)
+    marks[0] = last_click
+    marks[1:] = monitor_slots
     live = marks.searchsorted(pulses - params.dead_slots) == marks.searchsorted(pulses)
     exposures = int(np.count_nonzero(live))
     exp_int = int(np.count_nonzero(live & interfering))
     n_int = n_non = 0
-    length = len(occ)
-    for slot in local.tolist():
-        if 0 <= slot < length and occ[slot]:
+    for slot in marks[1:].tolist():
+        if occ[slot]:
             if occ[slot - 1] if slot else prev_occupied:
                 n_int += 1
             else:
@@ -532,11 +526,13 @@ def decode_frame(
     qudit ``i`` of the train and symbol ``j`` through
     ``sigma^{-1}(t) = d*i + j``, with the train's bijection as
     :class:`~hdcow.protocol.Permutation` flattens it; so qudit i of row
-    k is ``k*n + i``.  A qudit named by exactly one click is kept; a
-    qudit named by two or more clicks is discarded whole, since the
-    clicks disagree on its symbol.  Entries are ``(i, j)`` pairs of
-    Python ints in increasing ``i``.  A click outside the train is
-    rejected.
+    k is ``k*n + i``.  A qudit named by exactly one data click is kept.
+    A qudit named by two or more is discarded whole, since the clicks
+    disagree on its symbol, and so is a qudit named by a monitor click:
+    the receiver reports its monitor clicks, and once ``sigma`` is
+    public a click at ``t`` gives away the symbol of the qudit it names.
+    Entries are ``(i, j)`` pairs of Python ints in increasing ``i``.  A
+    click outside the train is rejected.
     """
     d = params.d
     if sigma.inverse_map.shape[-1] != params.slot_count:
@@ -546,14 +542,19 @@ def decode_frame(
     if not len(clicks.data_slots):  # most trains of a long, lossy link
         return DetectionReport(entries=())
     inverse = sigma.inverse_map.reshape(-1)
-    offsets = clicks.data_slots - clicks.frame_start  # 0-based train slots
+    data = len(clicks.data_slots)
+    # 0-based train slots of the data clicks, then of the monitor's
+    offsets = np.concatenate((clicks.data_slots, clicks.monitor_slots)) - clicks.frame_start
     if np.minimum.reduce(offsets) < 0 or np.maximum.reduce(offsets) >= len(inverse):
         raise InvalidArgumentError(
-            f"data click outside the train's slots {clicks.frame_start}.."
+            f"click outside the train's slots {clicks.frame_start}.."
             f"{clicks.frame_start + len(inverse) - 1}"
         )
     qudits, symbols = np.divmod(inverse[offsets] - 1, d)
-    kept, first, counts = np.unique(qudits, return_index=True, return_counts=True)
+    kept, first, counts = np.unique(qudits[:data], return_index=True, return_counts=True)
     once = counts == 1
+    if len(offsets) > data:  # drop the qudits the monitor clicks name; kept is sorted
+        at = kept.searchsorted(qudits[data:])
+        once[at[kept.take(at, mode="clip") == qudits[data:]]] = False
     entries = zip(kept[once].tolist(), (symbols[first[once]] + 1).tolist())
     return DetectionReport(entries=tuple(entries))

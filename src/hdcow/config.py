@@ -84,6 +84,10 @@ class Config:
     threshold: ThresholdSection = field(default_factory=ThresholdSection)
     session: SessionSection = field(default_factory=SessionSection)
 
+    def __post_init__(self):
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise InvalidArgumentError(f"config.seed={self.seed!r} must be an integer >= 0")
+
     def physical_params(self) -> PhysicalParams:
         """The physical section as model parameters."""
         p = self.physical
@@ -275,10 +279,7 @@ def parse_config(raw: dict) -> Config:
         for key, cls in _SECTION_TYPES.items()
         if key in raw
     }
-    seed = raw.get("seed", Config().seed)
-    if not _is_int(seed):
-        raise InvalidArgumentError(f"config.seed must be an integer, got {seed!r}")
-    config = Config(seed=seed, **sections)
+    config = Config(seed=raw.get("seed", Config().seed), **sections)
     _validate(config)
     return config
 

@@ -10,14 +10,14 @@ the unit of the classical exchange, which is lockstep::
     per train of blocks k, k+1, ..., k+m-1, with ids from 0 to B-1:
         (quantum transmission of the m frames, one after another)
         A->B  PERMUTATION_REVEAL  (block k; the m permutations, row after row)
-        B->A  DETECTION_REPORT    (block k; qudit i of row r as r*n + i)
+        B->A  DETECTION_REPORT    (block k; qudit i of row r as r*n + i, and
+                                   the monitor clicks as train slots)
     after the last train's report, once per session:
-    B->A  ESTIMATE_REPORT   (V from the whole monitor tally; error field NaN)
-    A->B  ESTIMATE_REPORT   (Q from all sampled pairs; echoes V)
-    A->B  SESSION_END
+    A->B  ESTIMATE_REPORT   (Q from all sampled pairs, V from Alice's
+                             monitor tally; it ends the session)
 
-So a B-block session in trains of t blocks sends 2*ceil(B/t) + 4
-messages, and both estimates carry the last block's id.  Both sides
+So a B-block session in trains of t blocks sends 2*ceil(B/t) + 2
+messages, and the estimate carries the last block's id.  Both sides
 derive t from SESSION_START's d and n, so each train's m is known: t,
 or the blocks left for the last train.
 
@@ -41,21 +41,16 @@ sends, each train it passes to the channel (a quantum marker per
 block), and each message it reads, under the peer's direction.
 ``run_session`` records on Alice's side.
 
-Alice prepares each train's blocks together: one key draw, one
-permutation draw and sort, one encode and one reveal conversion per
-train, each on an array with one block per row.  Each block gets the
-keys and permutation it would get alone, so the train size changes no
-block's symbols or permutation.
-
 The quantum channel and detectors sit behind a handle injected into
 both endpoints, so the same state machines can drive an in-process
 simulation or external hardware.  The handle has two calls:
 ``transmit(first_block_id, occupancy)`` on Alice's side, which sends a
 train given as its ``(m, d*n)`` bool occupancy, one frame per row for
-the blocks from ``first_block_id`` on, and
-``receive(first_block_id) -> (occupancy, clicks)`` on Bob's, which
-returns that train's occupancy and its
-:class:`~hdcow.channel.ClickStream`.
+the blocks from ``first_block_id`` on, and ``receive(first_block_id)
+-> clicks`` on Bob's, which returns that train's
+:class:`~hdcow.channel.ClickStream`: detector events only, as a
+receiver's hardware gives them.  Bob reports his monitor clicks, and
+Alice, who knows the pulses, keeps the monitor tally.
 """
 
 from __future__ import annotations
@@ -95,7 +90,6 @@ from .wire import (
     EstimateReport,
     Message,
     PermutationReveal,
-    SessionEnd,
     SessionStart,
     _train_blocks,
     encode_message,
@@ -123,8 +117,14 @@ class SessionSettings:
     sample_fraction: float = 1.0
 
     def __post_init__(self):
-        if self.protocol.d >= 1 << 16:
-            raise InvalidArgumentError(f"d={self.protocol.d} does not fit SESSION_START's u16")
+        p = self.protocol
+        for name, value, bits, unit in (
+            ("d", p.d, 16, ""), ("n", p.n, 32, ""), ("tau", p.tau * 1e12, 64, " of picoseconds")
+        ):
+            if not value < 2.0**bits:
+                raise InvalidArgumentError(
+                    f"{name}={getattr(p, name)} does not fit SESSION_START's u{bits}{unit}"
+                )
         if self.blocks < 1:
             raise InvalidArgumentError(f"blocks={self.blocks} must be >= 1")
         f = self.sample_fraction
@@ -140,6 +140,11 @@ class SessionSettings:
     @property
     def sample_every(self) -> int:
         return round(1.0 / self.sample_fraction)
+
+    @property
+    def start(self) -> SessionStart:
+        p = self.protocol
+        return SessionStart(d=p.d, n=p.n, tau_picoseconds=round(p.tau * 1e12))
 
 
 @dataclass
@@ -259,16 +264,14 @@ def _lockstep(blocks: int, train: int):
     """The entries of a ``blocks``-block session in trains of ``train``
     blocks, recorded on Alice's side, in order, each as (direction,
     message type or None for a quantum marker, block id or None)."""
-    a_to_b, b_to_a = Transcript.A_TO_B, Transcript.B_TO_A
+    a_to_b = Transcript.A_TO_B
     yield a_to_b, SessionStart, None
     for first in range(0, blocks, train):
         for block_id in range(first, min(first + train, blocks)):
             yield Transcript.QUANTUM, None, block_id
         yield a_to_b, PermutationReveal, first
-        yield b_to_a, DetectionReportMsg, first
-    yield b_to_a, EstimateReport, blocks - 1
+        yield Transcript.B_TO_A, DetectionReportMsg, first
     yield a_to_b, EstimateReport, blocks - 1
-    yield a_to_b, SessionEnd, None
 
 
 def _shape(entry) -> tuple:
@@ -316,38 +319,32 @@ class SimulatedChannel:
 
     The transmitter side pushes trains, each a ``(m, d*n)`` bool
     occupancy with one frame per row, through the Monte Carlo channel in
-    one :func:`~hdcow.channel.transmit_frame` call; the receiver side
-    pulls each train's occupancy and its one click record in order, when
-    the train's reveal arrives.  Asking for a train that was never
-    transmitted, or for another first block than the next train's,
-    raises.
-
-    The simulation hands Bob each train's occupancy only for his monitor
-    tally, which classifies his monitor clicks and exposures by the
-    pulses around them.  Nothing on the wire discloses it, and a
-    hardware receiver could not do the same: it does not know Alice's
-    pulse pattern (ROADMAP item 12 moves the tally to Alice).
+    one :func:`~hdcow.channel.transmit_frame` call and keeps only the
+    click record; the receiver side pulls each train's click record in
+    order, when the train's reveal arrives.  Asking for a train that was
+    never transmitted, or for another first block than the next
+    train's, raises.
     """
 
     def __init__(self, phys: PhysicalParams, seed):
         self.phys = phys
         self._rng = np.random.default_rng(seed)
         self._state = DetectorState()
-        self._deliveries: deque[tuple] = deque()  # (first_block_id, occupancy, clicks)
+        self._deliveries: deque[tuple[int, ClickStream]] = deque()
 
     def transmit(self, first_block_id: int, occupancy: np.ndarray) -> None:
         clicks = transmit_frame(occupancy, self.phys, self._rng, self._state)
-        self._deliveries.append((first_block_id, occupancy, clicks))
+        self._deliveries.append((first_block_id, clicks))
 
-    def receive(self, first_block_id: int) -> tuple[np.ndarray, ClickStream]:
+    def receive(self, first_block_id: int) -> ClickStream:
         if not self._deliveries:
             raise ProtocolError(f"no quantum transmission observed for block {first_block_id}")
-        sent_id, occupancy, clicks = self._deliveries.popleft()
+        sent_id, clicks = self._deliveries.popleft()
         if sent_id != first_block_id:
             raise ProtocolError(
                 f"quantum train of block {sent_id} does not match revealed {first_block_id}"
             )
-        return occupancy, clicks
+        return clicks
 
 
 @dataclass(frozen=True)
@@ -408,7 +405,7 @@ class _Link:
 class _Alice:
     """Transmitter state machine.  ``start()`` and ``receive(message)``
     return the messages to send and the trains to transmit, in order;
-    ``summary`` is set once the session has ended.
+    ``summary`` is set when her estimate ends the session.
 
     She works a train at a time (see ``_train_blocks``), on arrays with
     one block per row: the generated keys of a train come from one draw,
@@ -416,7 +413,8 @@ class _Alice:
     from one scatter and its reveal from one conversion.  The draws equal
     those of one block at a time, so the train size changes no block.  The
     train goes to the channel at once, before its reveal, and she keeps
-    its ``(m, n)`` symbols until Bob's report on it.  Supplied blocks are
+    its ``(m, n)`` symbols, its occupancy and its reveal until Bob's
+    report on it, whose monitor clicks she tallies.  Supplied blocks are
     symbol sequences, taken from ``block_source`` a train at a time and
     checked when their train is prepared; a source that runs dry fails
     at the train it cannot fill, before that train is sent."""
@@ -432,15 +430,17 @@ class _Alice:
         self._per_train = _train_blocks(settings.protocol.slot_count)
         self._block_id = 0  # the open train's first block
         self._symbols: np.ndarray | None = None  # the open train's, one block per row
+        self._train = self._reveal = None  # the open train's _Transmit and PermutationReveal
+        self._prev_occupied = False  # the slot before the open train
+        self._last_click = -(1 << 62)  # the monitor's last, from the open train's first slot
+        self._tally = MonitorTally()
         self._sifted: list[int] = []
         self._sampled_mine: list[int] = []
         self._sampled_theirs: list[int] = []
         self.summary: SessionSummary | None = None
 
     def start(self) -> list:
-        proto = self._settings.protocol
-        start = SessionStart(d=proto.d, n=proto.n, tau_picoseconds=round(proto.tau * 1e12))
-        return [start, *self._open_train()]
+        return [self._settings.start, *self._open_train()]
 
     def _open_train(self) -> list:
         """Prepare the train from the current block on and return its
@@ -470,17 +470,23 @@ class _Alice:
             symbols = np.array(blocks)
         self._symbols = symbols
         maps = make_permutation(proto.slot_count, self._perm_source, count)
-        return [_Transmit(first, encode_block(proto, symbols, maps)),
-                PermutationReveal.of_bijections(first, maps)]
+        self._train = _Transmit(first, encode_block(proto, symbols, maps))
+        self._reveal = PermutationReveal.of_bijections(first, maps)
+        return [self._train, self._reveal]
 
     def receive(self, message: Message) -> list:
         settings = self._settings
         first = self._block_id
-        if first == settings.blocks:
-            return self._finish(_expect(message, EstimateReport, first - 1))
-        entries = _expect(message, DetectionReportMsg, first).entries
+        if not isinstance(message, DetectionReportMsg):
+            raise ProtocolError(f"expected DetectionReportMsg, got {type(message).__name__}")
+        if message.block_id != first:
+            raise ProtocolError(
+                f"DetectionReportMsg for block {message.block_id}, expected {first}"
+            )
+        entries = message.entries
         symbols = self._symbols.reshape(-1)
         alice_syms, _ = sift_block(symbols, DetectionReport(entries), settings.protocol.d)
+        self._tally_monitor(message.monitor_slots, entries)
         self._sifted.extend(alice_syms)
         # The entries passed sift_block's checks.  The estimate counts
         # mismatches, so the sampled pairs may stay in the report's order.
@@ -491,28 +497,64 @@ class _Alice:
                 self._sampled_mine.append(int(symbols[g]))
                 self._sampled_theirs.append(j)
         self._block_id += len(self._symbols)
-        return self._open_train() if self._block_id < settings.blocks else []
+        return self._open_train() if self._block_id < settings.blocks else [self._finish()]
 
-    def _finish(self, estimate: EstimateReport) -> list:
-        """Answer Bob's estimate with Q over all sampled pairs; end the session."""
-        v_hat = _peer_estimate(estimate.v_hat, "v_hat", 1.0)
-        q_hat = q_err = float("nan")
+    def _tally_monitor(self, monitor: tuple, entries) -> None:
+        """Check the monitor clicks Bob reports on the open train and add
+        them to the tally.  They must be strictly increasing slots of the
+        train, and none may name a qudit that the report keeps: the
+        reveal's values give the slots of each kept qudit's symbols."""
+        occupancy = self._train.occupancy
+        slots = occupancy.size
+        if monitor:
+            if any(a >= b for a, b in zip(monitor, monitor[1:])):
+                raise ProtocolError(f"monitor clicks {monitor} are not strictly increasing")
+            if monitor[0] < 0 or monitor[-1] >= slots:
+                raise ProtocolError(f"monitor clicks {monitor} outside the train's {slots} slots")
+            proto = self._settings.protocol
+            qudits = np.array([g for g, _ in entries], dtype=np.int64)
+            # row g of the reveal's values, d to a row: qudit g's slots in its frame, from 1
+            kept = self._reveal.values().reshape(-1, proto.d)[qudits]
+            clicked = np.zeros(slots, dtype=bool)
+            clicked[list(monitor)] = True
+            named = clicked[kept + (qudits[:, None] // proto.n * proto.slot_count - 1)]
+            if named.any():
+                raise ProtocolError(
+                    f"a monitor click names qudit {qudits[named.any(axis=1).argmax()]}, "
+                    "which the report keeps"
+                )
+        self._tally.add(monitor_tally(
+            occupancy, monitor, self._prev_occupied, self._last_click, self._settings.physical
+        ))
+        self._prev_occupied = bool(occupancy[-1, -1])
+        self._last_click = (monitor[-1] if monitor else self._last_click) - slots
+        self._train = self._reveal = None  # held until the train's report only
+
+    def _finish(self) -> EstimateReport:
+        """Q over all sampled pairs and V from the monitor tally, in the
+        estimate that ends the session."""
+        q_hat = q_err = v_hat = v_err = float("nan")  # what the data leave undefined
         if self._sampled_mine:
             q_hat, q_err = estimate_qber(
                 self._sampled_mine, self._sampled_theirs, self._settings.protocol.d
             )
-        self.summary = _summary(
-            self.role, self._settings, self._sifted, q_hat, q_err, v_hat, float("nan")
-        )
-        return [EstimateReport(block_id=estimate.block_id, q_hat=q_hat, v_hat=v_hat), SessionEnd()]
+        t = self._tally
+        try:
+            v_hat, v_err = estimate_visibility(t.n_int, t.exp_int, t.n_non, t.exp_non)
+        except UndefinedEstimateError:
+            pass
+        self.summary = _summary(self.role, self._settings, self._sifted, q_hat, q_err, v_hat, v_err)
+        return EstimateReport(block_id=self._settings.blocks - 1, q_hat=q_hat, v_hat=v_hat)
 
 
 class _Bob:
     """Receiver state machine.  ``receive(message)`` returns the messages
     to send.  A reveal must be for the next train, whose first block is
     the first one not yet measured, and must carry one permutation per
-    block of that train; it pulls the train's clicks from ``channel``.
-    ``summary`` is set once the session has ended."""
+    block of that train; it pulls the train's clicks from ``channel``
+    and reports the qudits they keep and the monitor clicks.  Alice's
+    estimate, after the last report, ends the session and sets
+    ``summary``."""
 
     role = "bob"
 
@@ -523,9 +565,6 @@ class _Bob:
         self._started = False
         self._blocks_done = 0
         self._sifted: list[int] = []
-        self._tally = MonitorTally()
-        self._q_hat: float | None = None  # None until Alice's estimate is in
-        self._v_hat = self._v_err = float("nan")
         self.summary: SessionSummary | None = None
 
     def start(self) -> list:
@@ -533,17 +572,10 @@ class _Bob:
 
     def receive(self, message: Message) -> list:
         settings = self._settings
-        proto = settings.protocol
         if not self._started:
-            if not isinstance(message, SessionStart):
-                raise ProtocolError(f"expected SESSION_START, got {type(message).__name__}")
-            if (message.d, message.n) != (proto.d, proto.n):
-                raise ProtocolError(
-                    f"dimension mismatch: peer ({message.d}, {message.n}) vs local "
-                    f"({proto.d}, {proto.n})"
-                )
-            if message.tau_picoseconds != round(proto.tau * 1e12):
-                raise ProtocolError("slot duration mismatch")
+            if message != settings.start:
+                got = message if isinstance(message, SessionStart) else type(message).__name__
+                raise ProtocolError(f"expected {settings.start}, got {got}")
             self._started = True
         elif isinstance(message, PermutationReveal):
             return self._measure(message)
@@ -551,21 +583,15 @@ class _Bob:
             last = settings.blocks - 1
             if self._blocks_done < settings.blocks:
                 raise ProtocolError(f"estimate before the reveal of the last block {last}")
-            if self._q_hat is not None:
-                raise ProtocolError("second estimate in one session")
             if message.block_id != last:
                 raise ProtocolError(f"estimate for block {message.block_id}, expected {last}")
-            self._q_hat = _peer_estimate(message.q_hat, "q_hat", 1.0 / (proto.d - 1))
-        elif isinstance(message, SessionEnd):
-            if self._blocks_done < settings.blocks:
-                raise ProtocolError(
-                    f"session ended after {self._blocks_done} of {settings.blocks} blocks"
-                )
-            if self._q_hat is None:
-                raise ProtocolError("session ended before its error estimate")
+            q_hat, v_hat = message.q_hat, message.v_hat
+            bounds = (("q_hat", q_hat, 1.0 / (settings.protocol.d - 1)), ("v_hat", v_hat, 1.0))
+            for name, value, upper in bounds:
+                if not (math.isnan(value) or 0.0 <= value <= upper):
+                    raise ProtocolError(f"peer sent {name}={value}, outside [0, {upper}]")
             self.summary = _summary(
-                self.role, settings, self._sifted, self._q_hat, float("nan"),
-                self._v_hat, self._v_err,
+                self.role, settings, self._sifted, q_hat, math.nan, v_hat, math.nan
             )
         else:
             raise ProtocolError(f"unexpected message {type(message).__name__}")
@@ -594,42 +620,12 @@ class _Bob:
             sigma = Permutation(values.reshape(rows, length))
         except InvalidArgumentError as exc:
             raise ProtocolError(f"malformed permutation reveal: {exc}") from exc
-        occupancy, clicks = self._channel.receive(first)
+        clicks = self._channel.receive(first)
         report = decode_frame(settings.protocol, sigma, clicks)
         self._sifted.extend(j for _i, j in report.entries)
-        tally = self._tally
-        tally.add(monitor_tally(occupancy, clicks, settings.physical))
         self._blocks_done += rows
-        out = [DetectionReportMsg(block_id=first, entries=report.entries)]
-        if self._blocks_done < settings.blocks:
-            return out
-        try:
-            self._v_hat, self._v_err = estimate_visibility(
-                tally.n_int, tally.exp_int, tally.n_non, tally.exp_non
-            )
-        except UndefinedEstimateError:
-            pass  # the data leave V undefined; it stays NaN
-        last = settings.blocks - 1
-        return out + [EstimateReport(block_id=last, q_hat=float("nan"), v_hat=self._v_hat)]
-
-
-def _expect(message: Message, expected_type, block_id: int):
-    if not isinstance(message, expected_type):
-        raise ProtocolError(
-            f"expected {expected_type.__name__}, got {type(message).__name__}"
-        )
-    if message.block_id != block_id:
-        raise ProtocolError(
-            f"{expected_type.__name__} for block {message.block_id}, expected {block_id}"
-        )
-    return message
-
-
-def _peer_estimate(value: float, name: str, upper: float) -> float:
-    """A peer's estimate, which is NaN or lies in [0, upper]."""
-    if not (math.isnan(value) or 0.0 <= value <= upper):
-        raise ProtocolError(f"peer sent {name}={value}, outside [0, {upper}]")
-    return value
+        monitor = tuple((clicks.monitor_slots - clicks.frame_start).tolist())
+        return [DetectionReportMsg(block_id=first, entries=report.entries, monitor_slots=monitor)]
 
 
 def _drive(endpoint, link: _Link) -> SessionSummary:
@@ -652,9 +648,8 @@ def run_alice(
 
     ``block_source`` yields each block's ``n`` symbols in {1..d}, as a
     flat sequence of integers; pass ``None`` to generate random blocks
-    from ``seed``.  A ``transcript`` records
-    the whole session: Alice's messages and frames, and Bob's messages
-    as she reads them.
+    from ``seed``.  A ``transcript`` records the whole session: Alice's
+    messages and frames, and Bob's messages as she reads them.
     """
     link = _Link(duplex, duplex, transcript, Transcript.A_TO_B, channel, settings)
     return _drive(_Alice(settings, block_source, seed), link)
@@ -712,7 +707,10 @@ def run_session(
     as a :class:`ProtocolError` naming the endpoint, with the error as
     cause.
     """
-    alice_seed, channel_seed = np.random.SeedSequence(seed).spawn(2)
+    try:
+        alice_seed, channel_seed = np.random.SeedSequence(seed).spawn(2)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"seed={seed!r} is not a seed: {exc}") from None
     transcript = Transcript()
     channel = SimulatedChannel(settings.physical, channel_seed)
     to_bob, to_alice = QueuePipe(), QueuePipe()

@@ -2,23 +2,25 @@
 
 Frame layout, all integers big-endian::
 
-    magic 0x51 0x4B | version 0x03 | tag u8 | payload length u32 | payload
+    magic 0x51 0x4B | version 0x04 | tag u8 | payload length u32 | payload
 
 Payloads by tag:
 
     0x01 SESSION_START      d u16, n u32, tau_picoseconds u64
     0x02                    retired; refused as an unknown tag
     0x03 PERMUTATION_REVEAL block_id u64, indices (m*d*n) x u32
-    0x04 DETECTION_REPORT   block_id u64, count u32, count x (i u32, j u16)
+    0x04 DETECTION_REPORT   block_id u64, count u32, count x (i u32, j u16),
+                            monitor count u32, monitor count x (slot u32)
     0x05 ESTIMATE_REPORT    block_id u64, q_hat f64, v_hat f64
-    0x06 SESSION_END        empty
+    0x06                    retired; refused as an unknown tag
 
 A reveal and a report cover one train of m blocks from ``block_id`` on:
 ``_train_blocks`` of SESSION_START's d and n, or the blocks left.  The
 reveal holds the m blocks' images row after row; the report's qudit
-index counts across the train, k*n + i for qudit i of row k.  Estimate
-fields not yet known are encoded as NaN.  A reveal's indices are held
-in their wire form from the moment the message is built.
+index counts across the train, k*n + i for qudit i of row k, and its
+monitor clicks are 0-based slots of the train.  An estimate the data
+leave undefined is encoded as NaN.  A reveal's indices are held in
+their wire form from the moment the message is built.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "PermutationReveal",
     "DetectionReportMsg",
     "EstimateReport",
-    "SessionEnd",
     "Message",
     "encode_message",
     "decode_message",
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 MAGIC = b"\x51\x4b"
-VERSION = 0x03
+VERSION = 0x04
 _HEADER = struct.Struct("!2sBBI")
 _U64 = struct.Struct("!Q")
 _START = struct.Struct("!HIQ")
@@ -92,7 +93,6 @@ TAG_SESSION_START = 0x01
 TAG_PERMUTATION_REVEAL = 0x03
 TAG_DETECTION_REPORT = 0x04
 TAG_ESTIMATE_REPORT = 0x05
-TAG_SESSION_END = 0x06
 
 # The known tags, each with its payload size, or None for a tag whose
 # payload varies in length.
@@ -101,7 +101,6 @@ _PAYLOAD_LENGTHS = {
     TAG_PERMUTATION_REVEAL: None,
     TAG_DETECTION_REPORT: None,
     TAG_ESTIMATE_REPORT: _ESTIMATE.size,
-    TAG_SESSION_END: 0,
 }
 
 
@@ -158,6 +157,7 @@ class PermutationReveal:
 class DetectionReportMsg:
     block_id: int
     entries: tuple  # ((qudit index, symbol), ...)
+    monitor_slots: tuple = ()  # the monitor's clicks, as 0-based train slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,17 +181,11 @@ class EstimateReport:
         return hash((self.block_id, *(None if math.isnan(x) else x for x in fields)))
 
 
-@dataclass(frozen=True)
-class SessionEnd:
-    pass
-
-
 Message = Union[
     SessionStart,
     PermutationReveal,
     DetectionReportMsg,
     EstimateReport,
-    SessionEnd,
 ]
 
 
@@ -221,17 +215,21 @@ def encode_message(message: Message) -> bytes:
         header = _HEADER.pack(MAGIC, VERSION, TAG_PERMUTATION_REVEAL, length)
         return b"".join((header, block_id, message.indices))
     if isinstance(message, DetectionReportMsg):
-        count = len(message.entries)
+        count, monitor = len(message.entries), message.monitor_slots
         if count:
             qudits, symbols = zip(*message.entries)
             _check_u_all(qudits, 32, "qudit index")
             _check_u_all(symbols, 16, "symbol")
+        if monitor:
+            _check_u_all(monitor, 32, "monitor slot")
         return struct.pack(
-            _HEADER.format + "QI" + "IH" * count,
-            MAGIC, VERSION, TAG_DETECTION_REPORT, _REPORT_HEAD.size + 6 * count,
+            f"{_HEADER.format}QI{'IH' * count}I{len(monitor)}I",
+            MAGIC, VERSION, TAG_DETECTION_REPORT, 16 + 6 * count + 4 * len(monitor),
             _check_u(message.block_id, 64, "block_id"),
             _check_u(count, 32, "count"),
             *itertools.chain.from_iterable(message.entries),
+            len(monitor),
+            *monitor,
         )
     if isinstance(message, SessionStart):
         return _START_FRAME.pack(
@@ -240,8 +238,6 @@ def encode_message(message: Message) -> bytes:
             _check_u(message.n, 32, "n"),
             _check_u(message.tau_picoseconds, 64, "tau_picoseconds"),
         )
-    if isinstance(message, SessionEnd):
-        return _HEADER.pack(MAGIC, VERSION, TAG_SESSION_END, 0)
     raise InvalidArgumentError(f"not a wire message: {message!r}")
 
 
@@ -260,19 +256,20 @@ def _decode_payload(tag: int, payload: bytes) -> Message:
         indices = bytes(memoryview(payload)[8:])  # one copy, from any buffer
         return PermutationReveal(block_id=block_id, indices=indices)
     if tag == TAG_DETECTION_REPORT:
-        if len(payload) < 12:
-            raise LengthMismatchError("DETECTION_REPORT payload must be >= 12 bytes")
+        if len(payload) < 16:
+            raise LengthMismatchError("DETECTION_REPORT payload must be >= 16 bytes")
         block_id, count = _REPORT_HEAD.unpack_from(payload)
-        if len(payload) != 12 + 6 * count:
+        end = 12 + 6 * count
+        clicks = struct.unpack_from("!I", payload, end)[0] if len(payload) >= end + 4 else 0
+        if len(payload) != end + 4 + 4 * clicks:
             raise LengthMismatchError(
-                f"DETECTION_REPORT count={count} disagrees with payload size"
+                f"DETECTION_REPORT counts {count} and {clicks} disagree with payload size"
             )
-        entries = tuple(struct.iter_unpack("!IH", payload[12:]))
-        return DetectionReportMsg(block_id=block_id, entries=entries)
-    if tag == TAG_SESSION_START:
-        d, n, tau_ps = _START.unpack(payload)
-        return SessionStart(d=d, n=n, tau_picoseconds=tau_ps)
-    return SessionEnd()
+        entries = tuple(struct.iter_unpack("!IH", payload[12:end]))
+        monitor = struct.unpack_from(f"!{clicks}I", payload, end + 4)
+        return DetectionReportMsg(block_id=block_id, entries=entries, monitor_slots=monitor)
+    d, n, tau_ps = _START.unpack(payload)
+    return SessionStart(d=d, n=n, tau_picoseconds=tau_ps)
 
 
 def decode_message(data: bytes) -> Message:
@@ -314,7 +311,7 @@ def read_message(recv_exact: Callable[[int], bytes], d=None, n=None) -> Message:
             )
     elif d is not None and n is not None:  # a reveal or a report
         train = _train_blocks(d * n)
-        most = 8 + 4 * d * n * train if tag == TAG_PERMUTATION_REVEAL else 12 + 6 * n * train
+        most = 4 * d * n * train + (8 if tag == TAG_PERMUTATION_REVEAL else 16 + 6 * n * train)
         if length > most:
             raise LengthMismatchError(
                 f"tag 0x{tag:02x} payload is at most {most} bytes for d={d}, "

@@ -71,6 +71,15 @@ def one_frame(occ, params, rng, state=None) -> ClickStream:
     return transmit_frame(occ[None], params, rng, state)
 
 
+def tally_of(occ, clicks, prev_occupied, last_click, params) -> MonitorTally:
+    """``monitor_tally`` of the train ``occ`` from its click record, with
+    the monitor's last click before it ``last_click`` as a global slot:
+    each made local to the train, as the sender takes them."""
+    start = clicks.frame_start
+    local = clicks.monitor_slots - start
+    return monitor_tally(occ, local, prev_occupied, last_click - start, params)
+
+
 class TestTransmitFrame:
     def test_no_light_no_noise_means_no_clicks(self):
         params = quiet_params(
@@ -166,17 +175,16 @@ class TestTransmitFrame:
             joined = np.concatenate([getattr(row, field) for row in rows])
             np.testing.assert_array_equal(getattr(train, field), joined)
             assert getattr(train, field).dtype == np.int64
-        assert (train.frame_start, train.prev_occupied, train.last_monitor_click) == (
-            100, True, 95
-        )
+        assert train.frame_start == 100
         assert [c.frame_start for c in rows] == [100, 108, 116, 124, 132]
-        assert [c.prev_occupied for c in rows] == [True, True, False, False, False]
-        assert [c.last_monitor_click for c in rows] == [95, 107, 107, 107, 129]
         assert train.monitor_slots.tolist() == [107, 129]
+        # each row starts from the state the row before left
+        prev_occupied = [True, True, False, False, False]
+        last_click = [95, 107, 107, 107, 129]
         tally = MonitorTally()
-        for frame, clicks in zip(occ, rows):
-            tally.add(monitor_tally(frame, clicks, params))
-        assert monitor_tally(occ, train, params) == tally
+        for frame, clicks, prev, last in zip(occ, rows, prev_occupied, last_click, strict=True):
+            tally.add(tally_of(frame, clicks, prev, last, params))
+        assert tally_of(occ, train, True, 95, params) == tally
 
 
 def dense_transmit(occ, params, u, state):
@@ -202,25 +210,26 @@ def dense_transmit(occ, params, u, state):
     return data, monitor
 
 
-def dense_tally(occ, prev_occupied, clicks, params, last_click_before):
+def dense_tally(occ, monitor, prev_occupied, last_click, params):
     """Per-slot masks and one dead window per click, the reference for
-    ``monitor_tally``."""
+    ``monitor_tally``, with the same frame-local inputs: the monitor's
+    clicks as 0-based slots of the frame ``occ``, whether the slot before
+    it was occupied, and the monitor's last click before it, counted
+    from its first slot."""
     prev = np.concatenate(([prev_occupied], occ[:-1]))
     interfering, noninterfering = occ & prev, occ & ~prev
     live = np.ones(len(occ), dtype=bool)
     dead = params.dead_slots
-    base = clicks.frame_start
-    spill_end = last_click_before + dead - base + 1
+    spill_end = last_click + dead + 1
     if spill_end > 0:
         live[: min(spill_end, len(occ))] = False
-    for slot in clicks.monitor_slots:
-        lo = slot - base + 1
-        live[lo : lo + dead] = False
-    local = clicks.monitor_slots - base
+    monitor = np.asarray(monitor, dtype=np.int64)
+    for slot in monitor:
+        live[slot + 1 : slot + 1 + dead] = False
     return MonitorTally(
-        n_int=int(interfering[local].sum()),
+        n_int=int(interfering[monitor].sum()),
         exp_int=int((interfering & live).sum()),
-        n_non=int(noninterfering[local].sum()),
+        n_non=int(noninterfering[monitor].sum()),
         exp_non=int((noninterfering & live).sum()),
     )
 
@@ -318,13 +327,15 @@ def dense_train(occ, params, u, state):
     return tuple(np.concatenate(slots) for slots in zip(*rows))
 
 
-def rows_of(occ, train):
+def rows_of(occ, train, prev_occupied, last_click):
     """The click record ``train`` of the train ``occ`` split into one
-    record per frame, each carrying the detector state its frame started
-    from: whether the slot before it was occupied and the monitor's last
-    click before it."""
+    record per frame, each with the state its frame started from:
+    whether the slot before it was occupied and the monitor's last click
+    before it, counted from the frame's first slot.  ``prev_occupied``
+    and ``last_click`` are the train's, ``last_click`` counted from the
+    train's first slot.  Returns ``(record, prev_occupied, last_click)``
+    per frame."""
     length = occ.shape[1]
-    prev_occupied, last_mon = train.prev_occupied, train.last_monitor_click
     rows = []
     for k, frame in enumerate(occ):
         start = train.frame_start + k * length
@@ -332,10 +343,11 @@ def rows_of(occ, train):
             slots[(start <= slots) & (slots < start + length)]
             for slots in (train.data_slots, train.monitor_slots)
         )
-        rows.append(ClickStream(data, monitor, start, prev_occupied, last_mon))
+        rows.append((ClickStream(data, monitor, start), prev_occupied, last_click))
         prev_occupied = bool(frame[-1])
         if len(monitor):
-            last_mon = int(monitor[-1])
+            last_click = int(monitor[-1]) - start
+        last_click -= length
     return rows
 
 
@@ -343,9 +355,7 @@ def check_rows(occ, train, params, start_state):
     """The structure every train's click record has, whatever the draws,
     and the train's monitor tally against the sum of the dense
     reference's tallies of its frames, which are returned."""
-    assert (train.frame_start, train.prev_occupied, train.last_monitor_click) == (
-        start_state.next_slot, start_state.prev_occupied, start_state.last_monitor_click
-    )
+    assert train.frame_start == start_state.next_slot
     flat = occ.reshape(-1)
     for slots, fires_empty, last in (
         (train.data_slots, params.p_click_empty > 0.0, start_state.last_data_click),
@@ -356,14 +366,16 @@ def check_rows(occ, train, params, start_state):
         assert ((0 <= local) & (local < occ.size)).all()
         assert fires_empty or flat[local].all()
         assert (np.diff(np.concatenate(([last], slots))) > params.dead_slots).all()
+    prev_occupied, last_click = start_state.prev_occupied, start_state.last_monitor_click
+    rows = rows_of(occ, train, prev_occupied, last_click - train.frame_start)
     tallies = [
-        dense_tally(frame, clicks.prev_occupied, clicks, params, clicks.last_monitor_click)
-        for frame, clicks in zip(occ, rows_of(occ, train))
+        dense_tally(frame, clicks.monitor_slots - clicks.frame_start, prev, last, params)
+        for frame, (clicks, prev, last) in zip(occ, rows, strict=True)
     ]
     total = MonitorTally()
     for tally in tallies:
         total.add(tally)
-    assert monitor_tally(occ, train, params) == total
+    assert tally_of(occ, train, prev_occupied, last_click, params) == total
     return tallies
 
 
@@ -446,9 +458,7 @@ class TestSlotModelReference:
             start = replace(state)
             u = [rng.random(2 * frame.size) for frame in train]
             data, monitor = dense_train(train, params, u, state)
-            return ClickStream(
-                data, monitor, start.next_slot, start.prev_occupied, start.last_monitor_click
-            )
+            return ClickStream(data, monitor, start.next_slot)
 
         counts = {}
         for model, seed in ((sparse, 1), (dense, 2)):
@@ -478,7 +488,7 @@ class TestSlotModelReference:
         prev = np.concatenate(([start.prev_occupied], flat[:-1]))
         data = clicks.data_slots - start.next_slot
         monitor = clicks.monitor_slots - start.next_slot
-        tally = monitor_tally(train, clicks, params)
+        tally = tally_of(train, clicks, start.prev_occupied, start.last_monitor_click, params)
         assert (tally.n_int, tally.n_non) == (
             np.count_nonzero(flat[monitor] & prev[monitor]),
             np.count_nonzero(flat[monitor] & ~prev[monitor]),
@@ -623,16 +633,12 @@ class TestEmptyHits:
 
 class TestMonitorTallyClicks:
     @pytest.mark.parametrize("prev_occupied", [False, True])
-    def test_only_clicks_on_the_frames_pulses_count(self, prev_occupied):
-        # pulses at local slots 0, 2, 3; the first interferes when the
-        # previous frame ended occupied, and clicks before or past the
-        # frame count for neither class
+    def test_only_clicks_on_the_trains_pulses_count(self, prev_occupied):
+        # pulses at slots 0, 2, 3; the first interferes when the previous
+        # train ended occupied, and the click on the empty slot 1, like
+        # the one before the train, counts for neither class
         occ = np.array([True, False, True, True])
-        clicks = ClickStream(
-            np.zeros(0, dtype=np.int64), np.array([99, 100, 104]), frame_start=100,
-            prev_occupied=prev_occupied, last_monitor_click=99,
-        )
-        tally = monitor_tally(occ, clicks, PhysicalParams.noiseless())
+        tally = monitor_tally(occ, np.array([0, 1]), prev_occupied, -1, PhysicalParams.noiseless())
         if prev_occupied:
             assert tally == MonitorTally(n_int=1, exp_int=2, n_non=0, exp_non=1)
         else:
@@ -714,11 +720,14 @@ def decode_click(params, sigma, t):
 
 
 def decode_per_click(params, sigma, clicks):
-    """Entries decoded one click at a time, dropping a qudit seen twice."""
+    """Entries decoded one click at a time, dropping a qudit seen twice
+    or named by a monitor click."""
     seen = {}
     for t in clicks.data_slots - clicks.frame_start + 1:
         i, j = decode_click(params, sigma, int(t))
         seen[i] = j if i not in seen else None
+    for t in clicks.monitor_slots - clicks.frame_start + 1:
+        seen[decode_click(params, sigma, int(t))[0]] = None
     return tuple(sorted((i, j) for i, j in seen.items() if j is not None))
 
 
@@ -775,14 +784,22 @@ class TestDecodeFrame:
             decode_frame(params, Permutation(np.arange(1, 9)), clicks)
 
 
+    def test_monitor_click_outside_frame_rejected(self):
+        params = ProtocolParams(d=2, n=4, tau=2e-9)
+        clicks = ClickStream(np.array([100]), np.array([108]), frame_start=100)
+        with pytest.raises(InvalidArgumentError, match="outside the train"):
+            decode_frame(params, Permutation(np.arange(1, 9)), clicks)
+
+
 @st.composite
 def clicked_trains(draw):
-    """``(d, n, occ, maps, clicks, params)``: a train of 1 to 4 frames,
-    its blocks' permutations, and a click record that starts anywhere,
-    with data and monitor clicks anywhere in the train, each frame's
-    first and last slot among the likelier, and a monitor dead time of
-    up to two frames, so that a click's dead window can run into the
-    next frame."""
+    """``(d, n, occ, maps, clicks, prev_occupied, last_click, params)``:
+    a train of 1 to 4 frames, its blocks' permutations, a click record
+    that starts anywhere, with data and monitor clicks anywhere in the
+    train, each frame's first and last slot among the likelier, the
+    state the train starts from (``last_click`` counted from its first
+    slot), and a monitor dead time of up to two frames, so that a
+    click's dead window can run into the next frame."""
     d = draw(st.integers(2, 8), label="d")
     n = draw(st.integers(1, 8), label="n")
     rows = draw(st.integers(1, 4), label="rows")
@@ -799,13 +816,12 @@ def clicked_trains(draw):
     )
     start = draw(st.integers(1, 10**9), label="frame_start")
     gap = draw(st.one_of(st.none(), st.integers(1, 3 * length)), label="last_monitor_gap")
-    clicks = ClickStream(
-        data + start, monitor + start, start,
-        prev_occupied=draw(st.booleans(), label="prev_occupied"),
-        last_monitor_click=-(1 << 62) if gap is None else start - gap,
-    )
+    clicks = ClickStream(data + start, monitor + start, start)
+    prev_occupied = draw(st.booleans(), label="prev_occupied")
+    last_click = -(1 << 62) if gap is None else -gap
     dead_slots = draw(st.integers(0, 2 * length), label="dead_slots")
-    return d, n, occ, maps, clicks, slot_params(mu=0.05, t_dead=2e-9 * dead_slots)
+    params = slot_params(mu=0.05, t_dead=2e-9 * dead_slots)
+    return d, n, occ, maps, clicks, prev_occupied, last_click, params
 
 
 def boundary_train():
@@ -815,8 +831,8 @@ def boundary_train():
     window covers frame 1's first three slots."""
     occ = np.ones((3, 4), dtype=bool)
     maps = np.tile(np.arange(1, 5), (3, 1))
-    clicks = ClickStream(np.array([104, 105]), np.array([104]), 101, True)
-    return 2, 2, occ, maps, clicks, slot_params(mu=0.05, t_dead=2e-9 * 3)
+    clicks = ClickStream(np.array([104, 105]), np.array([104]), 101)
+    return 2, 2, occ, maps, clicks, True, -(1 << 62), slot_params(mu=0.05, t_dead=2e-9 * 3)
 
 
 class TestTrainAsItsFrames:
@@ -828,19 +844,23 @@ class TestTrainAsItsFrames:
     @given(train=clicked_trains())
     @example(train=boundary_train())
     def test_decode_and_tally_equal_the_frames_joined(self, train):
-        d, n, occ, maps, clicks, params = train
+        d, n, occ, maps, clicks, prev_occupied, last_click, params = train
         proto = ProtocolParams(d=d, n=n, tau=2e-9)
         entries, tally = [], MonitorTally()
-        for k, (frame, row, map_) in enumerate(zip(occ, rows_of(occ, clicks), maps, strict=True)):
+        rows = rows_of(occ, clicks, prev_occupied, last_click)
+        for k, (frame, (row, prev, last), map_) in enumerate(zip(occ, rows, maps, strict=True)):
             entries += [(k * n + i, j) for i, j in decode_per_click(proto, Permutation(map_), row)]
-            tally.add(dense_tally(frame, row.prev_occupied, row, params, row.last_monitor_click))
+            tally.add(dense_tally(frame, row.monitor_slots - row.frame_start, prev, last, params))
         assert decode_frame(proto, Permutation(maps), clicks).entries == tuple(entries)
-        assert monitor_tally(occ, clicks, params) == tally
+        monitor = clicks.monitor_slots - clicks.frame_start
+        assert monitor_tally(occ, monitor, prev_occupied, last_click, params) == tally
 
     def test_boundary_train(self):
         # frame 1's first pulse is dead, and the click on frame 0's last
-        # pulse, which follows a pulse, counts as interfering
-        d, n, occ, maps, clicks, params = boundary_train()
+        # pulse, which follows a pulse, counts as interfering; it names
+        # qudit 1, whose data click is dropped with it
+        d, n, occ, maps, clicks, prev_occupied, last_click, params = boundary_train()
         proto = ProtocolParams(d=d, n=n, tau=2e-9)
-        assert decode_frame(proto, Permutation(maps), clicks).entries == ((1, 2), (2, 1))
-        assert monitor_tally(occ, clicks, params) == MonitorTally(n_int=1, exp_int=9)
+        assert decode_frame(proto, Permutation(maps), clicks).entries == ((2, 1),)
+        tally = monitor_tally(occ, np.array([3]), prev_occupied, last_click, params)
+        assert tally == MonitorTally(n_int=1, exp_int=9)

@@ -122,6 +122,11 @@ class TestCli:
             ({"protocol": {"tau": 0}}, "protocol.tau"),
             # SESSION_START carries d as u16: rates ran, simulate failed mid-session
             ({"session": {"d": 70000, "n": 1, "blocks": 1}}, "session.d"),
+            # and n as u32 (simulate drew a 2**32-symbol train first) and tau
+            # as u64 picoseconds
+            ({"session": {"n": 2**32}}, "session.n"),
+            ({"session": {"n": 2**32, "blocks": 1}}, "session.n"),
+            ({"protocol": {"tau": 1e8}}, "protocol.tau"),
         ],
     )
     def test_bad_session_section_is_usage_error(self, tmp_path, capsys, command, raw, key):
@@ -198,6 +203,7 @@ class TestCli:
             ({"noise": {"model": ["table"]}}, "noise.model"),
             ({"physical": {"xi": 10**400}}, "physical.xi"),
             ({"seed": True}, "config.seed"),
+            ({"seed": -3}, "config.seed"),
             ({"threshold": {"dimensions": ["x"]}}, "threshold.dimensions"),
         ],
     )
@@ -365,8 +371,16 @@ class TestCli:
         assert payload["transcript_violations"] == []
         assert payload["alice"]["sifted_count"] == payload["bob"]["sifted_count"]
         # SESSION_START, a reveal and a report for the one train (five
-        # 64-slot blocks), the session's two estimates and SESSION_END
-        assert payload["transcript_messages"] == 2 * 1 + 4
+        # 64-slot blocks), and Alice's estimate, which ends the session
+        assert payload["transcript_messages"] == 2 * 1 + 2
+
+    @pytest.mark.parametrize("command", ["rates", "simulate"])
+    def test_negative_seed_option_is_usage_error(self, capsys, command):
+        # numpy refused it mid-session with a traceback, and rates took it
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "error: config.seed=-1 must be an integer >= 0" in capsys.readouterr().err
 
     def test_out_writes_file(self, tmp_path, fast_config):
         out = tmp_path / "rates.csv"

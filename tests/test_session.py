@@ -6,19 +6,20 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdcow.channel import PhysicalParams
+from hdcow.channel import PhysicalParams, decode_frame
 from hdcow.config import default_config
 from hdcow.errors import InvalidArgumentError, ProtocolError
 from hdcow.protocol import ProtocolParams
 from hdcow.session import (
     QueuePipe,
+    _Alice,
     SessionSettings,
     SimulatedChannel,
     StreamDuplex,
@@ -35,7 +36,6 @@ from hdcow.wire import (
     DetectionReportMsg,
     EstimateReport,
     PermutationReveal,
-    SessionEnd,
     SessionStart,
     encode_message,
     read_message,
@@ -97,11 +97,9 @@ class TestNoiselessSession:
         sent = [(direction, type(item)) for direction, item in transcript.entries
                 if direction != Transcript.QUANTUM]
         assert sent == [
-            (a, SessionStart), (a, PermutationReveal), (b, DetectionReportMsg),
-            (b, EstimateReport), (a, EstimateReport), (a, SessionEnd),
+            (a, SessionStart), (a, PermutationReveal), (b, DetectionReportMsg), (a, EstimateReport),
         ]
-        estimates = [m for m in transcript.messages() if isinstance(m, EstimateReport)]
-        assert [m.block_id for m in estimates] == [1, 1]
+        assert transcript.messages()[-1].block_id == 1
 
     def test_transcripts_byte_identical_across_runs(self):
         _, _, t1 = run_session(noiseless_settings(d=4, n=8, blocks=5), seed=42)
@@ -169,6 +167,12 @@ def test_sample_fraction_must_be_a_unit_fraction(fraction):
         )
 
 
+@pytest.mark.parametrize("seed", [-1, [3, -2]])
+def test_negative_seed_refused(seed):
+    with pytest.raises(InvalidArgumentError, match="is not a seed"):
+        run_session(noiseless_settings(), seed=seed)
+
+
 class TestProtocolViolations:
     def test_dimension_mismatch_aborts(self):
         settings = noiseless_settings(d=4, n=16)
@@ -176,7 +180,7 @@ class TestProtocolViolations:
         duplex = ScriptedDuplex(
             [encode_message(SessionStart(d=8, n=16, tau_picoseconds=2000))]
         )
-        with pytest.raises(ProtocolError, match="dimension mismatch"):
+        with pytest.raises(ProtocolError, match=r"expected SessionStart\(d=4, n=16, "):
             run_bob(settings, channel, duplex)
 
     def test_malformed_permutation_aborts(self):
@@ -301,9 +305,8 @@ class TestBlockSequence:
             # the first train is blocks 0 to 4095, so the next reveal is for block 4096
             (TRAIN + 1, [identity_reveal(0, TRAIN)] * 2,
              f"permutation for block 0 revealed, expected block {TRAIN}"),
-            # a replay of the session's one block, after Alice's estimate
-            (1, [REVEAL_0, EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan), REVEAL_0],
-             "permutation for block 0 revealed after the last block 0"),
+            # a replay of the session's one block
+            (1, [REVEAL_0, REVEAL_0], "permutation for block 0 revealed after the last block 0"),
         ],
     )
     def test_reveal_out_of_sequence_aborts(self, blocks, messages, cause):
@@ -318,19 +321,19 @@ class TestBlockSequence:
         with pytest.raises(ProtocolError, match="estimate for block 5"):
             scripted_bob(messages)
 
-    def test_early_session_end_aborts(self):
-        with pytest.raises(ProtocolError, match="after 0 of 3 blocks"):
-            scripted_bob([SessionEnd()], blocks=3, transmissions=0)
-
-    @pytest.mark.parametrize("q_hat", [-1.0, 1.0 + 1e-9])
-    def test_out_of_range_error_estimate_aborts(self, q_hat):
-        # 1/(d-1) = 1 at d=2
-        messages = [
-            PermutationReveal(block_id=0, indices=(1, 2, 3, 4)),
-            EstimateReport(block_id=0, q_hat=q_hat, v_hat=math.nan),
-            SessionEnd(),
-        ]
-        with pytest.raises(ProtocolError, match="q_hat"):
+    @pytest.mark.parametrize(
+        "q_hat, v_hat, name",
+        [
+            # 1/(d-1) = 1 at d=2
+            (-1.0, math.nan, "q_hat"),
+            (1.0 + 1e-9, math.nan, "q_hat"),
+            (math.nan, -0.5, "v_hat"),
+            (0.0, 1.5, "v_hat"),
+        ],
+    )
+    def test_out_of_range_error_estimate_aborts(self, q_hat, v_hat, name):
+        messages = [REVEAL_0, EstimateReport(block_id=0, q_hat=q_hat, v_hat=v_hat)]
+        with pytest.raises(ProtocolError, match=f"peer sent {name}="):
             scripted_bob(messages)
 
     @pytest.mark.parametrize(
@@ -339,17 +342,13 @@ class TestBlockSequence:
             # at the end of the first of two trains no estimate is due yet
             (TRAIN + 1, [EstimateReport(block_id=TRAIN, q_hat=0.0, v_hat=math.nan)],
              f"estimate before the reveal of the last block {TRAIN}"),
-            (1, [EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan)] * 2,
-             "second estimate"),
-            (1, [SessionEnd()], "session ended before its error estimate"),
+            (1, [SessionStart(d=2, n=2, tau_picoseconds=2000)], "unexpected message SessionStart"),
+            (1, [DetectionReportMsg(block_id=0, entries=())],
+             "unexpected message DetectionReportMsg"),
         ],
     )
     def test_estimate_out_of_turn_aborts(self, blocks, tail, cause):
-        messages = [
-            identity_reveal(0, min(blocks, TRAIN)),
-            *tail,
-            SessionEnd(),
-        ]
+        messages = [identity_reveal(0, min(blocks, TRAIN)), *tail]
         with pytest.raises(ProtocolError, match=cause):
             scripted_bob(messages, blocks=blocks)
 
@@ -362,13 +361,7 @@ class TestAliceSampling:
             blocks=len(blocks),
             sample_fraction=0.5,
         )
-        last = len(blocks) - 1
-        duplex = ScriptedDuplex(
-            [
-                encode_message(DetectionReportMsg(block_id=0, entries=entries)),
-                encode_message(EstimateReport(block_id=last, q_hat=math.nan, v_hat=0.95)),
-            ]
-        )
+        duplex = ScriptedDuplex([encode_message(DetectionReportMsg(block_id=0, entries=entries))])
         channel = SimulatedChannel(settings.physical, seed=0)
         summary = run_alice(settings, blocks, channel, duplex, seed=0)
         return summary.q_hat
@@ -454,22 +447,51 @@ class TestSuppliedBlocksAcrossBatches:
         assert revealed == list(range(0, filled, 32))  # not the batch left short
 
 
-@pytest.mark.parametrize("v_hat", [-0.5, 1.5])
-def test_alice_rejects_out_of_range_visibility(v_hat):
-    # one block, so Bob's estimate is the session's
-    settings = noiseless_settings(d=2, n=2, blocks=1)
-    duplex = ScriptedDuplex(
+class TestAliceMonitorList:
+    """d=2, n=2 and one block: Alice's one train is 4 slots, and Bob's
+    report must list his monitor clicks as strictly increasing slots of
+    it that name no qudit the report keeps."""
+
+    @staticmethod
+    def alice_after_start():
+        alice = _Alice(noiseless_settings(d=2, n=2), None, seed=0)
+        _, reveal = alice.start()[1:]
+        return alice, reveal.values()
+
+    @pytest.mark.parametrize(
+        "monitor, cause",
         [
-            encode_message(DetectionReportMsg(block_id=0, entries=((0, 1),))),
-            encode_message(EstimateReport(block_id=0, q_hat=math.nan, v_hat=v_hat)),
-        ]
+            ((4,), r"monitor clicks \(4,\) outside the train's 4 slots"),
+            ((0, 4), r"monitor clicks \(0, 4\) outside the train's 4 slots"),
+            ((-1, 2), r"monitor clicks \(-1, 2\) outside the train's 4 slots"),
+            ((1, 1), r"monitor clicks \(1, 1\) are not strictly increasing"),
+            ((3, 0), r"monitor clicks \(3, 0\) are not strictly increasing"),
+        ],
     )
-    channel = SimulatedChannel(settings.physical, seed=0)
-    with pytest.raises(ProtocolError, match="v_hat"):
-        run_alice(settings, None, channel, duplex, seed=0)
-    # she stops at the estimate, before her reply and SESSION_END
-    kinds = [type(m) for m in sent_messages(duplex)]
-    assert kinds == [SessionStart, PermutationReveal]
+    def test_malformed_list_refused(self, monitor, cause):
+        alice, _ = self.alice_after_start()
+        with pytest.raises(ProtocolError, match=cause):
+            alice.receive(DetectionReportMsg(block_id=0, entries=(), monitor_slots=monitor))
+
+    @pytest.mark.parametrize("symbol", [1, 2])
+    def test_click_naming_a_kept_qudit_refused(self, symbol):
+        # the slot of qudit 1's symbol ``symbol`` is sigma(2 + symbol)
+        alice, values = self.alice_after_start()
+        slot = int(values[1 + symbol]) - 1
+        report = DetectionReportMsg(block_id=0, entries=((1, 2),), monitor_slots=(slot,))
+        with pytest.raises(
+            ProtocolError,
+            match="a monitor click names qudit 1, which the report keeps",
+        ):
+            alice.receive(report)
+
+    def test_click_naming_a_dropped_qudit_is_tallied(self):
+        alice, values = self.alice_after_start()
+        slot = int(values[0]) - 1  # qudit 0, which the report does not keep
+        report = DetectionReportMsg(block_id=0, entries=((1, 2),), monitor_slots=(slot,))
+        (estimate,) = alice.receive(report)
+        assert isinstance(estimate, EstimateReport)
+        assert alice.summary.sifted_count == 1
 
 
 class TestQueuePipe:
@@ -523,32 +545,33 @@ class TestStreamDuplex:
                 read_message(StreamDuplex(right).recv_exact)
 
 
-def swap_estimates(entries):
-    entries[-3], entries[-2] = entries[-2], entries[-3]
+def estimate_from_bob(entries):
+    entries[-1] = Transcript.B_TO_A, entries[-1][1]
 
 
-def bob_estimate_as_alice(entries):
-    entries[-3] = Transcript.A_TO_B, entries[-3][1]
+def estimate_after_start(entries):
+    entries.insert(1, entries.pop())
 
 
-def bob_estimate_after_start(entries):
-    entries.insert(1, entries.pop(-3))
+def estimate_for_block_0(entries):
+    direction, estimate = entries[-1]
+    entries[-1] = direction, replace(estimate, block_id=0)
 
 
-def bob_estimate_for_block_0(entries):
-    direction, estimate = entries[-3]
-    entries[-3] = direction, replace(estimate, block_id=0)
+def bob_estimate_first(entries):
+    # the exchange of wire version 3: Bob's estimate, then Alice's
+    entries.insert(-1, (Transcript.B_TO_A, entries[-1][1]))
 
 
 def second_start(entries):
     entries.insert(len(entries) // 2, entries[0])
 
 
-def early_end(entries):
+def early_estimate(entries):
     entries.insert(len(entries) // 2, entries[-1])
 
 
-def second_end(entries):
+def second_estimate(entries):
     entries.append(entries[-1])
 
 
@@ -567,28 +590,30 @@ def reveal_0_again(entries):
 A, B, Q = Transcript.A_TO_B, Transcript.B_TO_A, Transcript.QUANTUM
 START = (A, SessionStart(d=2, n=2, tau_picoseconds=2000))
 REPORT_0 = DetectionReportMsg(block_id=0, entries=())
+ESTIMATE_0 = EstimateReport(block_id=0, q_hat=0.0, v_hat=math.nan)
 
 
 class TestTranscriptValidator:
     @pytest.mark.parametrize(
         "entries, violation",
         [
-            ([START, (A, REVEAL_0), (Q, 0), (B, REPORT_0), (A, SessionEnd())],
+            ([START, (A, REVEAL_0), (Q, 0), (B, REPORT_0), (A, ESTIMATE_0)],
              "entry 1: expected quantum transmission of block 0, "
              "got a->b PermutationReveal of block 0"),
-            ([START, (Q, 0), (B, REPORT_0), (A, REVEAL_0), (A, SessionEnd())],
+            ([START, (Q, 0), (B, REPORT_0), (A, REVEAL_0), (A, ESTIMATE_0)],
              "entry 2: expected a->b PermutationReveal of block 0, "
              "got b->a DetectionReportMsg of block 0"),
-            ([START, (Q, 0), (A, REVEAL_0), (A, REPORT_0), (A, SessionEnd())],
+            ([START, (Q, 0), (A, REVEAL_0), (A, REPORT_0), (A, ESTIMATE_0)],
              "entry 3: expected b->a DetectionReportMsg of block 0, "
              "got a->b DetectionReportMsg of block 0"),
             # blocks 0 and 1 are one train, with one reveal and one report
-            ([START, (Q, 0), (Q, 1), (A, REVEAL_0), (B, REPORT_0), (A, SessionEnd())],
-             "entry 5: expected b->a EstimateReport of block 1, got a->b SessionEnd"),
+            ([START, (Q, 0), (Q, 1), (A, REVEAL_0), (B, REPORT_0), (A, ESTIMATE_0)],
+             "entry 5: expected a->b EstimateReport of block 1, "
+             "got a->b EstimateReport of block 0"),
             # the block-by-block exchange of wire version 2
             ([START, (Q, 0), (Q, 1), (A, REVEAL_0), (B, REPORT_0),
               (A, replace(REVEAL_0, block_id=1))],
-             "entry 5: expected b->a EstimateReport of block 1, "
+             "entry 5: expected a->b EstimateReport of block 1, "
              "got a->b PermutationReveal of block 1"),
             # 4-slot frames go 4096 to a train, so block 1 goes out with block 0
             ([START, (Q, 0), (A, REVEAL_0), (B, REPORT_0), (Q, 1)],
@@ -609,39 +634,39 @@ class TestTranscriptValidator:
     @pytest.mark.parametrize(
         "edit, violation",
         [
-            (swap_estimates,
-             "entry 8: expected b->a EstimateReport of block 2, got a->b EstimateReport of block 2"),
-            (bob_estimate_as_alice,
-             "entry 8: expected b->a EstimateReport of block 2, got a->b EstimateReport of block 2"),
-            (bob_estimate_after_start,
-             "entry 1: expected quantum transmission of block 0, got b->a EstimateReport of block 2"),
-            (bob_estimate_for_block_0,
-             "entry 8: expected b->a EstimateReport of block 2, got b->a EstimateReport of block 0"),
+            (estimate_from_bob,
+             "entry 8: expected a->b EstimateReport of block 2, got b->a EstimateReport of block 2"),
+            (bob_estimate_first,
+             "entry 8: expected a->b EstimateReport of block 2, got b->a EstimateReport of block 2"),
+            (estimate_after_start,
+             "entry 1: expected quantum transmission of block 0, got a->b EstimateReport of block 2"),
+            (estimate_for_block_0,
+             "entry 8: expected a->b EstimateReport of block 2, got a->b EstimateReport of block 0"),
             (second_start,
-             "entry 5: expected quantum transmission of block 2, got a->b SessionStart"),
-            (early_end,
-             "entry 5: expected quantum transmission of block 2, got a->b SessionEnd"),
-            (second_end, "entry 11: expected the end of the transcript, got a->b SessionEnd"),
-            (list.pop, "entry 10: expected a->b SessionEnd, got the end of the transcript"),
+             "entry 4: expected b->a DetectionReportMsg of block 0, got a->b SessionStart"),
+            (early_estimate,
+             "entry 4: expected b->a DetectionReportMsg of block 0, "
+             "got a->b EstimateReport of block 2"),
+            (second_estimate,
+             "entry 9: expected the end of the transcript, got a->b EstimateReport of block 2"),
+            (list.pop, "entry 8: expected a->b EstimateReport of block 2, got the end of the transcript"),
             (list.clear, "entry 0: expected a->b SessionStart, got the end of the transcript"),
             (drop_train_2,
-             "entry 5: expected b->a EstimateReport of block 1, got b->a EstimateReport of block 2"),
+             "entry 5: expected a->b EstimateReport of block 1, got a->b EstimateReport of block 2"),
             # without its marker block 2 was never transmitted
             (drop_quantum_2,
-             "entry 5: expected b->a EstimateReport of block 1, got a->b PermutationReveal of block 2"),
+             "entry 5: expected a->b EstimateReport of block 1, got a->b PermutationReveal of block 2"),
             (reveal_0_again,
-             "entry 10: expected a->b SessionEnd, got a->b PermutationReveal of block 0"),
+             "entry 8: expected a->b EstimateReport of block 2, got a->b PermutationReveal of block 0"),
         ],
     )
     def test_flags_edits_of_a_real_session(self, edit, violation):
         # 8192-slot frames go two to a train, so three blocks are trains of 2 and 1
         _, _, transcript = run_session(noiseless_settings(d=8, n=1024, blocks=3), seed=1)
         entries = transcript.entries
-        assert len(entries) == 11
+        assert len(entries) == 9
         assert [e[1] for e in entries[1:3]] == [0, 1] and entries[5] == (Q, 2)
-        assert [type(item) for _, item in entries[-3:]] == [
-            EstimateReport, EstimateReport, SessionEnd
-        ]
+        assert entries[-1][0] == A and type(entries[-1][1]) is EstimateReport
         assert validate_transcript(transcript) == []
         edit(entries)
         assert validate_transcript(transcript) == [violation]
@@ -658,7 +683,7 @@ class TestTranscriptValidator:
         assert validate_transcript(transcript) == []
         shapes = [
             (direction, item if direction == Q else item.block_id)
-            for direction, item in transcript.entries[1:-3]
+            for direction, item in transcript.entries[1:-1]
         ]
         expected = []
         for first, last in ((0, 32), (32, 64), (64, 70)):
@@ -684,6 +709,23 @@ class TestTranscriptValidator:
         ]
 
 
+class SpyChannel(SimulatedChannel):
+    """A simulated channel that keeps every occupancy sent down it and
+    every click record it hands to the receiver."""
+
+    def __init__(self, phys, seed):
+        super().__init__(phys, seed)
+        self.sent, self.handed = [], []
+
+    def transmit(self, first_block_id, occupancy):
+        self.sent.append(occupancy)
+        super().transmit(first_block_id, occupancy)
+
+    def receive(self, first_block_id):
+        self.handed.append(super().receive(first_block_id))
+        return self.handed[-1]
+
+
 class TestSingleThreadedSession:
     def test_endpoint_fault_aborts_at_once(self, monkeypatch):
         fault = RuntimeError("encoder fault")
@@ -707,7 +749,7 @@ class TestSingleThreadedSession:
             protocol=proto, physical=phys, blocks=20, sample_fraction=0.5
         )
         alice_seed, channel_seed = np.random.SeedSequence(7).spawn(2)
-        channel = SimulatedChannel(phys, channel_seed)
+        channel = SpyChannel(phys, channel_seed)
         transcript, bob_transcript = Transcript(), Transcript()
         left, right = socket.socketpair()
         with left, right, ThreadPoolExecutor(max_workers=1) as pool:
@@ -738,6 +780,53 @@ class TestSingleThreadedSession:
             "entry 1: expected quantum transmission of block 0, "
             "got a->b PermutationReveal of block 0"
         ]
+        # Bob's endpoint is handed detector events only: the one train's
+        # click record, which holds no part of its occupancy
+        ((clicks,), (occupancy,)) = channel.handed, channel.sent
+        assert [f.name for f in fields(clicks)] == ["data_slots", "monitor_slots", "frame_start"]
+        for value in (clicks.data_slots, clicks.monitor_slots):
+            assert value.dtype == np.int64 and not np.shares_memory(value, occupancy)
+
+
+@pytest.mark.filterwarnings("ignore:mu\\*t_ch")
+def test_no_key_qudit_is_named_by_a_reported_monitor_click(monkeypatch):
+    # A lossless link with half the light on the monitor: about one pulse
+    # in eight clicks it, so many reported clicks name qudits; Alice, who
+    # knows the pulses, tallies them.
+    dropped = []  # per train, the qudits the monitor clicks take out of the key
+
+    def counting_decode(params, sigma, clicks):
+        report = decode_frame(params, sigma, clicks)
+        unmonitored = replace(clicks, monitor_slots=clicks.monitor_slots[:0])
+        dropped.append(len(decode_frame(params, sigma, unmonitored).entries) - len(report.entries))
+        return report
+
+    monkeypatch.setattr("hdcow.session.decode_frame", counting_decode)
+    physical = PhysicalParams(
+        mu=1.0, t_ch=1.0, xi=1.0, t_dead=0.0, r_ext=0.0, f_mon=0.5, v_true=0.9
+    )
+    settings = SessionSettings(ProtocolParams(d=4, n=16, tau=2e-9), physical, blocks=300)
+    alice, bob, transcript = run_session(settings, seed=5)
+    messages = transcript.messages()
+    reveals = {m.block_id: m.values() for m in messages if isinstance(m, PermutationReveal)}
+    named = 0
+    for report in (m for m in messages if isinstance(m, DetectionReportMsg)):
+        values = reveals[report.block_id]
+        length = 4 * 16
+        # train slot t names train qudit sigma^{-1}(t) // d of its row
+        inverse = np.empty(len(values), dtype=np.int64)
+        at = np.arange(len(values))
+        inverse[at - at % length + values.astype(np.int64) - 1] = at
+        qudits = {int(inverse[t]) // 4 for t in report.monitor_slots}
+        kept = {g for g, _ in report.entries}
+        assert not qudits & kept
+        named += len(qudits)
+    assert named > 300
+    assert sum(dropped) > 100
+    assert alice.sifted == bob.sifted
+    # the visibility is Alice's, from her tally; Bob takes hers
+    assert alice.v_hat == bob.v_hat and 0.0 < alice.v_stderr < 0.1
+    assert math.isnan(bob.v_stderr)
 
 
 class TestPinnedTranscripts:
@@ -745,7 +834,10 @@ class TestPinnedTranscripts:
     to what a seed draws (permutations, key blocks or clicks) moves them;
     it must re-record them and say which values moved.  A change of wire
     format, or of the messages a session sends, moves the digests and
-    entry counts too, but not the sifted strings or the estimates."""
+    entry counts too.  The sifted strings and the estimates move with
+    them only where a change of protocol keeps other qudits, as the rule
+    that a reported monitor click takes the qudit it names out of the key
+    can; it moved none of the strings pinned here."""
 
     @staticmethod
     def check(settings, seed, digest, entries, sifted, bob_sifted=None):
@@ -759,18 +851,19 @@ class TestPinnedTranscripts:
 
     @staticmethod
     def check_stderrs(alice, bob, q_stderr, v_stderr):
-        # Neither error bar is on the wire, so the digests do not cover them.
+        # Neither error bar is on the wire, so the digests do not cover
+        # them; both estimates are Alice's.
         np.testing.assert_equal(
             (alice.q_stderr, alice.v_stderr, bob.q_stderr, bob.v_stderr),
-            (q_stderr, math.nan, math.nan, v_stderr),
+            (q_stderr, v_stderr, math.nan, math.nan),
         )
 
     def test_noiseless_session(self):
         self.check(
             noiseless_settings(d=4, n=8, blocks=5),
             42,
-            "ed7b1bfd8fb47f9fb971026bb8cc8595d3045c963f6270cb7530c3e6a3159899",
-            11,
+            "cf3f7dc2b9f71e146f0a96ff3d9f569ffe3f1edf33790f2ffa15c3ced092db6d",
+            9,
             (3, 4, 1, 4, 2, 2, 3, 4, 4, 1, 4, 4, 3, 4, 4, 1, 1, 2, 1, 3,
              1, 1, 4, 1, 4, 4, 1, 2, 3, 1, 2, 4, 3, 1, 3, 3, 3, 3, 4, 1),
         )
@@ -786,15 +879,15 @@ class TestPinnedTranscripts:
         alice, bob = self.check(
             settings,
             config.seed,
-            "896da4f375e0323d1793a1d3e511729f892a88528c1d7cd0f904684ef3fb2448",
-            112,
+            "9825f9b2ed7102bbe69ac12663c8a01a633b0b60e3e745e07af3b587678aa901",
+            110,
             (5, 2, 6, 3, 1, 5, 4, 3, 1, 3),
         )
         self.check_stderrs(alice, bob, 0.0, 3.6779891304347827)
 
     def test_reference_geometry_monitor_tally(self):
         # The defaults' 100 blocks see too few monitor clicks for a useful
-        # error bar on Bob's V (3.7); over 1000 blocks the tally's counts
+        # error bar on V (3.7); over 1000 blocks the tally's counts
         # and live exposures at d=8, n=64 bring it to 0.88.  Four of the
         # 76 sifted qudits are errors.
         config = default_config()
@@ -807,8 +900,8 @@ class TestPinnedTranscripts:
         alice, bob = self.check(
             settings,
             config.seed,
-            "f6e9864e31eeaf82e4bd9c8e3eb440b30a1789d3f34a02401b1abbb27652c6d8",
-            1068,
+            "324d283f703efc41bc3cea36c85e295e3e6f8413c4d1fd1b58b9fba8303e7014",
+            1066,
             (5, 2, 6, 3, 1, 5, 4, 3, 1, 3, 2, 6, 5, 2, 7, 2, 4, 3, 1, 5, 6, 7, 2, 7, 7, 1,
              2, 5, 7, 3, 1, 8, 7, 1, 3, 6, 3, 4, 5, 8, 4, 6, 4, 1, 2, 8, 7, 3, 3, 3, 2, 1,
              7, 1, 5, 2, 3, 2, 3, 4, 5, 4, 2, 7, 1, 3, 1, 8, 6, 3, 2, 8, 3, 7, 5, 2),
@@ -830,9 +923,9 @@ class TestPinnedTranscripts:
         )
         alice, bob, transcript = run_session(settings, seed=1)
         assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == (
-            "b100369543427d1b13b9b104d36c3271f7ecf23bb52577a52cdcaf28832ee432"
+            "f95a88f4467177f467b37519ab0b21a8e2d48c887868730e08e49464d3d868d8"
         )
-        assert len(transcript.entries) == 10
+        assert len(transcript.entries) == 8
         assert alice.sifted_count == bob.sifted_count == 185
         assert hashlib.sha256(bytes(alice.sifted)).hexdigest() == (
             "31eb91a417ccc540e46d3d512901e7fb7002cf63edd2741f75ab41a8ad974080"
@@ -875,8 +968,8 @@ class TestSessionEstimates:
         settings = SessionSettings(
             protocol=ProtocolParams(d=2, n=512, tau=2e-9), physical=phys, blocks=1000
         )
-        _, bob, _ = run_session(settings, seed=4)
-        assert abs(bob.v_hat - 0.99) < 3 * bob.v_stderr
+        alice, _, _ = run_session(settings, seed=4)
+        assert abs(alice.v_hat - 0.99) < 3 * alice.v_stderr
 
     @pytest.mark.filterwarnings("ignore:mu\\*t_ch")
     def test_error_shrinks_with_sample_size(self):
