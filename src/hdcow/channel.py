@@ -12,7 +12,10 @@ predecessor does not interfere and clicks with probability
 ``xi * f_mon * t_ch * mu / 4``.  Each detector gets the dark-count
 probability once per slot: OR-ed into the slot's light, which at an
 empty monitor slot is none.  Dead time is applied per detector by
-``kernels.dead_time_filter`` and persists across frames.
+``kernels.dead_time_filter``.  Slots count from their train's start, from
+0, as a time tagger's events count from its frame sync, and one rule,
+:func:`_carry`, carries a train's end into the next train's
+:class:`DetectorState`, for the channel and the sender's tally alike.
 
 The sender transmits a pulse train: the frames of several blocks back to
 back, as one continuous train on unchanged hardware, before revealing
@@ -203,23 +206,23 @@ class PhysicalParams:
 
 @dataclass
 class DetectorState:
-    """Carries dead-time and pulse-train continuity across frames."""
+    """What a pulse train leaves for the next: each detector's last click,
+    counted from the next train's first slot (so negative), and whether
+    the slot before that one held a pulse."""
 
     last_data_click: int = -(1 << 62)
     last_monitor_click: int = -(1 << 62)
     prev_occupied: bool = False
-    next_slot: int = 1  # global 1-based index of the next frame's first slot
 
 
 @dataclass
 class ClickStream:
     """Time-ordered detector events for one pulse train, or one frame,
-    as global slot indices: what a receiver's detectors give, and
+    as 0-based slots of the train: what a receiver's detectors give, and
     nothing of the pulses sent."""
 
     data_slots: np.ndarray
     monitor_slots: np.ndarray
-    frame_start: int  # global index of the train's first slot
 
 
 @dataclass
@@ -269,9 +272,8 @@ def transmit_frame(
     larger one, so the clicks are the same; on a long link most trains
     have no pulse below it and none is classified.  Each detector's
     candidate clicks then pass its dead-time filter once for the whole
-    train, the data detector's first.  If ``state`` is given it is
-    updated in place, chaining dead time, global slot numbering, and
-    pulse-train continuity into the next train.
+    train, the data detector's first.  ``state``, what the train before
+    left (none, if not given), is carried past this train in place.
     """
     if occ.ndim != 2 or not occ.size:
         raise InvalidArgumentError(
@@ -280,9 +282,6 @@ def transmit_frame(
     if state is None:
         state = DetectorState()
     slots = occ.reshape(-1)
-    base = state.next_slot
-    prev_occupied, last_monitor_click = state.prev_occupied, state.last_monitor_click
-    dead = params.dead_slots
     pulses = slots.nonzero()[0]
     u = rng.random(2 * len(pulses))
     u_data, u_mon = u[: len(pulses)], u[len(pulses) :]
@@ -291,29 +290,35 @@ def transmit_frame(
     leaks = _empty_hits(pulses, len(slots), params.p_click_empty, rng)
     if len(leaks):
         cand_data = _merge(cand_data, leaks)
-    cand_data += base
-    data_slots, state.last_data_click = dead_time_filter(
-        cand_data, dead, state.last_data_click
-    )
+    data_slots, _ = dead_time_filter(cand_data, params.dead_slots, state.last_data_click)
 
     p_int, p_non = params.p_monitor_interfering, params.p_monitor_noninterfering
     below = (u_mon < max(p_int, p_non)).nonzero()[0]
     cand_mon = pulses[below]
     if len(below):  # most trains of a long, lossy link have none
         cand_mon = cand_mon[u_mon[below] < np.where(
-            _interferes(slots, cand_mon, prev_occupied), p_int, p_non
+            _interferes(slots, cand_mon, state.prev_occupied), p_int, p_non
         )]
     darks = _empty_hits(pulses, len(slots), params.p_dc, rng)
     if len(darks):
         cand_mon = _merge(cand_mon, darks)
-    cand_mon += base
-    monitor_slots, state.last_monitor_click = dead_time_filter(
-        cand_mon, dead, last_monitor_click
-    )
+    monitor_slots, _ = dead_time_filter(cand_mon, params.dead_slots, state.last_monitor_click)
 
+    _carry(state, slots, monitor_slots, data_slots)
+    return ClickStream(data_slots, monitor_slots)
+
+
+def _carry(state: DetectorState, slots: np.ndarray, monitor_slots, data_slots=()) -> None:
+    """Carry ``state`` past a train in place, from its flattened occupancy
+    ``slots`` and its clicks (the sender sees no data click): each
+    detector's last click is then counted from the next train's start."""
     state.prev_occupied = bool(slots[-1])
-    state.next_slot = base + len(slots)
-    return ClickStream(data_slots, monitor_slots, base)
+    if len(monitor_slots):
+        state.last_monitor_click = int(monitor_slots[-1])
+    if len(data_slots):
+        state.last_data_click = int(data_slots[-1])
+    state.last_monitor_click -= len(slots)
+    state.last_data_click -= len(slots)
 
 
 def _merge(pulse_hits: np.ndarray, empty_hits: np.ndarray) -> np.ndarray:
@@ -406,25 +411,22 @@ def _interferes(occ: np.ndarray, pulses: np.ndarray, prev_occupied: bool) -> np.
 def monitor_tally(
     occ: np.ndarray,
     monitor_slots,
-    prev_occupied: bool,
-    last_click: int,
+    state: DetectorState,
     params: PhysicalParams,
 ) -> MonitorTally:
     """Classify monitor clicks and count live exposures for one pulse
     train, in one pass over its occupancy ``occ`` flattened, the frames
-    back to back, as :func:`transmit_frame` sent it.  The inputs are
-    local to the train: ``monitor_slots`` are its monitor clicks as
-    strictly increasing 0-based slots of the train, ``prev_occupied``
-    tells whether the slot before it was occupied, and ``last_click`` is
-    the monitor's last click before it, counted from its first slot (so
-    negative).  The tally equals the sum of the tallies of the train's
-    frames, each taken with the state it started from.
+    back to back, as :func:`transmit_frame` sent it, from its monitor
+    clicks, strictly increasing slots of the train, and the ``state``
+    the train before left, which is then carried past the train by the
+    channel's rule.  The tally equals the sum of the tallies of the
+    train's frames, each taken with the state it started from.
 
     Each pulse is an interfering exposure when the slot before it is
     occupied and a non-interfering one otherwise.  A click on a pulse
     counts for its class, and a click on an empty slot (a dark count)
     for neither.  A pulse within ``dead_slots`` slots after a monitor
-    click, the train's own or ``last_click``, could never have clicked,
+    click, the train's own or the one before, could never have clicked,
     so it is no exposure.  Only the sender knows the pulses, so the
     sender tallies the clicks that the receiver reports.
 
@@ -436,13 +438,15 @@ def monitor_tally(
     so each is classified where it falls.
 
     A train with no monitor click of its own that starts after the dead
-    window of the monitor's last click (``last_click + dead_slots < 0``)
-    has no dead pulse and no click to classify: every pulse is live, as
-    both counts would show, so the tally is the pulse counts alone, with
-    no search.
+    window of the monitor's last click (``last_monitor_click +
+    dead_slots < 0``) has no dead pulse and no click to classify: every
+    pulse is live, as both counts would show, so the tally is the pulse
+    counts alone, with no search.
     """
     occ = occ.reshape(-1)
     pulses = occ.nonzero()[0]
+    prev_occupied, last_click = state.prev_occupied, state.last_monitor_click
+    _carry(state, occ, monitor_slots)
     interfering = _interferes(occ, pulses, prev_occupied)
     if not len(monitor_slots) and last_click + params.dead_slots < 0:
         exp_int = int(np.count_nonzero(interfering))  # every pulse is live
@@ -521,39 +525,34 @@ def decode_frame(
     """Decode a pulse train's data clicks into one detection report.
 
     ``sigma`` holds the permutations of the train's blocks, one row per
-    frame, and ``clicks`` the train's click record.  A click at slot
-    ``t`` of the train, counted from 1 at ``clicks.frame_start``, names
-    qudit ``i`` of the train and symbol ``j`` through
-    ``sigma^{-1}(t) = d*i + j``, with the train's bijection as
-    :class:`~hdcow.protocol.Permutation` flattens it; so qudit i of row
-    k is ``k*n + i``.  A qudit named by exactly one data click is kept.
-    A qudit named by two or more is discarded whole, since the clicks
+    frame, and ``clicks`` the train's click record.  A click at the
+    train's ``t``-th slot, ``t - 1`` from its start, names qudit ``i`` of
+    the train and symbol ``j`` through ``sigma^{-1}(t) = d*i + j``, with
+    the train's bijection as :class:`~hdcow.protocol.Permutation`
+    flattens it; so qudit i of row k is ``k*n + i``.  A qudit named by
+    exactly one data click is kept.  A qudit named by two or more is
+    discarded whole, since the clicks
     disagree on its symbol, and so is a qudit named by a monitor click:
     the receiver reports its monitor clicks, and once ``sigma`` is
     public a click at ``t`` gives away the symbol of the qudit it names.
-    Entries are ``(i, j)`` pairs of Python ints in increasing ``i``.  A
-    click outside the train is rejected.
+    Entries are ``(i, j)`` pairs of Python ints in increasing ``i``.  Any
+    click outside the train, of either detector, is rejected.
     """
-    d = params.d
     if sigma.inverse_map.shape[-1] != params.slot_count:
         raise InvalidArgumentError(
             f"permutation length {sigma.inverse_map.shape[-1]} != d*n={params.slot_count}"
         )
-    if not len(clicks.data_slots):  # most trains of a long, lossy link
+    data = len(clicks.data_slots)
+    if not (data or len(clicks.monitor_slots)):  # most trains of a long, lossy link
         return DetectionReport(entries=())
     inverse = sigma.inverse_map.reshape(-1)
-    data = len(clicks.data_slots)
-    # 0-based train slots of the data clicks, then of the monitor's
-    offsets = np.concatenate((clicks.data_slots, clicks.monitor_slots)) - clicks.frame_start
+    offsets = np.concatenate((clicks.data_slots, clicks.monitor_slots))
     if np.minimum.reduce(offsets) < 0 or np.maximum.reduce(offsets) >= len(inverse):
-        raise InvalidArgumentError(
-            f"click outside the train's slots {clicks.frame_start}.."
-            f"{clicks.frame_start + len(inverse) - 1}"
-        )
-    qudits, symbols = np.divmod(inverse[offsets] - 1, d)
+        raise InvalidArgumentError(f"click outside the train's slots 0..{len(inverse) - 1}")
+    qudits, symbols = np.divmod(inverse[offsets] - 1, params.d)
     kept, first, counts = np.unique(qudits[:data], return_index=True, return_counts=True)
     once = counts == 1
-    if len(offsets) > data:  # drop the qudits the monitor clicks name; kept is sorted
+    if data and len(offsets) > data:  # drop the qudits the monitor clicks name; kept is sorted
         at = kept.searchsorted(qudits[data:])
         once[at[kept.take(at, mode="clip") == qudits[data:]]] = False
     entries = zip(kept[once].tolist(), (symbols[first[once]] + 1).tolist())

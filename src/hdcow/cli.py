@@ -173,7 +173,7 @@ def cmd_simulate(config: Config, args) -> str:
         settings.physical.mu,
         settings.physical.xi_eff,
         settings.physical.t_dead,
-        settings.protocol.tau,
+        settings.physical.tau,
     )
 
     def summarize(s):

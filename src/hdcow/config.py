@@ -104,9 +104,7 @@ class Config:
         )
 
     def session_protocol(self) -> ProtocolParams:
-        return ProtocolParams(
-            d=self.session.d, n=self.session.n, tau=self.protocol.tau
-        )
+        return ProtocolParams(d=self.session.d, n=self.session.n)
 
     def session_settings(self) -> SessionSettings:
         """The ``hdcow simulate`` session, checked by ``SessionSettings``

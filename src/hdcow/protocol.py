@@ -69,21 +69,18 @@ class SeededByteSource:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Block geometry: ``d`` slots per qudit, ``n`` qudits per block,
-    ``tau`` seconds per slot.  The fields are frozen, so ``slot_count``
-    is computed once per instance."""
+    """Block geometry: ``d`` slots per qudit, ``n`` qudits per block.
+    The slot duration is the channel's, ``PhysicalParams.tau``.  The
+    fields are frozen, so ``slot_count`` is computed once per instance."""
 
     d: int
     n: int
-    tau: float
 
     def __post_init__(self):
         if self.d < 2:
             raise InvalidArgumentError(f"d={self.d} must be >= 2")
         if self.n < 1:
             raise InvalidArgumentError(f"n={self.n} must be >= 1")
-        if not self.tau > 0.0:
-            raise InvalidArgumentError(f"tau={self.tau} must be positive")
 
     @cached_property
     def slot_count(self) -> int:

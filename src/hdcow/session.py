@@ -48,9 +48,10 @@ simulation or external hardware.  The handle has two calls:
 train given as its ``(m, d*n)`` bool occupancy, one frame per row for
 the blocks from ``first_block_id`` on, and ``receive(first_block_id)
 -> clicks`` on Bob's, which returns that train's
-:class:`~hdcow.channel.ClickStream`: detector events only, as a
-receiver's hardware gives them.  Bob reports his monitor clicks, and
-Alice, who knows the pulses, keeps the monitor tally.
+:class:`~hdcow.channel.ClickStream`: detector events only, as 0-based
+slots of the train, as a receiver's time tagger gives them against its
+frame sync.  Bob reports his monitor clicks, and Alice, who knows the
+pulses, keeps the monitor tally.
 """
 
 from __future__ import annotations
@@ -117,13 +118,14 @@ class SessionSettings:
     sample_fraction: float = 1.0
 
     def __post_init__(self):
-        p = self.protocol
-        for name, value, bits, unit in (
-            ("d", p.d, 16, ""), ("n", p.n, 32, ""), ("tau", p.tau * 1e12, 64, " of picoseconds")
+        p, start = self.protocol, self.start
+        for name, value, field, bits, unit in (
+            ("d", p.d, p.d, 16, ""), ("n", p.n, p.n, 32, ""),
+            ("tau", self.physical.tau, start.tau_picoseconds, 64, " of whole picoseconds"),
         ):
-            if not value < 2.0**bits:
+            if not 0 < field < 2**bits:  # a slot duration of 0 ps would not fit either
                 raise InvalidArgumentError(
-                    f"{name}={getattr(p, name)} does not fit SESSION_START's u{bits}{unit}"
+                    f"{name}={value} does not fit SESSION_START's u{bits}{unit}"
                 )
         if self.blocks < 1:
             raise InvalidArgumentError(f"blocks={self.blocks} must be >= 1")
@@ -144,7 +146,7 @@ class SessionSettings:
     @property
     def start(self) -> SessionStart:
         p = self.protocol
-        return SessionStart(d=p.d, n=p.n, tau_picoseconds=round(p.tau * 1e12))
+        return SessionStart(d=p.d, n=p.n, tau_picoseconds=round(self.physical.tau * 1e12))
 
 
 @dataclass
@@ -431,8 +433,7 @@ class _Alice:
         self._block_id = 0  # the open train's first block
         self._symbols: np.ndarray | None = None  # the open train's, one block per row
         self._train = self._reveal = None  # the open train's _Transmit and PermutationReveal
-        self._prev_occupied = False  # the slot before the open train
-        self._last_click = -(1 << 62)  # the monitor's last, from the open train's first slot
+        self._monitor = DetectorState()  # as the open train finds the channel's
         self._tally = MonitorTally()
         self._sifted: list[int] = []
         self._sampled_mine: list[int] = []
@@ -523,11 +524,7 @@ class _Alice:
                     f"a monitor click names qudit {qudits[named.any(axis=1).argmax()]}, "
                     "which the report keeps"
                 )
-        self._tally.add(monitor_tally(
-            occupancy, monitor, self._prev_occupied, self._last_click, self._settings.physical
-        ))
-        self._prev_occupied = bool(occupancy[-1, -1])
-        self._last_click = (monitor[-1] if monitor else self._last_click) - slots
+        self._tally.add(monitor_tally(occupancy, monitor, self._monitor, self._settings.physical))
         self._train = self._reveal = None  # held until the train's report only
 
     def _finish(self) -> EstimateReport:
@@ -624,7 +621,7 @@ class _Bob:
         report = decode_frame(settings.protocol, sigma, clicks)
         self._sifted.extend(j for _i, j in report.entries)
         self._blocks_done += rows
-        monitor = tuple((clicks.monitor_slots - clicks.frame_start).tolist())
+        monitor = tuple(clicks.monitor_slots.tolist())
         return [DetectionReportMsg(block_id=first, entries=report.entries, monitor_slots=monitor)]
 
 
@@ -671,7 +668,7 @@ def run_bob(
 def _summary(role, settings, sifted, q_hat, q_err, v_hat, v_err) -> SessionSummary:
     proto = settings.protocol
     total_slots = settings.blocks * proto.slot_count
-    detected_rate = len(sifted) / (total_slots * proto.tau)
+    detected_rate = len(sifted) / (total_slots * settings.physical.tau)
     per_detection = 0.0  # an estimate the data leave undefined (NaN) justifies no key
     if not (math.isnan(q_hat) or math.isnan(v_hat)):
         per_detection = eve_optimal_holevo(

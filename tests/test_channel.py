@@ -73,11 +73,10 @@ def one_frame(occ, params, rng, state=None) -> ClickStream:
 
 def tally_of(occ, clicks, prev_occupied, last_click, params) -> MonitorTally:
     """``monitor_tally`` of the train ``occ`` from its click record, with
-    the monitor's last click before it ``last_click`` as a global slot:
-    each made local to the train, as the sender takes them."""
-    start = clicks.frame_start
-    local = clicks.monitor_slots - start
-    return monitor_tally(occ, local, prev_occupied, last_click - start, params)
+    the state it started from: whether the slot before it was occupied,
+    and the monitor's last click before it, counted from its first slot."""
+    state = DetectorState(last_monitor_click=last_click, prev_occupied=prev_occupied)
+    return monitor_tally(occ, clicks.monitor_slots, state, params)
 
 
 class TestTransmitFrame:
@@ -116,19 +115,44 @@ class TestTransmitFrame:
         state = DetectorState()
         rng = np.random.default_rng(3)
         trains = [transmit_frame(occ, params, rng, state) for _ in range(2)]
-        slots = np.concatenate([train.data_slots for train in trains])
+        slots = np.concatenate([train.data_slots + k * occ.size for k, train in enumerate(trains)])
         assert (np.diff(slots) > dead).all()
         duration = 200_000 * params.tau
         assert len(slots) / duration <= 1.0 / params.t_dead
 
-    def test_global_slot_numbering_continues_across_frames(self):
+    def test_slots_count_from_each_trains_first_slot(self):
         params = PhysicalParams.noiseless()
         state = DetectorState()
         rng = np.random.default_rng(0)
         c1 = transmit_frame(np.array([[True, False], [False, True]]), params, rng, state)
+        assert (state.last_data_click, state.prev_occupied) == (-1, True)
         c2 = transmit_frame(np.array([[True, False]]), params, rng, state)
-        assert [c.frame_start for c in (c1, c2)] == [1, 5]
-        assert [c.data_slots.tolist() for c in (c1, c2)] == [[1, 4], [5]]
+        assert [c.data_slots.tolist() for c in (c1, c2)] == [[0, 3], [0]]
+        assert (state.last_data_click, state.prev_occupied) == (-2, False)
+
+    def test_click_at_a_trains_end_blinds_the_next_trains_start(self):
+        # Every pulse fires both detectors.  The click on train 1's last
+        # slot blinds the dead_slots = 3 slots after it, train 2's first
+        # three; the monitor's tally, carried the same way, counts them dead.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the weak-pulse guard
+            params = PhysicalParams(
+                mu=50.0, t_ch=1.0, xi=1.0, t_dead=2e-9 * 3, r_ext=0.0, f_mon=0.5, v_true=0.0
+            )
+        state, tallied = DetectorState(), DetectorState()
+        rng = np.random.default_rng(0)
+        end = np.zeros((1, 8), dtype=bool)
+        end[0, -1] = True
+        first = transmit_frame(end, params, rng, state)
+        monitor_tally(end, first.monitor_slots, tallied, params)
+        assert first.data_slots.tolist() == first.monitor_slots.tolist() == [7]
+        assert (state.last_data_click, state.last_monitor_click) == (-1, -1)
+        full = np.ones((1, 8), dtype=bool)
+        second = transmit_frame(full, params, rng, state)
+        assert second.data_slots.tolist() == second.monitor_slots.tolist() == [3, 7]
+        tally = monitor_tally(full, second.monitor_slots, tallied, params)
+        assert tally == MonitorTally(n_int=2, exp_int=2)
+        assert tallied.last_monitor_click == state.last_monitor_click == -1
 
     def test_dark_counts_applied_once_at_the_monitor(self):
         # no light reaches the monitor, so every slot clicks at p_dc
@@ -136,7 +160,7 @@ class TestTransmitFrame:
         occ = np.arange(400_000) % 2 == 0
         clicks = one_frame(occ, params, np.random.default_rng(11))
         hit = np.zeros(len(occ), dtype=bool)
-        hit[clicks.monitor_slots - clicks.frame_start] = True
+        hit[clicks.monitor_slots] = True
         sigma = math.sqrt(0.1 * 0.9 / 200_000)
         assert hit[occ].mean() == pytest.approx(0.1, abs=5 * sigma)
         assert hit[~occ].mean() == pytest.approx(0.1, abs=5 * sigma)
@@ -159,32 +183,29 @@ class TestTransmitFrame:
                 mu=50.0, t_ch=1.0, xi=1.0, t_dead=2e-9 * 6, r_ext=0.0, f_mon=0.5, v_true=0.0
             )
         occ = np.zeros((5, 8), dtype=bool)
-        occ[0, [0, 7]] = True  # slot 100 is in the dead window of the click at 95
-        occ[1, [0, 1]] = True  # both in the window of 107, the end of row 0
+        occ[0, [0, 7]] = True  # slot 0 is in the dead window of the click 5 slots before
+        occ[1, [0, 1]] = True  # both in the window of slot 7, the end of row 0
         occ[3, [5]] = True  # row 2 is dark
-        occ[4, [0]] = True  # in the window of 129, which row 3 clicked
-        first = DetectorState(
-            last_data_click=-3, last_monitor_click=95, prev_occupied=True, next_slot=100
-        )
+        occ[4, [0]] = True  # in the window of slot 29, which row 3 clicked
+        first = DetectorState(last_data_click=-103, last_monitor_click=-5, prev_occupied=True)
         state, ref_state = replace(first), replace(first)
         rng = np.random.default_rng(0)
         train = transmit_frame(occ, params, rng, state)
         rows = [one_frame(row, params, rng, ref_state) for row in occ]
         assert state == ref_state
         for field in ("data_slots", "monitor_slots"):
-            joined = np.concatenate([getattr(row, field) for row in rows])
+            # each row's clicks count from its own first slot
+            joined = np.concatenate([getattr(row, field) + 8 * k for k, row in enumerate(rows)])
             np.testing.assert_array_equal(getattr(train, field), joined)
             assert getattr(train, field).dtype == np.int64
-        assert train.frame_start == 100
-        assert [c.frame_start for c in rows] == [100, 108, 116, 124, 132]
-        assert train.monitor_slots.tolist() == [107, 129]
+        assert train.monitor_slots.tolist() == [7, 29]
         # each row starts from the state the row before left
         prev_occupied = [True, True, False, False, False]
-        last_click = [95, 107, 107, 107, 129]
+        last_click = [-5, -1, -9, -17, -3]
         tally = MonitorTally()
         for frame, clicks, prev, last in zip(occ, rows, prev_occupied, last_click, strict=True):
             tally.add(tally_of(frame, clicks, prev, last, params))
-        assert tally_of(occ, train, True, 95, params) == tally
+        assert tally_of(occ, train, True, -5, params) == tally
 
 
 def dense_transmit(occ, params, u, state):
@@ -193,20 +214,20 @@ def dense_transmit(occ, params, u, state):
     holds its 2*L uniform variates, data detector first.  Every monitor
     slot gets the dark-count probability once."""
     length = len(occ)
-    base = state.next_slot
     p_data = np.where(occ, params.p_click_occupied, params.p_click_empty)
-    data, state.last_data_click = dead_time_filter(
-        base + np.nonzero(u[:length] < p_data)[0], params.dead_slots, state.last_data_click
+    data, last_data = dead_time_filter(
+        np.nonzero(u[:length] < p_data)[0], params.dead_slots, state.last_data_click
     )
     prev = np.concatenate(([state.prev_occupied], occ[:-1]))
     p_mon = np.full(length, params.p_dc)
     p_mon[occ & prev] = params.p_monitor_interfering
     p_mon[occ & ~prev] = params.p_monitor_noninterfering
-    monitor, state.last_monitor_click = dead_time_filter(
-        base + np.nonzero(u[length:] < p_mon)[0], params.dead_slots, state.last_monitor_click
+    monitor, last_monitor = dead_time_filter(
+        np.nonzero(u[length:] < p_mon)[0], params.dead_slots, state.last_monitor_click
     )
+    # the next frame counts its slots, and the last clicks, from its first
+    state.last_data_click, state.last_monitor_click = last_data - length, last_monitor - length
     state.prev_occupied = bool(occ[-1])
-    state.next_slot = base + length
     return data, monitor
 
 
@@ -248,21 +269,18 @@ def channel_runs(draw, empty_slots_fire=True):
             t_ch=1.0,
             xi=1.0,
             t_dead=2e-9 * draw(st.integers(0, 40), label="dead_slots"),
-            tau=2e-9,
             p_dc=draw(st.sampled_from(noise), label="p_dc"),
             r_ext=draw(st.sampled_from([0.0, 0.05] if empty_slots_fire else [0.0]), label="r_ext"),
             f_mon=draw(st.sampled_from([0.0, 0.3, 0.9]), label="f_mon"),
             v_true=draw(st.sampled_from([0.0, 0.9, 1.0]), label="v_true"),
         )
-    next_slot = draw(st.integers(1, 10**9), label="next_slot")
     before = st.one_of(st.just(None), st.integers(1, 60))
     gaps = [draw(before, label="last_data_gap"), draw(before, label="last_monitor_gap")]
-    last = [-(1 << 62) if gap is None else next_slot - gap for gap in gaps]
+    last = [-(1 << 62) if gap is None else -gap for gap in gaps]
     state = DetectorState(
         last_data_click=last[0],
         last_monitor_click=last[1],
         prev_occupied=draw(st.booleans(), label="prev_occupied"),
-        next_slot=next_slot,
     )
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     occ_rng = np.random.default_rng(seed)
@@ -320,33 +338,37 @@ def slot_params(**kwargs) -> PhysicalParams:
 
 def dense_train(occ, params, u, state):
     """``dense_transmit`` over each frame of the train ``occ`` in turn,
-    with row k of ``u`` as frame k's uniforms; the clicks joined."""
+    with row k of ``u`` as frame k's uniforms; the clicks joined, as
+    slots of the train."""
+    length = occ.shape[1]
     rows = [
         dense_transmit(frame, params, frame_u, state) for frame, frame_u in zip(occ, u, strict=True)
     ]
-    return tuple(np.concatenate(slots) for slots in zip(*rows))
+    return tuple(
+        np.concatenate([clicks + k * length for k, clicks in enumerate(slots)])
+        for slots in zip(*rows)
+    )
 
 
 def rows_of(occ, train, prev_occupied, last_click):
     """The click record ``train`` of the train ``occ`` split into one
     record per frame, each with the state its frame started from:
     whether the slot before it was occupied and the monitor's last click
-    before it, counted from the frame's first slot.  ``prev_occupied``
-    and ``last_click`` are the train's, ``last_click`` counted from the
-    train's first slot.  Returns ``(record, prev_occupied, last_click)``
-    per frame."""
+    before it, counted from the frame's first slot, as the frame's clicks
+    are.  ``prev_occupied`` and ``last_click`` are the train's.  Returns
+    ``(record, prev_occupied, last_click)`` per frame."""
     length = occ.shape[1]
     rows = []
     for k, frame in enumerate(occ):
-        start = train.frame_start + k * length
+        start = k * length
         data, monitor = (
-            slots[(start <= slots) & (slots < start + length)]
+            slots[(start <= slots) & (slots < start + length)] - start
             for slots in (train.data_slots, train.monitor_slots)
         )
-        rows.append((ClickStream(data, monitor, start), prev_occupied, last_click))
+        rows.append((ClickStream(data, monitor), prev_occupied, last_click))
         prev_occupied = bool(frame[-1])
         if len(monitor):
-            last_click = int(monitor[-1]) - start
+            last_click = int(monitor[-1])
         last_click -= length
     return rows
 
@@ -355,21 +377,19 @@ def check_rows(occ, train, params, start_state):
     """The structure every train's click record has, whatever the draws,
     and the train's monitor tally against the sum of the dense
     reference's tallies of its frames, which are returned."""
-    assert train.frame_start == start_state.next_slot
     flat = occ.reshape(-1)
     for slots, fires_empty, last in (
         (train.data_slots, params.p_click_empty > 0.0, start_state.last_data_click),
         (train.monitor_slots, params.p_dc > 0.0, start_state.last_monitor_click),
     ):
         assert slots.dtype == np.int64
-        local = slots - train.frame_start
-        assert ((0 <= local) & (local < occ.size)).all()
-        assert fires_empty or flat[local].all()
+        assert ((0 <= slots) & (slots < occ.size)).all()
+        assert fires_empty or flat[slots].all()
         assert (np.diff(np.concatenate(([last], slots))) > params.dead_slots).all()
     prev_occupied, last_click = start_state.prev_occupied, start_state.last_monitor_click
-    rows = rows_of(occ, train, prev_occupied, last_click - train.frame_start)
+    rows = rows_of(occ, train, prev_occupied, last_click)
     tallies = [
-        dense_tally(frame, clicks.monitor_slots - clicks.frame_start, prev, last, params)
+        dense_tally(frame, clicks.monitor_slots, prev, last, params)
         for frame, (clicks, prev, last) in zip(occ, rows, strict=True)
     ]
     total = MonitorTally()
@@ -426,8 +446,13 @@ class TestSlotModelReference:
             start = replace(state)
             train = transmit_frame(occ, params, rng, state)
             check_rows(occ, train, params, start)
-            assert state.next_slot == start.next_slot + occ.size
             assert state.prev_occupied == bool(occ[-1, -1])
+            # the sender's tally carries the monitor's state as the channel does
+            tallied = replace(start)
+            monitor_tally(occ, train.monitor_slots, tallied, params)
+            assert (tallied.prev_occupied, tallied.last_monitor_click) == (
+                state.prev_occupied, state.last_monitor_click
+            )
 
     def test_counts_match_dense_model_in_distribution(self, monkeypatch):
         # Leakage, dark counts on both detectors, dead time and both
@@ -455,10 +480,8 @@ class TestSlotModelReference:
             return transmit_frame(train, params, rng, state)
 
         def dense(train, state, rng):
-            start = replace(state)
             u = [rng.random(2 * frame.size) for frame in train]
-            data, monitor = dense_train(train, params, u, state)
-            return ClickStream(data, monitor, start.next_slot)
+            return ClickStream(*dense_train(train, params, u, state))
 
         counts = {}
         for model, seed in ((sparse, 1), (dense, 2)):
@@ -486,8 +509,7 @@ class TestSlotModelReference:
         """The ``COUNTS`` of one train's click record."""
         flat = train.reshape(-1)
         prev = np.concatenate(([start.prev_occupied], flat[:-1]))
-        data = clicks.data_slots - start.next_slot
-        monitor = clicks.monitor_slots - start.next_slot
+        data, monitor = clicks.data_slots, clicks.monitor_slots
         tally = tally_of(train, clicks, start.prev_occupied, start.last_monitor_click, params)
         assert (tally.n_int, tally.n_non) == (
             np.count_nonzero(flat[monitor] & prev[monitor]),
@@ -509,11 +531,10 @@ class TestSlotModelReference:
         u = np.full(128, 0.5)
         u[0] = 0.0  # one data click, on the first pulse
         u[64:] = p_max
-        state = DetectorState(next_slot=1001)
         clicks, (tally,) = self.check_train(
-            occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
+            occ, params, FixedUniforms(u), dense_uniforms(occ, u), DetectorState()
         )
-        assert clicks.data_slots.tolist() == [1001]
+        assert clicks.data_slots.tolist() == [0]
         assert len(clicks.monitor_slots) == 0 and clicks.monitor_slots.dtype == np.int64
         assert tally == MonitorTally(exp_non=64)
 
@@ -526,11 +547,10 @@ class TestSlotModelReference:
         assert p_non < p_int
         occ = np.array([[True, True, False, True, True]])
         u = np.concatenate((np.full(4, 0.99), np.full(4, (p_non + p_int) / 2)))
-        state = DetectorState(next_slot=11)
         clicks, (tally,) = self.check_train(
-            occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
+            occ, params, FixedUniforms(u), dense_uniforms(occ, u), DetectorState()
         )
-        assert clicks.monitor_slots.tolist() == [12, 15]
+        assert clicks.monitor_slots.tolist() == [1, 4]
         assert tally == MonitorTally(n_int=2, exp_int=2, n_non=0, exp_non=2)
 
     def test_interference_across_a_row_boundary(self):
@@ -541,11 +561,10 @@ class TestSlotModelReference:
         p_int, p_non = params.p_monitor_interfering, params.p_monitor_noninterfering
         occ = np.array([[False, False, True], [True, False, False], [True, False, False]])
         u = np.concatenate((np.full(3, 0.99), np.full(3, (p_non + p_int) / 2)))
-        state = DetectorState(next_slot=1)
         train, tallies = self.check_train(
-            occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
+            occ, params, FixedUniforms(u), dense_uniforms(occ, u), DetectorState()
         )
-        assert train.monitor_slots.tolist() == [4]
+        assert train.monitor_slots.tolist() == [3]
         assert tallies == [
             MonitorTally(exp_non=1), MonitorTally(n_int=1, exp_int=1), MonitorTally(exp_non=1)
         ]
@@ -553,21 +572,21 @@ class TestSlotModelReference:
     @pytest.mark.parametrize(
         "last_monitor_click, exp_non",
         [
-            (95, 1),  # blind through local slot 15: pulses 0, 10 and 15 are dead
-            (80, 3),  # blind through local slot 0 alone
-            (79, 4),  # blind until the slot before the frame: every pulse is live
+            (-5, 1),  # blind through slot 15: pulses 0, 10 and 15 are dead
+            (-20, 3),  # blind through slot 0 alone
+            (-21, 4),  # blind until the slot before the frame: every pulse is live
         ],
     )
     def test_quiet_frame_near_monitor_dead_window(self, last_monitor_click, exp_non):
-        # The frame starts at slot 100 and has no monitor click of its own;
-        # the monitor's last click blinds it for the 20 slots after.  The
+        # The frame has no monitor click of its own; the monitor's last
+        # click blinds the 20 slots after it.  The
         # pulse at local slot 16 interferes and is live in every case.
         params = slot_params(mu=0.05, f_mon=0.3, v_true=0.9, t_dead=40e-9)
         assert params.dead_slots == 20
         occ = np.zeros((1, 40), dtype=bool)
         occ[0, [0, 10, 15, 16, 30]] = True
         u = np.full(10, 0.5)
-        state = DetectorState(last_monitor_click=last_monitor_click, next_slot=100)
+        state = DetectorState(last_monitor_click=last_monitor_click)
         clicks, (tally,) = self.check_train(
             occ, params, FixedUniforms(u), dense_uniforms(occ, u), state
         )
@@ -638,7 +657,8 @@ class TestMonitorTallyClicks:
         # train ended occupied, and the click on the empty slot 1, like
         # the one before the train, counts for neither class
         occ = np.array([True, False, True, True])
-        tally = monitor_tally(occ, np.array([0, 1]), prev_occupied, -1, PhysicalParams.noiseless())
+        state = DetectorState(last_monitor_click=-1, prev_occupied=prev_occupied)
+        tally = monitor_tally(occ, np.array([0, 1]), state, PhysicalParams.noiseless())
         if prev_occupied:
             assert tally == MonitorTally(n_int=1, exp_int=2, n_non=0, exp_non=1)
         else:
@@ -705,10 +725,10 @@ class TestEstimateVisibility:
         assert err > 0.0
 
 
-def click_stream(slots, frame_start):
-    """Data clicks at the given 1-based local slots of a frame."""
-    data = frame_start - 1 + np.sort(np.asarray(slots, dtype=np.int64))
-    return ClickStream(data, np.zeros(0, dtype=np.int64), frame_start)
+def click_stream(slots):
+    """Data clicks at the given 1-based slots of a frame."""
+    data = np.sort(np.asarray(slots, dtype=np.int64)) - 1
+    return ClickStream(data, np.zeros(0, dtype=np.int64))
 
 
 def decode_click(params, sigma, t):
@@ -723,10 +743,10 @@ def decode_per_click(params, sigma, clicks):
     """Entries decoded one click at a time, dropping a qudit seen twice
     or named by a monitor click."""
     seen = {}
-    for t in clicks.data_slots - clicks.frame_start + 1:
+    for t in clicks.data_slots + 1:
         i, j = decode_click(params, sigma, int(t))
         seen[i] = j if i not in seen else None
-    for t in clicks.monitor_slots - clicks.frame_start + 1:
+    for t in clicks.monitor_slots + 1:
         seen[decode_click(params, sigma, int(t))[0]] = None
     return tuple(sorted((i, j) for i, j in seen.items() if j is not None))
 
@@ -746,16 +766,16 @@ def clicked_frames(draw):
 
 class TestDecodeFrame:
     @settings(max_examples=200, deadline=None)
-    @given(frame=clicked_frames(), frame_start=st.integers(1, 10**9))
-    @example(frame=(4, 8, 0, {}), frame_start=1)
-    @example(frame=(4, 8, 1, {0: {1, 2}, 5: {1, 2, 3, 4}}), frame_start=33)
-    def test_matches_per_click_decode(self, frame, frame_start):
+    @given(frame=clicked_frames())
+    @example(frame=(4, 8, 0, {}))
+    @example(frame=(4, 8, 1, {0: {1, 2}, 5: {1, 2, 3, 4}}))
+    def test_matches_per_click_decode(self, frame):
         d, n, seed, clicked = frame
-        params = ProtocolParams(d=d, n=n, tau=2e-9)
+        params = ProtocolParams(d=d, n=n)
         (map_,) = make_permutation(d * n, SeededByteSource(seed))
         sigma = Permutation(map_)
         slots = [map_[d * i + j - 1] for i, js in clicked.items() for j in js]
-        clicks = click_stream(slots, frame_start)
+        clicks = click_stream(slots)
         entries = decode_frame(params, sigma, clicks).entries
         assert entries == decode_per_click(params, sigma, clicks)
         assert all(type(x) is int for entry in entries for x in entry)
@@ -770,33 +790,40 @@ class TestDecodeFrame:
         ],
     )
     def test_single_click_examples(self, d, n, map_, slot, entry):
-        params = ProtocolParams(d=d, n=n, tau=2e-9)
+        params = ProtocolParams(d=d, n=n)
         sigma = Permutation(np.array(map_))
         assert decode_click(params, sigma, slot) == entry
-        clicks = click_stream([slot], frame_start=50)
+        clicks = click_stream([slot])
         assert decode_frame(params, sigma, clicks).entries == (entry,)
 
     @pytest.mark.parametrize("slot", [0, 9])
     def test_click_outside_frame_rejected(self, slot):
-        params = ProtocolParams(d=2, n=4, tau=2e-9)
-        clicks = click_stream([1, slot], frame_start=100)
+        params = ProtocolParams(d=2, n=4)
+        clicks = click_stream([1, slot])
         with pytest.raises(InvalidArgumentError, match="outside the train"):
             decode_frame(params, Permutation(np.arange(1, 9)), clicks)
 
-
-    def test_monitor_click_outside_frame_rejected(self):
-        params = ProtocolParams(d=2, n=4, tau=2e-9)
-        clicks = ClickStream(np.array([100]), np.array([108]), frame_start=100)
-        with pytest.raises(InvalidArgumentError, match="outside the train"):
+    @pytest.mark.parametrize("data", [[0], []])
+    @pytest.mark.parametrize("slot", [-1, 8])
+    def test_monitor_click_outside_frame_rejected(self, data, slot):
+        # with a data click or without one: a train with no data click
+        # went unchecked, and the sender then refused the report instead
+        params = ProtocolParams(d=2, n=4)
+        clicks = ClickStream(np.array(data, dtype=np.int64), np.array([slot]))
+        with pytest.raises(InvalidArgumentError, match=r"outside the train's slots 0\.\.7"):
             decode_frame(params, Permutation(np.arange(1, 9)), clicks)
+
+    def test_monitor_clicks_alone_keep_nothing(self):
+        params = ProtocolParams(d=2, n=4)
+        clicks = ClickStream(np.zeros(0, dtype=np.int64), np.array([0, 7]))
+        assert decode_frame(params, Permutation(np.arange(1, 9)), clicks).entries == ()
 
 
 @st.composite
 def clicked_trains(draw):
     """``(d, n, occ, maps, clicks, prev_occupied, last_click, params)``:
     a train of 1 to 4 frames, its blocks' permutations, a click record
-    that starts anywhere, with data and monitor clicks anywhere in the
-    train, each frame's first and last slot among the likelier, the
+    with data and monitor clicks anywhere in the train, each frame's first and last slot among the likelier, the
     state the train starts from (``last_click`` counted from its first
     slot), and a monitor dead time of up to two frames, so that a
     click's dead window can run into the next frame."""
@@ -814,9 +841,8 @@ def clicked_trains(draw):
         np.array(sorted(draw(st.sets(slots, max_size=3 * n), label=name)), dtype=np.int64)
         for name in ("data", "monitor")
     )
-    start = draw(st.integers(1, 10**9), label="frame_start")
     gap = draw(st.one_of(st.none(), st.integers(1, 3 * length)), label="last_monitor_gap")
-    clicks = ClickStream(data + start, monitor + start, start)
+    clicks = ClickStream(data, monitor)
     prev_occupied = draw(st.booleans(), label="prev_occupied")
     last_click = -(1 << 62) if gap is None else -gap
     dead_slots = draw(st.integers(0, 2 * length), label="dead_slots")
@@ -831,7 +857,7 @@ def boundary_train():
     window covers frame 1's first three slots."""
     occ = np.ones((3, 4), dtype=bool)
     maps = np.tile(np.arange(1, 5), (3, 1))
-    clicks = ClickStream(np.array([104, 105]), np.array([104]), 101)
+    clicks = ClickStream(np.array([3, 4]), np.array([3]))
     return 2, 2, occ, maps, clicks, True, -(1 << 62), slot_params(mu=0.05, t_dead=2e-9 * 3)
 
 
@@ -845,22 +871,21 @@ class TestTrainAsItsFrames:
     @example(train=boundary_train())
     def test_decode_and_tally_equal_the_frames_joined(self, train):
         d, n, occ, maps, clicks, prev_occupied, last_click, params = train
-        proto = ProtocolParams(d=d, n=n, tau=2e-9)
+        proto = ProtocolParams(d=d, n=n)
         entries, tally = [], MonitorTally()
         rows = rows_of(occ, clicks, prev_occupied, last_click)
         for k, (frame, (row, prev, last), map_) in enumerate(zip(occ, rows, maps, strict=True)):
             entries += [(k * n + i, j) for i, j in decode_per_click(proto, Permutation(map_), row)]
-            tally.add(dense_tally(frame, row.monitor_slots - row.frame_start, prev, last, params))
+            tally.add(dense_tally(frame, row.monitor_slots, prev, last, params))
         assert decode_frame(proto, Permutation(maps), clicks).entries == tuple(entries)
-        monitor = clicks.monitor_slots - clicks.frame_start
-        assert monitor_tally(occ, monitor, prev_occupied, last_click, params) == tally
+        assert tally_of(occ, clicks, prev_occupied, last_click, params) == tally
 
     def test_boundary_train(self):
         # frame 1's first pulse is dead, and the click on frame 0's last
         # pulse, which follows a pulse, counts as interfering; it names
         # qudit 1, whose data click is dropped with it
         d, n, occ, maps, clicks, prev_occupied, last_click, params = boundary_train()
-        proto = ProtocolParams(d=d, n=n, tau=2e-9)
+        proto = ProtocolParams(d=d, n=n)
         assert decode_frame(proto, Permutation(maps), clicks).entries == ((2, 1),)
-        tally = monitor_tally(occ, np.array([3]), prev_occupied, last_click, params)
+        tally = tally_of(occ, clicks, prev_occupied, last_click, params)
         assert tally == MonitorTally(n_int=1, exp_int=9)

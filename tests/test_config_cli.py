@@ -127,6 +127,8 @@ class TestCli:
             ({"session": {"n": 2**32}}, "session.n"),
             ({"session": {"n": 2**32, "blocks": 1}}, "session.n"),
             ({"protocol": {"tau": 1e8}}, "protocol.tau"),
+            # 0 whole picoseconds: simulate sent that and printed 5.1e8 bit/s
+            ({"protocol": {"tau": 1e-13}}, "protocol.tau"),
         ],
     )
     def test_bad_session_section_is_usage_error(self, tmp_path, capsys, command, raw, key):
@@ -373,6 +375,17 @@ class TestCli:
         # SESSION_START, a reveal and a report for the one train (five
         # 64-slot blocks), and Alice's estimate, which ends the session
         assert payload["transcript_messages"] == 2 * 1 + 2
+
+    def test_simulate_rate_uses_the_configured_slot_duration(self, tmp_path, capsys):
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"protocol": {"tau": 1e-9}, "session": {"blocks": 20}}))
+        assert main(["simulate", "--config", str(path)]) == 0
+        for summary in json.loads(capsys.readouterr().out).values():
+            if isinstance(summary, dict):
+                link_seconds = summary["blocks"] * summary["d"] * summary["n"] * 1e-9
+                assert summary["detected_rate_per_s"] * link_seconds == pytest.approx(
+                    summary["sifted_count"], rel=1e-9
+                )
 
     @pytest.mark.parametrize("command", ["rates", "simulate"])
     def test_negative_seed_option_is_usage_error(self, capsys, command):

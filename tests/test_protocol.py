@@ -249,24 +249,24 @@ def identity_maps(length):
 
 class TestEncodeBlock:
     def test_identity_permutation_d2(self):
-        params = ProtocolParams(d=2, n=2, tau=2e-9)
+        params = ProtocolParams(d=2, n=2)
         occupancy = encode_block(params, np.array([[1, 2]]), identity_maps(4))
         assert occupancy.dtype == bool
         assert occupancy.astype(int).tolist() == [[1, 0, 0, 1]]
 
     def test_identity_permutation_single_qudit(self):
-        params = ProtocolParams(d=4, n=1, tau=2e-9)
+        params = ProtocolParams(d=4, n=1)
         occupancy = encode_block(params, np.array([[3]]), identity_maps(4))
         assert occupancy.astype(int).tolist() == [[0, 0, 1, 0]]
 
     def test_nontrivial_permutation(self):
         # raw slots {1, 4} map through sigma=[3,4,1,2] to {3, 2}
-        params = ProtocolParams(d=2, n=2, tau=2e-9)
+        params = ProtocolParams(d=2, n=2)
         occupancy = encode_block(params, np.array([[1, 2]]), np.array([[3, 4, 1, 2]]))
         assert occupancy.astype(int).tolist() == [[0, 1, 1, 0]]
 
     def test_batch_matches_per_qudit_placement(self):
-        params = ProtocolParams(d=3, n=5, tau=2e-9)
+        params = ProtocolParams(d=3, n=5)
         symbols = np.random.default_rng(4).integers(1, 4, size=(6, 5))
         maps = make_permutation(15, SeededByteSource(4), 6)
         occupancy = encode_block(params, symbols, maps)
@@ -278,7 +278,7 @@ class TestEncodeBlock:
             assert np.array_equal(frame, expected)
 
     def test_batch_shape_mismatch_rejected(self):
-        params = ProtocolParams(d=2, n=2, tau=2e-9)
+        params = ProtocolParams(d=2, n=2)
         symbols = np.array([[1, 2], [2, 1]])
         with pytest.raises(InvalidArgumentError, match="shape"):
             encode_block(params, symbols, np.array([[1, 2, 3, 4]]))
@@ -286,7 +286,7 @@ class TestEncodeBlock:
             encode_block(params, symbols + 1, np.array([[1, 2, 3, 4]] * 2))
 
     def test_length_mismatch_rejected(self):
-        params = ProtocolParams(d=2, n=2, tau=2e-9)
+        params = ProtocolParams(d=2, n=2)
         with pytest.raises(InvalidArgumentError, match="shape"):
             encode_block(params, np.array([[1, 2]]), identity_maps(6))
         with pytest.raises(InvalidArgumentError, match="block length 3"):
@@ -329,7 +329,7 @@ def test_encode_decode_round_trip_property(data):
     d = data.draw(st.integers(2, 32), label="d")
     n = data.draw(st.integers(1, 64), label="n")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    params = ProtocolParams(d=d, n=n, tau=2e-9)
+    params = ProtocolParams(d=d, n=n)
     (symbols,) = np.random.default_rng(seed).integers(1, d + 1, size=(1, n))
     maps = make_permutation(d * n, SeededByteSource(seed))
     (occupancy,) = encode_block(params, symbols[None], maps)
@@ -337,7 +337,7 @@ def test_encode_decode_round_trip_property(data):
 
     assert int(occupancy.sum()) == n
     # every pulse clicks, once: each qudit decodes to its own symbol
-    clicks = ClickStream(np.nonzero(occupancy)[0] + 1, np.zeros(0, dtype=np.int64), 1)
+    clicks = ClickStream(np.nonzero(occupancy)[0], np.zeros(0, dtype=np.int64))
     assert decode_frame(params, sigma, clicks).entries == tuple(
         (i, int(q)) for i, q in enumerate(symbols)
     )

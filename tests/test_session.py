@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdcow.channel import PhysicalParams, decode_frame
+from hdcow.channel import ClickStream, PhysicalParams, decode_frame, monitor_tally
 from hdcow.config import default_config
 from hdcow.errors import InvalidArgumentError, ProtocolError
 from hdcow.protocol import ProtocolParams
@@ -50,7 +50,7 @@ REVEAL_0 = PermutationReveal(block_id=0, indices=(1, 2, 3, 4))
 
 def noiseless_settings(d=4, n=16, blocks=1):
     return SessionSettings(
-        protocol=ProtocolParams(d=d, n=n, tau=2e-9),
+        protocol=ProtocolParams(d=d, n=n),
         physical=PhysicalParams.noiseless(),
         blocks=blocks,
     )
@@ -78,7 +78,7 @@ class TestNoiselessSession:
         # no monitor tap (f_mon=0), so the data cannot define V; at this
         # mu, V = 1 would give 1.5 secure bits per detection
         settings = SessionSettings(
-            protocol=ProtocolParams(d=4, n=16, tau=2e-9),
+            protocol=ProtocolParams(d=4, n=16),
             physical=replace(PhysicalParams.noiseless(), mu=0.1),
             blocks=10,
         )
@@ -111,7 +111,7 @@ class TestNoiselessSession:
 
 class TestNoisySession:
     def test_mismatch_fraction_tracks_configured_qslot(self):
-        proto = ProtocolParams(d=4, n=64, tau=2e-9)
+        proto = ProtocolParams(d=4, n=64)
         phys = PhysicalParams(
             mu=0.09, t_ch=1.0, xi=0.9, f_mon=0.0, t_dead=0.0, p_dc=0.0
         ).with_target_qslot(0.01, 4)
@@ -124,7 +124,7 @@ class TestNoisySession:
         assert abs(alice.q_hat - 0.01) < 3 * sigma
 
     def test_detected_rate_near_model(self):
-        proto = ProtocolParams(d=8, n=256, tau=2e-9)
+        proto = ProtocolParams(d=8, n=256)
         phys = PhysicalParams(
             mu=0.1, xi=0.2, t_ch=0.5, f_mon=0.1, t_dead=4e-6, r_ext=0.0
         )
@@ -160,11 +160,35 @@ class ScriptedDuplex:
 def test_sample_fraction_must_be_a_unit_fraction(fraction):
     with pytest.raises(InvalidArgumentError, match="nearest allowed values"):
         SessionSettings(
-            protocol=ProtocolParams(d=2, n=2, tau=2e-9),
+            protocol=ProtocolParams(d=2, n=2),
             physical=PhysicalParams.noiseless(),
             blocks=1,
             sample_fraction=fraction,
         )
+
+
+def test_slot_duration_is_the_channels():
+    # The one slot duration sets SESSION_START's, the dead time in slots
+    # and the detected rate.  A second copy on ProtocolParams once set
+    # the first and the last, and the channel's the dead time.
+    physical = PhysicalParams(mu=0.05, tau=1e-9)
+    settings = SessionSettings(ProtocolParams(8, 64), physical, blocks=10)
+    assert settings.start.tau_picoseconds == 1000
+    assert physical.dead_slots == 4000
+    alice, bob, _ = run_session(settings, seed=1)
+    for summary in (alice, bob):
+        assert summary.detected_rate == summary.sifted_count / (10 * 512 * 1e-9)
+
+
+@pytest.mark.parametrize("tau", [1e-13, 5e-13])
+def test_slot_duration_of_zero_picoseconds_refused(tau):
+    # SESSION_START carries whole picoseconds; these slots were sent as 0
+    cause = f"tau={tau} does not fit SESSION_START's u64 of whole picoseconds"
+    with pytest.raises(InvalidArgumentError, match=cause):
+        SessionSettings(ProtocolParams(8, 64), PhysicalParams(mu=0.05, tau=tau), blocks=1)
+    assert SessionSettings(
+        ProtocolParams(8, 64), PhysicalParams(mu=0.05, tau=6e-13), blocks=1
+    ).start.tau_picoseconds == 1
 
 
 @pytest.mark.parametrize("seed", [-1, [3, -2]])
@@ -356,7 +380,7 @@ class TestBlockSequence:
 class TestAliceSampling:
     def run_with_report(self, entries, blocks=([1, 2, 1, 2],)):
         settings = SessionSettings(
-            protocol=ProtocolParams(d=2, n=4, tau=2e-9),
+            protocol=ProtocolParams(d=2, n=4),
             physical=PhysicalParams.noiseless(),
             blocks=len(blocks),
             sample_fraction=0.5,
@@ -741,7 +765,7 @@ class TestSingleThreadedSession:
         assert time.perf_counter() - start < 1.0
 
     def test_socket_drivers_match_run_session(self):
-        proto = ProtocolParams(d=4, n=64, tau=2e-9)
+        proto = ProtocolParams(d=4, n=64)
         phys = PhysicalParams(
             mu=0.09, t_ch=1.0, xi=0.9, f_mon=0.1, t_dead=0.0
         ).with_target_qslot(0.01, 4)
@@ -783,9 +807,57 @@ class TestSingleThreadedSession:
         # Bob's endpoint is handed detector events only: the one train's
         # click record, which holds no part of its occupancy
         ((clicks,), (occupancy,)) = channel.handed, channel.sent
-        assert [f.name for f in fields(clicks)] == ["data_slots", "monitor_slots", "frame_start"]
+        assert [f.name for f in fields(clicks)] == ["data_slots", "monitor_slots"]
         for value in (clicks.data_slots, clicks.monitor_slots):
             assert value.dtype == np.int64 and not np.shares_memory(value, occupancy)
+
+
+@pytest.mark.parametrize("slot", [10**6, -1])
+def test_bob_refuses_a_monitor_click_outside_a_train_without_data_clicks(monkeypatch, slot):
+    # One 1536-slot train.  Bob decoded no click of a train without a data
+    # click, so this report reached Alice, and the abort named her.
+    class StrayClickChannel(SimulatedChannel):
+        def receive(self, first_block_id):
+            super().receive(first_block_id)
+            return ClickStream(np.zeros(0, dtype=np.int64), np.array([slot], dtype=np.int64))
+
+    monkeypatch.setattr("hdcow.session.SimulatedChannel", StrayClickChannel)
+    settings = SessionSettings(ProtocolParams(8, 64), PhysicalParams(mu=0.05), blocks=3)
+    with pytest.raises(
+        ProtocolError, match=r"bob endpoint aborted: click outside the train's slots 0\.\.1535"
+    ):
+        run_session(settings, seed=1)
+
+
+@pytest.mark.filterwarnings("ignore:mu\\*t_ch")
+def test_alice_carries_the_monitor_state_as_the_channel_does(monkeypatch):
+    # After every train, the state Alice's tally leaves equals the one
+    # the channel's detectors leave, in the two fields she can know.
+    # Dead time of 30 slots, dark counts and half the light on the
+    # monitor put clicks near the ends of the five trains.
+    channel_states, alice_states = [], []
+
+    class RecordingChannel(SimulatedChannel):
+        def transmit(self, first_block_id, occupancy):
+            super().transmit(first_block_id, occupancy)
+            channel_states.append((self._state.prev_occupied, self._state.last_monitor_click))
+
+    def recording_tally(occ, monitor_slots, state, params):
+        tally = monitor_tally(occ, monitor_slots, state, params)
+        alice_states.append((state.prev_occupied, state.last_monitor_click))
+        return tally
+
+    monkeypatch.setattr("hdcow.session.SimulatedChannel", RecordingChannel)
+    monkeypatch.setattr("hdcow.session.monitor_tally", recording_tally)
+    physical = PhysicalParams(
+        mu=1.0, t_ch=1.0, xi=1.0, t_dead=2e-9 * 30, p_dc=1e-3, f_mon=0.5, v_true=0.9
+    )
+    settings = SessionSettings(ProtocolParams(4, 64), physical, blocks=300)
+    run_session(settings, seed=2)
+    assert len(alice_states) == 5
+    assert alice_states == channel_states
+    # a dead window reaches past a train's end, into the next train
+    assert any(last > -30 for _, last in alice_states)
 
 
 @pytest.mark.filterwarnings("ignore:mu\\*t_ch")
@@ -805,7 +877,7 @@ def test_no_key_qudit_is_named_by_a_reported_monitor_click(monkeypatch):
     physical = PhysicalParams(
         mu=1.0, t_ch=1.0, xi=1.0, t_dead=0.0, r_ext=0.0, f_mon=0.5, v_true=0.9
     )
-    settings = SessionSettings(ProtocolParams(d=4, n=16, tau=2e-9), physical, blocks=300)
+    settings = SessionSettings(ProtocolParams(d=4, n=16), physical, blocks=300)
     alice, bob, transcript = run_session(settings, seed=5)
     messages = transcript.messages()
     reveals = {m.block_id: m.values() for m in messages if isinstance(m, PermutationReveal)}
@@ -917,7 +989,7 @@ class TestPinnedTranscripts:
         # back-to-back link: about 100 data clicks per block, a few lost
         # to the 10-slot dead time, and a few monitor clicks.
         settings = SessionSettings(
-            protocol=ProtocolParams(d=32, n=1024, tau=2e-9),
+            protocol=ProtocolParams(d=32, n=1024),
             physical=PhysicalParams(mu=0.1, t_ch=1.0, xi=0.9, t_dead=20e-9),
             blocks=2,
         )
@@ -939,7 +1011,7 @@ class TestSessionEstimates:
 
     def test_noiseless_run_has_no_errors(self):
         settings = SessionSettings(
-            protocol=ProtocolParams(d=8, n=32, tau=2e-9),
+            protocol=ProtocolParams(d=8, n=32),
             physical=PhysicalParams.noiseless(),
             blocks=20,
         )
@@ -953,7 +1025,7 @@ class TestSessionEstimates:
             mu=0.08, t_ch=1.0, f_mon=0.0, t_dead=0.0, p_dc=0.0
         ).with_target_qslot(0.004, 8)
         settings = SessionSettings(
-            protocol=ProtocolParams(d=8, n=64, tau=2e-9), physical=phys, blocks=1500
+            protocol=ProtocolParams(d=8, n=64), physical=phys, blocks=1500
         )
         alice, _, _ = run_session(settings, seed=11)
         assert alice.sifted_count > 1000
@@ -966,7 +1038,7 @@ class TestSessionEstimates:
             p_dc=0.0, r_ext=0.0, v_true=0.99,
         )
         settings = SessionSettings(
-            protocol=ProtocolParams(d=2, n=512, tau=2e-9), physical=phys, blocks=1000
+            protocol=ProtocolParams(d=2, n=512), physical=phys, blocks=1000
         )
         alice, _, _ = run_session(settings, seed=4)
         assert abs(alice.v_hat - 0.99) < 3 * alice.v_stderr
@@ -979,7 +1051,7 @@ class TestSessionEstimates:
 
         def alice_after(blocks):
             settings = SessionSettings(
-                protocol=ProtocolParams(d=4, n=64, tau=2e-9), physical=phys, blocks=blocks
+                protocol=ProtocolParams(d=4, n=64), physical=phys, blocks=blocks
             )
             return run_session(settings, seed=2)[0]
 
