@@ -19,8 +19,9 @@ empty monitor slot is none.  Dead time is applied per detector by
 
 The sender transmits a pulse train: the frames of several blocks back to
 back, as one continuous train on unchanged hardware, before revealing
-any of their permutations.  The receiver then decodes the train as a
-whole, with its slots counted across the frames, and reports its
+any of their permutations; a train is its slot count and its pulses,
+the sorted slots that hold one.  The receiver then decodes the train as
+a whole, with its slots counted across the frames, and reports its
 monitor clicks; the sender, who knows the pulses, tallies them.
 :func:`transmit_frame` simulates a whole train at once,
 with draws that follow the pulses and the clicks, not the slots: each
@@ -242,28 +243,29 @@ class MonitorTally:
 
 
 def transmit_frame(
-    occ: np.ndarray,
+    pulses: np.ndarray,
+    slots: int,
     params: PhysicalParams,
     rng: np.random.Generator,
     state: DetectorState | None = None,
 ) -> ClickStream:
-    """Simulate a pulse train through the channel and both detectors.
-    The train is its ``(m, L)`` bool occupancy ``occ``, one frame of
-    ``L`` slots per row and the rows back to back, such as
-    :func:`~hdcow.protocol.encode_block`'s result; a single frame is a
-    1-row train.  Each pulse has the mean photon number ``params.mu``.
-    Returns the train's :class:`ClickStream`.
+    """Simulate a pulse train of ``slots`` slots through the channel and
+    both detectors.  ``pulses`` holds its pulses' slots, strictly
+    increasing int64 from 0, such as :func:`~hdcow.protocol.encode_block`
+    gives for frames back to back; a single frame is a train of its own.
+    Each pulse has the mean photon number ``params.mu``.  Returns the
+    train's :class:`ClickStream`.
 
     The draws follow the pulses and the clicks, not the slots.  The
-    train's ``P`` pulses are found once and take one uniform each per
-    detector, from one call of ``2*P``: the first ``P`` decide the data
-    detector and the next ``P`` the monitor, pulse by pulse.  Then the
-    data detector's empty slots fire with the empty-slot probability
-    (leakage and dark counts) and, when ``p_dc`` > 0, the monitor's with
-    ``p_dc``, each through :func:`_empty_hits`.  Every slot fires
-    independently with its own probability, as in a per-slot draw, so
-    identical seeds give identical streams and the clicks have the
-    per-slot model's distribution.
+    train's ``P`` pulses take one uniform each per detector, from one
+    call of ``2*P``: the first ``P`` decide the data detector and the
+    next ``P`` the monitor, pulse by pulse.  Then the data detector's
+    empty slots fire with the empty-slot probability (leakage and dark
+    counts) and, when ``p_dc`` > 0, the monitor's with ``p_dc``, each
+    through :func:`_empty_hits`.  Every slot fires independently with
+    its own probability, as in a per-slot draw, so identical seeds give
+    identical streams and the clicks have the per-slot model's
+    distribution.
 
     A pulse's monitor uniform is first tested against the larger of the
     two monitor probabilities, and only the pulses below it are
@@ -275,19 +277,17 @@ def transmit_frame(
     train, the data detector's first.  ``state``, what the train before
     left (none, if not given), is carried past this train in place.
     """
-    if occ.ndim != 2 or not occ.size:
-        raise InvalidArgumentError(
-            f"a train is a non-empty (frames, slots) occupancy, got shape {occ.shape}"
-        )
+    if pulses.ndim != 1 or slots < 1 or len(pulses) and (
+        pulses[0] < 0 or pulses[-1] >= slots or np.count_nonzero(pulses[1:] <= pulses[:-1])
+    ):
+        raise InvalidArgumentError(f"pulses are not strictly increasing slots 0..{slots - 1}")
     if state is None:
         state = DetectorState()
-    slots = occ.reshape(-1)
-    pulses = slots.nonzero()[0]
     u = rng.random(2 * len(pulses))
     u_data, u_mon = u[: len(pulses)], u[len(pulses) :]
 
     cand_data = pulses[u_data < params.p_click_occupied]
-    leaks = _empty_hits(pulses, len(slots), params.p_click_empty, rng)
+    leaks = _empty_hits(pulses, slots, params.p_click_empty, rng)
     if len(leaks):
         cand_data = _merge(cand_data, leaks)
     data_slots, _ = dead_time_filter(cand_data, params.dead_slots, state.last_data_click)
@@ -297,28 +297,28 @@ def transmit_frame(
     cand_mon = pulses[below]
     if len(below):  # most trains of a long, lossy link have none
         cand_mon = cand_mon[u_mon[below] < np.where(
-            _interferes(slots, cand_mon, state.prev_occupied), p_int, p_non
+            _interferes(pulses, state.prev_occupied)[below], p_int, p_non
         )]
-    darks = _empty_hits(pulses, len(slots), params.p_dc, rng)
+    darks = _empty_hits(pulses, slots, params.p_dc, rng)
     if len(darks):
         cand_mon = _merge(cand_mon, darks)
     monitor_slots, _ = dead_time_filter(cand_mon, params.dead_slots, state.last_monitor_click)
 
-    _carry(state, slots, monitor_slots, data_slots)
+    _carry(state, pulses, slots, monitor_slots, data_slots)
     return ClickStream(data_slots, monitor_slots)
 
 
-def _carry(state: DetectorState, slots: np.ndarray, monitor_slots, data_slots=()) -> None:
-    """Carry ``state`` past a train in place, from its flattened occupancy
-    ``slots`` and its clicks (the sender sees no data click): each
+def _carry(state: DetectorState, pulses, slots: int, monitor_slots, data_slots=()) -> None:
+    """Carry ``state`` past a train in place, from its pulses, its slot
+    count and its clicks (the sender sees no data click): each
     detector's last click is then counted from the next train's start."""
-    state.prev_occupied = bool(slots[-1])
+    state.prev_occupied = bool(len(pulses)) and int(pulses[-1]) == slots - 1
     if len(monitor_slots):
         state.last_monitor_click = int(monitor_slots[-1])
     if len(data_slots):
         state.last_data_click = int(data_slots[-1])
-    state.last_monitor_click -= len(slots)
-    state.last_data_click -= len(slots)
+    state.last_monitor_click -= slots
+    state.last_data_click -= slots
 
 
 def _merge(pulse_hits: np.ndarray, empty_hits: np.ndarray) -> np.ndarray:
@@ -398,29 +398,28 @@ def _empty_hits(pulses: np.ndarray, slots: int, p: float, rng: np.random.Generat
     return hits + (pulses - np.arange(len(pulses))).searchsorted(hits, side="right")
 
 
-def _interferes(occ: np.ndarray, pulses: np.ndarray, prev_occupied: bool) -> np.ndarray:
-    """For each pulse of ``occ`` at the sorted local slots ``pulses``, all
-    of its pulses or some, whether the slot before it is occupied; before
-    the first slot stands the previous frame's last, ``prev_occupied``."""
-    prev = occ[pulses - 1]
-    if len(pulses) and not pulses[0]:
-        prev[0] = prev_occupied
-    return prev
+def _interferes(pulses: np.ndarray, prev_occupied: bool) -> np.ndarray:
+    """For each pulse of a train, at the sorted slots ``pulses``, whether
+    it interferes: whether the pulse before it sits in the slot before
+    it.  Before the first pulse stands a pulse at slot -1, the last of
+    the train before, when ``prev_occupied``, and none at slot -1 if not."""
+    return np.concatenate(([-1 if prev_occupied else -2], pulses[:-1])) + 1 == pulses
 
 
 def monitor_tally(
-    occ: np.ndarray,
+    pulses: np.ndarray,
+    slots: int,
     monitor_slots,
     state: DetectorState,
     params: PhysicalParams,
 ) -> MonitorTally:
     """Classify monitor clicks and count live exposures for one pulse
-    train, in one pass over its occupancy ``occ`` flattened, the frames
-    back to back, as :func:`transmit_frame` sent it, from its monitor
-    clicks, strictly increasing slots of the train, and the ``state``
-    the train before left, which is then carried past the train by the
-    channel's rule.  The tally equals the sum of the tallies of the
-    train's frames, each taken with the state it started from.
+    train, in one pass over its pulses as :func:`transmit_frame` sent
+    the ``slots``-slot train, from its monitor clicks, strictly
+    increasing slots of the train, and the ``state`` the train before
+    left, which is then carried past the train by the channel's rule.
+    The tally equals the sum of the tallies of the train's frames, each
+    taken with the state it started from.
 
     Each pulse is an interfering exposure when the slot before it is
     occupied and a non-interfering one otherwise.  A click on a pulse
@@ -434,21 +433,20 @@ def monitor_tally(
     of the pulses among the clicks count, for every pulse, the clicks
     before it and those before its dead window, and a pulse is live
     when the two counts agree.  The live pulses that are not
-    interfering are the non-interfering exposures.  The clicks are few,
-    so each is classified where it falls.
+    interfering are the non-interfering exposures.  One more
+    ``searchsorted`` of the clicks among the pulses finds the pulse each
+    click falls on, if any, and that pulse's class is the click's.
 
     A train with no monitor click of its own that starts after the dead
     window of the monitor's last click (``last_monitor_click +
     dead_slots < 0``) has no dead pulse and no click to classify: every
     pulse is live, as both counts would show, so the tally is the pulse
-    counts alone, with no search.
+    counts alone, with no search.  A train with no pulse tallies nothing.
     """
-    occ = occ.reshape(-1)
-    pulses = occ.nonzero()[0]
     prev_occupied, last_click = state.prev_occupied, state.last_monitor_click
-    _carry(state, occ, monitor_slots)
-    interfering = _interferes(occ, pulses, prev_occupied)
-    if not len(monitor_slots) and last_click + params.dead_slots < 0:
+    _carry(state, pulses, slots, monitor_slots)
+    interfering = _interferes(pulses, prev_occupied)
+    if not len(pulses) or (not len(monitor_slots) and last_click + params.dead_slots < 0):
         exp_int = int(np.count_nonzero(interfering))  # every pulse is live
         return MonitorTally(exp_int=exp_int, exp_non=len(pulses) - exp_int)
     marks = np.empty(len(monitor_slots) + 1, dtype=np.int64)
@@ -457,13 +455,10 @@ def monitor_tally(
     live = marks.searchsorted(pulses - params.dead_slots) == marks.searchsorted(pulses)
     exposures = int(np.count_nonzero(live))
     exp_int = int(np.count_nonzero(live & interfering))
-    n_int = n_non = 0
-    for slot in marks[1:].tolist():
-        if occ[slot]:
-            if occ[slot - 1] if slot else prev_occupied:
-                n_int += 1
-            else:
-                n_non += 1
+    at = pulses.searchsorted(marks[1:])  # the first pulse at or after each click
+    on_pulse = pulses.take(at, mode="clip") == marks[1:]
+    n_int = int(np.count_nonzero(interfering[at[on_pulse]]))
+    n_non = int(np.count_nonzero(on_pulse)) - n_int
     return MonitorTally(
         n_int=n_int, exp_int=exp_int, n_non=n_non, exp_non=exposures - exp_int
     )

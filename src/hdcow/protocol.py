@@ -6,10 +6,10 @@ convention ``t = sigma(d*i + q_i)`` with ``q_i in {1..d}`` used
 throughout the analysis; only internal array storage is 0-based.
 Each block's permutation ranks random keys from an injected byte source.
 
-The sender works on arrays with one block per row: ``(m, n)`` symbols,
-``(m, d*n)`` permutation images from :func:`make_permutation` and the
-``(m, d*n)`` bool occupancy that :func:`encode_block` places.  The
-receiver checks a revealed train's image sequences, one row per block,
+The sender works on arrays with one block per row: ``(m, n)`` symbols
+and ``(m, d*n)`` permutation images from :func:`make_permutation`; the
+m frames' train is the ``m*n`` slots that :func:`encode_block` gives
+its pulses.  The receiver checks a revealed train's image sequences, one row per block,
 as one :class:`Permutation`.
 """
 
@@ -219,10 +219,11 @@ def encode_block(params: ProtocolParams, symbols: np.ndarray, maps: np.ndarray) 
     """Place one pulse per qudit at slot ``sigma(d*i + q_i)``, for m blocks
     at once: ``symbols`` is ``(m, n)``, one block per row, and ``maps``
     holds each block's permutation as a row of ``(m, d*n)`` image
-    sequences, such as :func:`make_permutation` draws.  Returns the
-    ``(m, d*n)`` bool occupancy, one frame per row, placed by one scatter.
-    The rows of ``maps`` must be bijections on {1..d*n}; only the pulse
-    count is checked again.
+    sequences, such as :func:`make_permutation` draws.  Returns the m
+    frames' train as the ``m*n`` sorted int64 slots of its pulses, from
+    0, frame k's from ``k*d*n`` on.  The rows of ``maps`` must be
+    bijections on {1..d*n}; a pulse's image outside {1..d*n}, or two
+    pulses in one slot, is refused.
     """
     _check_symbols(symbols, params)
     count, length = len(symbols), params.slot_count
@@ -230,18 +231,21 @@ def encode_block(params: ProtocolParams, symbols: np.ndarray, maps: np.ndarray) 
         raise InvalidArgumentError(
             f"permutations of shape {maps.shape} for {count} blocks of d*n={length} slots"
         )
-    occupancy = np.zeros((count, length + 1), dtype=bool)
     # raw slot d*i + q_i of each qudit, 0-based and counted from the
     # batch's first slot, so that it indexes the flattened images
     raw_slots = np.arange(-1, count * length - 1, params.d).reshape(count, params.n) + symbols
-    slots = maps.take(raw_slots)  # sigma's images are 1-based
-    if count > 1:  # each row's start in the flattened occupancy; the first's is 0
-        slots += np.arange(0, count * (length + 1), length + 1)[:, None]
-    occupancy.reshape(-1)[slots] = True
-    occupancy = occupancy[:, 1:]  # column 0 is dropped
-    if np.count_nonzero(occupancy) != count * params.n:
-        raise InvalidArgumentError("occupancy does not have exactly n pulses per block")
-    return occupancy
+    pulses = maps.take(raw_slots).astype(np.int64, copy=False)  # sigma's images are 1-based
+    # Read as unsigned (whose sort make_permutation already loads), an
+    # image outside {1..L}, less one, is L or more.
+    unsigned = pulses.view(np.uint64)
+    if np.count_nonzero(unsigned - 1 >= length):
+        raise InvalidArgumentError(f"pulse images outside {{1..{length}}}")
+    unsigned.sort()
+    pulses += np.arange(-1, count * length - 1, length)[:, None]  # each frame's start, less one
+    pulses = pulses.reshape(-1)
+    if np.count_nonzero(pulses[1:] == pulses[:-1]):
+        raise InvalidArgumentError("two pulses in one slot")
+    return pulses
 
 
 def sift_block(

@@ -41,17 +41,17 @@ sends, each train it passes to the channel (a quantum marker per
 block), and each message it reads, under the peer's direction.
 ``run_session`` records on Alice's side.
 
-The quantum channel and detectors sit behind a handle injected into
-both endpoints, so the same state machines can drive an in-process
-simulation or external hardware.  The handle has two calls:
-``transmit(first_block_id, occupancy)`` on Alice's side, which sends a
-train given as its ``(m, d*n)`` bool occupancy, one frame per row for
-the blocks from ``first_block_id`` on, and ``receive(first_block_id)
--> clicks`` on Bob's, which returns that train's
-:class:`~hdcow.channel.ClickStream`: detector events only, as 0-based
-slots of the train, as a receiver's time tagger gives them against its
-frame sync.  Bob reports his monitor clicks, and Alice, who knows the
-pulses, keeps the monitor tally.
+The quantum channel and detectors sit behind a handle injected into both
+endpoints, so the same state machines can drive an in-process simulation
+or external hardware.  The handle has two calls:
+``transmit(first_block_id, pulses, slots)`` on Alice's side, which fires
+the blocks from ``first_block_id`` on as one train of ``slots`` slots,
+with a pulse at each sorted int64 slot of ``pulses``, and
+``receive(first_block_id) -> clicks`` on Bob's, which returns that
+train's :class:`~hdcow.channel.ClickStream`: detector events only, as
+0-based slots of the train, as a receiver's time tagger gives them
+against its frame sync.  Bob reports his monitor clicks, and Alice, who
+knows the pulses, keeps the monitor tally.
 """
 
 from __future__ import annotations
@@ -319,10 +319,10 @@ def validate_transcript(transcript: Transcript) -> list[str]:
 class SimulatedChannel:
     """In-process quantum channel handle.
 
-    The transmitter side pushes trains, each a ``(m, d*n)`` bool
-    occupancy with one frame per row, through the Monte Carlo channel in
-    one :func:`~hdcow.channel.transmit_frame` call and keeps only the
-    click record; the receiver side pulls each train's click record in
+    The transmitter side pushes trains, each its sorted pulse slots and
+    its slot count, through the Monte Carlo channel in one
+    :func:`~hdcow.channel.transmit_frame` call and keeps only the click
+    record; the receiver side pulls each train's click record in
     order, when the train's reveal arrives.  Asking for a train that was
     never transmitted, or for another first block than the next
     train's, raises.
@@ -334,8 +334,8 @@ class SimulatedChannel:
         self._state = DetectorState()
         self._deliveries: deque[tuple[int, ClickStream]] = deque()
 
-    def transmit(self, first_block_id: int, occupancy: np.ndarray) -> None:
-        clicks = transmit_frame(occupancy, self.phys, self._rng, self._state)
+    def transmit(self, first_block_id: int, pulses: np.ndarray, slots: int) -> None:
+        clicks = transmit_frame(pulses, slots, self.phys, self._rng, self._state)
         self._deliveries.append((first_block_id, clicks))
 
     def receive(self, first_block_id: int) -> ClickStream:
@@ -352,11 +352,12 @@ class SimulatedChannel:
 @dataclass(frozen=True)
 class _Transmit:
     """An endpoint's request to send a train down the quantum channel,
-    placed among its outgoing messages: the ``(m, d*n)`` occupancy of the
-    blocks from ``first_block_id`` on."""
+    placed among its outgoing messages: the ``slots`` slots of the blocks
+    from ``first_block_id`` on, and its pulses' sorted slots."""
 
     first_block_id: int
-    occupancy: np.ndarray
+    pulses: np.ndarray
+    slots: int
 
 
 class _Link:
@@ -383,9 +384,9 @@ class _Link:
         for item in items:
             if isinstance(item, _Transmit):
                 first = item.first_block_id
-                self._channel.transmit(first, item.occupancy)
+                self._channel.transmit(first, item.pulses, item.slots)
                 if transcript is not None:
-                    for block_id in range(first, first + len(item.occupancy)):
+                    for block_id in range(first, first + item.slots // self._proto.slot_count):
                         transcript.record(Transcript.QUANTUM, block_id)
                 continue
             if transcript is not None:
@@ -409,17 +410,17 @@ class _Alice:
     return the messages to send and the trains to transmit, in order;
     ``summary`` is set when her estimate ends the session.
 
-    She works a train at a time (see ``_train_blocks``), on arrays with
-    one block per row: the generated keys of a train come from one draw,
-    its permutations from one byte-source call and one sort, its frames
-    from one scatter and its reveal from one conversion.  The draws equal
-    those of one block at a time, so the train size changes no block.  The
-    train goes to the channel at once, before its reveal, and she keeps
-    its ``(m, n)`` symbols, its occupancy and its reveal until Bob's
-    report on it, whose monitor clicks she tallies.  Supplied blocks are
-    symbol sequences, taken from ``block_source`` a train at a time and
-    checked when their train is prepared; a source that runs dry fails
-    at the train it cannot fill, before that train is sent."""
+    She works a train at a time (see ``_train_blocks``), on arrays with one
+    block per row: the generated keys of a train come from one draw, its
+    permutations from one byte-source call and one sort, its pulses from
+    one gather and one sort and its reveal from one conversion.  The draws
+    equal those of one block at a time, so the train size changes no block.
+    The train goes to the channel at once, before its reveal, and she keeps
+    its ``(m, n)`` symbols, its pulses and its reveal until Bob's report on
+    it, whose monitor clicks she tallies.  Supplied blocks are symbol
+    sequences, taken from ``block_source`` a train at a time and checked
+    when their train is prepared; a source that runs dry fails at the train
+    it cannot fill, before that train is sent."""
 
     role = "alice"
 
@@ -471,7 +472,7 @@ class _Alice:
             symbols = np.array(blocks)
         self._symbols = symbols
         maps = make_permutation(proto.slot_count, self._perm_source, count)
-        self._train = _Transmit(first, encode_block(proto, symbols, maps))
+        self._train = _Transmit(first, encode_block(proto, symbols, maps), count * proto.slot_count)
         self._reveal = PermutationReveal.of_bijections(first, maps)
         return [self._train, self._reveal]
 
@@ -505,8 +506,7 @@ class _Alice:
         them to the tally.  They must be strictly increasing slots of the
         train, and none may name a qudit that the report keeps: the
         reveal's values give the slots of each kept qudit's symbols."""
-        occupancy = self._train.occupancy
-        slots = occupancy.size
+        pulses, slots = self._train.pulses, self._train.slots
         if monitor:
             if any(a >= b for a, b in zip(monitor, monitor[1:])):
                 raise ProtocolError(f"monitor clicks {monitor} are not strictly increasing")
@@ -516,15 +516,16 @@ class _Alice:
             qudits = np.array([g for g, _ in entries], dtype=np.int64)
             # row g of the reveal's values, d to a row: qudit g's slots in its frame, from 1
             kept = self._reveal.values().reshape(-1, proto.d)[qudits]
-            clicked = np.zeros(slots, dtype=bool)
-            clicked[list(monitor)] = True
-            named = clicked[kept + (qudits[:, None] // proto.n * proto.slot_count - 1)]
+            kept = kept + (qudits[:, None] // proto.n * proto.slot_count - 1)  # as train slots
+            clicks = np.array(monitor, dtype=np.int64)
+            named = clicks.take(clicks.searchsorted(kept), mode="clip") == kept
             if named.any():
                 raise ProtocolError(
                     f"a monitor click names qudit {qudits[named.any(axis=1).argmax()]}, "
                     "which the report keeps"
                 )
-        self._tally.add(monitor_tally(occupancy, monitor, self._monitor, self._settings.physical))
+        tally = monitor_tally(pulses, slots, monitor, self._monitor, self._settings.physical)
+        self._tally.add(tally)
         self._train = self._reveal = None  # held until the train's report only
 
     def _finish(self) -> EstimateReport:

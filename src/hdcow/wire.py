@@ -77,9 +77,9 @@ _ESTIMATE_FRAME = _framed(_ESTIMATE)
 # A train holds as many whole blocks as fit in this many slots, and at
 # least one.  Both peers derive it from SESSION_START's d and n, so it is
 # part of the protocol, not an option.  It bounds the temporaries the
-# sender prepares a train with (keys, their packed and ranked copies,
-# occupancy and reveal bytes, about 34 bytes a slot) at about half a
-# megabyte: a frame of 2**14 slots or more is a train of its own.
+# sender prepares a train with (keys, their packed and ranked copies, a
+# tie mask and the reveal's words and bytes, about 33 bytes a slot) at
+# about half a megabyte: a frame of 2**14 slots or more is its own train.
 _BATCH_SLOTS = 2**14
 
 

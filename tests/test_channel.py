@@ -66,9 +66,17 @@ class TestPhysicalParams:
             assert tuned.implied_qslot(d) == pytest.approx(0.004, rel=1e-9)
 
 
+def train_of(occ) -> tuple[np.ndarray, int]:
+    """The pulse slots and the slot count of the train whose bool
+    occupancy is ``occ``, one frame per row and the rows back to back, or
+    a single frame: the form the channel takes a train in.  The dense
+    references below take the occupancy itself."""
+    return occ.reshape(-1).nonzero()[0], occ.size
+
+
 def one_frame(occ, params, rng, state=None) -> ClickStream:
-    """``occ`` sent as a 1-row train."""
-    return transmit_frame(occ[None], params, rng, state)
+    """The frame ``occ`` sent as a train of its own."""
+    return transmit_frame(*train_of(occ), params, rng, state)
 
 
 def tally_of(occ, clicks, prev_occupied, last_click, params) -> MonitorTally:
@@ -76,7 +84,7 @@ def tally_of(occ, clicks, prev_occupied, last_click, params) -> MonitorTally:
     the state it started from: whether the slot before it was occupied,
     and the monitor's last click before it, counted from its first slot."""
     state = DetectorState(last_monitor_click=last_click, prev_occupied=prev_occupied)
-    return monitor_tally(occ, clicks.monitor_slots, state, params)
+    return monitor_tally(*train_of(occ), clicks.monitor_slots, state, params)
 
 
 class TestTransmitFrame:
@@ -102,8 +110,8 @@ class TestTransmitFrame:
     def test_deterministic_for_fixed_seed(self):
         params = quiet_params(mu=0.05, p_dc=1e-3)
         occ = np.random.default_rng(1).random((4, 8192)) < 0.25
-        a = transmit_frame(occ, params, np.random.default_rng(5))
-        b = transmit_frame(occ, params, np.random.default_rng(5))
+        a = transmit_frame(*train_of(occ), params, np.random.default_rng(5))
+        b = transmit_frame(*train_of(occ), params, np.random.default_rng(5))
         assert np.array_equal(a.data_slots, b.data_slots)
         assert np.array_equal(a.monitor_slots, b.monitor_slots)
 
@@ -114,7 +122,7 @@ class TestTransmitFrame:
         occ = np.ones((2, 50_000), dtype=bool)
         state = DetectorState()
         rng = np.random.default_rng(3)
-        trains = [transmit_frame(occ, params, rng, state) for _ in range(2)]
+        trains = [transmit_frame(*train_of(occ), params, rng, state) for _ in range(2)]
         slots = np.concatenate([train.data_slots + k * occ.size for k, train in enumerate(trains)])
         assert (np.diff(slots) > dead).all()
         duration = 200_000 * params.tau
@@ -124,9 +132,9 @@ class TestTransmitFrame:
         params = PhysicalParams.noiseless()
         state = DetectorState()
         rng = np.random.default_rng(0)
-        c1 = transmit_frame(np.array([[True, False], [False, True]]), params, rng, state)
+        c1 = transmit_frame(np.array([0, 3]), 4, params, rng, state)
         assert (state.last_data_click, state.prev_occupied) == (-1, True)
-        c2 = transmit_frame(np.array([[True, False]]), params, rng, state)
+        c2 = transmit_frame(np.array([0]), 2, params, rng, state)
         assert [c.data_slots.tolist() for c in (c1, c2)] == [[0, 3], [0]]
         assert (state.last_data_click, state.prev_occupied) == (-2, False)
 
@@ -143,14 +151,14 @@ class TestTransmitFrame:
         rng = np.random.default_rng(0)
         end = np.zeros((1, 8), dtype=bool)
         end[0, -1] = True
-        first = transmit_frame(end, params, rng, state)
-        monitor_tally(end, first.monitor_slots, tallied, params)
+        first = transmit_frame(*train_of(end), params, rng, state)
+        monitor_tally(*train_of(end), first.monitor_slots, tallied, params)
         assert first.data_slots.tolist() == first.monitor_slots.tolist() == [7]
         assert (state.last_data_click, state.last_monitor_click) == (-1, -1)
         full = np.ones((1, 8), dtype=bool)
-        second = transmit_frame(full, params, rng, state)
+        second = transmit_frame(*train_of(full), params, rng, state)
         assert second.data_slots.tolist() == second.monitor_slots.tolist() == [3, 7]
-        tally = monitor_tally(full, second.monitor_slots, tallied, params)
+        tally = monitor_tally(*train_of(full), second.monitor_slots, tallied, params)
         assert tally == MonitorTally(n_int=2, exp_int=2)
         assert tallied.last_monitor_click == state.last_monitor_click == -1
 
@@ -165,12 +173,24 @@ class TestTransmitFrame:
         assert hit[occ].mean() == pytest.approx(0.1, abs=5 * sigma)
         assert hit[~occ].mean() == pytest.approx(0.1, abs=5 * sigma)
 
-    @pytest.mark.parametrize("shape", [(8,), (0, 8), (2, 0), (1, 2, 4)])
-    def test_train_must_be_a_non_empty_2d_occupancy(self, shape):
-        with pytest.raises(InvalidArgumentError, match="non-empty"):
+    @pytest.mark.parametrize(
+        "pulses, slots",
+        [([[0, 1]], 4), ([], 0), ([0], 0), ([-1, 2], 4), ([1, 4], 4), ([1, 1], 4), ([2, 1], 4)],
+    )
+    def test_train_must_be_increasing_pulses_within_its_slots(self, pulses, slots):
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
             transmit_frame(
-                np.ones(shape, dtype=bool), PhysicalParams.noiseless(), np.random.default_rng(0)
+                np.array(pulses, dtype=np.int64), slots, PhysicalParams.noiseless(),
+                np.random.default_rng(0),
             )
+
+    def test_a_train_without_pulses_is_dark(self):
+        params = quiet_params(mu=0.05, t_ch=1.0, p_dc=0.0, r_ext=0.0, t_dead=0.0)
+        state = DetectorState(prev_occupied=True)
+        no_pulse = np.zeros(0, dtype=np.int64)
+        clicks = transmit_frame(no_pulse, 16, params, np.random.default_rng(0), state)
+        assert len(clicks.data_slots) == len(clicks.monitor_slots) == 0
+        assert not state.prev_occupied
 
     def test_train_equals_its_rows_sent_one_by_one(self):
         # Every pulse fires both detectors (the monitor's probabilities
@@ -190,7 +210,7 @@ class TestTransmitFrame:
         first = DetectorState(last_data_click=-103, last_monitor_click=-5, prev_occupied=True)
         state, ref_state = replace(first), replace(first)
         rng = np.random.default_rng(0)
-        train = transmit_frame(occ, params, rng, state)
+        train = transmit_frame(*train_of(occ), params, rng, state)
         rows = [one_frame(row, params, rng, ref_state) for row in occ]
         assert state == ref_state
         for field in ("data_slots", "monitor_slots"):
@@ -413,7 +433,7 @@ class TestSlotModelReference:
         ``u`` (one row per frame), through the dense model from the same
         state; the clicks must be equal."""
         ref_state, start = replace(state), replace(state)
-        train = transmit_frame(occ, params, rng, state)
+        train = transmit_frame(*train_of(occ), params, rng, state)
         data, monitor = dense_train(occ, params, u, ref_state)
         np.testing.assert_array_equal(train.data_slots, data)
         np.testing.assert_array_equal(train.monitor_slots, monitor)
@@ -428,7 +448,7 @@ class TestSlotModelReference:
         rng = RecordingGenerator(seed)
         for occ in trains:
             start = replace(state)
-            train = transmit_frame(occ, params, rng, state)
+            train = transmit_frame(*train_of(occ), params, rng, state)
             (u,) = rng.draws  # one call: a uniform per pulse and detector
             rng.draws.clear()
             data, monitor = dense_train(occ, params, dense_uniforms(occ, u), ref_state)
@@ -444,12 +464,12 @@ class TestSlotModelReference:
         rng = np.random.default_rng(seed)
         for occ in trains:
             start = replace(state)
-            train = transmit_frame(occ, params, rng, state)
+            train = transmit_frame(*train_of(occ), params, rng, state)
             check_rows(occ, train, params, start)
             assert state.prev_occupied == bool(occ[-1, -1])
             # the sender's tally carries the monitor's state as the channel does
             tallied = replace(start)
-            monitor_tally(occ, train.monitor_slots, tallied, params)
+            monitor_tally(*train_of(occ), train.monitor_slots, tallied, params)
             assert (tallied.prev_occupied, tallied.last_monitor_click) == (
                 state.prev_occupied, state.last_monitor_click
             )
@@ -477,7 +497,7 @@ class TestSlotModelReference:
         monkeypatch.setattr(sys.modules[__name__], "dead_time_filter", counting_filter)
 
         def sparse(train, state, rng):
-            return transmit_frame(train, params, rng, state)
+            return transmit_frame(*train_of(train), params, rng, state)
 
         def dense(train, state, rng):
             u = [rng.random(2 * frame.size) for frame in train]
@@ -654,15 +674,26 @@ class TestMonitorTallyClicks:
     @pytest.mark.parametrize("prev_occupied", [False, True])
     def test_only_clicks_on_the_trains_pulses_count(self, prev_occupied):
         # pulses at slots 0, 2, 3; the first interferes when the previous
-        # train ended occupied, and the click on the empty slot 1, like
-        # the one before the train, counts for neither class
-        occ = np.array([True, False, True, True])
+        # train ended occupied, and the clicks on the empty slot 1 and on
+        # slot 4, after the last pulse, like the one before the train,
+        # count for neither class
+        occ = np.array([True, False, True, True, False])
         state = DetectorState(last_monitor_click=-1, prev_occupied=prev_occupied)
-        tally = monitor_tally(occ, np.array([0, 1]), state, PhysicalParams.noiseless())
+        clicks = np.array([0, 1, 4])
+        tally = monitor_tally(*train_of(occ), clicks, state, PhysicalParams.noiseless())
         if prev_occupied:
             assert tally == MonitorTally(n_int=1, exp_int=2, n_non=0, exp_non=1)
         else:
             assert tally == MonitorTally(n_int=0, exp_int=1, n_non=1, exp_non=2)
+        assert (state.prev_occupied, state.last_monitor_click) == (False, -1)
+
+    def test_a_train_without_pulses_tallies_nothing(self):
+        # its dark counts are no exposure and of neither class
+        state = DetectorState(last_monitor_click=-1, prev_occupied=True)
+        no_pulse = np.zeros(0, dtype=np.int64)
+        tally = monitor_tally(no_pulse, 6, np.array([0, 5]), state, PhysicalParams.noiseless())
+        assert tally == MonitorTally()
+        assert (state.prev_occupied, state.last_monitor_click) == (False, -1)
 
 
 class TestEstimateQber:

@@ -248,34 +248,53 @@ def identity_maps(length):
 
 
 class TestEncodeBlock:
+    """A train is the sorted 0-based slots of its pulses, frame k's from
+    k*d*n on."""
+
     def test_identity_permutation_d2(self):
         params = ProtocolParams(d=2, n=2)
-        occupancy = encode_block(params, np.array([[1, 2]]), identity_maps(4))
-        assert occupancy.dtype == bool
-        assert occupancy.astype(int).tolist() == [[1, 0, 0, 1]]
+        pulses = encode_block(params, np.array([[1, 2]]), identity_maps(4))
+        assert pulses.dtype == np.int64
+        assert pulses.tolist() == [0, 3]
 
     def test_identity_permutation_single_qudit(self):
         params = ProtocolParams(d=4, n=1)
-        occupancy = encode_block(params, np.array([[3]]), identity_maps(4))
-        assert occupancy.astype(int).tolist() == [[0, 0, 1, 0]]
+        assert encode_block(params, np.array([[3]]), identity_maps(4)).tolist() == [2]
 
     def test_nontrivial_permutation(self):
         # raw slots {1, 4} map through sigma=[3,4,1,2] to {3, 2}
         params = ProtocolParams(d=2, n=2)
-        occupancy = encode_block(params, np.array([[1, 2]]), np.array([[3, 4, 1, 2]]))
-        assert occupancy.astype(int).tolist() == [[0, 1, 1, 0]]
+        pulses = encode_block(params, np.array([[1, 2]]), np.array([[3, 4, 1, 2]]))
+        assert pulses.tolist() == [1, 2]
 
     def test_batch_matches_per_qudit_placement(self):
         params = ProtocolParams(d=3, n=5)
         symbols = np.random.default_rng(4).integers(1, 4, size=(6, 5))
         maps = make_permutation(15, SeededByteSource(4), 6)
-        occupancy = encode_block(params, symbols, maps)
-        assert occupancy.shape == (6, 15)
-        for row, images, frame in zip(symbols, maps, occupancy):
-            expected = np.zeros(15, dtype=bool)
-            for i, q in enumerate(row):
-                expected[images[3 * i + q - 1] - 1] = True
-            assert np.array_equal(frame, expected)
+        pulses = encode_block(params, symbols, maps)
+        expected = [
+            15 * k + images[3 * i + q - 1] - 1
+            for k, (row, images) in enumerate(zip(symbols, maps))
+            for i, q in enumerate(row)
+        ]
+        assert pulses.dtype == np.int64 and pulses.tolist() == sorted(expected)
+
+    @pytest.mark.parametrize("image", [-1, 0, 5])
+    def test_image_outside_the_frame_rejected_in_any_row(self, image):
+        # Row 0's first qudit takes the bad image; row 1 is the identity.
+        # An image of -1 used to land on row 1's last slot, so the pulse
+        # count still held and row 1 was sent with three pulses.
+        params = ProtocolParams(d=2, n=2)
+        maps = np.array([[image, 2, 3, 4], [1, 2, 3, 4]])
+        with pytest.raises(InvalidArgumentError, match=r"outside \{1\.\.4\}"):
+            encode_block(params, np.array([[1, 1], [1, 1]]), maps)
+
+    def test_two_pulses_in_one_slot_rejected(self):
+        # both of row 0's qudits take image 1; row 1 is the identity
+        params = ProtocolParams(d=2, n=2)
+        maps = np.array([[1, 2, 1, 4], [1, 2, 3, 4]])
+        with pytest.raises(InvalidArgumentError, match="two pulses in one slot"):
+            encode_block(params, np.array([[1, 1], [1, 1]]), maps)
 
     def test_batch_shape_mismatch_rejected(self):
         params = ProtocolParams(d=2, n=2)
@@ -332,12 +351,12 @@ def test_encode_decode_round_trip_property(data):
     params = ProtocolParams(d=d, n=n)
     (symbols,) = np.random.default_rng(seed).integers(1, d + 1, size=(1, n))
     maps = make_permutation(d * n, SeededByteSource(seed))
-    (occupancy,) = encode_block(params, symbols[None], maps)
+    pulses = encode_block(params, symbols[None], maps)
     sigma = Permutation(maps[0])
 
-    assert int(occupancy.sum()) == n
+    assert len(pulses) == n and (np.diff(pulses) > 0).all()
     # every pulse clicks, once: each qudit decodes to its own symbol
-    clicks = ClickStream(np.nonzero(occupancy)[0], np.zeros(0, dtype=np.int64))
+    clicks = ClickStream(pulses, np.zeros(0, dtype=np.int64))
     assert decode_frame(params, sigma, clicks).entries == tuple(
         (i, int(q)) for i, q in enumerate(symbols)
     )

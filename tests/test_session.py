@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdcow.channel import ClickStream, PhysicalParams, decode_frame, monitor_tally
-from hdcow.config import default_config
+from hdcow.config import default_config, parse_config
 from hdcow.errors import InvalidArgumentError, ProtocolError
 from hdcow.protocol import ProtocolParams
 from hdcow.session import (
@@ -42,9 +42,12 @@ from hdcow.wire import (
 )
 
 
-# The frame of block symbols (1, 2) under the identity permutation, d=2 and
-# n=2, as a train of one frame.
-FRAME_12 = np.array([[True, False, False, True]])
+def frames_12(rows):
+    """The pulses and the slot count of a train of ``rows`` frames, each
+    of block symbols (1, 2) under the identity permutation, d=2 and n=2."""
+    return (np.array([0, 3]) + np.arange(0, 4 * rows, 4)[:, None]).reshape(-1), 4 * rows
+
+
 REVEAL_0 = PermutationReveal(block_id=0, indices=(1, 2, 3, 4))
 
 
@@ -211,7 +214,7 @@ class TestProtocolViolations:
         settings = noiseless_settings(d=2, n=2)
         channel = SimulatedChannel(settings.physical, seed=0)
         # transmit, then reveal a non-bijection
-        channel.transmit(0, FRAME_12)
+        channel.transmit(0, *frames_12(1))
         duplex = ScriptedDuplex(
             [
                 encode_message(SessionStart(d=2, n=2, tau_picoseconds=2000)),
@@ -236,12 +239,12 @@ def identity_reveal(first, rows):
 
 def scripted_bob(messages, blocks=1, transmissions=1):
     """Run Bob (d=2, n=2) on ``messages`` after the first ``transmissions``
-    trains of a ``blocks``-block session, each frame FRAME_12's, have gone
+    trains of a ``blocks``-block session, each frame ``frames_12``'s, have gone
     down the channel."""
     settings = noiseless_settings(d=2, n=2, blocks=blocks)
     channel = SimulatedChannel(settings.physical, seed=0)
     for first in range(0, blocks, TRAIN)[:transmissions]:
-        channel.transmit(first, np.repeat(FRAME_12, min(TRAIN, blocks - first), axis=0))
+        channel.transmit(first, *frames_12(min(TRAIN, blocks - first)))
     start = SessionStart(d=2, n=2, tau_picoseconds=2000)
     duplex = ScriptedDuplex([encode_message(m) for m in (start, *messages)])
     return run_bob(settings, channel, duplex)
@@ -734,16 +737,17 @@ class TestTranscriptValidator:
 
 
 class SpyChannel(SimulatedChannel):
-    """A simulated channel that keeps every occupancy sent down it and
-    every click record it hands to the receiver."""
+    """A simulated channel that keeps every train sent down it, as its
+    pulses and its slot count, and every click record it hands to the
+    receiver."""
 
     def __init__(self, phys, seed):
         super().__init__(phys, seed)
         self.sent, self.handed = [], []
 
-    def transmit(self, first_block_id, occupancy):
-        self.sent.append(occupancy)
-        super().transmit(first_block_id, occupancy)
+    def transmit(self, first_block_id, pulses, slots):
+        self.sent.append((pulses, slots))
+        super().transmit(first_block_id, pulses, slots)
 
     def receive(self, first_block_id):
         self.handed.append(super().receive(first_block_id))
@@ -804,12 +808,18 @@ class TestSingleThreadedSession:
             "entry 1: expected quantum transmission of block 0, "
             "got a->b PermutationReveal of block 0"
         ]
-        # Bob's endpoint is handed detector events only: the one train's
-        # click record, which holds no part of its occupancy
-        ((clicks,), (occupancy,)) = channel.handed, channel.sent
+        # The handle is given the one train of 20 blocks as its m*n sorted
+        # int64 pulse slots and its m*L slots.  Bob's endpoint is handed
+        # detector events only: the train's click record, which holds no
+        # part of its pulses.
+        ((clicks,), ((pulses, slots),)) = channel.handed, channel.sent
+        assert slots == 20 * 256
+        assert pulses.dtype == np.int64 and len(pulses) == 20 * 64
+        assert (np.diff(pulses) > 0).all() and 0 <= pulses[0] and pulses[-1] < slots
         assert [f.name for f in fields(clicks)] == ["data_slots", "monitor_slots"]
+        assert len(clicks.data_slots) and len(clicks.monitor_slots)
         for value in (clicks.data_slots, clicks.monitor_slots):
-            assert value.dtype == np.int64 and not np.shares_memory(value, occupancy)
+            assert value.dtype == np.int64 and not np.shares_memory(value, pulses)
 
 
 @pytest.mark.parametrize("slot", [10**6, -1])
@@ -838,12 +848,12 @@ def test_alice_carries_the_monitor_state_as_the_channel_does(monkeypatch):
     channel_states, alice_states = [], []
 
     class RecordingChannel(SimulatedChannel):
-        def transmit(self, first_block_id, occupancy):
-            super().transmit(first_block_id, occupancy)
+        def transmit(self, first_block_id, pulses, slots):
+            super().transmit(first_block_id, pulses, slots)
             channel_states.append((self._state.prev_occupied, self._state.last_monitor_click))
 
-    def recording_tally(occ, monitor_slots, state, params):
-        tally = monitor_tally(occ, monitor_slots, state, params)
+    def recording_tally(pulses, slots, monitor_slots, state, params):
+        tally = monitor_tally(pulses, slots, monitor_slots, state, params)
         alice_states.append((state.prev_occupied, state.last_monitor_click))
         return tally
 
@@ -1004,6 +1014,32 @@ class TestPinnedTranscripts:
         )
         assert validate_transcript(transcript) == []
         self.check_stderrs(alice, bob, 0.0009288816109911649, 4.364035087719298)
+
+    def test_train_edges(self):
+        # Five trains of 64 blocks (the last of 44), d=4 and n=64, over a
+        # back-to-back link with dark counts, half the light on the
+        # monitor and a 30-slot dead time.  At seed 1 two trains end on a
+        # pulse and two leave a monitor dead window that runs into the
+        # next train, so the carry across a train's end shows here.
+        config = parse_config({
+            "physical": {"mu": 0.1, "t_ch": 1.0, "xi": 1.0, "t_dead": 6e-8, "p_dc": 1e-3,
+                         "f_mon": 0.5},
+            "session": {"d": 4, "n": 64, "blocks": 300},
+        })
+        alice, bob, transcript = run_session(config.session_settings(), seed=1)
+        assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == (
+            "298e347c4429f1cac1db37a26910b827091ae5db233bad8cd1e6b5c60faa71ab"
+        )
+        assert len(transcript.entries) == 312
+        assert alice.sifted_count == bob.sifted_count == 709
+        assert hashlib.sha256(bytes(alice.sifted)).hexdigest() == (
+            "1e3319d1c22e28c60d919fcd4ddac46c57e16fa7f977cc8feb2f0cf563b2ed82"
+        )
+        assert hashlib.sha256(bytes(bob.sifted)).hexdigest() == (
+            "387495d2b61e9cbbbc03bf158ba54be1e1ea27f670561ab43f897881f9c3d4c9"
+        )
+        assert validate_transcript(transcript) == []
+        self.check_stderrs(alice, bob, 0.003292298824942305, 0.02516936699716138)
 
 
 class TestSessionEstimates:
