@@ -15,8 +15,8 @@ as one :class:`Permutation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import KW_ONLY, InitVar, dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,6 +97,27 @@ def _check_symbols(symbols: np.ndarray, params: ProtocolParams) -> None:
         raise InvalidArgumentError("symbols outside {1..d}")
 
 
+@lru_cache(maxsize=4)
+def _ramp(size: int, dtype) -> np.ndarray:
+    """The integers 1..``size`` as ``dtype``: the positions that
+    :func:`make_permutation` packs into its keys, and the values that
+    :class:`Permutation` scatters into its inverse.  Read-only, since it
+    is shared."""
+    ramp = np.arange(1, size + 1, dtype=dtype)
+    ramp.flags.writeable = False
+    return ramp
+
+
+@lru_cache(maxsize=4)
+def _row_starts(size: int, length: int) -> np.ndarray:
+    """The first slot of each slot's row, for ``size`` slots in rows of
+    ``length``: what moves each row's images to its place in a train.
+    Read-only, since it is shared."""
+    starts = np.arange(size) // length * length
+    starts.flags.writeable = False
+    return starts
+
+
 @dataclass
 class Permutation:
     """A peer's bijections on {1..L}, one per block of a train: the image
@@ -106,29 +127,49 @@ class Permutation:
     ``t-1``.  Flattened, it inverts the train's bijection on {1..m*L},
     which applies row k's to the train's k-th frame.
 
-    The constructor validates ``map_``, as a receiver must a reveal off
-    the wire, in one pass for all rows: a check that every value lies in
-    {1..L}, which also keeps each row's values out of its neighbours',
-    then one scatter that builds the inverse and shows every slot of
-    every row is hit, which for values in range makes each row a
-    bijection.  The inverse is int32, half the bytes of int64, unless
-    m*L reaches 2**31."""
+    The constructor validates the images it is given, as a receiver must
+    a reveal off the wire, in one pass for all rows: it copies them into
+    ``map_`` as int64 and checks that every value lies in {1..L}, which
+    also keeps each row's values out of its neighbours', then one
+    scatter builds the inverse and shows every slot of every row is hit,
+    which for values in range makes each row a bijection.  The inverse
+    is int32, half the bytes of int64, unless m*L reaches 2**31.
+
+    ``buffers``, keyword only, is a pair of arrays to work in instead of
+    fresh ones, for a receiver that checks one train after another: an
+    int64 array of at least m*L elements for ``map_``, and a 1-D array
+    of at least m*L + 1 elements, of a dtype that holds m*L, for the
+    inverse.  ``map_`` and ``inverse_map`` are then views of them, valid
+    until the buffers are next used."""
 
     map_: np.ndarray
     inverse_map: np.ndarray = field(init=False, repr=False, compare=False)
+    _: KW_ONLY
+    buffers: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
 
-    def __post_init__(self):
-        map_ = self.map_ = np.asarray(self.map_, dtype=np.int64)
-        L, total = map_.shape[-1], map_.size
+    def __post_init__(self, buffers):
+        images = np.asarray(self.map_)
+        L, total = images.shape[-1], images.size
         if total == 0:
             raise InvalidArgumentError("empty permutation")
+        if buffers is None:
+            dtype = np.int32 if total < 2**31 else np.int64
+            buffers = np.empty(total, dtype=np.int64), np.empty(total + 1, dtype=dtype)
+        map_ = self.map_ = buffers[0].reshape(-1)[:total].reshape(images.shape)
+        np.copyto(map_, images, casting="unsafe")
         if np.minimum.reduce(map_, axis=None) < 1 or np.maximum.reduce(map_, axis=None) > L:
             raise InvalidArgumentError("permutation values outside {1..L}")
-        dtype = np.int32 if total < 2**31 else np.int64
-        inv = np.zeros(total + 1, dtype=dtype)
-        # each row's images, moved to its place in the train
-        slots = map_ if total == L else map_ + np.arange(0, total, L).reshape(-1, 1)
-        inv[slots.reshape(-1)] = np.arange(1, total + 1, dtype=dtype)  # 1-based; slot 0 is dropped
+        inv = buffers[1][: total + 1]
+        inv.fill(0)
+        # each row's images, moved to its place in the train for the scatter
+        # and back, in place
+        slots, starts = map_.reshape(-1), None
+        if total > L:
+            starts = _row_starts(buffers[0].size, L)[:total]
+            slots += starts
+        inv[slots] = _ramp(len(buffers[1]) - 1, inv.dtype)[:total]  # slot 0 is dropped
+        if starts is not None:
+            slots -= starts
         self.inverse_map = inv[1:].reshape(map_.shape)
         if np.count_nonzero(self.inverse_map) != total:
             raise InvalidArgumentError("permutation is not a bijection")
@@ -143,7 +184,9 @@ class DetectionReport:
     entries: tuple
 
 
-def make_permutation(length: int, source: ByteSource, count: int = 1) -> np.ndarray:
+def make_permutation(
+    length: int, source: ByteSource, count: int = 1, *, buffers=None
+) -> np.ndarray:
     """``count`` uniformly random permutations of {1..length}, as the rows
     of a ``(count, length)`` int64 array of image sequences: each ranks
     one random key per position (Knuth, TAOCP vol. 2, §3.4.2).
@@ -171,14 +214,24 @@ def make_permutation(length: int, source: ByteSource, count: int = 1) -> np.ndar
     keys.  Both rankings are that of the keys, so the width of the low
     part changes no result.  Either ranking is a bijection by
     construction, so the rows are not checked again.
+
+    ``buffers``, keyword only, is a pair of ``(rows, length)`` arrays to
+    work in instead of fresh ones, for a sender that draws one train
+    after another: a uint64 array for the packed keys and an int64 array
+    for the ranking, with ``rows >= count``.  The result is then a view
+    of the ranking buffer's first ``count`` rows, valid until the buffers
+    are next used.
     """
     if length < 1:
         raise InvalidArgumentError(f"length={length} must be >= 1")
     if count < 1:
         raise InvalidArgumentError(f"count={count} must be >= 1")
+    if buffers is None:
+        buffers = np.empty((count, length), np.uint64), np.empty((count, length), np.int64)
+    packed_keys, ranking = buffers
     low_bits = length.bit_length()
     shift, low_mask = np.uint64(low_bits), np.uint64((1 << low_bits) - 1)
-    parts, ranked = [], 0
+    ranked = 0
     while ranked < count:
         wanted = count - ranked
         data = source(8 * length * wanted)
@@ -187,32 +240,28 @@ def make_permutation(length: int, source: ByteSource, count: int = 1) -> np.ndar
                 f"byte source returned {len(data)} bytes, expected {8 * length * wanted}"
             )
         keys = np.frombuffer(data, dtype="<u8").reshape(wanted, length)
-        positions = np.arange(1, length + 1, dtype=np.uint64)
-        packed = keys & ~low_mask
-        packed |= positions
+        packed = np.bitwise_and(keys, ~low_mask, out=packed_keys[:wanted])
+        packed |= _ramp(length, np.uint64)
         packed.sort()
-        # One row is ranked in the positions' own buffer: large frames come
-        # one to a batch, and a frame-sized allocation is saved.
-        ranking = np.bitwise_and(
-            packed, low_mask, out=positions[None] if wanted == 1 else None
-        ).view(np.int64)
+        rows = ranking[ranked:count]
+        np.bitwise_and(packed, low_mask, out=rows.view(np.uint64))
         packed >>= shift  # the high parts, in increasing order along each row
         # The mask is rebuilt on a collision, not kept: a frame-sized mask
         # held to the end of the call slowed large frames measurably.
+        kept = wanted
         if np.count_nonzero(packed[:, 1:] == packed[:, :-1]):
             collided = (packed[:, 1:] == packed[:, :-1]).any(axis=1)
-            kept = []
-            for row, row_keys, collides in zip(ranking, keys, collided):
-                if not collides:
-                    kept.append(row)
-                    continue
-                order = np.argsort(row_keys)
-                if np.diff(row_keys[order]).all():  # no two keys are equal
-                    kept.append(order + 1)
-            ranking = np.array(kept, dtype=np.int64).reshape(len(kept), length)
-        parts.append(ranking)
-        ranked += len(ranking)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            kept = 0  # each kept row moves up over the skipped ones
+            for row_keys, row, collides in zip(keys, rows, collided):
+                if collides:
+                    order = np.argsort(row_keys)
+                    if not np.diff(row_keys[order]).all():  # two keys are equal
+                        continue
+                    row = order + 1
+                rows[kept] = row
+                kept += 1
+        ranked += kept
+    return ranking[:count]
 
 
 def encode_block(params: ProtocolParams, symbols: np.ndarray, maps: np.ndarray) -> np.ndarray:

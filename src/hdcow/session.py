@@ -420,7 +420,14 @@ class _Alice:
     it, whose monitor clicks she tallies.  Supplied blocks are symbol
     sequences, taken from ``block_source`` a train at a time and checked
     when their train is prepared; a source that runs dry fails at the train
-    it cannot fill, before that train is sent."""
+    it cannot fill, before that train is sent.
+
+    For the whole session she holds the two arrays that
+    :func:`make_permutation` ranks a full train's keys in, one block per
+    row: its packed keys (uint64) and its ranking (int64), each
+    ``t * d * n`` elements for a train of t blocks; a shorter last train
+    uses their leading rows.  Each train's reveal is a fresh conversion
+    of the ranking, so a message she has sent never changes."""
 
     role = "alice"
 
@@ -431,6 +438,8 @@ class _Alice:
         self._perm_source = SeededByteSource(self._rng.integers(0, 2**63))
         self._supplied = None if block_source is None else iter(block_source)
         self._per_train = _train_blocks(settings.protocol.slot_count)
+        shape = (self._per_train, settings.protocol.slot_count)
+        self._rank_buffers = np.empty(shape, np.uint64), np.empty(shape, np.int64)
         self._block_id = 0  # the open train's first block
         self._symbols: np.ndarray | None = None  # the open train's, one block per row
         self._train = self._reveal = None  # the open train's _Transmit and PermutationReveal
@@ -471,7 +480,9 @@ class _Alice:
                 )
             symbols = np.array(blocks)
         self._symbols = symbols
-        maps = make_permutation(proto.slot_count, self._perm_source, count)
+        maps = make_permutation(
+            proto.slot_count, self._perm_source, count, buffers=self._rank_buffers
+        )
         self._train = _Transmit(first, encode_block(proto, symbols, maps), count * proto.slot_count)
         self._reveal = PermutationReveal.of_bijections(first, maps)
         return [self._train, self._reveal]
@@ -552,7 +563,14 @@ class _Bob:
     block of that train; it pulls the train's clicks from ``channel``
     and reports the qudits they keep and the monitor clicks.  Alice's
     estimate, after the last report, ends the session and sets
-    ``summary``."""
+    ``summary``.
+
+    For the whole session he holds the two arrays that
+    :class:`Permutation` checks a full train's reveal in: its images as
+    int64, one block per row, and its inverse, ``t * d * n + 1`` int32
+    (int64 from 2**31 slots) for a train of t blocks; a shorter last
+    train uses their leading part.  The reveal's payload itself is read
+    where it arrived, without a copy."""
 
     role = "bob"
 
@@ -560,6 +578,9 @@ class _Bob:
         self._settings = settings
         self._channel = channel
         self._per_train = _train_blocks(settings.protocol.slot_count)
+        slots = self._per_train * settings.protocol.slot_count
+        self._images = np.empty(slots, np.int64)
+        self._inverse = np.empty(slots + 1, np.int32 if slots < 2**31 else np.int64)
         self._started = False
         self._blocks_done = 0
         self._sifted: list[int] = []
@@ -615,7 +636,9 @@ class _Bob:
                 raise InvalidArgumentError(f"{count} indices are not whole blocks of d*n={length}")
             if count != rows * length:
                 raise InvalidArgumentError(f"reveal of {count // length} blocks for a train of {rows}")
-            sigma = Permutation(values.reshape(rows, length))
+            sigma = Permutation(
+                values.reshape(rows, length), buffers=(self._images, self._inverse)
+            )
         except InvalidArgumentError as exc:
             raise ProtocolError(f"malformed permutation reveal: {exc}") from exc
         clicks = self._channel.receive(first)

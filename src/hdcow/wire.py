@@ -76,10 +76,15 @@ _ESTIMATE_FRAME = _framed(_ESTIMATE)
 
 # A train holds as many whole blocks as fit in this many slots, and at
 # least one.  Both peers derive it from SESSION_START's d and n, so it is
-# part of the protocol, not an option.  It bounds the temporaries the
-# sender prepares a train with (keys, their packed and ranked copies, a
-# tie mask and the reveal's words and bytes, about 33 bytes a slot) at
-# about half a megabyte: a frame of 2**14 slots or more is its own train.
+# part of the protocol, not an option.  It sizes the arrays a train is
+# prepared in.  The sender keeps its packed keys and their ranking for the
+# session (16 bytes a slot) and allocates per train the keys, a tie mask,
+# the reveal's words and its frame (about 17 bytes a slot); the receiver
+# keeps the images and their inverse for the session (12 bytes a slot)
+# and reads the reveal where it arrived.  So each is about a quarter
+# megabyte, and a frame of 2**14 slots or more is its own train.  The
+# read-only constants that sessions of one geometry share (positions,
+# inverse values and row starts) add at most 20 bytes a slot.
 _BATCH_SLOTS = 2**14
 
 
@@ -111,32 +116,47 @@ class SessionStart:
     tau_picoseconds: int
 
 
+def _byte_view(words: np.ndarray) -> memoryview:
+    """A read-only byte view of a fresh array's wire form, taken without
+    a copy."""
+    return memoryview(words.reshape(-1).view(np.uint8)).toreadonly()
+
+
 @dataclass(frozen=True)
 class PermutationReveal:
     """The permutations of one train's blocks, the first of which is
     ``block_id``.  ``indices`` are each block's images sigma(1), ...,
     sigma(L), block after block, as big-endian u32, 4 bytes each.  A
-    ``bytes`` value is taken as that form; any other integer sequence is
-    converted, and values outside u32 are rejected, when the message is
-    built.  Built and decoded reveals compare equal."""
+    ``bytes`` or ``memoryview`` value is taken as that form; any other
+    integer sequence is converted, and values outside u32 are rejected,
+    when the message is built.  A converted reveal holds a read-only
+    ``memoryview`` of its converted array, and a decoded one a read-only
+    ``memoryview`` of the payload it was read from, so neither copies
+    its indices again; a view compares and hashes as the bytes it shows.
+    Built and decoded reveals compare equal."""
 
     block_id: int
-    indices: bytes
+    indices: bytes | memoryview
 
     def __post_init__(self):
-        if isinstance(self.indices, bytes):
-            if len(self.indices) % 4:
-                raise InvalidArgumentError(
-                    f"{len(self.indices)} index bytes is not a whole number of u32"
-                )
-        else:
-            values = np.asarray(self.indices)
+        indices = self.indices
+        if isinstance(indices, memoryview):
+            indices = indices.cast("B").toreadonly()  # its bytes, as a flat view
+        elif not isinstance(indices, bytes):
+            values = np.asarray(indices)
             if values.size:
                 if values.dtype.kind not in "iu":  # floats, or ints too wide for numpy
                     raise InvalidArgumentError("index values do not fit u32")
                 _check_u(int(np.minimum.reduce(values, axis=None)), 32, "index")
                 _check_u(int(np.maximum.reduce(values, axis=None)), 32, "index")
-            object.__setattr__(self, "indices", values.astype(">u4").tobytes())
+            indices = _byte_view(values.astype(">u4"))
+        if len(indices) % 4:
+            raise InvalidArgumentError(f"{len(indices)} index bytes is not a whole number of u32")
+        object.__setattr__(self, "indices", indices)
+
+    def __hash__(self):
+        # a view of an array or a bytearray has no hash of its own
+        return hash((self.block_id, bytes(self.indices)))
 
     @classmethod
     def of_bijections(cls, first_block_id: int, maps: np.ndarray) -> "PermutationReveal":
@@ -146,10 +166,11 @@ class PermutationReveal:
         values are at most L, so L alone is checked against u32, and the
         rows are put in wire form by one conversion."""
         _check_u(maps.shape[1], 32, "index")
-        return cls(first_block_id, maps.astype(">u4").tobytes())
+        return cls(first_block_id, _byte_view(maps.astype(">u4")))
 
     def values(self) -> np.ndarray:
-        """The indices as a flat array of integers, block after block."""
+        """The indices as a flat read-only array of integers, block after
+        block."""
         return np.frombuffer(self.indices, dtype=">u4")
 
 
@@ -253,8 +274,8 @@ def _decode_payload(tag: int, payload: bytes) -> Message:
                 "PERMUTATION_REVEAL payload must be 8 + 4k bytes"
             )
         block_id = _U64.unpack_from(payload)[0]
-        indices = bytes(memoryview(payload)[8:])  # one copy, from any buffer
-        return PermutationReveal(block_id=block_id, indices=indices)
+        # a view of the payload, which the reveal keeps alive, not a copy
+        return PermutationReveal(block_id=block_id, indices=memoryview(payload)[8:])
     if tag == TAG_DETECTION_REPORT:
         if len(payload) < 16:
             raise LengthMismatchError("DETECTION_REPORT payload must be >= 16 bytes")

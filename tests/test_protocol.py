@@ -220,6 +220,67 @@ class TestBatchedDraws:
             make_permutation(4, SeededByteSource(0), 0)
 
 
+def rank_buffers(rows, length):
+    """A sender's two ranking arrays, filled with values no ranking holds."""
+    return np.full((rows, length), 2**64 - 1, np.uint64), np.full((rows, length), -7, np.int64)
+
+
+class TestRankBuffers:
+    """A sender ranks one train after another in the same two arrays; each
+    call must return what fresh arrays give, whatever the last one left."""
+
+    @pytest.mark.parametrize(
+        "counts", [[1], [3], [2], [3, 1, 3, 2]], ids=["one row", "full", "short", "reused"]
+    )
+    def test_rows_equal_fresh_calls(self, counts):
+        length, buffers = 37, rank_buffers(3, 37)
+        source, fresh_source = SeededByteSource(5), SeededByteSource(5)
+        for count in counts:
+            got = make_permutation(length, source, count, buffers=buffers)
+            want = make_permutation(length, fresh_source, count)
+            assert got.shape == (count, length) and got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert np.shares_memory(got, buffers[1])
+
+    @pytest.mark.parametrize(
+        "special, skipped",
+        [
+            ([5, 1, 5, 2], True),  # a full-key tie: the chunk is skipped
+            ([9, 8, 100, 2**63], False),  # 9 and 8 agree above the low 3 bits
+        ],
+        ids=["tie", "high-part collision"],
+    )
+    def test_tie_and_collision_paths_equal_fresh_calls(self, special, skipped):
+        plain = TestBatchedDraws.PLAIN
+        chunks = [plain[0], special, *plain[1:3]]
+        buffers = rank_buffers(3, 4)
+        make_permutation(4, ScriptedSource(_chunks(*plain[2:])), 3, buffers=buffers)
+        draws = (_chunks(*chunks[:3]), *chunks[3:])
+        source, fresh_source = ScriptedSource(*draws), ScriptedSource(*draws)
+        got = make_permutation(4, source, 3, buffers=buffers)
+        assert np.array_equal(got, make_permutation(4, fresh_source, 3))
+        assert source.requests == fresh_source.requests == [96] + [32] * skipped
+
+
+class TestPermutationBuffers:
+    def test_reused_buffers_equal_fresh_checks(self):
+        maps = make_permutation(6, SeededByteSource(2), 4)
+        buffers = np.full(3 * 6, -7, np.int64), np.full(3 * 6 + 1, -7, np.int32)
+        for rows in (maps[:3], maps[3:], maps[1:3], maps[0]):
+            got, want = Permutation(rows, buffers=buffers), Permutation(rows)
+            assert np.array_equal(got.map_, want.map_) and got.map_.shape == rows.shape
+            assert np.array_equal(got.inverse_map, want.inverse_map)
+            assert np.shares_memory(got.inverse_map, buffers[1])
+
+    def test_reused_buffers_refuse_a_bad_second_check(self):
+        buffers = np.empty(8, np.int64), np.empty(9, np.int32)
+        Permutation(np.array([[2, 1, 4, 3], [1, 2, 3, 4]]), buffers=buffers)
+        with pytest.raises(InvalidArgumentError, match="not a bijection"):
+            Permutation(np.array([[2, 1, 4, 3], [1, 2, 2, 4]]), buffers=buffers)
+        with pytest.raises(InvalidArgumentError, match=r"outside \{1\.\.L\}"):
+            Permutation(np.array([2, 1, 4, 5]), buffers=buffers)
+
+
 class TestPermutation:
     # lengths at the edges of the narrower dtypes; the inverse is int32
     # below 2**31 slots

@@ -3,6 +3,7 @@ import io
 import math
 import socket
 import struct
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -285,6 +286,41 @@ class TestMalformedTrainReveal:
         reveals = [identity_reveal(0, TRAIN), identity_reveal(TRAIN, 2)]
         with pytest.raises(ProtocolError, match="reveal of 2 blocks for a train of 1"):
             scripted_bob(reveals, blocks=TRAIN + 1, transmissions=2)
+
+
+class TestReusedBufferReveal:
+    """Bob checks every train's reveal in the same two arrays, so a bad
+    reveal after a valid one must be refused for its own fault."""
+
+    @pytest.mark.parametrize(
+        "blocks, last",
+        [(2 * TRAIN, TRAIN), (TRAIN + 1, 1)],
+        ids=["second train", "shorter last train"],
+    )
+    @pytest.mark.parametrize(
+        "bad_row, cause",
+        [
+            ([1, 2, 2, 4], "permutation is not a bijection"),
+            ([0, 2, 3, 4], r"permutation values outside \{1\.\.L\}"),
+            ([2, 3, 4, 5], r"permutation values outside \{1\.\.L\}"),
+        ],
+    )
+    def test_bad_reveal_after_a_valid_one_refused(self, blocks, last, bad_row, cause):
+        rows = np.tile(np.arange(1, 5), (last, 1))
+        rows[-1] = bad_row
+        reveals = [identity_reveal(0, TRAIN), PermutationReveal(block_id=TRAIN, indices=rows)]
+        with pytest.raises(ProtocolError, match=f"malformed permutation reveal: {cause}"):
+            scripted_bob(reveals, blocks=blocks, transmissions=2)
+
+    def test_valid_reveals_after_a_valid_one_accepted(self):
+        # the same script with both reveals valid runs to the estimate
+        estimate = EstimateReport(block_id=TRAIN, q_hat=0.0, v_hat=1.0)
+        bob = scripted_bob(
+            [identity_reveal(0, TRAIN), identity_reveal(TRAIN, 1), estimate],
+            blocks=TRAIN + 1,
+            transmissions=2,
+        )
+        assert bob.sifted == (1, 2) * (TRAIN + 1)
 
 
 class RecordingDuplex(ScriptedDuplex):
@@ -820,6 +856,85 @@ class TestSingleThreadedSession:
         assert len(clicks.data_slots) and len(clicks.monitor_slots)
         for value in (clicks.data_slots, clicks.monitor_slots):
             assert value.dtype == np.int64 and not np.shares_memory(value, pulses)
+
+
+# Sessions of several trains each, so that every endpoint reuses its
+# train-sized arrays: five trains of 64 d=4, n=64 blocks with clicks near
+# their edges, and three one-block trains of 32768-slot frames.
+SEVERAL_TRAINS = {
+    "train edge": {
+        "physical": {"mu": 0.1, "t_ch": 1.0, "xi": 1.0, "t_dead": 6e-8, "p_dc": 1e-3, "f_mon": 0.5},
+        "session": {"d": 4, "n": 64, "blocks": 300, "sample_fraction": 0.5},
+    },
+    "wide": {
+        "physical": {"mu": 0.1, "t_ch": 1.0, "xi": 0.9, "t_dead": 2e-8, "p_dc": 1e-4},
+        "session": {"d": 32, "n": 1024, "blocks": 3},
+    },
+}
+
+
+def several_trains(name):
+    return parse_config(SEVERAL_TRAINS[name]).session_settings()
+
+
+def assert_same_session(got, want):
+    """Both summaries (NaNs included) and the transcript's wire bytes."""
+    (alice, bob, transcript), (ref_alice, ref_bob, ref_transcript) = got, want
+    assert alice.sifted_count > 0
+    np.testing.assert_equal(asdict(alice), asdict(ref_alice))
+    np.testing.assert_equal(asdict(bob), asdict(ref_bob))
+    assert transcript.wire_bytes() == ref_transcript.wire_bytes()
+
+
+class TestNoSharedState:
+    """Each endpoint holds its own arrays for its session, so sessions at
+    once, in threads or over a socket, run as they do alone."""
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [("wide", 1), ("wide", 2)],
+            [("train edge", 3), ("wide", 3)],
+            # more sessions than cores, switching threads as often as it can
+            [("wide", seed) for seed in range(4, 10)],
+        ],
+    )
+    def test_sessions_in_threads_match_sessions_alone(self, runs):
+        alone = [run_session(several_trains(name), seed=seed) for name, seed in runs]
+        barrier = threading.Barrier(len(runs))
+
+        def run(name_seed):
+            name, seed = name_seed
+            settings = several_trains(name)
+            barrier.wait(timeout=10.0)
+            return run_session(settings, seed=seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+                together = list(pool.map(run, runs, timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(together, alone):
+            assert_same_session(got, want)
+
+    @pytest.mark.parametrize("name", sorted(SEVERAL_TRAINS))
+    def test_endpoints_over_a_socket_match_run_session(self, name):
+        settings, seed = several_trains(name), 4
+        alice_seed, channel_seed = np.random.SeedSequence(seed).spawn(2)
+        channel = SimulatedChannel(settings.physical, channel_seed)
+        transcript = Transcript()
+        left, right = socket.socketpair()
+        with left, right, ThreadPoolExecutor(max_workers=1) as pool:
+            left.settimeout(10.0)
+            right.settimeout(10.0)
+            bob_run = pool.submit(run_bob, settings, channel, StreamDuplex(right))
+            alice = run_alice(
+                settings, None, channel, StreamDuplex(left), transcript, seed=alice_seed
+            )
+            bob = bob_run.result(timeout=10.0)
+        assert_same_session((alice, bob, transcript), run_session(settings, seed=seed))
 
 
 @pytest.mark.parametrize("slot", [10**6, -1])

@@ -23,6 +23,7 @@ from hdcow.wire import (
     EstimateReport,
     PermutationReveal,
     SessionStart,
+    _decode_payload,
     decode_message,
     encode_message,
     read_message,
@@ -175,6 +176,22 @@ class TestDecodeErrors:
         assert built == PermutationReveal(block_id=5, indices=(3, 1, 4, 2))
         assert decode_message(encode_message(built)) == built
         assert list(built.values()) == [3, 1, 4, 2]
+
+    def test_reveal_indices_are_read_only_views_without_a_copy(self):
+        words = struct.pack("!4I", 3, 1, 4, 2)
+        built = PermutationReveal.of_bijections(5, np.array([[3, 1, 4, 2]]))
+        payload = bytearray(encode_message(built)[8:])
+        decoded = read_message(io.BytesIO(encode_message(built)).read)
+        from_payload = _decode_payload(0x03, payload)  # as a socket reader hands it over
+        assert np.shares_memory(np.frombuffer(from_payload.indices, np.uint8), payload)
+        for reveal in (built, decoded, from_payload):
+            assert isinstance(reveal.indices, memoryview) and reveal.indices.readonly
+            assert reveal.indices == words and not reveal.values().flags.writeable
+        # a view compares and hashes as the bytes it shows
+        plain = PermutationReveal(block_id=5, indices=words)
+        assert {built, decoded, from_payload, plain} == {plain}
+        wide_view = memoryview(np.array([3, 1, 4, 2], ">u4"))
+        assert PermutationReveal(block_id=5, indices=wide_view) == plain
 
 
 @pytest.mark.parametrize(
