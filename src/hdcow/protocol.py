@@ -118,7 +118,7 @@ def _row_starts(size: int, length: int) -> np.ndarray:
     return starts
 
 
-@dataclass
+@dataclass(eq=False)
 class Permutation:
     """A peer's bijections on {1..L}, one per block of a train: the image
     sequences ``map_``, one row per block or a single row, so
@@ -140,10 +140,11 @@ class Permutation:
     int64 array of at least m*L elements for ``map_``, and a 1-D array
     of at least m*L + 1 elements, of a dtype that holds m*L, for the
     inverse.  ``map_`` and ``inverse_map`` are then views of them, valid
-    until the buffers are next used."""
+    until the buffers are next used.  So two instances compare by
+    identity: equal values now would say nothing of them later."""
 
     map_: np.ndarray
-    inverse_map: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse_map: np.ndarray = field(init=False, repr=False)
     _: KW_ONLY
     buffers: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
 

@@ -1,4 +1,4 @@
-"""End-to-end protocol sessions: endpoint state machines, their drivers,
+"""End-to-end protocol sessions: the two endpoints, their drivers,
 in-process transport, quantum-channel handle, and transcript validation.
 
 The blocks go out in trains: the frames of as many whole blocks as fit
@@ -21,29 +21,32 @@ messages, and the estimate carries the last block's id.  Both sides
 derive t from SESSION_START's d and n, so each train's m is known: t,
 or the blocks left for the last train.
 
-Alice and Bob are state machines without I/O: each takes one received
-message and returns what to send, in order.  Alice's output carries
-each train just before its reveal; Bob reads the train's clicks from the
-channel handle when its reveal arrives, by which time Alice has
-transmitted.  So no endpoint ever waits for the other: ``run_session``
-drives both in one thread through two in-process byte pipes, and
-``run_alice``/``run_bob`` drive one over any duplex, such as
-``StreamDuplex`` on a socket.  A fault raises at once, in the thread
-that drives the failing endpoint.
+Alice and Bob do no classical I/O of their own: each takes one received
+message and returns the messages to send, in order.  Each holds its side
+of the quantum channel handle.  Alice transmits each train when she prepares
+it, before she returns its reveal; Bob reads the train's clicks from the
+handle when its reveal arrives, by which time Alice has transmitted.  So
+no endpoint ever waits for the other: ``run_session`` drives both in one
+thread through two in-process byte pipes, and ``run_alice``/``run_bob``
+drive one over any duplex, such as ``StreamDuplex`` on a socket.  A
+fault raises at once, in the thread that drives the failing endpoint.
 
-Bob counts the blocks he has measured and refuses a reveal for any
-train but the next one, or with any other number of rows.  The
-transcript validator checks the same order offline: a transcript
-recorded on Alice's side must be the sequence above, entry for entry,
-with the train size that SESSION_START's d and n give.  An endpoint's
-link is the one writer of its transcript: it records each message it
-sends, each train it passes to the channel (a quantum marker per
-block), and each message it reads, under the peer's direction.
-``run_session`` records on Alice's side.
+The order above is written once, in ``_lockstep``.  Each endpoint's link
+checks every message it reads against the peer's next entry there, after
+recording it and before the endpoint sees it, so an endpoint handles a
+message only in its turn and keeps no count of its own.  What a message
+carries is the endpoint's to check: Bob refuses a reveal with any other
+number of rows than its train has blocks.  The transcript validator
+checks the same order offline: a transcript recorded on Alice's side
+must be the sequence above, entry for entry, with the train size that
+SESSION_START's d and n give.  An endpoint's link is the one writer of
+its transcript: it records each message it sends, a reveal after a
+quantum marker per block of its train, and each message it reads, under
+the peer's direction.  ``run_session`` records on Alice's side.
 
 The quantum channel and detectors sit behind a handle injected into both
-endpoints, so the same state machines can drive an in-process simulation
-or external hardware.  The handle has two calls:
+endpoints, so the same endpoints can drive an in-process simulation or
+external hardware.  The handle has two calls:
 ``transmit(first_block_id, pulses, slots)`` on Alice's side, which fires
 the blocks from ``first_block_id`` on as one train of ``slots`` slots,
 with a pulse at each sorted int64 slot of ``pulses``, and
@@ -263,14 +266,14 @@ class Transcript:
 
 
 def _lockstep(blocks: int, train: int):
-    """The entries of a ``blocks``-block session in trains of ``train``
-    blocks, recorded on Alice's side, in order, each as (direction,
-    message type or None for a quantum marker, block id or None)."""
+    """The classical messages of a ``blocks``-block session in trains of
+    ``train`` blocks, in order, each as (direction, message type, block id
+    or None).  It is the one statement of the order: each link checks the
+    peer's messages against it, and ``validate_transcript`` a whole
+    transcript."""
     a_to_b = Transcript.A_TO_B
     yield a_to_b, SessionStart, None
     for first in range(0, blocks, train):
-        for block_id in range(first, min(first + train, blocks)):
-            yield Transcript.QUANTUM, None, block_id
         yield a_to_b, PermutationReveal, first
         yield Transcript.B_TO_A, DetectionReportMsg, first
     yield a_to_b, EstimateReport, blocks - 1
@@ -294,8 +297,10 @@ def _describe(shape) -> str:
 
 def validate_transcript(transcript: Transcript) -> list[str]:
     """Check a transcript recorded on Alice's side against the lockstep
-    order of the module docstring, entry for entry: each entry's
-    direction, message type and block id.  The block count B is the
+    order, entry for entry: each entry's direction, message type and
+    block id.  The expected entries are :func:`_lockstep`'s messages, with
+    a quantum marker per block of each train, (quantum, None, block id),
+    just before the train's reveal.  The block count B is the
     number of blocks transmitted: one more than the highest block id of
     a quantum marker, and 1 without any.  The train size comes from the
     d and n of a SESSION_START at the head through ``_train_blocks``, as
@@ -309,8 +314,17 @@ def validate_transcript(transcript: Transcript) -> list[str]:
     blocks = 1 + max([0, *(shape[2] for shape in shapes if shape[0] == Transcript.QUANTUM)])
     head = transcript.entries[0][1] if transcript.entries else None
     slots = head.d * head.n if isinstance(head, SessionStart) else 0
-    expected = _lockstep(blocks, _train_blocks(slots) if slots >= 1 else 1)
-    for k, (got, want) in enumerate(itertools.zip_longest(shapes, expected)):
+    train = _train_blocks(slots) if slots >= 1 else 1
+
+    def expected():
+        for entry in _lockstep(blocks, train):
+            if entry[1] is PermutationReveal:
+                first = entry[2]
+                for block_id in range(first, min(first + train, blocks)):
+                    yield Transcript.QUANTUM, None, block_id
+            yield entry
+
+    for k, (got, want) in enumerate(itertools.zip_longest(shapes, expected())):
         if got != want:
             return [f"entry {k}: expected {_describe(want)}, got {_describe(got)}"]
     return []
@@ -349,51 +363,38 @@ class SimulatedChannel:
         return clicks
 
 
-@dataclass(frozen=True)
-class _Transmit:
-    """An endpoint's request to send a train down the quantum channel,
-    placed among its outgoing messages: the ``slots`` slots of the blocks
-    from ``first_block_id`` on, and its pulses' sorted slots."""
-
-    first_block_id: int
-    pulses: np.ndarray
-    slots: int
-
-
 class _Link:
-    """An endpoint's side of the classical channel: sends its output,
-    reads the peer's messages, and records both, with each train passed
-    to the channel, in the transcript."""
+    """An endpoint's side of the classical channel: sends its messages,
+    reads the peer's, and records both in the transcript.  Each message
+    it reads must be the peer's next one in the :func:`_lockstep` order;
+    one out of turn is refused after it is recorded and before the
+    endpoint sees it.  A reveal it sends is recorded after a quantum
+    marker per block of its train, which the endpoint has transmitted by
+    then."""
 
-    def __init__(self, tx, rx, transcript: Transcript | None, direction: str, channel, settings):
+    def __init__(self, tx, rx, transcript: Transcript | None, direction: str, settings):
         self._tx = tx
         self._rx = rx
         self._proto = settings.protocol
         self._transcript = transcript
         self._direction = direction
-        self._peer_direction = (
-            Transcript.B_TO_A if direction == Transcript.A_TO_B else Transcript.A_TO_B
-        )
-        self._channel = channel
+        peer = Transcript.B_TO_A if direction == Transcript.A_TO_B else Transcript.A_TO_B
+        self._peer_direction = peer
+        order = _lockstep(settings.blocks, _train_blocks(self._proto.slot_count))
+        # Not a generator that refers to self: that would keep the link, and
+        # its transcript with it, alive until the cycle collector runs.
+        self._expected = (entry for entry in order if entry[0] == peer)
 
-    def send(self, items: list) -> int:
-        """Send messages and transmit trains in order; returns the number
-        of messages sent."""
-        sent = 0
+    def send(self, messages: list) -> None:
         transcript = self._transcript
-        for item in items:
-            if isinstance(item, _Transmit):
-                first = item.first_block_id
-                self._channel.transmit(first, item.pulses, item.slots)
-                if transcript is not None:
-                    for block_id in range(first, first + item.slots // self._proto.slot_count):
-                        transcript.record(Transcript.QUANTUM, block_id)
-                continue
+        for message in messages:
             if transcript is not None:
-                transcript.record(self._direction, item)
-            self._tx.send(encode_message(item))
-            sent += 1
-        return sent
+                if isinstance(message, PermutationReveal):
+                    first, rows = message.block_id, len(message.values()) // self._proto.slot_count
+                    for block_id in range(first, first + rows):
+                        transcript.record(Transcript.QUANTUM, block_id)
+                transcript.record(self._direction, message)
+            self._tx.send(encode_message(message))
 
     def recv(self) -> Message:
         try:
@@ -402,20 +403,26 @@ class _Link:
             raise ProtocolError(f"malformed message: {exc}") from exc
         if self._transcript is not None:
             self._transcript.record(self._peer_direction, message)
+        got, want = _shape((self._peer_direction, message)), next(self._expected, None)
+        if got != want:
+            raise ProtocolError(f"expected {_describe(want)}, got {_describe(got)}")
         return message
 
 
 class _Alice:
-    """Transmitter state machine.  ``start()`` and ``receive(message)``
-    return the messages to send and the trains to transmit, in order;
-    ``summary`` is set when her estimate ends the session.
+    """Transmitter endpoint.  ``start()`` and ``receive(message)`` return
+    the messages to send, in order; ``receive`` takes Bob's report on the
+    open train, which her link has checked is the next message in the
+    lockstep order.  ``summary`` is set when her estimate ends the
+    session.
 
     She works a train at a time (see ``_train_blocks``), on arrays with one
     block per row: the generated keys of a train come from one draw, its
     permutations from one byte-source call and one sort, its pulses from
     one gather and one sort and its reveal from one conversion.  The draws
     equal those of one block at a time, so the train size changes no block.
-    The train goes to the channel at once, before its reveal, and she keeps
+    She transmits the train on her side of the quantum handle, ``channel``,
+    as soon as it is prepared, before she returns its reveal, and she keeps
     its ``(m, n)`` symbols, its pulses and its reveal until Bob's report on
     it, whose monitor clicks she tallies.  Supplied blocks are symbol
     sequences, taken from ``block_source`` a train at a time and checked
@@ -431,8 +438,9 @@ class _Alice:
 
     role = "alice"
 
-    def __init__(self, settings: SessionSettings, block_source, seed):
+    def __init__(self, settings: SessionSettings, channel, block_source, seed):
         self._settings = settings
+        self._channel = channel
         self._every = settings.sample_every  # qudit i of block b is sampled when every | b + i
         self._rng = np.random.default_rng(seed)
         self._perm_source = SeededByteSource(self._rng.integers(0, 2**63))
@@ -442,7 +450,7 @@ class _Alice:
         self._rank_buffers = np.empty(shape, np.uint64), np.empty(shape, np.int64)
         self._block_id = 0  # the open train's first block
         self._symbols: np.ndarray | None = None  # the open train's, one block per row
-        self._train = self._reveal = None  # the open train's _Transmit and PermutationReveal
+        self._pulses = self._reveal = None  # the open train's pulse slots and PermutationReveal
         self._monitor = DetectorState()  # as the open train finds the channel's
         self._tally = MonitorTally()
         self._sifted: list[int] = []
@@ -454,8 +462,8 @@ class _Alice:
         return [self._settings.start, *self._open_train()]
 
     def _open_train(self) -> list:
-        """Prepare the train from the current block on and return its
-        transmission and its reveal."""
+        """Prepare the train from the current block on, transmit it and
+        return its reveal."""
         settings = self._settings
         proto = settings.protocol
         first = self._block_id
@@ -483,19 +491,14 @@ class _Alice:
         maps = make_permutation(
             proto.slot_count, self._perm_source, count, buffers=self._rank_buffers
         )
-        self._train = _Transmit(first, encode_block(proto, symbols, maps), count * proto.slot_count)
+        self._pulses = encode_block(proto, symbols, maps)
+        self._channel.transmit(first, self._pulses, count * proto.slot_count)
         self._reveal = PermutationReveal.of_bijections(first, maps)
-        return [self._train, self._reveal]
+        return [self._reveal]
 
-    def receive(self, message: Message) -> list:
+    def receive(self, message: DetectionReportMsg) -> list:
         settings = self._settings
         first = self._block_id
-        if not isinstance(message, DetectionReportMsg):
-            raise ProtocolError(f"expected DetectionReportMsg, got {type(message).__name__}")
-        if message.block_id != first:
-            raise ProtocolError(
-                f"DetectionReportMsg for block {message.block_id}, expected {first}"
-            )
         entries = message.entries
         symbols = self._symbols.reshape(-1)
         alice_syms, _ = sift_block(symbols, DetectionReport(entries), settings.protocol.d)
@@ -517,13 +520,13 @@ class _Alice:
         them to the tally.  They must be strictly increasing slots of the
         train, and none may name a qudit that the report keeps: the
         reveal's values give the slots of each kept qudit's symbols."""
-        pulses, slots = self._train.pulses, self._train.slots
+        proto = self._settings.protocol
+        slots = len(self._symbols) * proto.slot_count
         if monitor:
             if any(a >= b for a, b in zip(monitor, monitor[1:])):
                 raise ProtocolError(f"monitor clicks {monitor} are not strictly increasing")
             if monitor[0] < 0 or monitor[-1] >= slots:
                 raise ProtocolError(f"monitor clicks {monitor} outside the train's {slots} slots")
-            proto = self._settings.protocol
             qudits = np.array([g for g, _ in entries], dtype=np.int64)
             # row g of the reveal's values, d to a row: qudit g's slots in its frame, from 1
             kept = self._reveal.values().reshape(-1, proto.d)[qudits]
@@ -535,9 +538,9 @@ class _Alice:
                     f"a monitor click names qudit {qudits[named.any(axis=1).argmax()]}, "
                     "which the report keeps"
                 )
-        tally = monitor_tally(pulses, slots, monitor, self._monitor, self._settings.physical)
+        tally = monitor_tally(self._pulses, slots, monitor, self._monitor, self._settings.physical)
         self._tally.add(tally)
-        self._train = self._reveal = None  # held until the train's report only
+        self._pulses = self._reveal = None  # held until the train's report only
 
     def _finish(self) -> EstimateReport:
         """Q over all sampled pairs and V from the monitor tally, in the
@@ -557,12 +560,13 @@ class _Alice:
 
 
 class _Bob:
-    """Receiver state machine.  ``receive(message)`` returns the messages
-    to send.  A reveal must be for the next train, whose first block is
-    the first one not yet measured, and must carry one permutation per
-    block of that train; it pulls the train's clicks from ``channel``
+    """Receiver endpoint.  ``receive(message)`` takes Alice's next message,
+    which his link has checked is the next in the lockstep order, and
+    returns the messages to send.  SESSION_START must carry his settings.
+    A reveal must carry one permutation per block of its train; he pulls
+    the train's clicks from his side of the quantum handle, ``channel``,
     and reports the qudits they keep and the monitor clicks.  Alice's
-    estimate, after the last report, ends the session and sets
+    estimate, whose Q and V must lie in range, ends the session and sets
     ``summary``.
 
     For the whole session he holds the two arrays that
@@ -581,8 +585,6 @@ class _Bob:
         slots = self._per_train * settings.protocol.slot_count
         self._images = np.empty(slots, np.int64)
         self._inverse = np.empty(slots + 1, np.int32 if slots < 2**31 else np.int64)
-        self._started = False
-        self._blocks_done = 0
         self._sifted: list[int] = []
         self.summary: SessionSummary | None = None
 
@@ -591,42 +593,23 @@ class _Bob:
 
     def receive(self, message: Message) -> list:
         settings = self._settings
-        if not self._started:
-            if message != settings.start:
-                got = message if isinstance(message, SessionStart) else type(message).__name__
-                raise ProtocolError(f"expected {settings.start}, got {got}")
-            self._started = True
-        elif isinstance(message, PermutationReveal):
+        if isinstance(message, PermutationReveal):
             return self._measure(message)
-        elif isinstance(message, EstimateReport):
-            last = settings.blocks - 1
-            if self._blocks_done < settings.blocks:
-                raise ProtocolError(f"estimate before the reveal of the last block {last}")
-            if message.block_id != last:
-                raise ProtocolError(f"estimate for block {message.block_id}, expected {last}")
-            q_hat, v_hat = message.q_hat, message.v_hat
-            bounds = (("q_hat", q_hat, 1.0 / (settings.protocol.d - 1)), ("v_hat", v_hat, 1.0))
-            for name, value, upper in bounds:
-                if not (math.isnan(value) or 0.0 <= value <= upper):
-                    raise ProtocolError(f"peer sent {name}={value}, outside [0, {upper}]")
-            self.summary = _summary(
-                self.role, settings, self._sifted, q_hat, math.nan, v_hat, math.nan
-            )
-        else:
-            raise ProtocolError(f"unexpected message {type(message).__name__}")
+        if isinstance(message, SessionStart):
+            if message != settings.start:
+                raise ProtocolError(f"expected {settings.start}, got {message}")
+            return []
+        q_hat, v_hat = message.q_hat, message.v_hat  # Alice's estimate
+        bounds = (("q_hat", q_hat, 1.0 / (settings.protocol.d - 1)), ("v_hat", v_hat, 1.0))
+        for name, value, upper in bounds:
+            if not (math.isnan(value) or 0.0 <= value <= upper):
+                raise ProtocolError(f"peer sent {name}={value}, outside [0, {upper}]")
+        self.summary = _summary(self.role, settings, self._sifted, q_hat, math.nan, v_hat, math.nan)
         return []
 
     def _measure(self, message: PermutationReveal) -> list:
-        first, expected = message.block_id, self._blocks_done
+        first = message.block_id
         settings = self._settings
-        if expected == settings.blocks:
-            raise ProtocolError(
-                f"permutation for block {first} revealed after the last block {expected - 1}"
-            )
-        if first != expected:
-            raise ProtocolError(
-                f"permutation for block {first} revealed, expected block {expected}"
-            )
         length = settings.protocol.slot_count
         rows = min(self._per_train, settings.blocks - first)
         values = message.values()
@@ -644,7 +627,6 @@ class _Bob:
         clicks = self._channel.receive(first)
         report = decode_frame(settings.protocol, sigma, clicks)
         self._sifted.extend(j for _i, j in report.entries)
-        self._blocks_done += rows
         monitor = tuple(clicks.monitor_slots.tolist())
         return [DetectionReportMsg(block_id=first, entries=report.entries, monitor_slots=monitor)]
 
@@ -672,8 +654,8 @@ def run_alice(
     from ``seed``.  A ``transcript`` records the whole session: Alice's
     messages and frames, and Bob's messages as she reads them.
     """
-    link = _Link(duplex, duplex, transcript, Transcript.A_TO_B, channel, settings)
-    return _drive(_Alice(settings, block_source, seed), link)
+    link = _Link(duplex, duplex, transcript, Transcript.A_TO_B, settings)
+    return _drive(_Alice(settings, channel, block_source, seed), link)
 
 
 def run_bob(
@@ -683,9 +665,9 @@ def run_bob(
     transcript: Transcript | None = None,
 ) -> SessionSummary:
     """Drive the receiver side of a session over ``duplex``.  A
-    ``transcript`` records the messages Bob sends and reads; he passes no
-    frame to the channel, so it holds no quantum marker."""
-    link = _Link(duplex, duplex, transcript, Transcript.B_TO_A, channel, settings)
+    ``transcript`` records the messages Bob sends and reads; he sends no
+    reveal, so it holds no quantum marker."""
+    link = _Link(duplex, duplex, transcript, Transcript.B_TO_A, settings)
     return _drive(_Bob(settings, channel), link)
 
 
@@ -735,11 +717,11 @@ def run_session(
     transcript = Transcript()
     channel = SimulatedChannel(settings.physical, channel_seed)
     to_bob, to_alice = QueuePipe(), QueuePipe()
-    alice = _Alice(settings, None, alice_seed)
+    alice = _Alice(settings, channel, None, alice_seed)
     bob = _Bob(settings, channel)
     links = {
-        alice: _Link(to_bob, to_alice, transcript, Transcript.A_TO_B, channel, settings),
-        bob: _Link(to_alice, to_bob, None, Transcript.B_TO_A, channel, settings),
+        alice: _Link(to_bob, to_alice, transcript, Transcript.A_TO_B, settings),
+        bob: _Link(to_alice, to_bob, None, Transcript.B_TO_A, settings),
     }
     sender, receiver = alice, bob
     role = alice.role  # the endpoint at work, named if it fails
@@ -747,10 +729,10 @@ def run_session(
         outgoing = alice.start()
         while outgoing:
             role = sender.role
-            sent = links[sender].send(outgoing)
-            outgoing = []
+            links[sender].send(outgoing)
+            incoming, outgoing = outgoing, []
             role = receiver.role
-            for _ in range(sent):
+            for _ in incoming:
                 outgoing += receiver.receive(links[receiver].recv())
             sender, receiver = receiver, sender
     except Exception as exc:

@@ -303,6 +303,13 @@ class TestPermutation:
         with pytest.raises(InvalidArgumentError, match=r"outside \{1\.\.L\}"):
             Permutation(np.array(map_))
 
+    def test_compares_by_identity(self):
+        # Its arrays may be views of buffers that the next train reuses,
+        # so equal values say nothing lasting; comparing them raised.
+        perm, same_values = Permutation(np.array([2, 1, 3])), Permutation(np.array([2, 1, 3]))
+        assert perm == perm
+        assert perm != same_values
+
 
 def identity_maps(length):
     return np.arange(1, length + 1)[None]

@@ -1,11 +1,14 @@
+import gc
 import hashlib
 import io
 import math
+import re
 import socket
 import struct
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdcow.channel import ClickStream, PhysicalParams, decode_frame, monitor_tally
+from hdcow.channel import ClickStream, MonitorTally, PhysicalParams, decode_frame, monitor_tally
 from hdcow.config import default_config, parse_config
 from hdcow.errors import InvalidArgumentError, ProtocolError
 from hdcow.protocol import ProtocolParams
@@ -50,6 +53,11 @@ def frames_12(rows):
 
 
 REVEAL_0 = PermutationReveal(block_id=0, indices=(1, 2, 3, 4))
+
+
+def whole(text):
+    """A pattern that matches ``text``, all of it and nothing more."""
+    return f"^{re.escape(text)}$"
 
 
 def noiseless_settings(d=4, n=16, blocks=1):
@@ -238,12 +246,13 @@ def identity_reveal(first, rows):
     return PermutationReveal(block_id=first, indices=np.tile(np.arange(1, 5), rows))
 
 
-def scripted_bob(messages, blocks=1, transmissions=1):
+def scripted_bob(messages, blocks=1, transmissions=1, channel=None):
     """Run Bob (d=2, n=2) on ``messages`` after the first ``transmissions``
     trains of a ``blocks``-block session, each frame ``frames_12``'s, have gone
-    down the channel."""
+    down the channel, a fresh simulated one unless ``channel`` is given."""
     settings = noiseless_settings(d=2, n=2, blocks=blocks)
-    channel = SimulatedChannel(settings.physical, seed=0)
+    if channel is None:
+        channel = SimulatedChannel(settings.physical, seed=0)
     for first in range(0, blocks, TRAIN)[:transmissions]:
         channel.transmit(first, *frames_12(min(TRAIN, blocks - first)))
     start = SessionStart(d=2, n=2, tau_picoseconds=2000)
@@ -361,19 +370,25 @@ class TestOversizedPayload:
 
 
 class TestBlockSequence:
+    """Bob's link refuses a message out of the lockstep order and names
+    the message it expected and the one it got."""
+
     @pytest.mark.parametrize(
         "blocks, messages, cause",
         [
-            (2, [replace(REVEAL_0, block_id=1)], "permutation for block 1 revealed, expected block 0"),
+            (2, [replace(REVEAL_0, block_id=1)],
+             "expected a->b PermutationReveal of block 0, got a->b PermutationReveal of block 1"),
             # the first train is blocks 0 to 4095, so the next reveal is for block 4096
             (TRAIN + 1, [identity_reveal(0, TRAIN)] * 2,
-             f"permutation for block 0 revealed, expected block {TRAIN}"),
+             f"expected a->b PermutationReveal of block {TRAIN}, "
+             "got a->b PermutationReveal of block 0"),
             # a replay of the session's one block
-            (1, [REVEAL_0, REVEAL_0], "permutation for block 0 revealed after the last block 0"),
+            (1, [REVEAL_0, REVEAL_0],
+             "expected a->b EstimateReport of block 0, got a->b PermutationReveal of block 0"),
         ],
     )
     def test_reveal_out_of_sequence_aborts(self, blocks, messages, cause):
-        with pytest.raises(ProtocolError, match=cause):
+        with pytest.raises(ProtocolError, match=whole(cause)):
             scripted_bob(messages, blocks=blocks)
 
     def test_estimate_for_another_block_aborts(self):
@@ -381,7 +396,8 @@ class TestBlockSequence:
             PermutationReveal(block_id=0, indices=(1, 2, 3, 4)),
             EstimateReport(block_id=5, q_hat=0.0, v_hat=math.nan),
         ]
-        with pytest.raises(ProtocolError, match="estimate for block 5"):
+        cause = "expected a->b EstimateReport of block 0, got a->b EstimateReport of block 5"
+        with pytest.raises(ProtocolError, match=whole(cause)):
             scripted_bob(messages)
 
     @pytest.mark.parametrize(
@@ -404,16 +420,66 @@ class TestBlockSequence:
         [
             # at the end of the first of two trains no estimate is due yet
             (TRAIN + 1, [EstimateReport(block_id=TRAIN, q_hat=0.0, v_hat=math.nan)],
-             f"estimate before the reveal of the last block {TRAIN}"),
-            (1, [SessionStart(d=2, n=2, tau_picoseconds=2000)], "unexpected message SessionStart"),
+             f"expected a->b PermutationReveal of block {TRAIN}, "
+             f"got a->b EstimateReport of block {TRAIN}"),
+            (1, [SessionStart(d=2, n=2, tau_picoseconds=2000)],
+             "expected a->b EstimateReport of block 0, got a->b SessionStart"),
+            # a message of Bob's own kind, read as Alice's
             (1, [DetectionReportMsg(block_id=0, entries=())],
-             "unexpected message DetectionReportMsg"),
+             "expected a->b EstimateReport of block 0, got a->b DetectionReportMsg of block 0"),
         ],
     )
     def test_estimate_out_of_turn_aborts(self, blocks, tail, cause):
         messages = [identity_reveal(0, min(blocks, TRAIN)), *tail]
-        with pytest.raises(ProtocolError, match=cause):
+        with pytest.raises(ProtocolError, match=whole(cause)):
             scripted_bob(messages, blocks=blocks)
+
+    def test_refused_before_bob_acts_on_it(self):
+        # The channel holds the second train only, so a Bob who measured
+        # the second train's reveal first would be handed its clicks.
+        channel = SpyChannel(PhysicalParams.noiseless(), seed=0)
+        channel.transmit(TRAIN, *frames_12(1))
+        cause = (
+            "expected a->b PermutationReveal of block 0, "
+            f"got a->b PermutationReveal of block {TRAIN}"
+        )
+        with pytest.raises(ProtocolError, match=whole(cause)):
+            scripted_bob(
+                [identity_reveal(TRAIN, 1)], blocks=TRAIN + 1, transmissions=0, channel=channel
+            )
+        assert channel.handed == []
+
+
+class TestAliceRefusesOutOfTurn:
+    """Alice's link refuses a message of Bob's out of the lockstep order
+    before she sifts or tallies anything from it."""
+
+    @pytest.mark.parametrize(
+        "message, got",
+        [
+            # a report on the second train, while the first is open
+            (DetectionReportMsg(block_id=TRAIN, entries=((0, 1),)),
+             f"b->a DetectionReportMsg of block {TRAIN}"),
+            (identity_reveal(0, 1), "b->a PermutationReveal of block 0"),
+        ],
+    )
+    def test_refused_before_alice_acts_on_it(self, monkeypatch, message, got):
+        made = []
+
+        class KeptAlice(_Alice):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr("hdcow.session._Alice", KeptAlice)
+        settings = noiseless_settings(d=2, n=2, blocks=TRAIN + 1)
+        channel = SpyChannel(settings.physical, seed=0)
+        cause = f"expected b->a DetectionReportMsg of block 0, got {got}"
+        with pytest.raises(ProtocolError, match=whole(cause)):
+            run_alice(settings, None, channel, ScriptedDuplex([encode_message(message)]), seed=0)
+        (alice,) = made
+        assert [slots for _, slots in channel.sent] == [4 * TRAIN]  # the first train only
+        assert alice._sifted == [] and alice._tally == MonitorTally()
 
 
 class TestAliceSampling:
@@ -517,8 +583,9 @@ class TestAliceMonitorList:
 
     @staticmethod
     def alice_after_start():
-        alice = _Alice(noiseless_settings(d=2, n=2), None, seed=0)
-        _, reveal = alice.start()[1:]
+        settings = noiseless_settings(d=2, n=2)
+        alice = _Alice(settings, SimulatedChannel(settings.physical, seed=0), None, seed=0)
+        _, reveal = alice.start()
         return alice, reveal.values()
 
     @pytest.mark.parametrize(
@@ -755,15 +822,19 @@ class TestTranscriptValidator:
         assert shapes == expected
 
     def test_far_block_id_is_one_violation(self):
-        # Alice records Bob's report before she checks it, so her transcript
-        # holds its block id; the check stops at that entry and does not
-        # walk the blocks up to the id.
+        # Alice's link records Bob's report before it checks it, so her
+        # transcript holds its block id; the check stops at that entry and
+        # does not walk the blocks up to the id.
         settings = noiseless_settings(d=2, n=2)
         report = DetectionReportMsg(block_id=10**6, entries=())
         duplex = ScriptedDuplex([encode_message(report)])
         channel = SimulatedChannel(settings.physical, seed=0)
         transcript = Transcript()
-        with pytest.raises(ProtocolError, match="for block 1000000, expected 0"):
+        cause = (
+            "expected b->a DetectionReportMsg of block 0, "
+            "got b->a DetectionReportMsg of block 1000000"
+        )
+        with pytest.raises(ProtocolError, match=whole(cause)):
             run_alice(settings, None, channel, duplex, transcript, seed=0)
         assert transcript.entries[3] == (B, report)
         assert validate_transcript(transcript) == [
@@ -935,6 +1006,20 @@ class TestNoSharedState:
             )
             bob = bob_run.result(timeout=10.0)
         assert_same_session((alice, bob, transcript), run_session(settings, seed=seed))
+
+
+def test_transcript_freed_when_the_caller_drops_it():
+    # A session leaves no reference cycle: a transcript that one held would
+    # outlive its session, with every reveal in it, until the cycle
+    # collector ran, so the memory of a loop of sessions would grow.
+    gc.disable()
+    try:
+        _, _, transcript = run_session(noiseless_settings(d=8, n=64, blocks=40), seed=1)
+        kept = weakref.ref(transcript)
+        del transcript
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("slot", [10**6, -1])
