@@ -43,7 +43,6 @@ and tally equals what the full work gives.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
@@ -469,16 +468,16 @@ def estimate_qber(alice_sifted, bob_sifted, d: int) -> tuple[float, float]:
 
     Returns ``(q_hat, stderr)`` with ``q_hat = e/(d-1)`` for total
     mismatch fraction e and a binomial standard error.  The strings are
-    short, so the mismatches are counted pair by pair, without arrays;
-    the count over the length is the same double as the mean of a
-    mismatch mask, which NumPy sums exactly and divides once.
+    integer arrays or sequences; the mismatches are counted exactly and
+    divided by the length once, so e is the same double as the mean of a
+    mismatch mask.
     """
     count = len(alice_sifted)
     if count != len(bob_sifted):
         raise InvalidArgumentError("sifted sequences differ in length")
     if count == 0:
         raise UndefinedEstimateError("cannot estimate error rate from zero qudits")
-    e = float(sum(map(operator.ne, alice_sifted, bob_sifted))) / count
+    e = int(np.count_nonzero(np.not_equal(alice_sifted, bob_sifted))) / count
     q_hat = e / (d - 1)
     stderr = math.sqrt(e * (1.0 - e) / count) / (d - 1)
     return q_hat, stderr
@@ -530,8 +529,13 @@ def decode_frame(
     disagree on its symbol, and so is a qudit named by a monitor click:
     the receiver reports its monitor clicks, and once ``sigma`` is
     public a click at ``t`` gives away the symbol of the qudit it names.
-    Entries are ``(i, j)`` pairs of Python ints in increasing ``i``.  Any
-    click outside the train, of either detector, is rejected.
+    Any click outside the train, of either detector, is rejected.
+
+    The report's entries are a ``(k, 2)`` int64 array of the kept
+    qudits' indices and symbols, one row per qudit in increasing index
+    order.  One ``bincount`` of the data clicks over the train's qudits,
+    with the count of each qudit a monitor click names set to 0, picks
+    them: the qudits whose count is one, in order, with no sort.
     """
     if sigma.inverse_map.shape[-1] != params.slot_count:
         raise InvalidArgumentError(
@@ -539,16 +543,18 @@ def decode_frame(
         )
     data = len(clicks.data_slots)
     if not (data or len(clicks.monitor_slots)):  # most trains of a long, lossy link
-        return DetectionReport(entries=())
+        return DetectionReport(entries=np.empty((0, 2), dtype=np.int64))
     inverse = sigma.inverse_map.reshape(-1)
     offsets = np.concatenate((clicks.data_slots, clicks.monitor_slots))
     if np.minimum.reduce(offsets) < 0 or np.maximum.reduce(offsets) >= len(inverse):
         raise InvalidArgumentError(f"click outside the train's slots 0..{len(inverse) - 1}")
     qudits, symbols = np.divmod(inverse[offsets] - 1, params.d)
-    kept, first, counts = np.unique(qudits[:data], return_index=True, return_counts=True)
-    once = counts == 1
-    if data and len(offsets) > data:  # drop the qudits the monitor clicks name; kept is sorted
-        at = kept.searchsorted(qudits[data:])
-        once[at[kept.take(at, mode="clip") == qudits[data:]]] = False
-    entries = zip(kept[once].tolist(), (symbols[first[once]] + 1).tolist())
-    return DetectionReport(entries=tuple(entries))
+    counts = np.bincount(qudits[:data], minlength=len(inverse) // params.d)
+    counts[qudits[data:]] = 0  # a qudit a monitor click names is kept by none
+    kept = np.flatnonzero(counts == 1)
+    by_qudit = np.empty(len(counts), dtype=np.int64)  # read only where the count is one
+    by_qudit[qudits[:data]] = symbols[:data]
+    entries = np.empty((len(kept), 2), dtype=np.int64)
+    entries[:, 0] = kept
+    entries[:, 1] = by_qudit[kept] + 1
+    return DetectionReport(entries=entries)

@@ -178,11 +178,12 @@ class Permutation:
 
 @dataclass
 class DetectionReport:
-    """Receiver's claim of which qudits arrived and as which symbols, as
-    ``(qudit index, symbol)`` pairs.  :func:`sift_block` rejects a report
-    that names a qudit twice."""
+    """Receiver's claim of which qudits arrived and as which symbols:
+    ``entries``, a ``(k, 2)`` integer array of qudit index and symbol
+    columns, one row per qudit, or any sequence of such pairs.
+    :func:`sift_block` rejects a report that names a qudit twice."""
 
-    entries: tuple
+    entries: np.ndarray
 
 
 def make_permutation(
@@ -300,18 +301,23 @@ def encode_block(params: ProtocolParams, symbols: np.ndarray, maps: np.ndarray) 
 
 def sift_block(
     symbols: Sequence[int], report: DetectionReport, d: int
-) -> tuple[list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Align the sender's symbols of one block with the receiver's reported
-    symbols for the qudits that arrived, ordered by qudit index. A
-    reported symbol outside {1..d} is rejected."""
-    entries = sorted(report.entries)
-    indices = [i for i, _ in entries]
-    if len(set(indices)) != len(indices):
-        raise ProtocolError("duplicate qudit index in detection report")
-    if entries and (entries[0][0] < 0 or entries[-1][0] >= len(symbols)):
+    symbols for the qudits that arrived, ordered by qudit index: two int64
+    arrays, the sender's symbols and the receiver's.  A report that names
+    a qudit twice or outside the block, or a symbol outside {1..d}, is
+    rejected.  A report in increasing qudit order, as
+    :func:`~hdcow.channel.decode_frame` gives, is aligned without a sort."""
+    entries = np.asarray(report.entries, dtype=np.int64).reshape(-1, 2)
+    qudits = entries[:, 0]
+    if np.count_nonzero(qudits[1:] <= qudits[:-1]):  # not strictly increasing
+        entries = entries[qudits.argsort(kind="stable")]
+        qudits = entries[:, 0]
+        if np.count_nonzero(qudits[1:] == qudits[:-1]):
+            raise ProtocolError("duplicate qudit index in detection report")
+    if len(qudits) and (qudits[0] < 0 or qudits[-1] >= len(symbols)):
         raise ProtocolError("reported qudit index outside the block")
-    if any(not 1 <= j <= d for _, j in entries):
+    theirs = entries[:, 1]
+    if len(theirs) and (np.minimum.reduce(theirs) < 1 or np.maximum.reduce(theirs) > d):
         raise ProtocolError(f"reported symbol outside {{1..{d}}}")
-    alice_sifted = [int(symbols[i]) for i, _ in entries]
-    bob_sifted = [int(j) for _, j in entries]
-    return alice_sifted, bob_sifted
+    return np.asarray(symbols, dtype=np.int64)[qudits], theirs

@@ -21,6 +21,14 @@ messages, and the estimate carries the last block's id.  Both sides
 derive t from SESSION_START's d and n, so each train's m is known: t,
 or the blocks left for the last train.
 
+A train's report is integer arrays end to end, with no Python object
+per qudit: Bob's decode gives a ``(k, 2)`` int64 array of qudit and
+symbol columns, the DETECTION_REPORT holds it and the monitor clicks in
+wire form from the moment it is built, and Alice reads it back as
+columns for her sift, her sample and her monitor check.  Each endpoint
+keeps its sifted symbols as one array per train and joins them once, as
+the tuple of Python ints in its summary.
+
 Alice and Bob do no classical I/O of their own: each takes one received
 message and returns the messages to send, in order.  Each holds its side
 of the quantum channel handle.  Alice transmits each train when she prepares
@@ -423,8 +431,13 @@ class _Alice:
     equal those of one block at a time, so the train size changes no block.
     She transmits the train on her side of the quantum handle, ``channel``,
     as soon as it is prepared, before she returns its reveal, and she keeps
-    its ``(m, n)`` symbols, its pulses and its reveal until Bob's report on
-    it, whose monitor clicks she tallies.  Supplied blocks are symbol
+    its ``(m, n)`` symbols, its pulses and its ranking until Bob's report on
+    it, whose monitor clicks she checks against the ranking and tallies.
+    She reads the report as integer columns: one sift, one gather of her
+    symbols and one shift of the qudit column per train.  She keeps per
+    train her sifted symbols and each reported qudit's session index,
+    Bob's symbol and hers, and picks the sampled qudits from them once, in
+    the estimate.  Supplied blocks are symbol
     sequences, taken from ``block_source`` a train at a time and checked
     when their train is prepared; a source that runs dry fails at the train
     it cannot fill, before that train is sent.
@@ -450,12 +463,14 @@ class _Alice:
         self._rank_buffers = np.empty(shape, np.uint64), np.empty(shape, np.int64)
         self._block_id = 0  # the open train's first block
         self._symbols: np.ndarray | None = None  # the open train's, one block per row
-        self._pulses = self._reveal = None  # the open train's pulse slots and PermutationReveal
+        self._pulses = self._maps = None  # the open train's pulse slots and ranking
         self._monitor = DetectorState()  # as the open train finds the channel's
         self._tally = MonitorTally()
-        self._sifted: list[int] = []
-        self._sampled_mine: list[int] = []
-        self._sampled_theirs: list[int] = []
+        # per train, her sifted symbols, and each reported qudit's (session
+        # qudit index, Bob's symbol) in the report's order with her symbol
+        self._sifted: list[np.ndarray] = []
+        self._reported: list[np.ndarray] = []
+        self._reported_mine: list[np.ndarray] = []
         self.summary: SessionSummary | None = None
 
     def start(self) -> list:
@@ -488,51 +503,50 @@ class _Alice:
                 )
             symbols = np.array(blocks)
         self._symbols = symbols
-        maps = make_permutation(
+        self._maps = make_permutation(
             proto.slot_count, self._perm_source, count, buffers=self._rank_buffers
         )
-        self._pulses = encode_block(proto, symbols, maps)
+        self._pulses = encode_block(proto, symbols, self._maps)
         self._channel.transmit(first, self._pulses, count * proto.slot_count)
-        self._reveal = PermutationReveal.of_bijections(first, maps)
-        return [self._reveal]
+        return [PermutationReveal.of_bijections(first, self._maps)]
 
     def receive(self, message: DetectionReportMsg) -> list:
         settings = self._settings
-        first = self._block_id
-        entries = message.entries
+        entries = message.columns()
         symbols = self._symbols.reshape(-1)
-        alice_syms, _ = sift_block(symbols, DetectionReport(entries), settings.protocol.d)
-        self._tally_monitor(message.monitor_slots, entries)
-        self._sifted.extend(alice_syms)
+        mine, _ = sift_block(symbols, DetectionReport(entries), settings.protocol.d)
+        self._tally_monitor(message.monitor(), entries[:, 0])
+        self._sifted.append(mine)
         # The entries passed sift_block's checks.  The estimate counts
         # mismatches, so the sampled pairs may stay in the report's order.
-        # Qudit g of the train is qudit g % n of block first + g // n.
-        every, n = self._every, settings.protocol.n
-        for g, j in entries:
-            if (first + g // n + g % n) % every == 0:
-                self._sampled_mine.append(int(symbols[g]))
-                self._sampled_theirs.append(j)
+        # Qudit g of the train is qudit first * n + g of the session.
+        self._reported_mine.append(symbols[entries[:, 0]])
+        entries[:, 0] += self._block_id * settings.protocol.n
+        self._reported.append(entries)
         self._block_id += len(self._symbols)
         return self._open_train() if self._block_id < settings.blocks else [self._finish()]
 
-    def _tally_monitor(self, monitor: tuple, entries) -> None:
+    def _tally_monitor(self, monitor: np.ndarray, qudits: np.ndarray) -> None:
         """Check the monitor clicks Bob reports on the open train and add
         them to the tally.  They must be strictly increasing slots of the
-        train, and none may name a qudit that the report keeps: the
-        reveal's values give the slots of each kept qudit's symbols."""
+        train, and none may name one of ``qudits``, the qudits the report
+        keeps: the open train's ranking, which the reveal carries, gives
+        the slots of each kept qudit's symbols."""
         proto = self._settings.protocol
         slots = len(self._symbols) * proto.slot_count
-        if monitor:
-            if any(a >= b for a, b in zip(monitor, monitor[1:])):
-                raise ProtocolError(f"monitor clicks {monitor} are not strictly increasing")
-            if monitor[0] < 0 or monitor[-1] >= slots:
-                raise ProtocolError(f"monitor clicks {monitor} outside the train's {slots} slots")
-            qudits = np.array([g for g, _ in entries], dtype=np.int64)
-            # row g of the reveal's values, d to a row: qudit g's slots in its frame, from 1
-            kept = self._reveal.values().reshape(-1, proto.d)[qudits]
-            kept = kept + (qudits[:, None] // proto.n * proto.slot_count - 1)  # as train slots
-            clicks = np.array(monitor, dtype=np.int64)
-            named = clicks.take(clicks.searchsorted(kept), mode="clip") == kept
+        if len(monitor):
+            if np.count_nonzero(monitor[1:] <= monitor[:-1]):
+                raise ProtocolError(
+                    f"monitor clicks {tuple(monitor.tolist())} are not strictly increasing"
+                )
+            if monitor[-1] >= slots:  # a wire slot is unsigned
+                raise ProtocolError(
+                    f"monitor clicks {tuple(monitor.tolist())} outside the train's {slots} slots"
+                )
+            # row g of the ranking, d to a row: qudit g's slots in its frame, from 1
+            kept = self._maps.reshape(-1, proto.d)[qudits]
+            kept += qudits[:, None] // proto.n * proto.slot_count - 1  # as train slots
+            named = monitor.take(monitor.searchsorted(kept), mode="clip") == kept
             if named.any():
                 raise ProtocolError(
                     f"a monitor click names qudit {qudits[named.any(axis=1).argmax()]}, "
@@ -540,16 +554,19 @@ class _Alice:
                 )
         tally = monitor_tally(self._pulses, slots, monitor, self._monitor, self._settings.physical)
         self._tally.add(tally)
-        self._pulses = self._reveal = None  # held until the train's report only
+        self._pulses = self._maps = None  # held until the train's report only
 
     def _finish(self) -> EstimateReport:
         """Q over all sampled pairs and V from the monitor tally, in the
         estimate that ends the session."""
+        proto = self._settings.protocol
         q_hat = q_err = v_hat = v_err = float("nan")  # what the data leave undefined
-        if self._sampled_mine:
-            q_hat, q_err = estimate_qber(
-                self._sampled_mine, self._sampled_theirs, self._settings.protocol.d
-            )
+        reported = np.concatenate(self._reported)
+        blocks, places = np.divmod(reported[:, 0], proto.n)  # qudit b*n + i is i of block b
+        sampled = (blocks + places) % self._every == 0
+        if np.count_nonzero(sampled):
+            mine = np.concatenate(self._reported_mine)[sampled]
+            q_hat, q_err = estimate_qber(mine, reported[sampled, 1], proto.d)
         t = self._tally
         try:
             v_hat, v_err = estimate_visibility(t.n_int, t.exp_int, t.n_non, t.exp_non)
@@ -569,6 +586,10 @@ class _Bob:
     estimate, whose Q and V must lie in range, ends the session and sets
     ``summary``.
 
+    His report on a train is built from :func:`decode_frame`'s
+    ``(k, 2)`` int64 entries and his monitor clicks as they are, and he
+    keeps the entries' symbol column as the train's sifted symbols.
+
     For the whole session he holds the two arrays that
     :class:`Permutation` checks a full train's reveal in: its images as
     int64, one block per row, and its inverse, ``t * d * n + 1`` int32
@@ -585,7 +606,7 @@ class _Bob:
         slots = self._per_train * settings.protocol.slot_count
         self._images = np.empty(slots, np.int64)
         self._inverse = np.empty(slots + 1, np.int32 if slots < 2**31 else np.int64)
-        self._sifted: list[int] = []
+        self._sifted: list[np.ndarray] = []  # per train, his sifted symbols
         self.summary: SessionSummary | None = None
 
     def start(self) -> list:
@@ -625,10 +646,11 @@ class _Bob:
         except InvalidArgumentError as exc:
             raise ProtocolError(f"malformed permutation reveal: {exc}") from exc
         clicks = self._channel.receive(first)
-        report = decode_frame(settings.protocol, sigma, clicks)
-        self._sifted.extend(j for _i, j in report.entries)
-        monitor = tuple(clicks.monitor_slots.tolist())
-        return [DetectionReportMsg(block_id=first, entries=report.entries, monitor_slots=monitor)]
+        entries = decode_frame(settings.protocol, sigma, clicks).entries
+        self._sifted.append(entries[:, 1])
+        return [
+            DetectionReportMsg(block_id=first, entries=entries, monitor_slots=clicks.monitor_slots)
+        ]
 
 
 def _drive(endpoint, link: _Link) -> SessionSummary:
@@ -671,7 +693,10 @@ def run_bob(
     return _drive(_Bob(settings, channel), link)
 
 
-def _summary(role, settings, sifted, q_hat, q_err, v_hat, v_err) -> SessionSummary:
+def _summary(role, settings, sifted: list, q_hat, q_err, v_hat, v_err) -> SessionSummary:
+    """The summary of an endpoint whose sifted symbols are the per-train
+    arrays ``sifted``, joined here once as a tuple of Python ints."""
+    sifted = tuple(np.concatenate(sifted).tolist())
     proto = settings.protocol
     total_slots = settings.blocks * proto.slot_count
     detected_rate = len(sifted) / (total_slots * settings.physical.tau)
@@ -686,7 +711,7 @@ def _summary(role, settings, sifted, q_hat, q_err, v_hat, v_err) -> SessionSumma
         n=proto.n,
         blocks=settings.blocks,
         total_slots=total_slots,
-        sifted=tuple(sifted),
+        sifted=sifted,
         q_hat=q_hat,
         q_stderr=q_err,
         v_hat=v_hat,

@@ -19,14 +19,15 @@ A reveal and a report cover one train of m blocks from ``block_id`` on:
 reveal holds the m blocks' images row after row; the report's qudit
 index counts across the train, k*n + i for qudit i of row k, and its
 monitor clicks are 0-based slots of the train.  An estimate the data
-leave undefined is encoded as NaN.  A reveal's indices are held in
-their wire form from the moment the message is built.
+leave undefined is encoded as NaN.  A reveal's indices, and a report's
+entries and monitor clicks, are held in their wire form from the moment
+the message is built: a built message is packed by one conversion and a
+decoded one is a read-only view of the payload it was read from.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -62,7 +63,11 @@ _HEADER = struct.Struct("!2sBBI")
 _U64 = struct.Struct("!Q")
 _START = struct.Struct("!HIQ")
 _ESTIMATE = struct.Struct("!Qdd")
+_U32 = struct.Struct("!I")
 _REPORT_HEAD = struct.Struct("!QI")
+# A report's entry, as it goes on the wire, and as a native pair of int64.
+_ENTRY = np.dtype([("qudit", ">u4"), ("symbol", ">u2")])
+_PAIR = np.dtype([("qudit", np.int64), ("symbol", np.int64)])
 
 
 def _framed(payload: struct.Struct) -> struct.Struct:
@@ -73,6 +78,7 @@ def _framed(payload: struct.Struct) -> struct.Struct:
 
 _START_FRAME = _framed(_START)
 _ESTIMATE_FRAME = _framed(_ESTIMATE)
+_REPORT_FRAME = _framed(_REPORT_HEAD)
 
 # A train holds as many whole blocks as fit in this many slots, and at
 # least one.  Both peers derive it from SESSION_START's d and n, so it is
@@ -122,6 +128,59 @@ def _byte_view(words: np.ndarray) -> memoryview:
     return memoryview(words.reshape(-1).view(np.uint8)).toreadonly()
 
 
+def _wire_form(value, what: str, unit: str, size: int, convert) -> bytes | memoryview:
+    """A field's wire form.  ``bytes`` or a ``memoryview`` is taken as
+    that form, as a flat read-only view, and must hold whole ``size``-byte
+    ``unit`` values; anything else is converted by ``convert``, which
+    checks the values and returns their wire form."""
+    if isinstance(value, memoryview):
+        value = value.cast("B").toreadonly()  # its bytes, as a flat view
+    elif not isinstance(value, bytes):
+        return convert(value)
+    if len(value) % size:
+        raise InvalidArgumentError(f"{len(value)} {what} bytes is not a whole number of {unit}")
+    return value
+
+
+def _checked(values, bits: int, what: str) -> np.ndarray:
+    """``values`` as an integer array, after checking that each fits
+    u``bits``; the error names the least value if it does not fit, else
+    the greatest."""
+    values = np.asarray(values)
+    if values.size:
+        if values.dtype.kind not in "iu":  # floats, or ints too wide for numpy
+            raise InvalidArgumentError(f"{what} values do not fit u{bits}")
+        _check_u(int(np.minimum.reduce(values, axis=None)), bits, what)
+        _check_u(int(np.maximum.reduce(values, axis=None)), bits, what)
+    return values
+
+
+def _u32(values, what: str) -> bytes | memoryview:
+    values = _checked(values, 32, what)
+    return _byte_view(values.astype(">u4")) if values.size else b""
+
+
+# The width of each entry column: a value that fits it shifts right to 0.
+_ENTRY_BITS = np.array([32, 16], dtype=np.uint64)
+
+
+def _records(entries) -> bytes | memoryview:
+    """(qudit index, symbol) pairs, a ``(k, 2)`` integer array or a
+    sequence of pairs, as wire records, by one structured conversion."""
+    pairs = np.asarray(entries)
+    if not pairs.size:
+        return b""
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidArgumentError(f"entries of shape {pairs.shape} are not (qudit, symbol) pairs")
+    # One test of both columns, in which a negative value wraps to a large
+    # one; only entries that fail it are looked at column by column.
+    if pairs.dtype.kind not in "iu" or np.count_nonzero(pairs.astype(np.uint64) >> _ENTRY_BITS):
+        _checked(pairs[:, 0], 32, "qudit index")
+        _checked(pairs[:, 1], 16, "symbol")
+    pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+    return _byte_view(pairs.view(_PAIR).reshape(-1).astype(_ENTRY))
+
+
 @dataclass(frozen=True)
 class PermutationReveal:
     """The permutations of one train's blocks, the first of which is
@@ -139,19 +198,7 @@ class PermutationReveal:
     indices: bytes | memoryview
 
     def __post_init__(self):
-        indices = self.indices
-        if isinstance(indices, memoryview):
-            indices = indices.cast("B").toreadonly()  # its bytes, as a flat view
-        elif not isinstance(indices, bytes):
-            values = np.asarray(indices)
-            if values.size:
-                if values.dtype.kind not in "iu":  # floats, or ints too wide for numpy
-                    raise InvalidArgumentError("index values do not fit u32")
-                _check_u(int(np.minimum.reduce(values, axis=None)), 32, "index")
-                _check_u(int(np.maximum.reduce(values, axis=None)), 32, "index")
-            indices = _byte_view(values.astype(">u4"))
-        if len(indices) % 4:
-            raise InvalidArgumentError(f"{len(indices)} index bytes is not a whole number of u32")
+        indices = _wire_form(self.indices, "index", "u32", 4, lambda v: _u32(v, "index"))
         object.__setattr__(self, "indices", indices)
 
     def __hash__(self):
@@ -176,9 +223,46 @@ class PermutationReveal:
 
 @dataclass(frozen=True)
 class DetectionReportMsg:
+    """Bob's report on one train, the first block of which is
+    ``block_id``.  ``entries`` are the kept qudits' records (qudit index
+    as big-endian u32, symbol as big-endian u16), 6 bytes each, and
+    ``monitor_slots`` the monitor's clicks, 0-based train slots as
+    big-endian u32, 4 bytes each.  A ``bytes`` or ``memoryview`` value is
+    taken as that form.  Any other value is converted when the message
+    is built, and values outside the field's width are rejected: entries
+    from a ``(k, 2)`` integer array of qudit and symbol columns, or from
+    a sequence of such pairs, by one structured conversion, and monitor
+    slots from an integer sequence.  As with :class:`PermutationReveal`,
+    a built report holds read-only views of its converted arrays and a
+    decoded one read-only views of its payload; a view compares and
+    hashes as the bytes it shows, so built and decoded reports compare
+    equal."""
+
     block_id: int
-    entries: tuple  # ((qudit index, symbol), ...)
-    monitor_slots: tuple = ()  # the monitor's clicks, as 0-based train slots
+    entries: bytes | memoryview
+    monitor_slots: bytes | memoryview = b""
+
+    def __post_init__(self):
+        records = _wire_form(self.entries, "entry", "(u32, u16) records", 6, _records)
+        slots = _wire_form(
+            self.monitor_slots, "monitor slot", "u32", 4, lambda v: _u32(v, "monitor slot")
+        )
+        object.__setattr__(self, "entries", records)
+        object.__setattr__(self, "monitor_slots", slots)
+
+    def __hash__(self):
+        # a view of an array or a bytearray has no hash of its own
+        return hash((self.block_id, bytes(self.entries), bytes(self.monitor_slots)))
+
+    def columns(self) -> np.ndarray:
+        """The entries as a fresh ``(k, 2)`` int64 array: the qudit index
+        column, then the symbol column."""
+        records = np.frombuffer(self.entries, dtype=_ENTRY)
+        return records.astype(_PAIR).view(np.int64).reshape(-1, 2)
+
+    def monitor(self) -> np.ndarray:
+        """The monitor clicks as a fresh int64 array of train slots."""
+        return np.frombuffer(self.monitor_slots, dtype=">u4").astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,15 +300,10 @@ def _check_u(value: int, bits: int, what: str) -> int:
     return value
 
 
-def _check_u_all(values, bits: int, what: str) -> None:
-    for value in (min(values), max(values)):
-        _check_u(value, bits, what)
-
-
 def encode_message(message: Message) -> bytes:
     """One frame.  A fixed-layout message is packed with its header in
-    one call; a reveal's index bytes, most of a session's bytes, are
-    copied once."""
+    one call; a reveal's index bytes, most of a session's bytes, and a
+    report's records and monitor clicks are copied once."""
     if isinstance(message, EstimateReport):
         return _ESTIMATE_FRAME.pack(
             MAGIC, VERSION, TAG_ESTIMATE_REPORT, _ESTIMATE.size,
@@ -236,22 +315,13 @@ def encode_message(message: Message) -> bytes:
         header = _HEADER.pack(MAGIC, VERSION, TAG_PERMUTATION_REVEAL, length)
         return b"".join((header, block_id, message.indices))
     if isinstance(message, DetectionReportMsg):
-        count, monitor = len(message.entries), message.monitor_slots
-        if count:
-            qudits, symbols = zip(*message.entries)
-            _check_u_all(qudits, 32, "qudit index")
-            _check_u_all(symbols, 16, "symbol")
-        if monitor:
-            _check_u_all(monitor, 32, "monitor slot")
-        return struct.pack(
-            f"{_HEADER.format}QI{'IH' * count}I{len(monitor)}I",
-            MAGIC, VERSION, TAG_DETECTION_REPORT, 16 + 6 * count + 4 * len(monitor),
+        entries, monitor = message.entries, message.monitor_slots
+        head = _REPORT_FRAME.pack(
+            MAGIC, VERSION, TAG_DETECTION_REPORT, 16 + len(entries) + len(monitor),
             _check_u(message.block_id, 64, "block_id"),
-            _check_u(count, 32, "count"),
-            *itertools.chain.from_iterable(message.entries),
-            len(monitor),
-            *monitor,
+            _check_u(len(entries) // 6, 32, "count"),
         )
+        return b"".join((head, entries, _U32.pack(len(monitor) // 4), monitor))
     if isinstance(message, SessionStart):
         return _START_FRAME.pack(
             MAGIC, VERSION, TAG_SESSION_START, _START.size,
@@ -281,14 +351,15 @@ def _decode_payload(tag: int, payload: bytes) -> Message:
             raise LengthMismatchError("DETECTION_REPORT payload must be >= 16 bytes")
         block_id, count = _REPORT_HEAD.unpack_from(payload)
         end = 12 + 6 * count
-        clicks = struct.unpack_from("!I", payload, end)[0] if len(payload) >= end + 4 else 0
+        clicks = _U32.unpack_from(payload, end)[0] if len(payload) >= end + 4 else 0
         if len(payload) != end + 4 + 4 * clicks:
             raise LengthMismatchError(
                 f"DETECTION_REPORT counts {count} and {clicks} disagree with payload size"
             )
-        entries = tuple(struct.iter_unpack("!IH", payload[12:end]))
-        monitor = struct.unpack_from(f"!{clicks}I", payload, end + 4)
-        return DetectionReportMsg(block_id=block_id, entries=entries, monitor_slots=monitor)
+        view = memoryview(payload)  # views of the payload, which the report keeps alive
+        return DetectionReportMsg(
+            block_id=block_id, entries=view[12:end], monitor_slots=view[end + 4 :]
+        )
     d, n, tau_ps = _START.unpack(payload)
     return SessionStart(d=d, n=n, tau_picoseconds=tau_ps)
 

@@ -762,6 +762,13 @@ def click_stream(slots):
     return ClickStream(data, np.zeros(0, dtype=np.int64))
 
 
+def pairs(entries) -> tuple:
+    """A report's entries, a ``(k, 2)`` int64 array of qudit and symbol
+    columns, as a tuple of ``(i, j)`` pairs of Python ints."""
+    assert entries.dtype == np.int64 and entries.ndim == 2 and entries.shape[1] == 2
+    return tuple(map(tuple, entries.tolist()))
+
+
 def decode_click(params, sigma, t):
     """The qudit and symbol ``(i, j)`` of a click at the 1-based local
     slot ``t``, by ``sigma^{-1}(t) = d*i + j``."""
@@ -807,9 +814,8 @@ class TestDecodeFrame:
         sigma = Permutation(map_)
         slots = [map_[d * i + j - 1] for i, js in clicked.items() for j in js]
         clicks = click_stream(slots)
-        entries = decode_frame(params, sigma, clicks).entries
+        entries = pairs(decode_frame(params, sigma, clicks).entries)
         assert entries == decode_per_click(params, sigma, clicks)
-        assert all(type(x) is int for entry in entries for x in entry)
         assert {i for i, _ in entries} == {i for i, js in clicked.items() if len(js) == 1}
 
     @pytest.mark.parametrize(
@@ -825,7 +831,7 @@ class TestDecodeFrame:
         sigma = Permutation(np.array(map_))
         assert decode_click(params, sigma, slot) == entry
         clicks = click_stream([slot])
-        assert decode_frame(params, sigma, clicks).entries == (entry,)
+        assert pairs(decode_frame(params, sigma, clicks).entries) == (entry,)
 
     @pytest.mark.parametrize("slot", [0, 9])
     def test_click_outside_frame_rejected(self, slot):
@@ -844,10 +850,12 @@ class TestDecodeFrame:
         with pytest.raises(InvalidArgumentError, match=r"outside the train's slots 0\.\.7"):
             decode_frame(params, Permutation(np.arange(1, 9)), clicks)
 
-    def test_monitor_clicks_alone_keep_nothing(self):
+    @pytest.mark.parametrize("monitor", [[0, 7], []])
+    def test_monitor_clicks_alone_keep_nothing(self, monitor):
+        # with no click at all, the train is skipped before any decoding
         params = ProtocolParams(d=2, n=4)
-        clicks = ClickStream(np.zeros(0, dtype=np.int64), np.array([0, 7]))
-        assert decode_frame(params, Permutation(np.arange(1, 9)), clicks).entries == ()
+        clicks = ClickStream(np.zeros(0, dtype=np.int64), np.array(monitor, dtype=np.int64))
+        assert pairs(decode_frame(params, Permutation(np.arange(1, 9)), clicks).entries) == ()
 
 
 @st.composite
@@ -908,7 +916,7 @@ class TestTrainAsItsFrames:
         for k, (frame, (row, prev, last), map_) in enumerate(zip(occ, rows, maps, strict=True)):
             entries += [(k * n + i, j) for i, j in decode_per_click(proto, Permutation(map_), row)]
             tally.add(dense_tally(frame, row.monitor_slots, prev, last, params))
-        assert decode_frame(proto, Permutation(maps), clicks).entries == tuple(entries)
+        assert pairs(decode_frame(proto, Permutation(maps), clicks).entries) == tuple(entries)
         assert tally_of(occ, clicks, prev_occupied, last_click, params) == tally
 
     def test_boundary_train(self):
@@ -917,6 +925,6 @@ class TestTrainAsItsFrames:
         # qudit 1, whose data click is dropped with it
         d, n, occ, maps, clicks, prev_occupied, last_click, params = boundary_train()
         proto = ProtocolParams(d=d, n=n)
-        assert decode_frame(proto, Permutation(maps), clicks).entries == ((2, 1),)
+        assert pairs(decode_frame(proto, Permutation(maps), clicks).entries) == ((2, 1),)
         tally = tally_of(occ, clicks, prev_occupied, last_click, params)
         assert tally == MonitorTally(n_int=1, exp_int=9)

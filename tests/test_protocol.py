@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -380,19 +381,38 @@ class TestEncodeBlock:
             encode_block(params, np.array([[1, 2, 1]]), identity_maps(4))
 
 
+def sifted(symbols, entries, d):
+    """``sift_block`` on a report of ``entries``, as two lists of ints."""
+    alice, bob = sift_block(symbols, DetectionReport(entries), d)
+    assert alice.dtype == bob.dtype == np.int64
+    return alice.tolist(), bob.tolist()
+
+
+def sift_reference(symbols, entries, d):
+    """The sift of a report given as (qudit, symbol) pairs, one pair at a
+    time: sorted by qudit, each qudit once and in the block, each symbol
+    in {1..d}."""
+    entries = sorted(entries)
+    indices = [i for i, _ in entries]
+    if len(set(indices)) != len(indices):
+        raise ProtocolError("duplicate qudit index in detection report")
+    if entries and (entries[0][0] < 0 or entries[-1][0] >= len(symbols)):
+        raise ProtocolError("reported qudit index outside the block")
+    if any(not 1 <= j <= d for _, j in entries):
+        raise ProtocolError(f"reported symbol outside {{1..{d}}}")
+    return [int(symbols[i]) for i, _ in entries], [j for _, j in entries]
+
+
 class TestSiftBlock:
     def test_empty_report(self):
-        assert sift_block([1, 2], DetectionReport(()), d=2) == ([], [])
+        assert sifted([1, 2], (), d=2) == ([], [])
+        assert sifted([1, 2], np.empty((0, 2), dtype=np.int64), d=2) == ([], [])
 
     def test_noiseless_agreement(self):
-        alice, bob = sift_block(
-            [1, 2, 3], DetectionReport(((0, 1), (2, 3))), d=3
-        )
-        assert (alice, bob) == ([1, 3], [1, 3])
+        assert sifted([1, 2, 3], ((0, 1), (2, 3)), d=3) == ([1, 3], [1, 3])
 
     def test_constructed_mismatch(self):
-        alice, bob = sift_block([1, 2], DetectionReport(((1, 1),)), d=2)
-        assert (alice, bob) == ([2], [1])
+        assert sifted([1, 2], ((1, 1),), d=2) == ([2], [1])
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(ProtocolError, match="duplicate"):
@@ -406,8 +426,27 @@ class TestSiftBlock:
         for entry in ((0, 0), (1, 99)):
             with pytest.raises(ProtocolError, match="symbol"):
                 sift_block([1, 2], DetectionReport((entry,)), d=2)
-        accepted = sift_block([1, 2], DetectionReport(((1, 2),)), d=2)
-        assert accepted == ([2], [2])
+        assert sifted([1, 2], ((1, 2),), d=2) == ([2], [2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arrays_match_the_pairwise_reference(self, data):
+        # reports in any order, some naming a qudit twice, a qudit outside
+        # the block or a symbol outside {1..d}
+        d = data.draw(st.integers(2, 8), label="d")
+        symbols = data.draw(st.lists(st.integers(1, d), min_size=1, max_size=16), label="symbols")
+        qudit = st.integers(-2, len(symbols) + 1)
+        entries = data.draw(
+            st.lists(st.tuples(qudit, st.integers(0, d + 1)), max_size=20), label="entries"
+        )
+        array = np.array(entries, dtype=np.int64).reshape(-1, 2)
+        try:
+            want = sift_reference(symbols, entries, d)
+        except ProtocolError as refused:
+            with pytest.raises(ProtocolError, match=f"^{re.escape(str(refused))}$"):
+                sift_block(np.array(symbols), DetectionReport(array), d)
+        else:
+            assert sifted(np.array(symbols), array, d) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -425,6 +464,6 @@ def test_encode_decode_round_trip_property(data):
     assert len(pulses) == n and (np.diff(pulses) > 0).all()
     # every pulse clicks, once: each qudit decodes to its own symbol
     clicks = ClickStream(pulses, np.zeros(0, dtype=np.int64))
-    assert decode_frame(params, sigma, clicks).entries == tuple(
-        (i, int(q)) for i, q in enumerate(symbols)
-    )
+    entries = decode_frame(params, sigma, clicks).entries
+    assert entries.dtype == np.int64
+    assert entries.tolist() == [[i, int(q)] for i, q in enumerate(symbols)]

@@ -506,6 +506,23 @@ class TestAliceSampling:
         # train qudit 4, qudit 0 of block 1, is not.
         assert self.run_with_report(((4, 2), (5, 1)), ([1, 2, 1, 2], [2, 2, 2, 2])) == 1.0
 
+    def test_qudit_is_sampled_by_its_block_across_trains(self):
+        # 16384-slot frames go one to a train, so block 1 is the second
+        # train's.  Its qudit 0 (sent 1, received 2) has 1 + 0 odd and is
+        # not sampled; its qudit 1 has 1 + 1 even and is.
+        settings = SessionSettings(
+            protocol=ProtocolParams(d=2, n=8192),
+            physical=PhysicalParams.noiseless(),
+            blocks=2,
+            sample_fraction=0.5,
+        )
+        reports = [DetectionReportMsg(0, ((0, 1),)), DetectionReportMsg(1, ((0, 2), (1, 1)))]
+        duplex = ScriptedDuplex([encode_message(report) for report in reports])
+        channel = SimulatedChannel(settings.physical, seed=0)
+        summary = run_alice(settings, [[1] * 8192] * 2, channel, duplex, seed=0)
+        assert summary.sifted == (1, 1, 1)
+        assert summary.q_hat == 0.0
+
 
 def test_short_block_source_names_the_block():
     settings = noiseless_settings(d=2, n=2, blocks=2)
@@ -593,7 +610,6 @@ class TestAliceMonitorList:
         [
             ((4,), r"monitor clicks \(4,\) outside the train's 4 slots"),
             ((0, 4), r"monitor clicks \(0, 4\) outside the train's 4 slots"),
-            ((-1, 2), r"monitor clicks \(-1, 2\) outside the train's 4 slots"),
             ((1, 1), r"monitor clicks \(1, 1\) are not strictly increasing"),
             ((3, 0), r"monitor clicks \(3, 0\) are not strictly increasing"),
         ],
@@ -602,6 +618,12 @@ class TestAliceMonitorList:
         alice, _ = self.alice_after_start()
         with pytest.raises(ProtocolError, match=cause):
             alice.receive(DetectionReportMsg(block_id=0, entries=(), monitor_slots=monitor))
+
+    def test_negative_slot_refused_when_the_report_is_built(self):
+        # a report holds its slots as u32 from the start, so a negative
+        # one never reaches Alice
+        with pytest.raises(InvalidArgumentError, match="^monitor slot=-1 does not fit u32$"):
+            DetectionReportMsg(block_id=0, entries=(), monitor_slots=(-1, 2))
 
     @pytest.mark.parametrize("symbol", [1, 2])
     def test_click_naming_a_kept_qudit_refused(self, symbol):
@@ -941,6 +963,12 @@ SEVERAL_TRAINS = {
         "physical": {"mu": 0.1, "t_ch": 1.0, "xi": 0.9, "t_dead": 2e-8, "p_dc": 1e-4},
         "session": {"d": 32, "n": 1024, "blocks": 3},
     },
+    # with half the light on the monitor, so each report carries dozens
+    # of kept qudits and of monitor clicks
+    "wide monitor": {
+        "physical": {"mu": 0.1, "t_ch": 1.0, "xi": 0.9, "t_dead": 2e-8, "p_dc": 1e-4, "f_mon": 0.5},
+        "session": {"d": 32, "n": 1024, "blocks": 3},
+    },
 }
 
 
@@ -995,17 +1023,28 @@ class TestNoSharedState:
         settings, seed = several_trains(name), 4
         alice_seed, channel_seed = np.random.SeedSequence(seed).spawn(2)
         channel = SimulatedChannel(settings.physical, channel_seed)
-        transcript = Transcript()
+        transcript, bob_transcript = Transcript(), Transcript()
         left, right = socket.socketpair()
         with left, right, ThreadPoolExecutor(max_workers=1) as pool:
             left.settimeout(10.0)
             right.settimeout(10.0)
-            bob_run = pool.submit(run_bob, settings, channel, StreamDuplex(right))
+            bob_run = pool.submit(run_bob, settings, channel, StreamDuplex(right), bob_transcript)
             alice = run_alice(
                 settings, None, channel, StreamDuplex(left), transcript, seed=alice_seed
             )
             bob = bob_run.result(timeout=10.0)
         assert_same_session((alice, bob, transcript), run_session(settings, seed=seed))
+        # Alice reads each report out of the bytearray StreamDuplex fills,
+        # as a read-only view that equals and hashes as the one Bob built
+        reports = [
+            [m for m in t.messages() if isinstance(m, DetectionReportMsg)]
+            for t in (transcript, bob_transcript)
+        ]
+        assert len(reports[0]) == len(reports[1]) > 0
+        for read, built in zip(*reports):
+            for field in (read.entries, read.monitor_slots):
+                assert isinstance(field, memoryview) and field.readonly
+            assert read == built and hash(read) == hash(built)
 
 
 def test_transcript_freed_when_the_caller_drops_it():
@@ -1099,8 +1138,8 @@ def test_no_key_qudit_is_named_by_a_reported_monitor_click(monkeypatch):
         inverse = np.empty(len(values), dtype=np.int64)
         at = np.arange(len(values))
         inverse[at - at % length + values.astype(np.int64) - 1] = at
-        qudits = {int(inverse[t]) // 4 for t in report.monitor_slots}
-        kept = {g for g, _ in report.entries}
+        qudits = {int(inverse[t]) // 4 for t in report.monitor()}
+        kept = set(report.columns()[:, 0].tolist())
         assert not qudits & kept
         named += len(qudits)
     assert named > 300
@@ -1240,6 +1279,31 @@ class TestPinnedTranscripts:
         )
         assert validate_transcript(transcript) == []
         self.check_stderrs(alice, bob, 0.003292298824942305, 0.02516936699716138)
+
+    def test_wide_monitor_heavy(self):
+        # The wide geometry with dark counts and half the light on the
+        # monitor: three one-block trains whose reports carry 142 kept
+        # qudits and 53 monitor clicks between them, each click checked
+        # and tallied by Alice.
+        config = parse_config({
+            "physical": {"mu": 0.1, "t_ch": 1.0, "xi": 0.9, "t_dead": 2e-8, "p_dc": 1e-4,
+                         "f_mon": 0.5},
+            "session": {"d": 32, "n": 1024, "blocks": 3},
+        })
+        alice, bob, transcript = run_session(config.session_settings(), seed=1)
+        assert hashlib.sha256(transcript.wire_bytes()).hexdigest() == (
+            "f409eee6afee66b26045d12858ee81c87e3b01576d0c28354a361cf049b6d168"
+        )
+        assert len(transcript.entries) == 11
+        assert alice.sifted_count == bob.sifted_count == 142
+        assert hashlib.sha256(bytes(alice.sifted)).hexdigest() == (
+            "3edefb6deec6ce1c06870c123f141f5a60f2b8a4305bd7703b29a3ce755042e1"
+        )
+        assert hashlib.sha256(bytes(bob.sifted)).hexdigest() == (
+            "20223de76db5753a7201e6e33b8ec507100af33b5baab48e077402e685aa40fb"
+        )
+        assert validate_transcript(transcript) == []
+        self.check_stderrs(alice, bob, 0.0011310378045976898, 0.4589506172839506)
 
 
 class TestSessionEstimates:

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -37,6 +39,105 @@ def test_detection_report_exact_bytes():
         "514b0404" "0000001e" "0000000000000002" "00000001" "000000050003"
         "00000002" "00000007" "0000012c"
     )
+
+
+def reference_report(block_id, entries, monitor_slots):
+    """A DETECTION_REPORT frame packed value by value, as the encoder did
+    when reports held tuples: the reference for the one-conversion
+    encoder."""
+    count, clicks = len(entries), len(monitor_slots)
+    return struct.pack(
+        f"!2sBBIQI{'IH' * count}I{clicks}I",
+        MAGIC, VERSION, 0x04, 16 + 6 * count + 4 * clicks,
+        block_id, count, *itertools.chain.from_iterable(entries), clicks, *monitor_slots,
+    )
+
+
+class TestDetectionReportWireForm:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        block_id=st.integers(0, 2**64 - 1),
+        entries=st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1)), max_size=40
+        ),
+        monitor_slots=st.lists(st.integers(0, 2**32 - 1), max_size=20),
+    )
+    def test_encoder_matches_the_packed_reference(self, block_id, entries, monitor_slots):
+        frame = reference_report(block_id, entries, monitor_slots)
+        columns = np.array(entries, dtype=np.int64).reshape(-1, 2)
+        slots = np.array(monitor_slots, dtype=np.int64)
+        # from pairs, from int64 columns (as a decoder gives them, or a
+        # strided view) and from unsigned arrays
+        built = [
+            DetectionReportMsg(block_id, tuple(entries), tuple(monitor_slots)),
+            DetectionReportMsg(block_id, columns, slots),
+            DetectionReportMsg(block_id, np.asfortranarray(columns), np.repeat(slots, 2)[::2]),
+            DetectionReportMsg(block_id, columns.astype(np.uint32), slots.astype(np.uint32)),
+        ]
+        for message in built:
+            assert encode_message(message) == frame
+            decoded = decode_message(frame)
+            assert decoded == message and hash(decoded) == hash(message)
+            for report in (message, decoded):
+                got = report.columns()
+                assert got.dtype == np.int64 and got.shape == (len(entries), 2)
+                assert got.tolist() == [list(entry) for entry in entries]
+                assert report.monitor().dtype == np.int64
+                assert report.monitor().tolist() == monitor_slots
+
+    def test_empty_report(self):
+        frame = reference_report(3, (), ())
+        for message in (
+            DetectionReportMsg(3, ()),
+            DetectionReportMsg(3, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)),
+            decode_message(frame),
+        ):
+            assert encode_message(message) == frame
+            assert message.columns().shape == (0, 2) and message.monitor().shape == (0,)
+
+    @pytest.mark.parametrize(
+        "entries, monitor_slots, cause",
+        [
+            (((1, 1), (2**32, 1)), (), "qudit index=4294967296 does not fit u32"),
+            (((-1, 1),), (), "qudit index=-1 does not fit u32"),
+            (((1, 2**16),), (), "symbol=65536 does not fit u16"),
+            (((1, -1),), (), "symbol=-1 does not fit u16"),
+            ((), (1, 2**32), "monitor slot=4294967296 does not fit u32"),
+            ((), (-1, 1), "monitor slot=-1 does not fit u32"),
+            (((0.5, 1),), (), "qudit index values do not fit u32"),
+            (((1, 2, 3),), (), r"entries of shape \(1, 3\) are not \(qudit, symbol\) pairs"),
+        ],
+    )
+    def test_values_outside_the_fields_refused(self, entries, monitor_slots, cause):
+        with pytest.raises(InvalidArgumentError, match=f"^{cause}$"):
+            encode_message(DetectionReportMsg(0, entries, monitor_slots))
+        # arrays are checked as sequences are
+        with pytest.raises(InvalidArgumentError, match=f"^{cause}$"):
+            DetectionReportMsg(0, np.array(entries), np.array(monitor_slots))
+
+    @pytest.mark.parametrize(
+        "entries, monitor_slots, cause",
+        [
+            (b"\x00" * 7, b"", "7 entry bytes is not a whole number of (u32, u16) records"),
+            (b"", b"\x00" * 6, "6 monitor slot bytes is not a whole number of u32"),
+        ],
+    )
+    def test_wire_form_of_whole_records_only(self, entries, monitor_slots, cause):
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(cause)}$"):
+            DetectionReportMsg(0, entries, monitor_slots)
+
+    def test_decoded_report_is_a_read_only_view_of_its_payload(self):
+        built = DetectionReportMsg(9, np.array([[5, 3], [70000, 32]]), np.array([7, 300]))
+        payload = bytearray(encode_message(built)[8:])  # as a socket reader hands it over
+        decoded = _decode_payload(0x04, payload)
+        for field in (decoded.entries, decoded.monitor_slots):
+            assert isinstance(field, memoryview) and field.readonly
+            assert np.shares_memory(np.frombuffer(field, np.uint8), payload)
+        for field in (built.entries, built.monitor_slots):
+            assert isinstance(field, memoryview) and field.readonly
+        assert decoded == built and {decoded, built} == {built}
+        assert decoded.columns().tolist() == [[5, 3], [70000, 32]]
+        assert decoded.monitor().tolist() == [7, 300]
 
 
 def test_session_start_layout():
@@ -161,8 +262,10 @@ class TestDecodeErrors:
         for index in (-1, 2**32):
             with pytest.raises(InvalidArgumentError):
                 encode_message(PermutationReveal(block_id=0, indices=(1, index)))
-        for entry in ((0, 2**16), (0, -1), (2**32, 1)):
-            with pytest.raises(InvalidArgumentError):
+        for entry, cause in (
+            ((0, 2**16), "symbol=65536"), ((0, -1), "symbol=-1"), ((2**32, 1), "qudit index=4294967296"),
+        ):
+            with pytest.raises(InvalidArgumentError, match=cause):
                 encode_message(
                     DetectionReportMsg(block_id=0, entries=((1, 1), entry))
                 )
@@ -243,6 +346,9 @@ def test_payloads_filling_a_train_accepted():
         monitor_slots=tuple(range(64 * 256)),
     )
     assert len(encode_message(report)) == 8 + 90128
+    assert encode_message(report) == reference_report(
+        256, tuple((i, 1) for i in range(16 * 256)), tuple(range(64 * 256))
+    )
     for message in (reveal, report):
         stream = io.BytesIO(encode_message(message))
         assert read_message(stream.read, d=4, n=16) == message
