@@ -4,7 +4,9 @@ Subcommands: ``rates`` (secure-rate sweep table), ``threshold``
 (error-rate thresholds per dimension), ``holevo`` (security bounds at
 one operating point, optionally cross-checked against the brute-force
 oracle), ``simulate`` (end-to-end session), ``optimize`` (sweep and
-report only the optimum).  ``HDCOW_LOG`` sets the log level.
+report only the optimum; a warning is logged when the optimum or the
+d=2 baseline lies at an end of the mu grid or above the weak-pulse
+guard).  ``HDCOW_LOG`` sets the log level.
 
 Outputs are deterministic for a fixed seed and config: no timestamps,
 fixed float formatting.
@@ -23,6 +25,7 @@ import os
 import sys
 
 from . import __version__
+from .channel import SOFT_FLUX_GUARD
 from .config import Config, load_config
 from .errors import HdcowError, InvalidArgumentError, NoThresholdError
 from .rates import detection_rate, qber_threshold, sweep
@@ -207,13 +210,34 @@ def cmd_simulate(config: Config, args) -> str:
     return _json_text(payload)
 
 
+def _warn_if_unsound(result, mu_grid, t_ch: float) -> None:
+    """Log a warning for an optimum or d=2 baseline that the model does
+    not vouch for: a mu at an end of the grid only bounds the search,
+    and a mu*t_ch above the weak-pulse guard lies outside the security
+    analysis."""
+    ends = (mu_grid[0], mu_grid[-1])
+    points = [(f"optimum d={result.optimum.d}", result.optimum)]
+    if result.baseline_d2 not in (None, result.optimum):
+        points.append(("d=2 baseline", result.baseline_d2))
+    for name, point in points:
+        if point.mu in ends:
+            log.warning(
+                "%s mu=%g lies at an end of the mu grid [%g, %g]; widen the "
+                "sweep section to locate it", name, point.mu, *ends,
+            )
+        if point.mu * t_ch > SOFT_FLUX_GUARD:
+            log.warning(
+                "%s mu=%g gives mu*t_ch = %.4g, above the weak-pulse guard %g "
+                "of the security analysis", name, point.mu, point.mu * t_ch,
+                SOFT_FLUX_GUARD,
+            )
+
+
 def cmd_optimize(config: Config, args) -> str:
-    result = sweep(
-        config.protocol.dimensions,
-        config.mu_grid(),
-        config.noise_model(),
-        config.physical_params(),
-    )
+    mu_grid = config.mu_grid()
+    phys = config.physical_params()
+    result = sweep(config.protocol.dimensions, mu_grid, config.noise_model(), phys)
+    _warn_if_unsound(result, mu_grid, phys.t_ch)
     opt = result.optimum
     payload = {
         "optimum": {

@@ -18,7 +18,15 @@ import numpy as np
 
 from .channel import PhysicalParams
 from .errors import InvalidArgumentError, NoThresholdError
-from .security import _check_grid, _fraction_grid, eve_optimal_holevo
+from .security import (
+    _check_grid,
+    _dq_terms,
+    _fraction_grid,
+    _secure_core,
+    _validate_d_q,
+    eve_optimal_holevo,
+    x_interval,
+)
 
 __all__ = [
     "RatePoint",
@@ -191,8 +199,10 @@ def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     code on arrays, so every grid point equals
     ``secure_rate(d, mu, noise.q(d), noise.v(d), phys)`` bit for bit.
 
-    ``gain`` is the optimum rate over the best d=2 rate; NaN when the
-    grid has no d=2 points.
+    The optimum is the first of equally good points, and the d=2
+    baseline the first best point of the d=2 row.  ``gain`` is the
+    optimum rate over the baseline's; NaN when the grid has no d=2 row
+    or its best rate is 0.
     """
     dimensions = list(dimensions)
     mus = np.asarray(mu_grid, dtype=float)
@@ -216,8 +226,11 @@ def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
         rates,
     ))
     optimum = grid[rates.index(max(rates))]  # the first of equally good points
-    d2_points = [p for p in grid if p.d == 2]
-    baseline = max(d2_points, key=lambda p: p.bits_per_second) if d2_points else None
+    baseline = None
+    if 2 in dimensions:
+        start = dimensions.index(2) * len(mu_values)
+        d2_rates = rates[start:start + len(mu_values)]
+        baseline = grid[start + d2_rates.index(max(d2_rates))]
     if baseline is not None and baseline.bits_per_second > 0.0:
         gain = optimum.bits_per_second / baseline.bits_per_second
     else:
@@ -233,15 +246,26 @@ def qber_threshold(d: int, mu: float, visibility: float) -> float:
     Bisection over e in [0, 1-1/d) to absolute tolerance 1e-4.  Raises
     :class:`NoThresholdError` when even a noiseless channel yields no
     key.  Divide by (d-1) for the per-wrong-slot convention.
+
+    (d, mu, V) are refused once, before any step, in the order
+    :func:`~hdcow.security.eve_optimal_holevo` refuses them: d below 2,
+    then mu, then V, then a d that is not an integer.  The adversary's
+    optimum x* and ``exp(-mu)`` are found once too.  Each step then
+    evaluates only the secure-fraction core at ``Q = e/(d-1)``, which
+    lies in [0, 1/d] and needs no check, so each step's answer is
+    ``eve_optimal_holevo(d, Q, mu, V).secure_fraction > 0`` bit for bit.
     """
     if d < 2:
         raise InvalidArgumentError(f"d={d} must be >= 2")
+    e_hi = 1.0 - 1.0 / d
+    x_star = x_interval(mu, visibility)[0]
+    _validate_d_q(d, 0.0)
+    em = math.exp(-mu)
 
     def keyed(e_total):
-        report = eve_optimal_holevo(d, e_total / (d - 1), mu, visibility)
-        return report.secure_fraction > 0.0
+        q = e_total / (d - 1)
+        return _secure_core(d, q, em, x_star, _dq_terms(d, q))[2] > 0.0
 
-    e_hi = 1.0 - 1.0 / d
     if not keyed(0.0):
         raise NoThresholdError(
             f"no positive secure fraction at zero error for d={d}, mu={mu}, "

@@ -29,6 +29,8 @@ Two routes compute the adversary's Holevo information:
   place that also builds ``chi_BE``, which no rate caller reads.
   :func:`hdcow.rates.sweep` runs it once over its whole (d, mu) grid,
   with d and Q as float columns and mu as a row.
+  :func:`hdcow.rates.qber_threshold` runs it once per bisection step,
+  with x* and ``exp(-mu)`` found once per threshold.
 
   The core and its parts serve a number and an ndarray alike.  On an
   array, ``+ - * /`` run in NumPy, which rounds them as Python does, and
@@ -37,8 +39,8 @@ Two routes compute the adversary's Holevo information:
   round differently in the last bit.  A grid point therefore equals the
   scalar evaluation ``repr`` for ``repr``.  Scalar callers
   (:func:`report_at`, :func:`eve_optimal_holevo`,
-  :func:`secure_fraction`) take the plain :mod:`math` path and return
-  ``float``.
+  :func:`secure_fraction`, :func:`hdcow.rates.qber_threshold`) take the
+  plain :mod:`math` path and return ``float``.
 * a brute-force density-matrix oracle (:func:`holevo_oracle`) that embeds
   the slot vectors explicitly, builds the d-fold tensor-product states,
   and diagonalizes.  The oracle is the ground truth the closed forms are

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 
 import pytest
 
@@ -405,3 +406,50 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["gain_over_d2"] > 0
         assert payload["optimum"]["d"] in (2, 4, 8)
+
+    @staticmethod
+    def optimize_warnings(tmp_path, capsys, caplog, config):
+        """``hdcow optimize``'s JSON and the warnings it logged."""
+        argv = ["optimize"]
+        if config is not None:
+            path = tmp_path / "optimize.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        with caplog.at_level(logging.WARNING, logger="hdcow"):
+            assert main(argv) == 0
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "hdcow" and r.levelno == logging.WARNING]
+        return json.loads(capsys.readouterr().out), warnings
+
+    def test_optimize_default_does_not_warn(self, tmp_path, capsys, caplog):
+        # mu = 0.161 inside the grid, mu*t_ch = 0.026
+        payload, warnings = self.optimize_warnings(tmp_path, capsys, caplog, None)
+        assert warnings == []
+        assert 0.005 < payload["optimum"]["mu"] < 0.3
+        assert 0.005 < payload["baseline_d2"]["mu"] < 0.3
+
+    def test_optimize_warns_at_grid_edge(self, tmp_path, capsys, caplog):
+        # 150 km: the optimum and the d=2 baseline both sit on mu_max
+        payload, warnings = self.optimize_warnings(
+            tmp_path, capsys, caplog, {"physical": {"t_ch": 0.001}}
+        )
+        assert payload["optimum"]["mu"] == payload["baseline_d2"]["mu"] == 0.3
+        opt = payload["optimum"]["d"]
+        assert warnings == [
+            f"optimum d={opt} mu=0.3 lies at an end of the mu grid [0.005, 0.3]; "
+            "widen the sweep section to locate it",
+            "d=2 baseline mu=0.3 lies at an end of the mu grid [0.005, 0.3]; "
+            "widen the sweep section to locate it",
+        ]
+
+    def test_optimize_warns_above_flux_guard(self, tmp_path, capsys, caplog):
+        payload, warnings = self.optimize_warnings(
+            tmp_path, capsys, caplog, {"physical": {"t_ch": 1.0}}
+        )
+        opt = payload["optimum"]
+        assert opt["mu"] > 0.1
+        assert (
+            f"optimum d={opt['d']} mu={opt['mu']:g} gives mu*t_ch = {opt['mu']:.4g}, "
+            "above the weak-pulse guard 0.1 of the security analysis"
+        ) in warnings
+        assert not any("end of the mu grid" in w for w in warnings)

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hdcow.channel import PhysicalParams
@@ -298,6 +298,84 @@ class TestSweep:
         assert math.isnan(result.gain)
 
 
+def _rules_on_grid(grid):
+    """Optimum, d=2 baseline and gain by their defining rules, applied to
+    a sweep's grid: the first of equally good points, and the first best
+    of the d=2 points."""
+    rate = lambda p: p.bits_per_second  # noqa: E731
+    optimum = max(grid, key=rate)
+    d2_points = [p for p in grid if p.d == 2]
+    baseline = max(d2_points, key=rate) if d2_points else None
+    if baseline is not None and baseline.bits_per_second > 0.0:
+        gain = optimum.bits_per_second / baseline.bits_per_second
+    else:
+        gain = float("nan")
+    return optimum, baseline, gain
+
+
+_DEFAULT_NOISE = Config().noise_model()
+
+
+class TestSweepOptimum:
+    """``optimum``, ``baseline_d2`` and ``gain`` are the points and the
+    ratio the rules pick from the grid; the points are the grid's own
+    objects, so ``is`` tells the first of equal points from a later one."""
+
+    @staticmethod
+    def assert_rules(result):
+        optimum, baseline, gain = _rules_on_grid(result.grid)
+        assert result.optimum is optimum
+        assert result.baseline_d2 is baseline
+        assert repr(result.gain) == repr(gain)
+
+    @pytest.mark.parametrize(
+        "dimensions, mus",
+        [
+            ([2, 4, 8, 16, 32], None),  # d=2 first
+            ([32, 8, 4, 2], None),  # d=2 last
+            ([8, 2, 16], None),
+            ([4, 16], None),  # no d=2
+            ([4, 2, 8], [0.05]),  # one mu
+            ([2], [0.3]),
+        ],
+    )
+    def test_default_noise(self, dimensions, mus):
+        c = Config()
+        result = sweep(dimensions, mus or c.mu_grid(), _DEFAULT_NOISE, c.physical_params())
+        self.assert_rules(result)
+        if 2 not in dimensions:
+            assert result.baseline_d2 is None and math.isnan(result.gain)
+
+    def test_keyless_d2_row(self):
+        # at V = 0 every d=2 rate is 0: the baseline is the row's first
+        # point and the gain is NaN
+        c = Config()
+        mus = c.mu_grid()
+        table = TableNoise({4: (0.003, 0.985), 2: (0.004, 0.0), 8: (0.002, 0.98)})
+        result = sweep([4, 2, 8], mus, table, c.physical_params())
+        self.assert_rules(result)
+        assert result.baseline_d2 is result.grid[len(mus)]
+        assert result.baseline_d2.d == 2 and result.baseline_d2.bits_per_second == 0.0
+        assert math.isnan(result.gain)
+
+    def test_keyless_grid(self):
+        # every rate 0: the optimum is the grid's first point
+        table = TableNoise({4: (0.003, 0.0), 2: (0.004, 0.0)})
+        result = sweep([4, 2], [0.01, 0.1, 0.2], table, PhysicalParams(mu=0.05))
+        self.assert_rules(result)
+        assert result.optimum is result.grid[0]
+        assert result.baseline_d2 is result.grid[3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_table_sweeps())
+    def test_table_sweeps(self, case):
+        try:
+            result = sweep(*case)
+        except InvalidArgumentError:
+            assume(False)
+        self.assert_rules(result)
+
+
 # (d, Q, mu, V) at the ends of each input's range, as Python and NumPy scalars
 _EDGE_POINTS = [
     (2, 0.0, 0.05, 0.99),
@@ -367,6 +445,98 @@ class TestSweepFractions:
         assert str(exc.value) == (
             f"mus must be a 1-D sequence, got an array of shape {shape}"
         )
+
+
+def _reference_threshold(d, mu, v):
+    """The threshold bisection with its earlier predicate, one
+    optimal-attack report per step."""
+    if d < 2:
+        raise InvalidArgumentError(f"d={d} must be >= 2")
+
+    def keyed(e_total):
+        return eve_optimal_holevo(d, e_total / (d - 1), mu, v).secure_fraction > 0.0
+
+    e_hi = 1.0 - 1.0 / d
+    if not keyed(0.0):
+        raise NoThresholdError(
+            f"no positive secure fraction at zero error for d={d}, mu={mu}, "
+            f"visibility={v}"
+        )
+    lo, hi = 0.0, e_hi - 1e-12
+    if keyed(hi):
+        return hi
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        if keyed(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _outcome(threshold, *args):
+    """The threshold's repr, or the type and text of what it raised."""
+    try:
+        return repr(threshold(*args))
+    except (InvalidArgumentError, NoThresholdError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_BAD_D = [1, 2.5]
+_BAD_MU = [0.0, math.nan, math.inf]
+_BAD_V = [-0.1, 1.1, math.nan]
+
+
+class TestQberThresholdEqualsReference:
+    """Every threshold, and every refusal, equals the reference bisection's
+    bit for bit."""
+
+    @staticmethod
+    def assert_same(d, mu, v):
+        expected = _outcome(_reference_threshold, d, mu, v)
+        assert _outcome(qber_threshold, d, mu, v) == expected
+        return expected
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_default_set(self, d):
+        mu, v = THRESHOLD_CONVENTION["mu"], THRESHOLD_CONVENTION["visibility"]
+        assert float(self.assert_same(d, mu, v)) > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 32),
+        mu=st.one_of(st.sampled_from([1e-6, 0.5]), st.floats(1e-6, 0.5)),
+        v=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_grid(self, d, mu, v):
+        self.assert_same(d, mu, v)
+
+    @pytest.mark.parametrize("d, mu, v", [(2, 1.0, 0.0), (4, 1e-6, 0.0), (16, 0.3, 0.2)])
+    def test_no_threshold(self, d, mu, v):
+        assert self.assert_same(d, mu, v).startswith("NoThresholdError: ")
+
+    def test_early_return_at_upper_end(self, monkeypatch):
+        # I_AB is 0 at the uniform error rate, so no real (d, mu, V) keys
+        # at the upper end: both cores are made to report a key everywhere
+        def keyed_everywhere(d, q, em, x, dq_terms):
+            return 0.0, 0.0, 1.0
+
+        monkeypatch.setattr("hdcow.rates._secure_core", keyed_everywhere)
+        monkeypatch.setattr("hdcow.security._secure_core", keyed_everywhere)
+        for d in (2, 3, 16):
+            assert self.assert_same(d, 0.1, 0.9) == repr(1.0 - 1.0 / d - 1e-12)
+
+    @pytest.mark.parametrize(
+        "d, mu, v",
+        [(d, 0.1, 0.9) for d in _BAD_D]
+        + [(4, mu, 0.9) for mu in _BAD_MU]
+        + [(4, 0.1, v) for v in _BAD_V]
+        + [(d, mu, 0.9) for d in _BAD_D for mu in _BAD_MU]
+        + [(d, 0.1, v) for d in _BAD_D for v in _BAD_V]
+        + [(4, mu, v) for mu in _BAD_MU for v in _BAD_V],
+    )
+    def test_bad_inputs(self, d, mu, v):
+        assert self.assert_same(d, mu, v).startswith("InvalidArgumentError: ")
 
 
 class TestQberThreshold:
