@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Subcommands: ``rates`` (secure-rate sweep table), ``threshold``
+Subcommands: ``rates`` (secure-rate sweep table, one row per point in
+the field order of :class:`~hdcow.rates.RatePoint`), ``threshold``
 (error-rate thresholds per dimension), ``holevo`` (security bounds at
 one operating point, optionally cross-checked against the brute-force
 oracle), ``simulate`` (end-to-end session), ``optimize`` (sweep and
-report only the optimum; a warning is logged when the optimum or the
-d=2 baseline lies at an end of the mu grid or above the weak-pulse
-guard).  ``HDCOW_LOG`` sets the log level.
+report only the optimum).  ``rates`` and ``optimize`` log a warning,
+with stdout unchanged, when the optimum or the d=2 baseline lies at an
+end of the mu grid or above the weak-pulse guard.  ``HDCOW_LOG`` sets
+the log level.
 
 Outputs are deterministic for a fixed seed and config: no timestamps,
 fixed float formatting.
@@ -28,7 +30,7 @@ from . import __version__
 from .channel import SOFT_FLUX_GUARD
 from .config import Config, load_config
 from .errors import HdcowError, InvalidArgumentError, NoThresholdError
-from .rates import detection_rate, qber_threshold, sweep
+from .rates import RatePoint, detection_rate, qber_threshold, sweep
 from .security import (
     eve_optimal_holevo,
     holevo_oracle,
@@ -81,31 +83,24 @@ def _json_text(obj) -> str:
 
 
 def cmd_rates(config: Config, args) -> str:
-    result = sweep(
-        config.protocol.dimensions,
-        config.mu_grid(),
-        config.noise_model(),
-        config.physical_params(),
-    )
-    header = ("d", "mu", "bits_per_detection", "alpha", "bits_per_second")
-    rows = [
-        (p.d, p.mu, p.bits_per_detection, p.alpha, p.bits_per_second)
-        for p in result.grid
-    ]
+    mu_grid = config.mu_grid()
+    phys = config.physical_params()
+    result = sweep(config.protocol.dimensions, mu_grid, config.noise_model(), phys)
+    _warn_if_unsound(result, mu_grid, phys.t_ch)
     log.info(
         "rates sweep: %d points, optimum d=%d mu=%g (%.4g bits/s), gain %.3f",
-        len(rows), result.optimum.d, result.optimum.mu,
+        len(result.grid), result.optimum.d, result.optimum.mu,
         result.optimum.bits_per_second, result.gain,
     )
     if args.format == "json":
         return _json_text(
             {
-                "rows": [dict(zip(header, row)) for row in rows],
-                "optimum": dict(zip(header, rows[result.grid.index(result.optimum)])),
+                "rows": [p._asdict() for p in result.grid],
+                "optimum": result.optimum._asdict(),
                 "gain_over_d2": result.gain,
             }
         )
-    return _rows_to_csv(header, rows)
+    return _rows_to_csv(RatePoint._fields, result.grid)
 
 
 def cmd_threshold(config: Config, args) -> str:
@@ -239,14 +234,10 @@ def cmd_optimize(config: Config, args) -> str:
     result = sweep(config.protocol.dimensions, mu_grid, config.noise_model(), phys)
     _warn_if_unsound(result, mu_grid, phys.t_ch)
     opt = result.optimum
-    payload = {
-        "optimum": {
-            "d": opt.d,
-            "mu": opt.mu,
-            "bits_per_detection": opt.bits_per_detection,
-            "alpha": opt.alpha,
-            "bits_per_second": opt.bits_per_second,
-        },
+    if args.format == "csv":
+        return _rows_to_csv(RatePoint._fields + ("gain",), [(*opt, result.gain)])
+    return _json_text({
+        "optimum": opt._asdict(),
         "gain_over_d2": result.gain,
         "baseline_d2": None
         if result.baseline_d2 is None
@@ -255,13 +246,7 @@ def cmd_optimize(config: Config, args) -> str:
             "mu": result.baseline_d2.mu,
             "bits_per_second": result.baseline_d2.bits_per_second,
         },
-    }
-    if args.format == "csv":
-        header = ("d", "mu", "bits_per_detection", "alpha", "bits_per_second", "gain")
-        row = (opt.d, opt.mu, opt.bits_per_detection, opt.alpha,
-               opt.bits_per_second, result.gain)
-        return _rows_to_csv(header, [row])
-    return _json_text(payload)
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:

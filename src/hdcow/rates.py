@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,28 +56,18 @@ THRESHOLD_CONVENTION = {"mu": 1e-6, "visibility": 0.90, "axis": "per_slot"}
 _THRESHOLD_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """One evaluated operating point of the rate model."""
+class RatePoint(NamedTuple):
+    """One evaluated operating point of the rate model.
+
+    A named tuple of its five fields in this order: it compares and
+    hashes as that tuple does, is immutable, and unpacks as a row of
+    ``hdcow rates``."""
 
     d: int
     mu: float
     bits_per_detection: float
     alpha: float
     bits_per_second: float
-
-    @classmethod
-    def _from_values(cls, d, mu, bits_per_detection, alpha, bits_per_second):
-        """The point with these fields, built without the generated
-        ``__init__``'s ``object.__setattr__`` per field.  The fields go
-        into the instance dict in declaration order, so the point
-        compares, hashes, prints and pickles as the constructor's does."""
-        point = object.__new__(cls)
-        point.__dict__.update(
-            d=d, mu=mu, bits_per_detection=bits_per_detection, alpha=alpha,
-            bits_per_second=bits_per_second,
-        )
-        return point
 
 
 @dataclass(frozen=True)
@@ -199,8 +191,10 @@ def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     code on arrays, so every grid point equals
     ``secure_rate(d, mu, noise.q(d), noise.v(d), phys)`` bit for bit.
 
-    The optimum is the first of equally good points, and the d=2
-    baseline the first best point of the d=2 row.  ``gain`` is the
+    ``grid`` is a tuple of :class:`RatePoint` named tuples, d-major,
+    each made by ``tuple.__new__`` in C from the grid's columns.  The
+    optimum is the first of equally good points, and the d=2 baseline
+    the first best point of the d=2 row.  ``gain`` is the
     optimum rate over the baseline's; NaN when the grid has no d=2 row
     or its best rate is 0.
     """
@@ -217,14 +211,14 @@ def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     d_column = np.array(dimensions, dtype=float).reshape(-1, 1)
     alpha = _detection_formula(d_column, mus, phys.xi_eff, phys.t_dead, phys.tau)
     rates = (alpha * fractions).ravel().tolist()
-    grid = list(map(
-        RatePoint._from_values,
+    # each point is made by tuple.__new__ in C, with no Python frame
+    grid = tuple(map(partial(tuple.__new__, RatePoint), zip(
         [d for d in dimensions for _ in mu_values],
         mu_values * len(dimensions),
         fractions.ravel().tolist(),
         alpha.ravel().tolist(),
         rates,
-    ))
+    )))
     optimum = grid[rates.index(max(rates))]  # the first of equally good points
     baseline = None
     if 2 in dimensions:
@@ -235,9 +229,7 @@ def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
         gain = optimum.bits_per_second / baseline.bits_per_second
     else:
         gain = float("nan")
-    return SweepResult(
-        grid=tuple(grid), optimum=optimum, baseline_d2=baseline, gain=gain
-    )
+    return SweepResult(grid=grid, optimum=optimum, baseline_d2=baseline, gain=gain)
 
 
 def qber_threshold(d: int, mu: float, visibility: float) -> float:

@@ -36,9 +36,12 @@ Two routes compute the adversary's Holevo information:
   array, ``+ - * /`` run in NumPy, which rounds them as Python does, and
   ``exp``, ``sqrt`` and ``log2`` go through one private helper that
   applies the :mod:`math` function to each element, because NumPy's can
-  round differently in the last bit.  A grid point therefore equals the
-  scalar evaluation ``repr`` for ``repr``.  Scalar callers
-  (:func:`report_at`, :func:`eve_optimal_holevo`,
+  round differently in the last bit.  The helper makes one pass per
+  array: ``map`` feeds the array's elements, as Python floats, through
+  the :mod:`math` function straight into ``np.fromiter``, with no
+  Python frame per element and no list of results.  A grid point
+  therefore equals the scalar evaluation ``repr`` for ``repr``.
+  Scalar callers (:func:`report_at`, :func:`eve_optimal_holevo`,
   :func:`secure_fraction`, :func:`hdcow.rates.qber_threshold`) take the
   plain :mod:`math` path and return ``float``.
 * a brute-force density-matrix oracle (:func:`holevo_oracle`) that embeds
@@ -94,9 +97,14 @@ def _each(fn, x):
     goes through here and an array gives the scalar path's bits.
     ``sqrt`` does too: NumPy's rounds exactly, but calling it added about
     0.2 MB of resident code pages to a rates sweep.
+
+    An array takes one pass: ``map`` applies ``fn`` to each element of
+    ``tolist()`` in C, and ``np.fromiter`` writes each result into an
+    array of the known size as it comes, so no list of results is built.
+    An exception from ``fn`` (``math.log2`` of 0, say) propagates.
     """
     if isinstance(x, np.ndarray):
-        return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return fn(x)
 
 
@@ -129,20 +137,23 @@ def _entropies(arr: np.ndarray) -> np.ndarray:
     """:func:`entropy_term` of each element of a float array, with no
     Python frame per element.
 
-    ``log2(1) = 0`` stands in for ``log2(0)``, and ``(0.0 - p) * log2(p)``
+    ``np.where`` puts 1.0 in place of each zero (of either sign), so
+    ``log2(1) = 0`` stands in for ``log2(0)``, and one :func:`_each` pass
+    of ``math.log2`` gives the logarithms.  ``(0.0 - p) * log2(p)``
     equals the scalar ``-p * log2(p)`` bit for bit: +0.0 at ``p = 0`` and
     -0.0 at ``p = 1``, as the scalar path gives.  A negative p makes
     ``math.log2`` raise, and a NaN p gives a NaN logarithm, which the sum
-    of the logarithms carries (no other term can make it NaN).
+    of the logarithms carries (no other term can make it NaN: each is
+    finite or, at ``p = inf``, +inf).
     """
     try:
-        logs = list(map(math.log2, [v or 1.0 for v in arr.ravel().tolist()]))
-        total = sum(logs)
+        logs = _each(math.log2, np.where(arr == 0.0, 1.0, arr))
+        total = logs.sum()
     except ValueError:  # a negative p
         total = math.nan
     if math.isnan(total):
         raise InvalidArgumentError("entropy_term requires every p >= 0 (no NaN)")
-    return (0.0 - arr) * np.array(logs).reshape(arr.shape)
+    return (0.0 - arr) * logs
 
 
 def _clip(value, lo: float, hi: float):

@@ -408,9 +408,10 @@ class TestCli:
         assert payload["optimum"]["d"] in (2, 4, 8)
 
     @staticmethod
-    def optimize_warnings(tmp_path, capsys, caplog, config):
-        """``hdcow optimize``'s JSON and the warnings it logged."""
-        argv = ["optimize"]
+    def optimize_warnings(tmp_path, capsys, caplog, config, command="optimize"):
+        """The JSON of ``hdcow optimize`` (or of ``hdcow rates``) and the
+        warnings it logged."""
+        argv = [command, "--format", "json"]
         if config is not None:
             path = tmp_path / "optimize.json"
             path.write_text(json.dumps(config))
@@ -444,6 +445,47 @@ class TestCli:
 
     def test_optimize_warns_above_flux_guard(self, tmp_path, capsys, caplog):
         payload, warnings = self.optimize_warnings(
+            tmp_path, capsys, caplog, {"physical": {"t_ch": 1.0}}
+        )
+        opt = payload["optimum"]
+        assert opt["mu"] > 0.1
+        assert (
+            f"optimum d={opt['d']} mu={opt['mu']:g} gives mu*t_ch = {opt['mu']:.4g}, "
+            "above the weak-pulse guard 0.1 of the security analysis"
+        ) in warnings
+        assert not any("end of the mu grid" in w for w in warnings)
+
+    def rates_warnings(self, tmp_path, capsys, caplog, config):
+        """``hdcow rates``'s JSON and its warnings, with the warnings and
+        the optimum checked against ``hdcow optimize``'s on the same
+        config."""
+        payload, warnings = self.optimize_warnings(
+            tmp_path, capsys, caplog, config, command="rates"
+        )
+        caplog.clear()
+        optimized, expected = self.optimize_warnings(tmp_path, capsys, caplog, config)
+        assert payload["optimum"] == optimized["optimum"]
+        assert warnings == expected
+        return payload, warnings
+
+    def test_rates_default_does_not_warn(self, tmp_path, capsys, caplog):
+        payload, warnings = self.rates_warnings(tmp_path, capsys, caplog, None)
+        assert warnings == []
+        assert 0.005 < payload["optimum"]["mu"] < 0.3
+
+    def test_rates_warns_at_grid_edge(self, tmp_path, capsys, caplog):
+        # 150 km: rates printed an optimum at mu_max and logged nothing
+        payload, warnings = self.rates_warnings(
+            tmp_path, capsys, caplog, {"physical": {"t_ch": 0.001}}
+        )
+        assert payload["optimum"]["mu"] == 0.3
+        assert warnings[0] == (
+            f"optimum d={payload['optimum']['d']} mu=0.3 lies at an end of the mu "
+            "grid [0.005, 0.3]; widen the sweep section to locate it"
+        )
+
+    def test_rates_warns_above_flux_guard(self, tmp_path, capsys, caplog):
+        payload, warnings = self.rates_warnings(
             tmp_path, capsys, caplog, {"physical": {"t_ch": 1.0}}
         )
         opt = payload["optimum"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hdcow.errors import InvalidArgumentError
 from hdcow.security import (
+    _each,
     entropy_term,
     eve_optimal_holevo,
     holevo_ae,
@@ -35,7 +36,9 @@ class TestEntropyTerm:
     @settings(max_examples=500, deadline=None)
     @given(
         p=st.one_of(
-            st.sampled_from([0, 1, 0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308]),
+            st.sampled_from(
+                [0, 1, 0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, math.inf]
+            ),
             st.floats(0.0, 2.2250738585072014e-308),
             st.floats(0.0, 1.0),
         )
@@ -73,6 +76,46 @@ class TestEntropyTerm:
             entropy_term(np.float64("nan"))
         with pytest.raises(InvalidArgumentError):
             entropy_term(np.array([0.5, math.nan]))
+
+    @staticmethod
+    def edge_grid():
+        """A (5, 120) grid of values from 5e-324 to about 630, with 0.0,
+        -0.0, 1.0, 5e-324 and inf in each row."""
+        rng = np.random.default_rng(11)
+        a = np.concatenate([rng.random(300), 10.0 ** rng.uniform(-323, 2.8, 300)])
+        a = rng.permutation(a).reshape(5, 120)
+        a[:, :5] = (0.0, -0.0, 1.0, 5e-324, math.inf)
+        return a
+
+    @pytest.mark.parametrize("fn", [math.exp, math.sqrt, math.log2])
+    def test_each_equals_scalar_math_on_a_grid(self, fn):
+        a = self.edge_grid()
+        if fn is math.log2:
+            # math.log2(0.0) raises, and so does the pass over the grid
+            with pytest.raises(ValueError):
+                _each(fn, a)
+            a = np.where(a == 0.0, 1.0, a)
+        out = _each(fn, a)
+        assert out.shape == a.shape and out.dtype == np.float64
+        assert repr(out.ravel().tolist()) == repr([fn(v) for v in a.ravel().tolist()])
+
+    def test_grid_equals_scalar_path_with_edge_values(self):
+        a = self.edge_grid()
+        out = entropy_term(a)
+        assert out.shape == a.shape
+        expected = [entropy_term(v) for v in a.ravel().tolist()]
+        assert repr(out.ravel().tolist()) == repr(expected)
+
+    @pytest.mark.parametrize("bad", [-5e-324, -1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, 5, 599])
+    def test_negative_or_nan_in_a_grid_rejected(self, bad, at):
+        a = self.edge_grid()
+        a.ravel()[at] = bad
+        with pytest.raises(
+            InvalidArgumentError,
+            match=r"^entropy_term requires every p >= 0 \(no NaN\)$",
+        ):
+            entropy_term(a)
 
     def test_concave_on_unit_interval(self):
         # second finite difference non-positive at 100 interior points
