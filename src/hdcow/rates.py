@@ -186,7 +186,7 @@ def sweep(dimensions, mu_grid, noise, phys: PhysicalParams) -> SweepResult:
     :func:`secure_rate` checks it), then each V, then each d as
     :func:`detection_rate` does.  The secure fractions are then one
     evaluation over the whole grid, one row per d (see
-    :mod:`hdcow.security`), with no ``chi_BE``; the detection rates are
+    :mod:`hdcow.security`); the detection rates are
     one array expression over the same grid.  Both run the scalar path's
     code on arrays, so every grid point equals
     ``secure_rate(d, mu, noise.q(d), noise.v(d), phys)`` bit for bit.
@@ -256,7 +256,7 @@ def qber_threshold(d: int, mu: float, visibility: float) -> float:
 
     def keyed(e_total):
         q = e_total / (d - 1)
-        return _secure_core(d, q, em, x_star, _dq_terms(d, q))[2] > 0.0
+        return _secure_core(d, q, em, x_star, _dq_terms(d, q))[1] > 0.0
 
     if not keyed(0.0):
         raise NoThresholdError(

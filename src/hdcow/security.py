@@ -19,14 +19,25 @@ through the correct-outcome block of the average-state entropy,
 bounds fall as x rises over the (non-negative) interval and peak at its
 lower end.
 
+Every rate uses direct reconciliation, ``I_AB - chi_AE``: the key is
+the sender's string.  Reverse reconciliation would subtract ``chi_BE``
+instead, and it never pays here, because ``chi_BE >= chi_AE`` at every
+point.  Conditioned on the receiver's outcome, the wrong-outcome states
+overlap pairwise by ``exp(-mu)``, so the receiver-side conditional
+entropy is never above the sender-side one.  The tests pin this against
+the oracle at d in {2, 3, 4}, and for the closed forms at x* over d
+2-64, Q in [0, 1/(d-1)], mu in [1e-6, 1] and V in [0, 1].  The two are
+equal at Q = 0 and at d = 2.
+
 Two routes compute the adversary's Holevo information:
 
 * closed forms built from the eigenvalue structure of the conditional
   states.  :func:`holevo_ae` and :func:`holevo_be` evaluate one bound
-  each, on a scalar or an array of overlaps.  Every secure fraction
-  comes from one private core, the only place ``I_AB - chi_AE`` is
-  written.  :func:`report_at` runs it at one overlap and is the only
-  place that also builds ``chi_BE``, which no rate caller reads.
+  each, on a scalar or an array of overlaps.  ``chi_AE`` and every
+  secure fraction come from one private core, the only place
+  ``I_AB - chi_AE`` is written.  ``chi_BE`` is built only by
+  :func:`holevo_be` (and the oracle); ``hdcow holevo`` prints it, and
+  no rate reads it.  :func:`report_at` runs the core at one overlap.
   :func:`hdcow.rates.sweep` runs it once over its whole (d, mu) grid,
   with d and Q as float columns and mu as a row.
   :func:`hdcow.rates.qber_threshold` runs it once per bisection step,
@@ -79,12 +90,12 @@ _SCALAR_TYPES = (int, float)
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """Adversary bounds and the secure fraction at one attack overlap."""
+    """The adversary's sender-side bound and the secure fraction at one
+    attack overlap."""
 
     chi_ae: float  # Holevo bound on info about the sender's symbol (bits)
-    chi_be: float  # Holevo bound on info about the receiver's outcome (bits)
     secure_fraction: float  # I_AB - chi_AE clamped at 0, bits per detected qudit
-    x_star: float  # the adversary's <v0|pmu> the bounds were evaluated at
+    x_star: float  # the adversary's <v0|pmu> the bound was evaluated at
 
 
 def _each(fn, x):
@@ -220,27 +231,15 @@ def _dq_terms(d, q):
 
 
 def _secure_core(d, q, em, x, dq_terms):
-    """``(s_bar, chi_ae, I_AB - chi_ae)`` at overlap ``x`` for a validated
+    """``(chi_ae, I_AB - chi_ae)`` at overlap ``x`` for a validated
     (d, Q, mu), with ``em = exp(-mu)`` and ``dq_terms`` from
-    :func:`_dq_terms`; ``chi_ae`` and the secure fraction are clamped to
-    [0, log2(d)].  Each argument is a number or an ndarray, and they
-    broadcast: ``d`` and ``q`` as one column of rows, ``em`` as a row of
-    mu, ``x`` as a row or a grid.  The one place the secure fraction is
-    written; the average-state entropy ``s_bar`` is evaluated once."""
+    :func:`_dq_terms`; both are clamped to [0, log2(d)].  Each argument
+    is a number or an ndarray, and they broadcast: ``d`` and ``q`` as one
+    column of rows, ``em`` as a row of mu, ``x`` as a row or a grid.  The
+    one place the secure fraction is written."""
     conditional, i_ab, log2_d = dq_terms
-    s_bar = _average_state_entropy(d, q, em, x)
-    chi_ae = _clamp_bits(s_bar - conditional, log2_d)
-    return s_bar, chi_ae, _clamp_bits(i_ab - chi_ae, log2_d)
-
-
-def _receiver_conditional(d: int, q: float, em: float) -> float:
-    """Receiver-side conditional entropy, with ``em = exp(-mu)``: see
-    :func:`holevo_be`."""
-    return (
-        entropy_term(q * ((d - 2) * em + 1.0))
-        + (d - 2) * entropy_term(q * (1.0 - em))
-        + entropy_term(1.0 - (d - 1) * q)
-    )
+    chi_ae = _clamp_bits(_average_state_entropy(d, q, em, x) - conditional, log2_d)
+    return chi_ae, _clamp_bits(i_ab - chi_ae, log2_d)
 
 
 def _average_state_entropy(d, q, em, x):
@@ -278,9 +277,7 @@ def holevo_ae(d: int, q: float, mu: float, x):
     ``x`` may be an array; the result is clamped to [0, log2(d)].
     """
     _validate_domain(d, q, mu)
-    conditional, _, log2_d = _dq_terms(d, q)
-    chi = _average_state_entropy(d, q, math.exp(-mu), x) - conditional
-    return _clamp_bits(chi, log2_d)
+    return _secure_core(d, q, math.exp(-mu), x, _dq_terms(d, q))[0]
 
 
 def holevo_be(d: int, q: float, mu: float, x):
@@ -295,7 +292,12 @@ def holevo_be(d: int, q: float, mu: float, x):
     """
     _validate_domain(d, q, mu)
     em = math.exp(-mu)
-    chi = _average_state_entropy(d, q, em, x) - _receiver_conditional(d, q, em)
+    conditional = (
+        entropy_term(q * ((d - 2) * em + 1.0))
+        + (d - 2) * entropy_term(q * (1.0 - em))
+        + entropy_term(1.0 - (d - 1) * q)
+    )
+    chi = _average_state_entropy(d, q, em, x) - conditional
     return _clamp_bits(chi, math.log2(d))
 
 
@@ -375,33 +377,28 @@ def holevo_oracle(d: int, q: float, mu: float, x: float) -> tuple[float, float]:
 
 
 def report_at(d: int, q: float, mu: float, x: float) -> SecurityReport:
-    """Both Holevo bounds and the secure fraction at overlap ``x``.
+    """The sender-side Holevo bound and the secure fraction at overlap
+    ``x``.
 
     The secure fraction subtracts the sender-side bound from the shared
     information and clamps at zero.  The sender-side bound is the right
     leak term because reconciliation is direct: the distilled key is the
-    sender's raw string and the receiver corrects toward it.
+    sender's raw string and the receiver corrects toward it.  The
+    receiver-side bound is never smaller (see the module docstring), so
+    no rate reads it; :func:`holevo_be` gives it at the same ``x``.
 
-    The domain is checked once, and the average-state entropy is
-    evaluated once and shared by both bounds.  This is the only place
-    ``chi_be`` is built besides :func:`holevo_be`; every field equals
-    what :func:`holevo_ae`, :func:`holevo_be` and
-    ``max(mutual_info_ab - holevo_ae, 0)`` give.
+    The domain is checked once, and both fields come from one evaluation
+    of the secure-fraction core: they equal what :func:`holevo_ae` and
+    ``max(mutual_info_ab - holevo_ae, 0)`` give, bit for bit.
     """
     _validate_domain(d, q, mu)
-    em, dq_terms = math.exp(-mu), _dq_terms(d, q)
-    s_bar, chi_ae, fraction = _secure_core(d, q, em, x, dq_terms)
-    return SecurityReport(
-        chi_ae=chi_ae,
-        chi_be=_clamp_bits(s_bar - _receiver_conditional(d, q, em), dq_terms[2]),
-        secure_fraction=fraction,
-        x_star=x,
-    )
+    chi_ae, fraction = _secure_core(d, q, math.exp(-mu), x, _dq_terms(d, q))
+    return SecurityReport(chi_ae=chi_ae, secure_fraction=fraction, x_star=x)
 
 
 def eve_optimal_holevo(d: int, q: float, mu: float, visibility: float) -> SecurityReport:
-    """Both bounds and the secure fraction at the adversary's optimal
-    overlap.
+    """The sender-side bound and the secure fraction at the adversary's
+    optimal overlap.
 
     The optimum is the lower end of :func:`x_interval`: x enters the
     bounds only through ``f(s) = h(a((d-1)s+1)) + (d-1)*h(a(1-s))`` with
@@ -459,7 +456,7 @@ def _fraction_grid(dimensions, qs, visibilities, mus: np.ndarray) -> np.ndarray:
     x_star = np.array([x_by_visibility[v] for v in visibilities])
     # -1.0 * mus is -mus bit for bit and spares paging in NumPy's negation
     em = _each(math.exp, -1.0 * mus)
-    return _secure_core(d, q, em, x_star, _dq_terms(d, q))[2]
+    return _secure_core(d, q, em, x_star, _dq_terms(d, q))[1]
 
 
 def secure_fraction(d: int, q: float, mu: float, visibility: float) -> float:
@@ -467,4 +464,4 @@ def secure_fraction(d: int, q: float, mu: float, visibility: float) -> float:
     occupation, on the scalar path."""
     _validate_d_q(d, q)
     x_star = x_interval(mu, visibility)[0]
-    return _secure_core(d, q, math.exp(-mu), x_star, _dq_terms(d, q))[2]
+    return _secure_core(d, q, math.exp(-mu), x_star, _dq_terms(d, q))[1]

@@ -138,6 +138,11 @@ class SessionSettings:
                 raise InvalidArgumentError(
                     f"{name}={value} does not fit SESSION_START's u{bits}{unit}"
                 )
+        if p.slot_count >= 2**32:  # refused before any train-sized array exists
+            raise InvalidArgumentError(
+                f"n={p.n} with d={p.d} makes a block of {p.slot_count} slots; the "
+                "reveal's indices and the report's monitor slots are u32"
+            )
         if self.blocks < 1:
             raise InvalidArgumentError(f"blocks={self.blocks} must be >= 1")
         f = self.sample_fraction

@@ -840,6 +840,12 @@ class TestDecodeFrame:
         with pytest.raises(InvalidArgumentError, match="outside the train"):
             decode_frame(params, Permutation(np.arange(1, 9)), clicks)
 
+    @pytest.mark.parametrize("length", [6, 10])
+    def test_permutation_of_another_length_rejected(self, length):
+        params = ProtocolParams(d=2, n=4)
+        with pytest.raises(InvalidArgumentError, match=f"permutation length {length} != d\\*n=8"):
+            decode_frame(params, Permutation(np.arange(1, length + 1)), click_stream([1]))
+
     @pytest.mark.parametrize("data", [[0], []])
     @pytest.mark.parametrize("slot", [-1, 8])
     def test_monitor_click_outside_frame_rejected(self, data, slot):

@@ -9,7 +9,7 @@ import pytest
 from hdcow.cli import main
 from hdcow.config import default_config, load_config, parse_config
 from hdcow.errors import InvalidArgumentError
-from hdcow.security import holevo_ae, x_interval
+from hdcow.security import holevo_ae, holevo_oracle, x_interval
 
 
 class TestConfig:
@@ -127,6 +127,9 @@ class TestCli:
             # as u64 picoseconds
             ({"session": {"n": 2**32}}, "session.n"),
             ({"session": {"n": 2**32, "blocks": 1}}, "session.n"),
+            # d*n slots per block, as u32 reveal indices and monitor slots:
+            # simulate allocated 2**32-slot buffers before the reveal refused
+            ({"session": {"d": 2, "n": 2**31, "blocks": 1}}, "session.n"),
             ({"protocol": {"tau": 1e8}}, "protocol.tau"),
             # 0 whole picoseconds: simulate sent that and printed 5.1e8 bit/s
             ({"protocol": {"tau": 1e-13}}, "protocol.tau"),
@@ -162,6 +165,11 @@ class TestCli:
             # refused when the channel parameters are built, with the key named
             ('{"physical": {"mu": -0.05}}', "physical.mu"),
             ('{"physical": {"t_ch": 2}}', "physical.t_ch"),
+            ('{"physical": {"xi": 0}}', "physical.xi"),
+            ('{"physical": {"t_dead": -1e-9}}', "physical.t_dead"),
+            ('{"physical": {"p_dc": 1.5}}', "physical.p_dc"),
+            ('{"physical": {"r_ext": -0.01}}', "physical.r_ext"),
+            ('{"physical": {"visibility": 1.5}}', "physical.visibility"),
             ('{"threshold": {"visibility": 7}}', "threshold.visibility"),
             # 1/(d-1) for the largest default dimension, d=32
             ('{"noise": {"q_slot": 0.5}}', "noise.q_slot"),
@@ -208,6 +216,11 @@ class TestCli:
             ({"seed": True}, "config.seed"),
             ({"seed": -3}, "config.seed"),
             ({"threshold": {"dimensions": ["x"]}}, "threshold.dimensions"),
+            # a section, the root or a list of the wrong shape
+            ({"physical": 3}, "physical: expected an object"),
+            ({"sweep": [1]}, "sweep: expected an object"),
+            ([{"seed": 1}], "config root must be an object"),
+            ({"protocol": {"dimensions": 4}}, "protocol.dimensions: expected a list"),
         ],
     )
     def test_wrong_type_is_usage_error(self, tmp_path, capsys, command, raw, field):
@@ -283,6 +296,46 @@ class TestCli:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == self._DEFAULT_TABLE_SHA256[command]
 
+    # sha256 of stdout.  holevo prints full-precision floats in JSON, so a
+    # last-bit change of either bound or the secure fraction moves them.
+    _HOLEVO_DEFAULT = ["holevo", "--d", "4", "--q", "0.01", "--mu", "0.1"]
+    _HOLEVO_DEFAULT_SHA256 = "67a5da8355b4be44881c9844853a5d3f93842909e9f66f987721a3c8f621cafa"
+    _STDOUT_SHA256 = [
+        (_HOLEVO_DEFAULT, _HOLEVO_DEFAULT_SHA256),
+        (_HOLEVO_DEFAULT + ["--format", "csv"],
+         "32a2b66563344ec038ae3ee62956899b3af2cd41b561946abb4130186d24e7ad"),
+        (_HOLEVO_DEFAULT + ["--x", "0.95"],
+         "d2a8d8a7e358f2ff4436f4ae2f602cfdd52238c394bd61dbdd28fcf709de4f47"),
+        (_HOLEVO_DEFAULT + ["--format", "csv", "--x", "0.95"],
+         "25ebaba7b7a73c8fa7a14df4667510d55522a3d8a43571d0916dad419d8fc652"),
+        (["optimize", "--format", "csv"],
+         "8b49c01c6a87fa280ccb7be1a62fdb0dd9d2ebd17b718168075f9295b5b9fc06"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, digest", _STDOUT_SHA256, ids=[" ".join(argv) for argv, _ in _STDOUT_SHA256]
+    )
+    def test_stdout_pinned(self, capsys, argv, digest):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_holevo_oracle_stdout_pinned(self, capsys):
+        # The oracle's values come from LAPACK, whose last bits vary with
+        # the build, so they are checked against a fresh oracle call; the
+        # other lines are the pinned output without --oracle.
+        assert main(self._HOLEVO_DEFAULT + ["--oracle"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines(keepends=True)
+        rest = "".join(line for line in lines if not line.startswith('  "oracle_'))
+        assert len(lines) - len(rest.splitlines()) == 3
+        assert hashlib.sha256(rest.encode()).hexdigest() == self._HOLEVO_DEFAULT_SHA256
+        payload = json.loads(out)
+        oracle_ae, oracle_be = holevo_oracle(4, 0.01, 0.1, payload["x_star"])
+        assert (payload["oracle_chi_ae"], payload["oracle_chi_be"]) == (oracle_ae, oracle_be)
+        assert payload["oracle_max_abs_diff"] == max(
+            abs(oracle_ae - payload["chi_ae"]), abs(oracle_be - payload["chi_be"])
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -314,6 +367,36 @@ class TestCli:
         assert exc.value.code == 2
         field = physical.split('"')[1]
         assert f"error: physical.{field}=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rates", "simulate"])
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ('{"noise": {"model": "foo"}}', "error: unknown noise model 'foo'"),
+            ('{"seed": 1', "bad.json: not valid JSON ("),
+            ("", "bad.json: not valid JSON ("),
+        ],
+    )
+    def test_unknown_noise_model_or_bad_json_is_usage_error(
+        self, tmp_path, capsys, command, text, cause
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert cause in captured.err
+
+    def test_one_step_sweep_prints_one_row_per_dimension(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"sweep": {"mu_min": 0.05, "mu_steps": 1}}))
+        assert main(["rates", "--config", str(path)]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert [(row[0], row[1]) for row in rows] == [
+            (str(d), "0.05") for d in default_config().protocol.dimensions
+        ]
 
     def test_threshold_monotone_decreasing(self, capsys):
         assert main(["threshold"]) == 0

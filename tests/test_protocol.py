@@ -293,6 +293,11 @@ class TestPermutation:
         assert np.array_equal(map_[perm.inverse_map - 1], np.arange(1, length + 1))
         assert perm.inverse_map.dtype == np.int32
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 4), (3, 0)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(InvalidArgumentError, match="^empty permutation$"):
+            Permutation(np.zeros(shape, dtype=np.int64))
+
     def test_rejects_non_bijection(self):
         with pytest.raises(InvalidArgumentError):
             Permutation(np.array([1, 1, 3]))

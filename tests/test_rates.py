@@ -522,7 +522,7 @@ class TestQberThresholdEqualsReference:
         # I_AB is 0 at the uniform error rate, so no real (d, mu, V) keys
         # at the upper end: both cores are made to report a key everywhere
         def keyed_everywhere(d, q, em, x, dq_terms):
-            return 0.0, 0.0, 1.0
+            return 0.0, 1.0
 
         monkeypatch.setattr("hdcow.rates._secure_core", keyed_everywhere)
         monkeypatch.setattr("hdcow.security._secure_core", keyed_everywhere)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hdcow.errors import InvalidArgumentError
 from hdcow.security import (
+    SecurityReport,
     _each,
     entropy_term,
     eve_optimal_holevo,
@@ -261,11 +263,50 @@ class TestOracle:
         with pytest.raises(InvalidArgumentError):
             holevo_oracle(5, 0.01, 0.1, 0.9)
 
+    @pytest.mark.parametrize("x", [-1e-9, 1.0 + 1e-9, math.nan])
+    def test_overlap_outside_unit_interval_rejected(self, x):
+        with pytest.raises(InvalidArgumentError, match="x=.*outside"):
+            holevo_oracle(2, 0.01, 0.1, x)
+
+
+class TestDirectReconciliationSuffices:
+    """chi_BE >= chi_AE: the adversary never learns less about the
+    receiver's outcome than about the sender's symbol, so reverse
+    reconciliation (I_AB - chi_BE) never beats direct reconciliation
+    (I_AB - chi_AE), and no rate needs chi_BE."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        q_share=st.floats(0.0, 1.0),
+        mu=st.floats(1e-6, 2.0),
+        x=st.floats(0.0, 1.0),
+    )
+    def test_oracle_receiver_bound_dominates(self, d, q_share, mu, x):
+        chi_ae, chi_be = holevo_oracle(d, q_share / (d - 1), mu, x)
+        assert chi_be >= chi_ae - 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        q_share=st.floats(0.0, 1.0),
+        mu=st.floats(1e-6, 1.0),
+        v=st.floats(0.0, 1.0),
+    )
+    def test_closed_form_receiver_bound_dominates_at_optimum(self, d, q_share, mu, v):
+        q = q_share / (d - 1)
+        x_star = eve_optimal_holevo(d, q, mu, v).x_star
+        assert holevo_be(d, q, mu, x_star) >= holevo_ae(d, q, mu, x_star)
+
+    def test_report_carries_the_sender_bound_only(self):
+        names = [field.name for field in dataclasses.fields(SecurityReport)]
+        assert names == ["chi_ae", "secure_fraction", "x_star"]
+
 
 class TestEveOptimal:
     def test_perfect_channel_leaks_nothing(self):
         report = eve_optimal_holevo(4, 0.0, 1e-9, 1.0)
-        assert report.chi_be == pytest.approx(0.0, abs=1e-6)
+        assert holevo_be(4, 0.0, 1e-9, report.x_star) == pytest.approx(0.0, abs=1e-6)
         assert report.x_star == pytest.approx(1.0, abs=1e-6)
 
     def test_unit_visibility_interval_is_a_point(self):
@@ -278,7 +319,7 @@ class TestEveOptimal:
         lo, hi = x_interval(mu, v)
         xs = np.linspace(lo, hi, 1_000_001)
         brute = float(np.max(holevo_be(d, q, mu, xs)))
-        assert report.chi_be == pytest.approx(brute, abs=1e-6)
+        assert holevo_be(d, q, mu, report.x_star) == pytest.approx(brute, abs=1e-6)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -293,7 +334,7 @@ class TestEveOptimal:
         lo, hi = x_interval(mu, v)
         assert report.x_star == lo
         xs = np.linspace(lo, hi, 2001)
-        assert np.max(holevo_be(d, q, mu, xs)) <= report.chi_be + 1e-12
+        assert np.max(holevo_be(d, q, mu, xs)) <= holevo_be(d, q, mu, report.x_star) + 1e-12
         assert np.max(holevo_ae(d, q, mu, xs)) <= report.chi_ae + 1e-12
 
     def test_report_secure_fraction_consistent(self):
@@ -379,7 +420,6 @@ class TestRoutesAgree:
         report = report_at(d, q, mu, x)
         chi_ae = holevo_ae(d, q, mu, x)
         assert report.chi_ae == chi_ae
-        assert report.chi_be == holevo_be(d, q, mu, x)
         assert report.secure_fraction == max(mutual_info_ab(d, q) - chi_ae, 0.0)
         assert report.x_star == x
 

@@ -203,6 +203,20 @@ def test_slot_duration_of_zero_picoseconds_refused(tau):
     ).start.tau_picoseconds == 1
 
 
+@pytest.mark.parametrize("d, n", [(2, 2**31), (3, 1431655766), (65535, 65539)])
+def test_block_beyond_u32_slots_refused(d, n):
+    # a reveal index and a monitor slot are u32, so a block of 2**32 slots
+    # or more cannot travel; it is refused before any array is drawn
+    with pytest.raises(InvalidArgumentError, match=f"^n={n} with d={d} makes a block of"):
+        SessionSettings(ProtocolParams(d, n), PhysicalParams.noiseless(), blocks=1)
+
+
+def test_largest_block_accepted():
+    # 3 * 1431655765 = 2**32 - 1 slots: only checked, never run
+    settings = SessionSettings(ProtocolParams(3, 1431655765), PhysicalParams.noiseless(), 1)
+    assert settings.protocol.slot_count == 2**32 - 1
+
+
 @pytest.mark.parametrize("seed", [-1, [3, -2]])
 def test_negative_seed_refused(seed):
     with pytest.raises(InvalidArgumentError, match="is not a seed"):
@@ -218,6 +232,19 @@ class TestProtocolViolations:
         )
         with pytest.raises(ProtocolError, match=r"expected SessionStart\(d=4, n=16, "):
             run_bob(settings, channel, duplex)
+
+    def test_receive_before_any_transmit(self):
+        channel = SimulatedChannel(noiseless_settings(d=2, n=2).physical, seed=0)
+        with pytest.raises(ProtocolError, match="^no quantum transmission observed for block 0$"):
+            channel.receive(0)
+
+    def test_receive_for_another_train(self):
+        channel = SimulatedChannel(noiseless_settings(d=2, n=2).physical, seed=0)
+        channel.transmit(0, *frames_12(1))
+        channel.transmit(1, *frames_12(1))
+        cause = "^quantum train of block 0 does not match revealed 1$"
+        with pytest.raises(ProtocolError, match=cause):
+            channel.receive(1)
 
     def test_malformed_permutation_aborts(self):
         settings = noiseless_settings(d=2, n=2)

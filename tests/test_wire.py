@@ -249,6 +249,13 @@ class TestDecodeErrors:
         with pytest.raises(LengthMismatchError, match="disagree with payload size"):
             decode_message(bytes(frame))
 
+    @pytest.mark.parametrize("length", [0, 12, 15])
+    def test_short_detection_report_payload(self, length):
+        # a report is at least its block id, entry count and monitor count
+        header = MAGIC + bytes([VERSION, 0x04]) + struct.pack("!I", length)
+        with pytest.raises(LengthMismatchError, match="DETECTION_REPORT payload must be >= 16"):
+            decode_message(header + b"\x00" * length)
+
     def test_misaligned_reveal_payload(self):
         header = MAGIC + bytes([VERSION, 0x03]) + struct.pack("!I", 10)
         with pytest.raises(LengthMismatchError):
